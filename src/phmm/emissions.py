@@ -20,6 +20,7 @@ from .errors import (
     EmptyStateError,
     NegativeEntryError,
     NegativeWeightError,
+    NonFiniteEntryError,
     NonStochasticRowError,
     StateOutOfRangeError,
     VariantMismatchError,
@@ -84,9 +85,17 @@ class GaussianEmission:
         return GaussianEmission(self.means.copy(), self.variances.copy())
 
 
+def check_finite(which, arr):
+    """Raise NonFiniteEntryError if arr holds a NaN or an infinity."""
+    bad = ~np.isfinite(arr)
+    if np.any(bad):
+        raise NonFiniteEntryError(which, float(arr[bad][0]))
+
+
 def validate_emission(em):
     """Check emission-model invariants; raises ValidationError subclasses."""
     if isinstance(em, DiscreteEmission):
+        check_finite("emission probs", em.probs)
         if np.any(em.probs < 0):
             raise NegativeEntryError("emission probs", float(em.probs.min()))
         sums = em.probs.sum(axis=1)
@@ -97,6 +106,8 @@ def validate_emission(em):
     elif isinstance(em, GaussianEmission):
         if em.means.shape != em.variances.shape:
             raise DimensionMismatchError("means and variances shapes differ")
+        check_finite("emission means", em.means)
+        check_finite("emission variances", em.variances)
         if np.any(em.variances < VAR_FLOOR):
             raise NegativeEntryError(
                 "emission variance below floor", float(em.variances.min())

@@ -27,6 +27,13 @@ class NegativeEntryError(ValidationError):
         super().__init__(f"negative entry {value!r} in {which}")
 
 
+class NonFiniteEntryError(ValidationError):
+    def __init__(self, which, value):
+        self.which = which
+        self.value = value
+        super().__init__(f"non-finite entry {value!r} in {which}")
+
+
 class TopologyViolationError(ValidationError):
     def __init__(self, i, j, value):
         self.i = i

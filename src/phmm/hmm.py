@@ -65,6 +65,7 @@ class Hmm:
 
 def validate(hmm):
     """Check all Hmm invariants; raises a ValidationError subclass on failure."""
+    em.check_finite("pi", hmm.pi)
     if np.any(hmm.pi < 0):
         raise NegativeEntryError("pi", float(hmm.pi.min()))
     total = hmm.pi.sum()
@@ -72,6 +73,7 @@ def validate(hmm):
         raise NonStochasticRowError("pi", None, float(total))
     if hmm.trans.shape != (hmm.n_states, hmm.n_states):
         raise NonStochasticRowError("trans shape", None, float("nan"))
+    em.check_finite("trans", hmm.trans)
     if np.any(hmm.trans < 0):
         raise NegativeEntryError("trans", float(hmm.trans.min()))
     sums = hmm.trans.sum(axis=1)
@@ -120,12 +122,28 @@ def backward_lattice(log_trans, logb):
     return beta
 
 
-def viterbi_score_lattice(log_pi, log_trans, logb):
-    """Best-path score without backtracking bookkeeping."""
-    delta = log_pi + logb[0]
+def viterbi_score_lattice(log_pi, log_trans, logb, columns=None):
+    """Best-path score without backtracking bookkeeping.
+
+    log_pi (N, ...) and log_trans (N, N, ...) may carry trailing batch
+    axes, one model per batch entry; the result is then an array over
+    those axes instead of a float. The batch is the innermost axis so
+    that every step runs over contiguous memory. Without columns, logb
+    is the (T, N) log-density lattice. With columns, an integer array
+    shaped like log_pi, state i of batch entry b emits logb[t, columns[i, b]],
+    so one (T, S) table serves every model built from the same S states.
+    -inf padding in log_pi, log_trans and the gathered logb never wins a
+    max, so a padded model scores exactly as its unpadded self.
+    """
+
+    def frame(t):
+        return logb[t] if columns is None else logb[t][columns]
+
+    delta = log_pi + frame(0)
     for t in range(1, logb.shape[0]):
-        delta = np.max(delta[:, None] + log_trans, axis=0) + logb[t]
-    return float(np.max(delta))
+        delta = np.max(delta[:, None] + log_trans, axis=0) + frame(t)
+    best = np.max(delta, axis=0)
+    return float(best) if best.ndim == 0 else best
 
 
 def viterbi_lattice(log_pi, log_trans, logb):

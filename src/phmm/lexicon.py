@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import hmm as hmm_mod
 from .emissions import DiscreteEmission, GaussianEmission
-from .errors import ValidationError
+from .errors import EmptyObservationError, ValidationError
 
 DEFAULT_CHANNELS = ("right_hand", "left_hand", "head")
 
@@ -50,9 +50,6 @@ class Lexicon:
     epenthesis_policy: str = EPENTHESIS_NONE
     exit_prob: float = 0.5
 
-    def channel_index(self, name):
-        return self.channels.index(name)
-
     def inventory(self, channel):
         return self.inventories[channel]
 
@@ -62,9 +59,6 @@ class MultiObservation:
     """One utterance: an observation sequence per channel (lengths may differ)."""
 
     channels: dict
-
-    def length(self, channel):
-        return len(self.channels[channel])
 
 
 def validate_lexicon(lex):
@@ -128,4 +122,4 @@ def validate_multi_observation(lex, mobs):
         if ch not in mobs.channels:
             raise ValidationError(f"missing observations for channel {ch!r}")
         if len(mobs.channels[ch]) == 0:
-            raise ValidationError(f"empty observation sequence for channel {ch!r}")
+            raise EmptyObservationError(f"empty observation sequence for channel {ch!r}")

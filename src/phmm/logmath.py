@@ -50,8 +50,3 @@ def logaddexp(x, y):
     """log(exp(x) + exp(y)) honoring the -inf conventions."""
     return np.logaddexp(x, y)
 
-
-def assert_no_nan(arr, label="log values"):
-    """Raise if any entry is NaN; -inf is fine."""
-    if np.any(np.isnan(arr)):
-        raise FloatingPointError(f"NaN in {label}")

@@ -11,6 +11,14 @@ a self-loop of (1 - exit_prob) and routes exit_prob * pi_next[j] to
 state j of its successor; the final sub-model's last state stays
 absorbing. These rewired rows are structural constants, not trained
 parameters.
+
+Both decoders score in batches. The exhaustive decoder stacks every
+k-sign candidate's composed model per channel (-inf padded) and runs
+one max-product recursion over the whole stack, reading emissions from
+one table of phoneme-state log densities per channel. The synchronized
+decoder runs each unit's recursion for every entry frame at once. Max
+and + are exact and -inf padding never wins a max, so every score is
+bit-identical to scoring the candidates or entry frames one at a time.
 """
 
 from __future__ import annotations
@@ -31,12 +39,15 @@ from .errors import (
     ValidationError,
 )
 from .hmm import Hmm, Topology, viterbi_lattice, viterbi_score_lattice
-from .lexicon import EPENTHESIS_BETWEEN_SIGNS
+from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
 MAX_CANDIDATES = 1_000_000
 
 EPS_UNIT = "<eps>"
+
+# Compose-cache key tag of the candidate stacks: (_STACK, channel, k).
+_STACK = "candidate stack"
 
 
 @dataclass
@@ -142,17 +153,6 @@ def _cached_model(lexicon, channel, signs, cache):
     return entry
 
 
-def _score_total(lexicon, signs, mobs, cache):
-    """Sum of per-channel best-path scores, without path extraction."""
-    scores = []
-    for ch in lexicon.channels:
-        entry = _cached_model(lexicon, ch, signs, cache)
-        model, log_pi, log_trans = entry
-        logb = em_mod.log_density_seq(model.emissions, mobs.channels[ch])
-        scores.append(viterbi_score_lattice(log_pi, log_trans, logb))
-    return math.fsum(scores)
-
-
 def score_hypothesis(lexicon, signs, mobs, cache=None):
     """Score one sign sequence: independent per-channel Viterbi alignments.
 
@@ -180,11 +180,83 @@ def _candidate_count(vocab, max_signs):
     return total
 
 
+def _log_density_table(inventory, obs):
+    """(T, S + 1) log densities of all S phoneme states in inventory
+    order, then a -inf column."""
+    parts = [em_mod.log_density_seq(m.emissions, obs) for m in inventory.phonemes.values()]
+    parts.append(np.full((len(obs), 1), LOG_ZERO))
+    return np.hstack(parts)
+
+
+def _candidate_stack(lexicon, channel, candidates):
+    """(log_pi (N, B), log_trans (N, N, B), columns (N, B)) of the B
+    candidates' composed channel models, batch innermost; models shorter
+    than N states are padded with -inf and with the -inf column of the
+    channel's log-density table."""
+    inv = lexicon.inventory(channel)
+    # Column of each phoneme's first state in _log_density_table; the
+    # table's last column, after every phoneme state, is the -inf pad.
+    sizes = [m.n_states for m in inv.phonemes.values()]
+    offsets = dict(zip(inv.phonemes, itertools.accumulate([0] + sizes)))
+    pad = sum(sizes)
+    cols = [
+        [
+            offsets[pid] + i
+            for pid in block_ids(lexicon, channel, signs)
+            for i in range(inv.phonemes[pid].n_states)
+        ]
+        for signs in candidates
+    ]
+    n = max(len(c) for c in cols)
+    log_pi = np.full((n, len(candidates)), LOG_ZERO)
+    log_trans = np.full((n, n, len(candidates)), LOG_ZERO)
+    columns = np.full((n, len(candidates)), pad, dtype=np.intp)
+    for b, signs in enumerate(candidates):
+        m = len(cols[b])
+        lp, lt = compose_utterance_model(lexicon, channel, signs).log_params()
+        log_pi[:m, b] = lp
+        log_trans[:m, :m, b] = lt
+        columns[:m, b] = cols[b]
+    return log_pi, log_trans, columns
+
+
+def _channel_score_groups(lexicon, mobs, max_signs, cache):
+    """One (candidates, {channel: (B,) best-path scores}) pair per sign
+    count k = 1..max_signs, candidates in enumeration order."""
+    sign_ids = sorted(lexicon.signs)
+    tables = {
+        ch: _log_density_table(lexicon.inventory(ch), mobs.channels[ch])
+        for ch in lexicon.channels
+    }
+    groups = []
+    for k in range(1, max_signs + 1):
+        candidates = list(itertools.product(sign_ids, repeat=k))
+        scores = {}
+        for ch in lexicon.channels:
+            key = (_STACK, ch, k)
+            stack = cache.get(key)
+            if stack is None:
+                stack = cache[key] = _candidate_stack(lexicon, ch, candidates)
+            log_pi, log_trans, columns = stack
+            scores[ch] = viterbi_score_lattice(log_pi, log_trans, tables[ch], columns)
+        groups.append((candidates, scores))
+    return groups
+
+
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     """Best hypothesis over every sign sequence of length 1..max_signs.
 
     Implements the joint objective exactly: channels align
     independently and the argmax runs over the full enumeration.
+    Candidates are scored in one batch per channel and sign count; each
+    total is the math.fsum of its channel scores, ties go to the shorter,
+    then lexicographically smaller sequence, and the winner is rescored
+    with score_hypothesis for its state paths.
+
+    cache is a dict reused across utterances of one lexicon. It holds,
+    per channel and sign count, the -inf-padded (log_pi, log_trans)
+    stacks of every candidate's composed model with their state-to-column
+    index, plus the composed models of the winners (see score_hypothesis).
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
@@ -194,13 +266,16 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     n_cand = _candidate_count(len(sign_ids), max_signs)
     if n_cand > MAX_CANDIDATES:
         raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
+    validate_multi_observation(lexicon, mobs)
     if cache is None:
         cache = {}
     best_key = None
     best_signs = None
-    for k in range(1, max_signs + 1):
-        for signs in itertools.product(sign_ids, repeat=k):
-            total = _score_total(lexicon, signs, mobs, cache)
+    groups = _channel_score_groups(lexicon, mobs, max_signs, cache)
+    for k, (candidates, scores) in enumerate(groups, start=1):
+        per_channel = [scores[ch].tolist() for ch in lexicon.channels]
+        for signs, channel_scores in zip(candidates, zip(*per_channel)):
+            total = math.fsum(channel_scores)
             if total == LOG_ZERO:
                 continue
             key = (-total, k, signs)
@@ -249,34 +324,43 @@ class _Unit:
         self.log_exit = float(safe_log(exit_prob))
         self.logb = em_mod.log_density_seq(model.emissions, obs)
 
-    def segment_scores(self, t0):
-        """DP from entry frame t0 to the end of the utterance.
+    def segment_scores(self):
+        """DP from every entry frame t0 to the end of the utterance.
 
-        Returns (exit_scores, last_score): exit_scores[t] is the best
-        score of a path entering at t0 and leaving the unit between t
-        and t+1 (boundary log included); last_score is the best
+        Returns (exit_scores, last): exit_scores[t0, t] is the best score
+        of a path entering at t0 and leaving the unit between t and t+1
+        (boundary log included), -inf for t < t0; last[t0] is the best
         unanchored score through the absorbing (final-unit) pricing up
-        to the last frame.
+        to the last frame. Column t0 of delta starts at frame t0, so all
+        entry frames advance together in T batched steps.
         """
         t_len = self.logb.shape[0]
-        delta = self.log_pi + self.logb[t0]
-        final_iso = delta[self.final]
-        exit_scores = np.full(t_len, LOG_ZERO)
-        exit_scores[t0] = delta[self.final] + self.log_exit
-        for t in range(t0 + 1, t_len):
-            cand = delta[:, None] + self.log_trans
-            others = np.delete(cand[:, self.final], self.final)
-            arrivals = np.max(others) if others.size else LOG_ZERO
-            delta = np.max(cand, axis=0) + self.logb[t]
-            final_iso = max(arrivals, final_iso) + self.logb[t, self.final]
-            exit_scores[t] = delta[self.final] + self.log_exit
-        if t_len - 1 == t0:
-            last = float(np.max(delta))
-        else:
-            non_final = np.delete(delta, self.final)
-            best_nf = np.max(non_final) if non_final.size else LOG_ZERO
-            last = float(max(best_nf, final_iso))
-        return exit_scores, last
+        final = self.final
+        log_trans = self.log_trans[:, :, None]
+        delta = np.empty((self.n, t_len))
+        # The final state priced as absorbing (self-loop log 1), for `last`.
+        final_iso = np.empty(t_len)
+        exit_scores = np.full((t_len, t_len), LOG_ZERO)
+        for t in range(t_len):
+            logb = self.logb[t]
+            if t:
+                cand = delta[:, None, :t] + log_trans
+                arrivals = cand[:final, final].max(axis=0) if final else LOG_ZERO
+                np.add(cand.max(axis=0), logb[:, None], out=delta[:, :t])
+                np.add(np.maximum(arrivals, final_iso[:t]), logb[final], out=final_iso[:t])
+            delta[:, t] = self.log_pi + logb
+            final_iso[t] = delta[final, t]
+            np.add(delta[final, : t + 1], self.log_exit, out=exit_scores[: t + 1, t])
+        best_nf = delta[:final].max(axis=0) if final else LOG_ZERO
+        return exit_scores, np.maximum(best_nf, final_iso)
+
+
+def _unit(lexicon, channel, key, obs):
+    """The _Unit of a sign (or EPS_UNIT) in one channel."""
+    inv = lexicon.inventory(channel)
+    pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[channel]
+    model, _ = compose_models([(pid, inv.phonemes[pid]) for pid in pids], lexicon.exit_prob)
+    return _Unit(model, obs, lexicon.exit_prob)
 
 
 @dataclass
@@ -323,83 +407,82 @@ def decode_synced(lexicon, mobs, beam_width):
     sign_ids = sorted(lexicon.signs)
     unit_keys = list(sign_ids) + ([EPS_UNIT] if use_eps else [])
 
-    units = {}
+    # exits[key][c][t0, t] and lasts[key][c][t0]: unit key's exit and
+    # last-unit scores in channel c by entry frame t0 and exit frame t.
+    exits = {}
+    lasts = {}
     for key in unit_keys:
-        per_channel = []
-        for ch in lexicon.channels:
-            inv = lexicon.inventory(ch)
-            if key == EPS_UNIT:
-                pids = [inv.epenthesis]
+        scores = [
+            _unit(lexicon, ch, key, mobs.channels[ch]).segment_scores()
+            for ch in lexicon.channels
+        ]
+        exits[key] = [ex for ex, _ in scores]
+        lasts[key] = [last for _, last in scores]
+
+    def entry_tokens(cell):
+        """(best token that may enter a sign, best that may enter the
+        epenthesis) at the frame after `cell`, None if none scores finite."""
+        sign_entry = eps_entry = None
+        for vkey, tok in cell.items():
+            if tok.score == LOG_ZERO:
+                continue
+            if use_eps and vkey != EPS_UNIT:
+                eps_entry = _best_token(eps_entry, tok)
             else:
-                pids = list(lexicon.signs[key].channels[ch])
-            blocks = [(pid, inv.phonemes[pid]) for pid in pids]
-            model, _ = compose_models(blocks, lexicon.exit_prob)
-            per_channel.append(_Unit(model, mobs.channels[ch], lexicon.exit_prob))
-        units[key] = per_channel
+                sign_entry = _best_token(sign_entry, tok)
+        return sign_entry, eps_entry
 
-    # exit_table[key][c][t0] -> exit scores array; last_table[key][c][t0] -> float
-    exit_table = {key: [{} for _ in lexicon.channels] for key in unit_keys}
-    last_table = {key: [{} for _ in lexicon.channels] for key in unit_keys}
-
-    def channel_scores_for(key, t0):
-        for c, unit in enumerate(units[key]):
-            if t0 not in exit_table[key][c]:
-                ex, last = unit.segment_scores(t0)
-                exit_table[key][c][t0] = ex
-                last_table[key][c][t0] = last
-        return [exit_table[key][c][t0] for c in range(len(lexicon.channels))]
-
-    def entry_token(t0, key, cells):
-        """Best token available to enter unit `key` at frame t0."""
-        is_sign = key != EPS_UNIT
-        if t0 == 0:
-            return _Token(0.0, (), ()) if is_sign else None
-        best = None
-        prev = cells[t0 - 1]
-        for vkey, tok in prev.items():
-            if use_eps:
-                allowed = (vkey == EPS_UNIT) if is_sign else (vkey != EPS_UNIT)
-            else:
-                allowed = is_sign
-            if allowed:
-                best = _best_token(best, tok)
-        return best
-
-    cells = [dict() for _ in range(t_len)]
+    # sign_entries[t0] / eps_entries[t0]: the best token that may enter a
+    # sign / the epenthesis at frame t0, fixed once frame t0 - 1 is pruned.
+    sign_entries = [_Token(0.0, (), ())]
+    eps_entries = [None]
     for t in range(t_len):
+        cell = {}
         for key in unit_keys:
-            best = None
-            for t0 in range(t + 1):
-                entry = entry_token(t0, key, cells)
-                if entry is None or entry.score == LOG_ZERO:
+            is_sign = key != EPS_UNIT
+            entries = sign_entries if is_sign else eps_entries
+            columns = [ex[: t + 1, t].tolist() for ex in exits[key]]
+            # The token key orders by score first, so only entry frames
+            # reaching the best score can win; ties go to the smaller key.
+            best_score = None
+            winners = []
+            for t0, (entry, parts) in enumerate(zip(entries, zip(*columns))):
+                if entry is None:
                     continue
-                per_channel = channel_scores_for(key, t0)
-                seg = math.fsum(ex[t] for ex in per_channel)
+                seg = math.fsum(parts)
                 if seg == LOG_ZERO:
                     continue
-                signs = entry.signs + ((key,) if key != EPS_UNIT else ())
+                score = entry.score + seg
+                if best_score is None or score > best_score:
+                    best_score = score
+                    winners = [t0]
+                elif score == best_score:
+                    winners.append(t0)
+            best = None
+            for t0 in winners:
+                entry = entries[t0]
                 tok = _Token(
-                    entry.score + seg,
-                    signs,
+                    best_score,
+                    entry.signs + ((key,) if is_sign else ()),
                     entry.segments + ((key, t0, t),),
                 )
                 best = _best_token(best, tok)
             if best is not None:
-                cells[t][key] = best
-        if len(cells[t]) > beam_width:
-            kept = sorted(cells[t].items(), key=lambda kv: kv[1].key() + (kv[0],))
-            cells[t] = dict(kept[:beam_width])
+                cell[key] = best
+        if len(cell) > beam_width:
+            kept = sorted(cell.items(), key=lambda kv: kv[1].key() + (kv[0],))
+            cell = dict(kept[:beam_width])
+        sign_entry, eps_entry = entry_tokens(cell)
+        sign_entries.append(sign_entry)
+        eps_entries.append(eps_entry)
 
     best = None
     for key in sign_ids:
-        for t0 in range(t_len):
-            entry = entry_token(t0, key, cells)
-            if entry is None or entry.score == LOG_ZERO:
+        tails = [last.tolist() for last in lasts[key]]
+        for t0, (entry, parts) in enumerate(zip(sign_entries, zip(*tails))):
+            if entry is None:
                 continue
-            channel_scores_for(key, t0)
-            tail = math.fsum(
-                last_table[key][c][t0] for c in range(len(lexicon.channels))
-            )
+            tail = math.fsum(parts)
             if tail == LOG_ZERO:
                 continue
             tok = _Token(
@@ -418,18 +501,11 @@ def _rebuild_hypothesis(lexicon, mobs, token):
     channel_scores = {}
     state_paths = {}
     for c, ch in enumerate(lexicon.channels):
-        inv = lexicon.inventory(ch)
         total_c = 0.0
         path = []
         offset = 0
         for k, (key, t0, t1) in enumerate(token.segments):
-            if key == EPS_UNIT:
-                pids = [inv.epenthesis]
-            else:
-                pids = list(lexicon.signs[key].channels[ch])
-            blocks = [(pid, inv.phonemes[pid]) for pid in pids]
-            model, _ = compose_models(blocks, lexicon.exit_prob)
-            unit = _Unit(model, mobs.channels[ch], lexicon.exit_prob)
+            unit = _unit(lexicon, ch, key, mobs.channels[ch])
             is_last = k == len(token.segments) - 1
             seg_score, seg_path = _segment_viterbi(unit, t0, t1, is_last)
             total_c += seg_score

@@ -134,3 +134,59 @@ def sample_mobs(lexicon, signs, t_len, seed):
         obs, _ = sample(model, t, np.random.default_rng((seed, c)))
         data[ch] = obs
     return MultiObservation(channels=data)
+
+
+def random_phoneme(rng, n_states, gaussian=False, ergodic=False, alphabet=4, dim=2):
+    """A random phoneme model: Bakis chain or ergodic, discrete or Gaussian."""
+    if ergodic:
+        pi = random_stochastic(rng, n_states)
+        trans = random_stochastic(rng, (n_states, n_states))
+    else:
+        pi = np.zeros(n_states)
+        pi[0] = 1.0
+        trans = np.zeros((n_states, n_states))
+        for i in range(n_states - 1):
+            trans[i, i] = rng.uniform(0.2, 0.8)
+            trans[i, i + 1] = 1.0 - trans[i, i]
+        trans[-1, -1] = 1.0
+    if gaussian:
+        emissions = GaussianEmission(
+            means=rng.normal(0.0, 2.0, size=(n_states, dim)),
+            variances=rng.uniform(0.3, 2.0, size=(n_states, dim)),
+        )
+    else:
+        emissions = DiscreteEmission(random_stochastic(rng, (n_states, alphabet)))
+    topology = Topology.ERGODIC if ergodic else Topology.LEFT_TO_RIGHT
+    return Hmm(pi, trans, emissions, topology)
+
+
+def mixed_lexicon(rng, gaussian=False, ergodic=False, policy="none", channels=("c0", "c1")):
+    """3 signs of 1-2 phonemes per channel over phonemes of 1-3 states each."""
+    from phmm.lexicon import Lexicon, PhonemeInventory, Sign
+
+    inventories = {}
+    for ch in channels:
+        phonemes = {
+            f"{ch}_p{k}": random_phoneme(rng, int(rng.integers(1, 4)), gaussian, ergodic)
+            for k in range(3)
+        }
+        eps = None
+        if policy == "between_signs":
+            eps = f"{ch}_e"
+            phonemes[eps] = random_phoneme(rng, int(rng.integers(1, 3)), gaussian, ergodic)
+        inventories[ch] = PhonemeInventory(phonemes=phonemes, epenthesis=eps)
+    signs = {}
+    for v in range(3):
+        per_channel = {}
+        for ch in channels:
+            content = inventories[ch].content_ids
+            size = int(rng.integers(1, 3))
+            per_channel[ch] = [content[int(rng.integers(0, 3))] for _ in range(size)]
+        signs[f"s{v}"] = Sign(f"s{v}", per_channel)
+    return Lexicon(
+        channels=list(channels),
+        inventories=inventories,
+        signs=signs,
+        epenthesis_policy=policy,
+        exit_prob=float(rng.uniform(0.2, 0.8)),
+    )

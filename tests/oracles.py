@@ -92,6 +92,37 @@ def split_forward_oracle(model_a, model_b, exit_prob, obs, logb_a, logb_b):
     return logsumexp(np.array(terms))
 
 
+def segment_scores_oracle(unit, t0):
+    """One entry frame's synced-decoder segment scores, frame by frame.
+
+    Returns (exit_scores, last) for a unit entered at frame t0:
+    exit_scores[t] is the best score of leaving the unit between t and
+    t+1 (boundary log included), -inf before t0; last is the best
+    unanchored score up to the last frame with the unit's final state
+    absorbing. This is the recursion _Unit.segment_scores batches over
+    every t0.
+    """
+    t_len = unit.logb.shape[0]
+    delta = unit.log_pi + unit.logb[t0]
+    final_iso = delta[unit.final]
+    exit_scores = np.full(t_len, LOG_ZERO)
+    exit_scores[t0] = delta[unit.final] + unit.log_exit
+    for t in range(t0 + 1, t_len):
+        cand = delta[:, None] + unit.log_trans
+        others = np.delete(cand[:, unit.final], unit.final)
+        arrivals = np.max(others) if others.size else LOG_ZERO
+        delta = np.max(cand, axis=0) + unit.logb[t]
+        final_iso = max(arrivals, final_iso) + unit.logb[t, unit.final]
+        exit_scores[t] = delta[unit.final] + unit.log_exit
+    if t_len - 1 == t0:
+        last = float(np.max(delta))
+    else:
+        non_final = np.delete(delta, unit.final)
+        best_nf = np.max(non_final) if non_final.size else LOG_ZERO
+        last = float(max(best_nf, final_iso))
+    return exit_scores, last
+
+
 def brute_edit_distance(ref, hyp):
     """Minimal unit-cost edit distance by plain recursion."""
 

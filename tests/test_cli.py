@@ -157,6 +157,33 @@ def test_decode_records(tmp_path, trained_model, demo_corpus):
         assert set(rec["channel_scores"]) == {"right_hand", "left_hand", "head"}
 
 
+def test_decode_exhaustive_empty_channel_is_input_error(
+    tmp_path, trained_model, demo_corpus, capsys
+):
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
+    recs[1]["channels"]["head"] = []
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert run(
+        ["decode", "--model", trained_model, "--corpus", corpus,
+         "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    assert "'head'" in capsys.readouterr().err
+
+
+def test_decode_rejects_nan_model(tmp_path, trained_model, demo_corpus, capsys):
+    blob = json.loads(trained_model.read_text())
+    inventory = next(iter(blob["inventories"].values()))
+    next(iter(inventory["phonemes"].values()))["trans"][0][0] = float("nan")
+    bad = tmp_path / "nan_model.json"
+    bad.write_text(json.dumps(blob))
+    assert run(
+        ["decode", "--model", bad, "--corpus", demo_corpus,
+         "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_decode_synced_unequal_lengths_recorded(tmp_path, trained_model):
     jittered = tmp_path / "jit.jsonl"
     assert run(

@@ -20,6 +20,7 @@ from phmm.errors import (
     DimensionMismatchError,
     EmptyStateError,
     NegativeWeightError,
+    NonFiniteEntryError,
     NonStochasticRowError,
     StateOutOfRangeError,
     VariantMismatchError,
@@ -82,6 +83,17 @@ def test_errors():
         accumulate(st, 0, 1, -0.5)
     with pytest.raises(NonStochasticRowError):
         validate_emission(DiscreteEmission(np.array([[0.6, 0.6]])))
+
+
+@pytest.mark.parametrize("field", ["probs", "means", "variances"])
+def test_validate_emission_rejects_nan(field):
+    if field == "probs":
+        em = DiscreteEmission(np.full((2, 2), 0.5))
+    else:
+        em = GaussianEmission(np.zeros((2, 2)), np.ones((2, 2)))
+    getattr(em, field)[1, 0] = np.nan
+    with pytest.raises(NonFiniteEntryError, match=field):
+        validate_emission(em)
 
 
 def test_accumulate_weight_zero_noop():

@@ -8,6 +8,7 @@ from phmm.emissions import DiscreteEmission, log_density_seq
 from phmm.errors import (
     AllPathsZeroError,
     EmptyObservationError,
+    NonFiniteEntryError,
     NonStochasticRowError,
     TopologyViolationError,
 )
@@ -42,6 +43,18 @@ def test_validate_rejects_nonstochastic_pi():
         emissions=DiscreteEmission(np.full((2, 2), 0.5)),
     )
     with pytest.raises(NonStochasticRowError):
+        validate(h)
+
+
+@pytest.mark.parametrize("field", ["pi", "trans"])
+def test_validate_rejects_nan(field):
+    h = Hmm(
+        pi=[0.5, 0.5],
+        trans=[[0.5, 0.5], [0.5, 0.5]],
+        emissions=DiscreteEmission(np.full((2, 2), 0.5)),
+    )
+    getattr(h, field).flat[0] = np.nan
+    with pytest.raises(NonFiniteEntryError, match=field):
         validate(h)
 
 

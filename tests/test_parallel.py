@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_lexicon, sample_mobs
-from oracles import split_forward_oracle
+from helpers import build_lexicon, mixed_lexicon, random_phoneme, sample_mobs
+from oracles import segment_scores_oracle, split_forward_oracle
 
-from phmm.emissions import log_density_seq
+from phmm import parallel
+from phmm.emissions import GaussianEmission, log_density_seq
 from phmm.errors import (
+    EmptyObservationError,
     EmptySequenceError,
     NoFiniteHypothesisError,
     SearchSpaceTooLargeError,
@@ -19,6 +21,9 @@ from phmm.hmm import forward, validate, viterbi
 from phmm.lexicon import MultiObservation, validate_lexicon
 from phmm.parallel import (
     Hypothesis,
+    _channel_score_groups,
+    _Unit,
+    compose_models,
     compose_utterance_model,
     decode_exhaustive,
     decode_synced,
@@ -355,3 +360,104 @@ def test_hypothesis_total_is_exact_fsum():
         ("a",), {"c0": -1.1, "c1": -2.2, "c2": -3.3}, {"c0": [], "c1": [], "c2": []}
     )
     assert h.total == math.fsum([-1.1, -2.2, -3.3])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+BATCH_CASES = [
+    dict(gaussian=g, ergodic=e, policy=p)
+    for g in (False, True)
+    for e in (False, True)
+    for p in ("none", "between_signs")
+]
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_batched_exhaustive_scores_equal_score_hypothesis(case):
+    # phonemes of 1-3 states, signs of 1-2 phonemes, unequal channel lengths
+    lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
+    lengths = {"c0": 7, "c1": 1 + case % 4}
+    mobs = sample_mobs(lex, ["s1", "s0"], lengths, seed=case)
+    groups = _channel_score_groups(lex, mobs, 2, cache={})
+    assert [len(candidates) for candidates, _ in groups] == [3, 9]
+    for candidates, scores in groups:
+        for b, signs in enumerate(candidates):
+            ref = score_hypothesis(lex, signs, mobs)
+            for ch in lex.channels:
+                assert _bits(scores[ch][b]) == _bits(ref.channel_scores[ch])
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+def test_batched_exhaustive_scores_keep_impossible_candidates(policy):
+    # separated emissions: every candidate with a wrong phoneme scores -inf
+    lex = build_lexicon(
+        np.random.default_rng(19), vocab=3, separated=True, n_states=3, policy=policy
+    )
+    mobs = sample_mobs(lex, ["s2", "s0"], 8, seed=11)
+    groups = _channel_score_groups(lex, mobs, 2, cache={})
+    n_dead = 0
+    for candidates, scores in groups:
+        for b, signs in enumerate(candidates):
+            ref = score_hypothesis(lex, signs, mobs)
+            for ch in lex.channels:
+                assert _bits(scores[ch][b]) == _bits(ref.channel_scores[ch])
+            n_dead += ref.total == float("-inf")
+    assert 0 < n_dead < 12
+
+
+def test_decode_exhaustive_cache_reuse_matches_fresh_cache():
+    lex = mixed_lexicon(np.random.default_rng(20), policy="between_signs")
+    cache = {}
+    for seed, signs in enumerate((["s0"], ["s2", "s1"], ["s1"])):
+        mobs = sample_mobs(lex, signs, {"c0": 6, "c1": 4}, seed=seed)
+        shared = decode_exhaustive(lex, mobs, max_signs=2, cache=cache)
+        fresh = decode_exhaustive(lex, mobs, max_signs=2)
+        assert shared == fresh
+
+
+def test_decode_exhaustive_empty_channel_names_it(monkeypatch):
+    lex = build_lexicon(np.random.default_rng(21), vocab=2)
+    mobs = sample_mobs(lex, ["s0"], 5, seed=12)
+    mobs.channels["c1"] = np.array([], dtype=int)
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("a lattice ran on an empty channel")
+
+    monkeypatch.setattr(parallel, "viterbi_score_lattice", no_lattice)
+    with pytest.raises(EmptyObservationError, match="'c1'"):
+        decode_exhaustive(lex, mobs, max_signs=2)
+
+
+def _oracle_units(rng):
+    """Units of 1, 2 and 4 states, a composed unit and one that cannot
+    emit symbol 0 (so some frames have -inf log densities)."""
+    for n_states in (1, 2, 4):
+        for gaussian in (False, True):
+            for ergodic in (False, True):
+                yield random_phoneme(rng, n_states, gaussian, ergodic)
+    a = random_phoneme(rng, 2)
+    b = random_phoneme(rng, 3, ergodic=True)
+    yield compose_models([("a", a), ("b", b)], 0.4)[0]
+    gapped = random_phoneme(rng, 3)
+    gapped.emissions.probs[:, 0] = 0.0
+    gapped.emissions.probs /= gapped.emissions.probs.sum(axis=1, keepdims=True)
+    yield gapped
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 9])
+def test_segment_scores_equal_per_entry_frame_oracle(t_len):
+    rng = np.random.default_rng(40 + t_len)
+    for model in _oracle_units(rng):
+        if isinstance(model.emissions, GaussianEmission):
+            obs = rng.normal(0.0, 2.0, size=(t_len, model.emissions.dim))
+        else:
+            obs = rng.integers(0, model.emissions.alphabet_size, size=t_len)
+        unit = _Unit(model, obs, exit_prob=0.3)
+        exit_scores, last = unit.segment_scores()
+        assert exit_scores.shape == (t_len, t_len) and last.shape == (t_len,)
+        for t0 in range(t_len):
+            ref_exit, ref_last = segment_scores_oracle(unit, t0)
+            assert _bits(exit_scores[t0]) == _bits(ref_exit)
+            assert _bits(last[t0]) == _bits(ref_last)
