@@ -167,7 +167,9 @@ def _obs_to_json(obs):
 def _obs_from_json(values):
     if values and isinstance(values[0], list):
         return np.asarray(values, dtype=float)
-    return np.asarray(values, dtype=np.intp)
+    # Symbols keep the type they were written with, so a non-integer one
+    # is rejected when scored instead of being truncated here.
+    return np.asarray(values) if values else np.empty(0, dtype=np.intp)
 
 
 def utterance_to_record(utt):

@@ -141,32 +141,49 @@ def log_density(em, state, x):
     raise VariantMismatchError(f"unknown emission model {type(em)!r}")
 
 
-def log_density_seq(em, obs):
-    """(T, n_states) matrix of log densities for a whole observation sequence.
+def check_observations(em, obs):
+    """The observation sequence as an array the emission model can score.
 
-    Discrete sequences are int arrays of shape (T,), Gaussian sequences
-    float arrays of shape (T, dim).
+    Discrete sequences are integer arrays of shape (T,) with symbols in
+    the alphabet, Gaussian sequences finite float arrays of shape
+    (T, dim). Raises a ValidationError subclass otherwise.
     """
     if isinstance(em, DiscreteEmission):
         seq = np.asarray(obs)
         if seq.ndim != 1:
             raise VariantMismatchError("discrete model expects a 1-d symbol sequence")
+        if seq.size and not np.issubdtype(seq.dtype, np.integer):
+            raise VariantMismatchError(
+                f"discrete model expects integer symbols, got dtype {seq.dtype}"
+            )
         if seq.size and (seq.min() < 0 or seq.max() >= em.alphabet_size):
             raise DimensionMismatchError(
                 f"symbol out of range for alphabet size {em.alphabet_size}"
             )
-        return safe_log(em.probs[:, seq]).T
+        return seq
     if isinstance(em, GaussianEmission):
         seq = np.asarray(obs, dtype=float)
         if seq.ndim != 2 or seq.shape[1] != em.dim:
             raise DimensionMismatchError(
                 f"expected (T, {em.dim}) observation array, got {seq.shape}"
             )
-        diff = seq[:, None, :] - em.means[None, :, :]
-        quad = np.sum(diff * diff / em.variances[None, :, :], axis=2)
-        const = em.dim * LOG_TWO_PI + np.sum(np.log(em.variances), axis=1)
-        return -0.5 * (quad + const[None, :])
+        check_finite("observations", seq)
+        return seq
     raise VariantMismatchError(f"unknown emission model {type(em)!r}")
+
+
+def log_density_seq(em, obs):
+    """(T, n_states) matrix of log densities for a whole observation sequence.
+
+    The sequence is checked with check_observations first.
+    """
+    seq = check_observations(em, obs)
+    if isinstance(em, DiscreteEmission):
+        return safe_log(em.probs[:, seq]).T
+    diff = seq[:, None, :] - em.means[None, :, :]
+    quad = np.sum(diff * diff / em.variances[None, :, :], axis=2)
+    const = em.dim * LOG_TWO_PI + np.sum(np.log(em.variances), axis=1)
+    return -0.5 * (quad + const[None, :])
 
 
 def _check_symbol(em, x):

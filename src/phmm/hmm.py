@@ -4,6 +4,11 @@ Forward, backward and Viterbi all run in log space via the conventions
 in logmath; there are no probability-domain scaling coefficients. A
 model is immutable during inference and safe to share across threads;
 construction and training updates are single-writer.
+
+The lattice kernels take explicit log parameters and may score a batch
+of models and sequences at once, the batch on the innermost axis:
+viterbi_score_lattice for the decoders, forward_lattice and
+posteriors_lattice for the training E-step.
 """
 
 from __future__ import annotations
@@ -99,17 +104,27 @@ def _obs_length(hmm, obs):
     return logb
 
 
-def forward_lattice(log_pi, log_trans, logb):
+def forward_lattice(log_pi, log_trans, logb, lengths=None):
     """Forward recursion on explicit log parameters.
 
     Returns (loglik, alpha) where alpha[t][i] = log P(o_1..o_t, q_t = i).
+    log_pi (N, B), log_trans (N, N, B) and logb (T, N, B) may carry a
+    trailing batch axis, one model and sequence per entry, as in
+    viterbi_score_lattice; loglik is then a (B,) array. lengths (B,)
+    holds each entry's frame count: its loglik is read at frame
+    lengths[b] - 1, and later frames of alpha are meaningless.
     """
-    t_len, n = logb.shape
-    alpha = np.empty((t_len, n))
+    t_len = logb.shape[0]
+    alpha = np.empty((t_len,) + np.broadcast_shapes(np.shape(log_pi), logb.shape[1:]))
     alpha[0] = log_pi + logb[0]
     for t in range(1, t_len):
         alpha[t] = logsumexp(alpha[t - 1][:, None] + log_trans, axis=0) + logb[t]
-    return float(logsumexp(alpha[-1])), alpha
+    if lengths is None:
+        last = alpha[-1]
+    else:
+        last = np.take_along_axis(alpha, np.reshape(lengths, (1, 1, -1)) - 1, axis=0)[0]
+    loglik = logsumexp(last, axis=0)
+    return (float(loglik) if loglik.ndim == 0 else loglik), alpha
 
 
 def backward_lattice(log_trans, logb):
@@ -226,8 +241,41 @@ def sample(hmm, t_len, seed):
     return obs, [int(s) for s in path]
 
 
+def posteriors_lattice(log_pi, log_trans, logb, lengths):
+    """Batched E-step: forward-backward over B sequences at once.
+
+    log_pi (N, B), log_trans (N, N, B) and logb (T, N, B) hold one model
+    and one padded sequence per batch entry (the batch axes of the
+    parameters may be 1 to share one model); lengths (B,) holds each
+    entry's frame count. Returns (loglik (B,), gamma (T, N, B),
+    xi_sum (N, N, B)): gamma[t, :, b] is entry b's state posterior at
+    frame t (0 at and after lengths[b]) and xi_sum[:, :, b] its
+    expected transition counts summed over time.
+
+    No beta lattice is kept: the backward sweep carries one beta row,
+    adds each frame's expected transitions to xi_sum and overwrites
+    alpha[t] with gamma[t] once alpha[t] is no longer needed. Frames at
+    or after an entry's length are masked with np.where: whatever logb
+    holds there never enters a sum. An entry with loglik -inf has
+    meaningless posteriors.
+    """
+    loglik, alpha = forward_lattice(log_pi, log_trans, logb, lengths)
+    # Zero-likelihood entries divide by 1 instead of 0; callers skip them.
+    norm = np.where(loglik == LOG_ZERO, 0.0, loglik)
+    beta = np.zeros(alpha.shape[1:])
+    xi_sum = np.zeros(alpha.shape[1:2] + alpha.shape[1:])
+    for t in range(logb.shape[0] - 2, -1, -1):
+        live = t + 1 < lengths
+        inner = log_trans + (logb[t + 1] + beta)[None]
+        xi_sum += np.where(live, np.exp(alpha[t][:, None] + inner - norm), 0.0)
+        alpha[t + 1] = np.where(live, np.exp(alpha[t + 1] + beta - norm), 0.0)
+        beta = np.where(live, logsumexp(inner, axis=1), 0.0)
+    alpha[0] = np.exp(alpha[0] + beta - norm)
+    return loglik, alpha, xi_sum
+
+
 def posteriors(hmm, obs):
-    """E-step quantities for one sequence.
+    """E-step quantities for one sequence: posteriors_lattice with B = 1.
 
     Returns (loglik, gamma, xi_sum, logb) where gamma is the (T, N)
     state posterior matrix and xi_sum the (N, N) expected transition
@@ -235,15 +283,9 @@ def posteriors(hmm, obs):
     """
     logb = _obs_length(hmm, obs)
     log_pi, log_trans = hmm.log_params()
-    loglik, alpha = forward_lattice(log_pi, log_trans, logb)
-    if loglik == LOG_ZERO:
-        return loglik, None, None, logb
-    beta = backward_lattice(log_trans, logb)
-    gamma = np.exp(alpha + beta - loglik)
-    t_len, n = logb.shape
-    xi_sum = np.zeros((n, n))
-    for t in range(t_len - 1):
-        xi_sum += np.exp(
-            alpha[t][:, None] + log_trans + (logb[t + 1] + beta[t + 1])[None, :] - loglik
-        )
-    return loglik, gamma, xi_sum, logb
+    loglik, gamma, xi_sum = posteriors_lattice(
+        log_pi[:, None], log_trans[:, :, None], logb[:, :, None], np.array([len(logb)])
+    )
+    if loglik[0] == LOG_ZERO:
+        return LOG_ZERO, None, None, logb
+    return float(loglik[0]), gamma[:, :, 0], xi_sum[:, :, 0], logb

@@ -35,18 +35,13 @@ def logsumexp(values, axis=None):
     arr = np.asarray(values, dtype=float)
     if axis is None:
         m = np.max(arr) if arr.size else LOG_ZERO
-        if m == LOG_ZERO or np.isneginf(m):
+        if m == LOG_ZERO:
             return LOG_ZERO
         return float(m + np.log(np.sum(np.exp(arr - m))))
-    m = np.max(arr, axis=axis)
-    # Shift only where a finite maximum exists; -inf columns stay -inf.
-    shift = np.where(np.isneginf(m), 0.0, m)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = shift + np.log(np.sum(np.exp(arr - np.expand_dims(shift, axis)), axis=axis))
-    return np.where(np.isneginf(m), LOG_ZERO, out)
-
-
-def logaddexp(x, y):
-    """log(exp(x) + exp(y)) honoring the -inf conventions."""
-    return np.logaddexp(x, y)
+    m = np.max(arr, axis=axis, keepdims=True)
+    # An all--inf slice shifts by 0 instead of -inf: its exp terms are 0
+    # and log(0) gives the -inf it sums to, with no NaN from -inf - -inf.
+    m[m == LOG_ZERO] = 0.0
+    with np.errstate(divide="ignore"):
+        return m.squeeze(axis) + np.log(np.sum(np.exp(arr - m), axis=axis))
 

@@ -384,24 +384,19 @@ def _best_token(a, b):
 def decode_synced(lexicon, mobs, beam_width):
     """Sign-boundary-synchronized joint Viterbi decode.
 
-    All channels must have the same observation length; every channel
+    Every lexicon channel needs a nonempty observation sequence
+    (ValidationError otherwise), all of the same length; every channel
     crosses each sign (and epenthesis) boundary at the same frame. With
     an unbounded beam this is exact for the synchronized search space;
     pruning keeps the best beam_width boundary tokens per frame.
     """
     if beam_width < 1:
         raise ValidationError("beam_width must be >= 1")
+    validate_multi_observation(lexicon, mobs)
     lengths = {ch: len(mobs.channels[ch]) for ch in lexicon.channels}
-    t_len = None
-    for ch, ln in lengths.items():
-        if t_len is None:
-            t_len = ln
-        elif ln != t_len:
-            raise UnequalChannelLengthsError(
-                f"channel lengths differ: {lengths}"
-            )
-    if t_len == 0:
-        raise ValidationError("empty observation sequences")
+    t_len = lengths[lexicon.channels[0]]
+    if any(ln != t_len for ln in lengths.values()):
+        raise UnequalChannelLengthsError(f"channel lengths differ: {lengths}")
 
     use_eps = lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS
     sign_ids = sorted(lexicon.signs)

@@ -8,6 +8,12 @@ composition (final-state exit wiring) are constants and receive no
 updates, which keeps every iteration an exact EM step and the total
 log likelihood non-decreasing.
 
+The E-step runs hmm.posteriors_lattice over a batch of sequences at
+once, so its Python loop steps over the frames of the longest sequence,
+not over every frame of every sequence. Baum-Welch batches all its
+sequences; embedded training batches utterances by composed state count
+and adds their posteriors to the tied statistics in corpus order.
+
 All training is single-threaded with a fixed accumulation order, so
 identical inputs and seed reproduce identical models.
 """
@@ -23,10 +29,11 @@ import numpy as np
 from . import emissions as em_mod
 from .errors import (
     DegenerateModelError,
+    EmptyObservationError,
     IncompatibleDataError,
     MissingPhonemeDataError,
 )
-from .hmm import Hmm, Topology, forward, posteriors, validate
+from .hmm import Hmm, Topology, forward_lattice, posteriors_lattice, validate
 from .logmath import LOG_ZERO
 from .parallel import block_ids, compose_models
 
@@ -196,7 +203,7 @@ def baum_welch(init, data, cfg, on_iteration=None):
     converged = False
     iterations = 0
     for it in range(cfg.max_iters):
-        loglik, stats = _e_step(model, data, first=it == 0)
+        loglik, stats = _e_step(model, data)
         trajectory.append(loglik)
         if on_iteration is not None:
             on_iteration(it, model, loglik)
@@ -206,43 +213,56 @@ def baum_welch(init, data, cfg, on_iteration=None):
         model = _m_step(model, stats, cfg)
         iterations += 1
     if not converged:
-        final_ll, _ = _e_step(model, data, first=False, stats_needed=False)
+        final_ll, _ = _e_step(model, data, stats_needed=False)
         trajectory.append(final_ll)
         if on_iteration is not None:
             on_iteration(iterations, model, final_ll)
     return model, TrainReport(trajectory, iterations, converged)
 
 
-def _e_step(model, data, first, stats_needed=True):
-    n = model.n_states
-    pi_acc = np.zeros(n)
-    trans_acc = np.zeros((n, n))
-    em_stats = em_mod.new_stats(model.emissions)
-    logliks = []
-    n_impossible = 0
-    for seq in data:
-        if not stats_needed:
-            ll, _ = forward(model, seq)
-            logliks.append(ll)
-            continue
-        ll, gamma, xi_sum, _ = posteriors(model, seq)
-        logliks.append(ll)
-        if ll == LOG_ZERO:
-            n_impossible += 1
-            continue
-        pi_acc += gamma[0]
-        trans_acc += xi_sum
-        em_mod.accumulate_seq(em_stats, gamma, seq)
-    total = math.fsum(logliks)
-    if total == LOG_ZERO:
-        raise DegenerateModelError(
-            f"{n_impossible or len(data)} of {len(data)} sequences have zero "
-            "likelihood under the model"
-        )
+def _forward_backward(log_pi, log_trans, emissions, data, stats_needed):
+    """Forward-backward over the sequences data[b], each scored with
+    emissions[b] and entry b of the (N, B) log_pi and (N, N, B) log_trans
+    stacks (a batch axis of 1 shares one model): one posteriors_lattice
+    call, or one forward_lattice call without stats. Returns (logliks,
+    gamma, xi_sum, lengths), gamma and xi_sum None without stats."""
+    lengths = np.array([len(obs) for obs in data])
+    if not lengths.all():
+        raise EmptyObservationError("empty observation sequence")
+    logb = np.full((lengths.max(), log_pi.shape[0], len(data)), LOG_ZERO)
+    for b, (e, obs) in enumerate(zip(emissions, data)):
+        logb[: lengths[b], :, b] = em_mod.log_density_seq(e, obs)
+    if not stats_needed:
+        logliks, _ = forward_lattice(log_pi, log_trans, logb, lengths)
+        return logliks, None, None, lengths
+    return (*posteriors_lattice(log_pi, log_trans, logb, lengths), lengths)
+
+
+def _total_loglik(logliks, what):
+    """math.fsum of the log likelihoods; DegenerateModelError counting
+    the -inf ones, if any."""
+    n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
     if n_impossible:
-        raise DegenerateModelError(
-            f"{n_impossible} of {len(data)} sequences have zero likelihood"
-        )
+        raise DegenerateModelError(f"{n_impossible} of {len(logliks)} {what}")
+    return math.fsum(logliks.tolist())
+
+
+def _e_step(model, data, stats_needed=True):
+    """All sequences share the model, so they run as one batch."""
+    lp, lt = model.log_params()
+    logliks, gamma, xi_sum, lengths = _forward_backward(
+        lp[:, None], lt[:, :, None], [model.emissions] * len(data), data, stats_needed
+    )
+    total = _total_loglik(logliks, "sequences have zero likelihood under the model")
+    if not stats_needed:
+        return total, None
+    pi_acc = np.zeros(model.n_states)
+    trans_acc = np.zeros((model.n_states, model.n_states))
+    em_stats = em_mod.new_stats(model.emissions)
+    for b, seq in enumerate(data):
+        pi_acc += gamma[0, :, b]
+        trans_acc += xi_sum[:, :, b]
+        em_mod.accumulate_seq(em_stats, gamma[: lengths[b], :, b], seq)
     return total, (pi_acc, trans_acc, em_stats)
 
 
@@ -310,6 +330,9 @@ def train_embedded(
         raise IncompatibleDataError("no training utterances")
     inv = lexicon.inventory(channel)
     phoneme_ids = list(inv.phonemes)
+    first = inv.phonemes[phoneme_ids[0]].emissions
+    for _, obs in utterances:
+        em_mod.check_observations(first, obs)
 
     if init_models is None:
         all_obs = [obs for _, obs in utterances]
@@ -352,13 +375,7 @@ def train_embedded(
             converged = True
             break
         for pid in touched:
-            pi_acc, trans_acc, em_stats = accs[pid]
-            prev = models[pid]
-            pi_total = pi_acc.sum()
-            new_pi = pi_acc / pi_total if pi_total > 0 else prev.pi.copy()
-            new_trans = _m_step_trans(prev.trans, trans_acc)
-            new_em = em_mod.maximize(em_stats, cfg.smoothing, fallback=prev.emissions)
-            models[pid] = Hmm(new_pi, new_trans, new_em, prev.topology)
+            models[pid] = _m_step(models[pid], accs[pid], cfg)
         iterations += 1
     if not converged:
         final_ll, _, _ = _embedded_e_step(
@@ -373,13 +390,43 @@ def train_embedded(
 
 
 def _embedded_e_step(models, block_id_seqs, utterances, exit_prob, stats_needed=True):
-    """Pooled E-step over all utterances.
+    """Pooled E-step over all utterances, one forward-backward per batch
+    of utterances whose composed models have the same state count.
 
     Tied statistics per phoneme: initial-state evidence combines the
     first block's start posteriors with the boundary transitions that
     enter later occurrences; within-block transition evidence excludes
     each block's final row, which is structural after composition.
+    Statistics are added in corpus order whatever the batches.
     """
+    composed = {}
+    for key, id_seq in block_id_seqs.items():
+        blocks = [(pid, models[pid]) for pid in id_seq]
+        model, offsets = compose_models(blocks, exit_prob)
+        composed[key] = (blocks, offsets, model.emissions, *model.log_params())
+    batches = {}
+    for i, (signs, _) in enumerate(utterances):
+        batches.setdefault(len(composed[tuple(signs)][3]), []).append(i)
+    logliks = np.empty(len(utterances))
+    post = [None] * len(utterances)
+    for batch in batches.values():
+        entries = [composed[tuple(utterances[i][0])] for i in batch]
+        lls, gamma, xi_sum, lengths = _forward_backward(
+            np.stack([e[3] for e in entries], axis=-1),
+            np.stack([e[4] for e in entries], axis=-1),
+            [e[2] for e in entries],
+            [utterances[i][1] for i in batch],
+            stats_needed,
+        )
+        logliks[batch] = lls
+        if stats_needed:
+            for b, i in enumerate(batch):
+                post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
+    total = _total_loglik(
+        logliks, "utterances have zero likelihood under the current models"
+    )
+    if not stats_needed:
+        return total, None, None
     accs = {
         pid: (
             np.zeros(m.n_states),
@@ -389,23 +436,8 @@ def _embedded_e_step(models, block_id_seqs, utterances, exit_prob, stats_needed=
         for pid, m in models.items()
     }
     touched = set()
-    composed = {}
-    for key, id_seq in block_id_seqs.items():
-        blocks = [(pid, models[pid]) for pid in id_seq]
-        composed[key] = (blocks, *compose_models(blocks, exit_prob))
-    logliks = []
-    n_impossible = 0
-    for signs, obs in utterances:
-        blocks, model, offsets = composed[tuple(signs)]
-        if not stats_needed:
-            ll, _ = forward(model, obs)
-            logliks.append(ll)
-            continue
-        ll, gamma, xi_sum, _ = posteriors(model, obs)
-        logliks.append(ll)
-        if ll == LOG_ZERO:
-            n_impossible += 1
-            continue
+    for (signs, obs), (gamma, xi_sum) in zip(utterances, post):
+        blocks, offsets = composed[tuple(signs)][:2]
         for k, (pid, sub) in enumerate(blocks):
             off = offsets[k]
             n = sub.n_states
@@ -419,10 +451,4 @@ def _embedded_e_step(models, block_id_seqs, utterances, exit_prob, stats_needed=
             else:
                 prev_last = offsets[k - 1] + blocks[k - 1][1].n_states - 1
                 pi_acc += xi_sum[prev_last, off : off + n]
-    total = math.fsum(logliks)
-    if total == LOG_ZERO or n_impossible:
-        raise DegenerateModelError(
-            f"{n_impossible or len(utterances)} of {len(utterances)} utterances "
-            "have zero likelihood under the current models"
-        )
     return total, accs, touched

@@ -57,6 +57,36 @@ def brute_viterbi(log_pi, log_trans, logb):
     return best_path, best_score
 
 
+def posteriors_oracle(log_pi, log_trans, logb):
+    """One sequence's E-step quantities, frame by frame.
+
+    Returns (loglik, gamma, xi_sum): the full alpha and beta lattices
+    give gamma = exp(alpha + beta - loglik), and xi_sum adds one (N, N)
+    expected-transition matrix per frame pair. loglik of -inf yields no
+    posteriors. This is the recursion hmm.posteriors_lattice batches
+    over sequences.
+    """
+    t_len, n = logb.shape
+    alpha = np.empty((t_len, n))
+    alpha[0] = log_pi + logb[0]
+    for t in range(1, t_len):
+        alpha[t] = logsumexp(alpha[t - 1][:, None] + log_trans, axis=0) + logb[t]
+    loglik = logsumexp(alpha[-1])
+    if loglik == LOG_ZERO:
+        return loglik, None, None
+    beta = np.empty((t_len, n))
+    beta[-1] = 0.0
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = logsumexp(log_trans + (logb[t + 1] + beta[t + 1])[None, :], axis=1)
+    gamma = np.exp(alpha + beta - loglik)
+    xi_sum = np.zeros((n, n))
+    for t in range(t_len - 1):
+        xi_sum += np.exp(
+            alpha[t][:, None] + log_trans + (logb[t + 1] + beta[t + 1])[None, :] - loglik
+        )
+    return loglik, gamma, xi_sum
+
+
 def split_forward_oracle(model_a, model_b, exit_prob, obs, logb_a, logb_b):
     """Forward log likelihood of a two-block composition by enumerating
     every factorization: paths that never leave block A (with its final

@@ -171,6 +171,33 @@ def test_decode_exhaustive_empty_channel_is_input_error(
     assert "'head'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_synced_missing_channel_is_input_error(
+    command, tmp_path, trained_model, demo_corpus, capsys
+):
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
+    del recs[1]["channels"]["head"]
+    corpus = tmp_path / "missing.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    args = [command, "--model", trained_model, "--corpus", corpus, "--mode", "synced"]
+    if command == "decode":
+        args += ["--out", tmp_path / "hyp.jsonl"]
+    assert run(args) == 3
+    assert "'head'" in capsys.readouterr().err
+
+
+def test_decode_rejects_float_symbols(tmp_path, trained_model, demo_corpus, capsys):
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
+    recs[1]["channels"]["head"] = [x + 0.5 for x in recs[1]["channels"]["head"]]
+    corpus = tmp_path / "floats.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert run(
+        ["decode", "--model", trained_model, "--corpus", corpus,
+         "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    assert "integer symbols" in capsys.readouterr().err
+
+
 def test_decode_rejects_nan_model(tmp_path, trained_model, demo_corpus, capsys):
     blob = json.loads(trained_model.read_text())
     inventory = next(iter(blob["inventories"].values()))

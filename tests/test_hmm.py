@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_discrete_hmm, random_gaussian_hmm
-from oracles import brute_forward, brute_viterbi
+from helpers import random_discrete_hmm, random_gaussian_hmm, random_phoneme
+from oracles import brute_forward, brute_viterbi, posteriors_oracle
 
 from phmm.emissions import DiscreteEmission, log_density_seq
 from phmm.errors import (
@@ -19,6 +19,7 @@ from phmm.hmm import (
     forward,
     forward_lattice,
     posteriors,
+    posteriors_lattice,
     sample,
     validate,
     viterbi,
@@ -250,3 +251,59 @@ def test_posteriors_rows_sum_to_one():
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
     # expected transitions out of each state match occupancy of frames 0..T-2
     assert np.allclose(xi_sum.sum(axis=1), gamma[:-1].sum(axis=0), atol=1e-9)
+
+
+def _posterior_cases(rng):
+    """(model, obs) pairs of unequal lengths (T = 1 included): ergodic and
+    Bakis, discrete and Gaussian, a model that cannot emit symbol 0 (so
+    some frames have -inf log densities) and a zero-likelihood sequence."""
+    for n_states, t_len, gaussian, ergodic in (
+        (3, 5, False, True),
+        (3, 1, False, False),
+        (2, 6, True, True),
+        (4, 4, True, False),
+        (1, 3, False, True),
+    ):
+        model = random_phoneme(rng, n_states, gaussian, ergodic)
+        yield model, sample(model, t_len, rng)[0]
+    gapped = random_phoneme(rng, 3, ergodic=True)
+    gapped.emissions.probs[1:, 0] = 0.0
+    gapped.emissions.probs /= gapped.emissions.probs.sum(axis=1, keepdims=True)
+    yield gapped, np.array([0, 2, 0, 1, 0])
+    mute = random_phoneme(rng, 2)
+    mute.emissions.probs[:, 3] = 0.0
+    mute.emissions.probs /= mute.emissions.probs.sum(axis=1, keepdims=True)
+    yield mute, np.array([1, 3, 0])
+
+
+def test_posteriors_lattice_matches_per_frame_oracle():
+    rng = np.random.default_rng(60)
+    cases = list(_posterior_cases(rng))
+    n = max(m.n_states for m, _ in cases)
+    lengths = np.array([len(obs) for _, obs in cases])
+    log_pi = np.full((n, len(cases)), -np.inf)
+    log_trans = np.full((n, n, len(cases)), -np.inf)
+    # Padded frames hold finite values: the masks alone must keep them out.
+    logb = rng.normal(0.0, 3.0, size=(lengths.max(), n, len(cases)))
+    for b, (model, obs) in enumerate(cases):
+        k = model.n_states
+        log_pi[:k, b], log_trans[:k, :k, b] = model.log_params()
+        logb[: lengths[b], :k, b] = log_density_seq(model.emissions, obs)
+    loglik, gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
+    assert loglik.shape == (len(cases),)
+    for b, (model, obs) in enumerate(cases):
+        k, t_len = model.n_states, lengths[b]
+        lp, lt = model.log_params()
+        lb = log_density_seq(model.emissions, obs)
+        ref_ll, ref_gamma, ref_xi = posteriors_oracle(lp, lt, lb)
+        assert loglik[b] == pytest.approx(brute_forward(lp, lt, lb), abs=1e-9)
+        if ref_gamma is None:
+            assert loglik[b] == -np.inf
+            continue
+        np.testing.assert_allclose(loglik[b], ref_ll, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gamma[:t_len, :k, b], ref_gamma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(xi_sum[:k, :k, b], ref_xi, rtol=1e-12, atol=0)
+        # padded frames and states carry no posterior mass
+        assert not gamma[t_len:, :, b].any() and not gamma[:, k:, b].any()
+        assert not xi_sum[k:, :, b].any() and not xi_sum[:, k:, b].any()
+    assert np.sum(loglik == -np.inf) == 1

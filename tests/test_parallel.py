@@ -13,9 +13,12 @@ from phmm.errors import (
     EmptyObservationError,
     EmptySequenceError,
     NoFiniteHypothesisError,
+    NonFiniteEntryError,
     SearchSpaceTooLargeError,
     UnequalChannelLengthsError,
     UnknownSignError,
+    ValidationError,
+    VariantMismatchError,
 )
 from phmm.hmm import forward, validate, viterbi
 from phmm.lexicon import MultiObservation, validate_lexicon
@@ -427,6 +430,31 @@ def test_decode_exhaustive_empty_channel_names_it(monkeypatch):
 
     monkeypatch.setattr(parallel, "viterbi_score_lattice", no_lattice)
     with pytest.raises(EmptyObservationError, match="'c1'"):
+        decode_exhaustive(lex, mobs, max_signs=2)
+
+
+def test_decode_synced_missing_channel_names_it():
+    lex = build_lexicon(np.random.default_rng(22), vocab=2)
+    mobs = sample_mobs(lex, ["s1"], 5, seed=13)
+    del mobs.channels["c2"]
+    with pytest.raises(ValidationError, match="'c2'"):
+        decode_synced(lex, mobs, beam_width=4)
+
+
+def test_decode_exhaustive_rejects_float_symbols():
+    lex = build_lexicon(np.random.default_rng(23), vocab=2)
+    mobs = sample_mobs(lex, ["s0"], 5, seed=14)
+    mobs.channels["c1"] = np.array([0.5, 1.0, 2.0, 0.0, 1.0])
+    with pytest.raises(VariantMismatchError, match="integer symbols"):
+        decode_exhaustive(lex, mobs, max_signs=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_exhaustive_rejects_non_finite_gaussian_observations(bad):
+    lex = mixed_lexicon(np.random.default_rng(24), gaussian=True)
+    mobs = sample_mobs(lex, ["s2"], 4, seed=15)
+    mobs.channels["c0"][2, 0] = bad
+    with pytest.raises(NonFiniteEntryError, match="observations"):
         decode_exhaustive(lex, mobs, max_signs=2)
 
 

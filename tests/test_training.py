@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import left_to_right_hmm, random_discrete_hmm
+from helpers import left_to_right_hmm, mixed_lexicon, random_discrete_hmm, sample_mobs
 from phmm.emissions import DiscreteEmission, GaussianEmission
 from phmm.errors import (
     DegenerateModelError,
     IncompatibleDataError,
     MissingPhonemeDataError,
+    NonFiniteEntryError,
+    VariantMismatchError,
 )
 from phmm.hmm import Hmm, Topology, forward, sample, validate
 from phmm.lexicon import Lexicon, PhonemeInventory, Sign
@@ -304,3 +306,67 @@ def test_embedded_multi_sign_monotone_rescoring():
     assert rescored == report.loglik_trajectory
     for m in models.values():
         validate(m)
+
+
+def _mute_model():
+    """A 2-state Bakis chain that never emits symbol 3."""
+    model = left_to_right_hmm(n_states=2, rng=np.random.default_rng(70))
+    model.emissions.probs[:, 3] = 0.0
+    model.emissions.probs /= model.emissions.probs.sum(axis=1, keepdims=True)
+    return model
+
+
+def test_zero_likelihood_count_reported():
+    model = _mute_model()
+    data = [np.array([0, 1, 2]), np.array([1, 3]), np.array([2]), np.array([3, 3, 0, 1])]
+    with pytest.raises(DegenerateModelError, match="^2 of 4 sequences have zero"):
+        baum_welch(model, data, TrainConfig(max_iters=3))
+    lex = _single_phoneme_lexicon(model)
+    utts = [(["s"], obs) for obs in data[:3]]
+    with pytest.raises(DegenerateModelError, match="^1 of 3 utterances have zero"):
+        train_embedded(lex, "ch", utts, TrainConfig(max_iters=3), init_models={"p": model})
+
+
+def _mixed_utterances(lex, n, seed):
+    """n utterances of 1-3 signs, so their composed state counts differ."""
+    rng = np.random.default_rng(seed)
+    utts = []
+    for i in range(n):
+        signs = [f"s{int(rng.integers(0, 3))}" for _ in range(1 + i % 3)]
+        length = int(rng.integers(2, 9)) * len(signs)
+        mobs = sample_mobs(lex, signs, length, seed=1000 * seed + i)
+        utts.append((signs, mobs.channels["c0"]))
+    return utts
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_embedded_training_repeats_exactly(gaussian):
+    lex = mixed_lexicon(np.random.default_rng(71), gaussian=gaussian, policy="between_signs")
+    utts = _mixed_utterances(lex, 24, 72)
+    cfg = TrainConfig(max_iters=6, seed=4)
+    (m1, r1), (m2, r2) = (train_embedded(lex, "c0", utts, cfg) for _ in range(2))
+    assert r1.loglik_trajectory == r2.loglik_trajectory
+    assert_monotone(r1.loglik_trajectory)
+    for pid, model in m1.items():
+        other = m2[pid]
+        assert np.array_equal(model.pi, other.pi)
+        assert np.array_equal(model.trans, other.trans)
+        for name, arr in vars(model.emissions).items():
+            assert np.array_equal(arr, getattr(other.emissions, name))
+
+
+def test_embedded_rejects_float_symbols():
+    lex = mixed_lexicon(np.random.default_rng(73))
+    utts = _mixed_utterances(lex, 4, 74)
+    utts[2] = (utts[2][0], utts[2][1].astype(float))
+    with pytest.raises(VariantMismatchError, match="integer symbols"):
+        train_embedded(lex, "c0", utts, TrainConfig(max_iters=2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedded_rejects_non_finite_gaussian_observations(bad):
+    lex = mixed_lexicon(np.random.default_rng(75), gaussian=True)
+    utts = _mixed_utterances(lex, 4, 76)
+    utts[1][1][0, 1] = bad
+    with pytest.raises(NonFiniteEntryError, match="observations"):
+        train_embedded(lex, "c0", utts, TrainConfig(max_iters=2))
