@@ -14,20 +14,16 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .corpus import GenConfig, generate, read_corpus, write_corpus
 from .demo import demo_lexicon
-from .errors import (
-    DegenerateModelError,
-    NoFiniteHypothesisError,
-    PhmmError,
-    UnequalChannelLengthsError,
-    ValidationError,
-)
+from .errors import DegenerateModelError, PhmmError, ValidationError
 from .lexicon import Lexicon, PhonemeInventory, validate_lexicon
 from .metrics import evaluate, report_to_dict
 from .model_io import config_hash, load_model, save_model
-from .parallel import block_ids, decode_exhaustive, decode_synced, model_count
+from .parallel import DECODE_FAILURES, block_ids, decode, model_count
 from .training import TrainConfig, derive_seed, initial_model, train_embedded, train_segmented
 
 log = logging.getLogger("phmm")
@@ -62,7 +58,13 @@ def cmd_generate(args):
 
 
 def _cut_segments(lexicon, channel, corpus):
-    """Slice utterances into per-phoneme segments using ground-truth paths."""
+    """Slice utterances into per-phoneme segments using ground-truth paths.
+
+    Each block of the composed utterance model, one phoneme occurrence,
+    gives the run of frames its states hold, so a phoneme in two
+    adjacent blocks gives two segments. Segments are listed in corpus
+    order, then frame order.
+    """
     inv = lexicon.inventory(channel)
     segments = {pid: [] for pid in inv.phonemes}
     for utt in corpus:
@@ -71,28 +73,20 @@ def _cut_segments(lexicon, channel, corpus):
                 "segmented training requires ground-truth paths in the corpus"
             )
         ids = block_ids(lexicon, channel, utt.signs)
-        sizes = [inv.phonemes[pid].n_states for pid in ids]
-        bounds = []
-        off = 0
-        for pid, size in zip(ids, sizes):
-            bounds.append((off, off + size, pid))
-            off += size
+        block_of = np.repeat(np.arange(len(ids)), [inv.phonemes[pid].n_states for pid in ids])
         path = utt.paths[channel]
         obs = utt.mobs.channels[channel]
-        start = 0
-        current = None
-        for t, state in enumerate(list(path) + [None]):
-            blk = None
-            if state is not None:
-                for lo, hi, pid in bounds:
-                    if lo <= state < hi:
-                        blk = pid
-                        break
-            if blk != current:
-                if current is not None and t > start:
-                    segments[current].append(obs[start:t])
-                current = blk
-                start = t
+        if len(path) != len(obs) or not all(
+            isinstance(s, (int, np.integer)) and 0 <= s < len(block_of) for s in path
+        ):
+            raise ValidationError(
+                f"{utt.utt_id}: the {channel!r} path does not fit the observations "
+                "and the composed model"
+            )
+        blocks = block_of[path]
+        starts = np.flatnonzero(np.diff(blocks, prepend=-1))
+        for start, end in zip(starts, [*starts[1:], len(blocks)]):
+            segments[ids[blocks[start]]].append(obs[start:end])
     return {pid: segs for pid, segs in segments.items() if segs}
 
 
@@ -201,7 +195,6 @@ def cmd_train(args):
 
 def cmd_decode(args):
     lexicon, _ = load_model(args.model)
-    validate_lexicon(lexicon)
     corpus = read_corpus(args.corpus)
     cache = {}
     n_err = 0
@@ -209,14 +202,13 @@ def cmd_decode(args):
         for utt in corpus:
             rec = {"hyp_version": 1, "id": utt.utt_id, "signs": [], "error": None}
             try:
-                if args.mode == "exhaustive":
-                    hyp = decode_exhaustive(lexicon, utt.mobs, args.max_signs, cache=cache)
-                else:
-                    hyp = decode_synced(lexicon, utt.mobs, args.beam_width)
+                hyp = decode(
+                    lexicon, utt.mobs, args.mode, args.max_signs, args.beam_width, cache
+                )
                 rec["signs"] = list(hyp.signs)
                 rec["total_score"] = hyp.total
                 rec["channel_scores"] = {ch: hyp.channel_scores[ch] for ch in lexicon.channels}
-            except (NoFiniteHypothesisError, UnequalChannelLengthsError) as exc:
+            except DECODE_FAILURES as exc:
                 rec["error"] = type(exc).__name__.removesuffix("Error")
                 n_err += 1
             fh.write(json.dumps(rec) + "\n")
@@ -226,7 +218,6 @@ def cmd_decode(args):
 
 def cmd_evaluate(args):
     lexicon, _ = load_model(args.model)
-    validate_lexicon(lexicon)
     corpus = read_corpus(args.corpus)
     report = evaluate(
         lexicon,

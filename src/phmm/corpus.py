@@ -22,7 +22,7 @@ from . import hmm as hmm_mod
 from .emissions import DiscreteEmission
 from .errors import DegenerateSplitError, FileFormatError, ValidationError
 from .lexicon import MultiObservation
-from .parallel import block_ids, compose_models
+from .parallel import block_ids, compose_utterance_model
 
 CORPUS_VERSION = 1
 
@@ -103,9 +103,7 @@ def generate(lexicon, cfg):
         channels = {}
         paths = {}
         for ch in lexicon.channels:
-            inv = lexicon.inventory(ch)
-            blocks = [(pid, inv.phonemes[pid]) for pid in id_seqs[ch]]
-            model, _ = compose_models(blocks, lexicon.exit_prob)
+            model = compose_utterance_model(lexicon, ch, signs)
             t_len = base_len + (
                 int(rng.integers(0, cfg.desync_jitter + 1)) if cfg.desync_jitter else 0
             )
@@ -165,11 +163,18 @@ def _obs_to_json(obs):
 
 
 def _obs_from_json(values):
-    if values and isinstance(values[0], list):
-        return np.asarray(values, dtype=float)
-    # Symbols keep the type they were written with, so a non-integer one
-    # is rejected when scored instead of being truncated here.
-    return np.asarray(values) if values else np.empty(0, dtype=np.intp)
+    if not isinstance(values, list):
+        raise FileFormatError("an observation sequence must be a JSON array")
+    if not values:
+        return np.empty(0, dtype=np.intp)
+    try:
+        if isinstance(values[0], list):
+            return np.asarray(values, dtype=float)
+        # Symbols keep the type they were written with, so a non-integer
+        # one is rejected when scored instead of being truncated here.
+        return np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed observation sequence: {exc}") from exc
 
 
 def utterance_to_record(utt):
@@ -185,10 +190,24 @@ def utterance_to_record(utt):
 
 
 def utterance_from_record(rec):
+    if not isinstance(rec, dict):
+        raise FileFormatError("a corpus record must be a JSON object")
     version = rec.get("corpus_version")
     if version != CORPUS_VERSION:
         raise FileFormatError(
             f"unsupported corpus_version {version!r} (supported: {CORPUS_VERSION})"
+        )
+    missing = [field for field in ("id", "signs", "channels") if field not in rec]
+    if missing:
+        raise FileFormatError(f"record lacks {', '.join(missing)}")
+    if not (
+        isinstance(rec["signs"], list)
+        and all(isinstance(sid, str) for sid in rec["signs"])
+        and isinstance(rec["channels"], dict)
+        and isinstance(rec.get("paths") or {}, dict)
+    ):
+        raise FileFormatError(
+            "signs must be an array of strings; channels and paths JSON objects"
         )
     channels = {ch: _obs_from_json(v) for ch, v in rec["channels"].items()}
     return Utterance(
@@ -213,8 +232,9 @@ def read_corpus(path):
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                corpus.append(utterance_from_record(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise FileFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            corpus.append(utterance_from_record(rec))
+            except FileFormatError as exc:
+                raise FileFormatError(f"line {line_no}: {exc}") from exc
     return corpus

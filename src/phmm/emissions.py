@@ -5,8 +5,7 @@ accumulation for EM, and a closed-form M-step. Gaussian covariance is
 diagonal only; variances are floored at VAR_FLOOR by the M-step.
 
 log_density is read-only and safe to call concurrently; statistics
-accumulators are single-writer. Parallel E-steps must keep one stats
-object per worker and combine them with merge_stats in a fixed order.
+accumulators are single-writer.
 """
 
 from __future__ import annotations
@@ -279,17 +278,6 @@ def accumulate_seq(stats, gamma, obs):
     else:
         raise VariantMismatchError(f"unknown stats {type(stats)!r}")
     return stats
-
-
-def merge_stats(into, other):
-    """Merge two accumulators of the same variant (deterministic reduction)."""
-    if isinstance(into, DiscreteStats):
-        into.counts += other.counts
-    else:
-        into.weight += other.weight
-        into.wsum += other.wsum
-        into.wsq += other.wsq
-    return into
 
 
 def maximize(stats, smoothing=0.0, fallback=None):

@@ -6,8 +6,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import NoFiniteHypothesisError, UnequalChannelLengthsError
-from .parallel import decode_exhaustive, decode_synced, model_count
+from .parallel import DECODE_FAILURES, decode, model_count
 
 _SUB, _INS, _DEL, _MATCH = "sub", "ins", "del", "match"
 
@@ -107,27 +106,14 @@ def evaluate(lexicon, corpus, mode="exhaustive", max_signs=3, beam_width=1000):
     for utt in corpus:
         t0 = time.perf_counter()
         try:
-            if mode == "exhaustive":
-                hyp_signs = list(
-                    decode_exhaustive(lexicon, utt.mobs, max_signs, cache=cache).signs
-                )
-            elif mode == "synced":
-                hyp_signs = list(decode_synced(lexicon, utt.mobs, beam_width).signs)
-            else:
-                raise ValueError(f"unknown decode mode {mode!r}")
-        except (NoFiniteHypothesisError, UnequalChannelLengthsError):
+            hyp_signs = list(decode(lexicon, utt.mobs, mode, max_signs, beam_width, cache).signs)
+        except DECODE_FAILURES:
             hyp_signs = []
             failures += 1
         decode_time += time.perf_counter() - t0
-        s, i, d = 0, 0, 0
-        for r, h in alignment(utt.signs, hyp_signs):
-            if r is None:
-                i += 1
-            elif h is None:
-                d += 1
-            elif r != h:
-                s += 1
-            confusions[(r, h)] = confusions.get((r, h), 0) + 1
+        s, i, d = edit_distance(utt.signs, hyp_signs)
+        for pair in alignment(utt.signs, hyp_signs):
+            confusions[pair] = confusions.get(pair, 0) + 1
         total_s += s
         total_i += i
         total_d += d

@@ -97,29 +97,40 @@ def lexicon_to_json(lexicon, provenance=None):
 
 
 def lexicon_from_json(data):
+    """Returns (lexicon, provenance); FileFormatError for a document that
+    does not follow the model-file schema."""
+    if not isinstance(data, dict):
+        raise FileFormatError("a model file must hold a JSON object")
     version = data.get("format_version")
     if not isinstance(version, int) or version > FORMAT_VERSION:
         raise FileFormatError(
             f"unsupported format_version {version!r} (supported: {FORMAT_VERSION})"
         )
-    inventories = {}
-    for ch, inv in data["inventories"].items():
-        inventories[ch] = PhonemeInventory(
-            phonemes={pid: _hmm_from_json(m) for pid, m in inv["phonemes"].items()},
-            epenthesis=inv.get("epenthesis"),
+    try:
+        inventories = {}
+        for ch, inv in data["inventories"].items():
+            inventories[ch] = PhonemeInventory(
+                phonemes={pid: _hmm_from_json(m) for pid, m in inv["phonemes"].items()},
+                epenthesis=inv.get("epenthesis"),
+            )
+        signs = {
+            sid: Sign(sid, {ch: list(seq) for ch, seq in chans.items()})
+            for sid, chans in data["signs"].items()
+        }
+        lexicon = Lexicon(
+            channels=list(data["channels"]),
+            inventories=inventories,
+            signs=signs,
+            epenthesis_policy=data.get("epenthesis_policy", "none"),
+            exit_prob=float(data.get("exit_prob", 0.5)),
         )
-    signs = {
-        sid: Sign(sid, {ch: list(seq) for ch, seq in chans.items()})
-        for sid, chans in data["signs"].items()
-    }
-    lexicon = Lexicon(
-        channels=list(data["channels"]),
-        inventories=inventories,
-        signs=signs,
-        epenthesis_policy=data.get("epenthesis_policy", "none"),
-        exit_prob=float(data.get("exit_prob", 0.5)),
-    )
-    validate_lexicon(lexicon)
+        # Validation reads array shapes and phoneme ids, so a misshapen
+        # array or an unhashable id fails in there.
+        validate_lexicon(lexicon)
+    except KeyError as exc:
+        raise FileFormatError(f"model file lacks field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed model file: {exc}") from exc
     return lexicon, data.get("provenance", {})
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import emissions as em_mod
 from .errors import (
+    AllPathsZeroError,
     EmptySequenceError,
     NoFiniteHypothesisError,
     SearchSpaceTooLargeError,
@@ -38,7 +39,7 @@ from .errors import (
     UnknownSignError,
     ValidationError,
 )
-from .hmm import Hmm, Topology, viterbi_lattice, viterbi_score_lattice
+from .hmm import Hmm, Topology, viterbi, viterbi_lattice, viterbi_score_lattice
 from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
@@ -129,45 +130,36 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _channel_viterbi(model, obs):
-    """(score, path) of the best alignment; (-inf, None) when impossible."""
-    logb = em_mod.log_density_seq(model.emissions, obs)
-    log_pi, log_trans = model.log_params()
-    score, path = viterbi_lattice(log_pi, log_trans, logb)
-    if score == LOG_ZERO:
-        return LOG_ZERO, None
-    return score, [int(s) for s in path]
-
-
 def _cached_model(lexicon, channel, signs, cache):
-    """(model, log_pi, log_trans), memoized per (channel, sign sequence)."""
+    """Composed channel model, memoized per (channel, sign sequence)."""
     key = (channel, signs)
-    if cache is not None:
-        entry = cache.get(key)
-        if entry is not None:
-            return entry
-    model = compose_utterance_model(lexicon, channel, signs)
-    entry = (model, *model.log_params())
-    if cache is not None:
-        cache[key] = entry
-    return entry
+    model = None if cache is None else cache.get(key)
+    if model is None:
+        model = compose_utterance_model(lexicon, channel, signs)
+        if cache is not None:
+            cache[key] = model
+    return model
 
 
 def score_hypothesis(lexicon, signs, mobs, cache=None):
     """Score one sign sequence: independent per-channel Viterbi alignments.
 
-    Each channel is aligned on its own composed model; the total is the
-    sum of per-channel log scores. A channel with no feasible path
-    contributes -inf and is left without a state path.
+    Every lexicon channel needs a nonempty observation sequence
+    (ValidationError otherwise). Each channel is aligned on its own
+    composed model; the total is the sum of per-channel log scores. A
+    channel with no feasible path contributes -inf and is left without a
+    state path.
     """
+    validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
     channel_scores = {}
     state_paths = {}
     for ch in lexicon.channels:
-        model, _, _ = _cached_model(lexicon, ch, signs, cache)
-        score, path = _channel_viterbi(model, mobs.channels[ch])
-        channel_scores[ch] = score
-        state_paths[ch] = path
+        model = _cached_model(lexicon, ch, signs, cache)
+        try:
+            state_paths[ch], channel_scores[ch] = viterbi(model, mobs.channels[ch])
+        except AllPathsZeroError:
+            channel_scores[ch], state_paths[ch] = LOG_ZERO, None
     return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
@@ -491,51 +483,51 @@ def decode_synced(lexicon, mobs, beam_width):
     return _rebuild_hypothesis(lexicon, mobs, best)
 
 
+# Failures that end the decode of one utterance: callers record them
+# per utterance and go on. Any other error ends the run.
+DECODE_FAILURES = (NoFiniteHypothesisError, UnequalChannelLengthsError)
+
+
+def decode(lexicon, mobs, mode, max_signs, beam_width, cache):
+    """Decode one utterance with decode_exhaustive (mode "exhaustive",
+    max_signs and cache) or decode_synced (mode "synced", beam_width).
+
+    Raises one of DECODE_FAILURES when the utterance has no hypothesis.
+    """
+    if mode == "exhaustive":
+        return decode_exhaustive(lexicon, mobs, max_signs, cache=cache)
+    if mode == "synced":
+        return decode_synced(lexicon, mobs, beam_width)
+    raise ValueError(f"unknown decode mode {mode!r}")
+
+
 def _rebuild_hypothesis(lexicon, mobs, token):
-    """Recover per-channel scores and state paths for the winning token."""
+    """Recover per-channel scores and state paths for the winning token.
+
+    Each segment (key, t0, t1) is one Viterbi backtrack over frames
+    t0..t1 of its unit. The last segment is unanchored and prices the
+    final state as absorbing; every other segment must end in the final
+    state and pays the boundary exit log probability.
+    """
     channel_scores = {}
     state_paths = {}
-    for c, ch in enumerate(lexicon.channels):
+    for ch in lexicon.channels:
         total_c = 0.0
         path = []
         offset = 0
         for k, (key, t0, t1) in enumerate(token.segments):
             unit = _unit(lexicon, ch, key, mobs.channels[ch])
+            log_trans = unit.log_trans.copy()
+            logb = unit.logb[t0 : t1 + 1].copy()
             is_last = k == len(token.segments) - 1
-            seg_score, seg_path = _segment_viterbi(unit, t0, t1, is_last)
-            total_c += seg_score
-            path.extend(offset + s for s in seg_path)
+            if is_last:
+                log_trans[unit.final, unit.final] = 0.0
+            else:
+                logb[-1, : unit.final] = LOG_ZERO
+            seg_score, seg_path = viterbi_lattice(unit.log_pi, log_trans, logb)
+            total_c += seg_score if is_last else seg_score + unit.log_exit
+            path.extend(offset + int(s) for s in seg_path)
             offset += unit.n
         channel_scores[ch] = total_c
         state_paths[ch] = path
     return Hypothesis.combine(token.signs, channel_scores, state_paths)
-
-
-def _segment_viterbi(unit, t0, t1, is_last):
-    """Best within-unit path over frames [t0, t1].
-
-    Non-final segments are anchored on the unit's final state and
-    include the boundary exit log probability; the last segment is
-    unanchored and priced with the absorbing final state.
-    """
-    n = unit.n
-    log_trans = unit.log_trans.copy()
-    if is_last:
-        log_trans[unit.final, unit.final] = 0.0
-    delta = unit.log_pi + unit.logb[t0]
-    psi = np.zeros((t1 - t0 + 1, n), dtype=np.intp)
-    for t in range(t0 + 1, t1 + 1):
-        cand = delta[:, None] + log_trans
-        psi[t - t0] = np.argmax(cand, axis=0)
-        delta = cand[psi[t - t0], np.arange(n)] + unit.logb[t]
-    if is_last:
-        end = int(np.argmax(delta))
-        score = float(delta[end])
-    else:
-        end = unit.final
-        score = float(delta[end] + unit.log_exit)
-    path = [end]
-    for t in range(t1 - t0, 0, -1):
-        path.append(int(psi[t, path[-1]]))
-    path.reverse()
-    return score, path

@@ -12,7 +12,9 @@ import itertools
 
 import numpy as np
 
+from phmm.errors import ValidationError
 from phmm.logmath import LOG_ZERO, logsumexp
+from phmm.parallel import block_ids
 
 
 def path_score(log_pi, log_trans, logb, path):
@@ -151,6 +153,79 @@ def segment_scores_oracle(unit, t0):
         best_nf = np.max(non_final) if non_final.size else LOG_ZERO
         last = float(max(best_nf, final_iso))
     return exit_scores, last
+
+
+def segment_viterbi_oracle(unit, t0, t1, is_last):
+    """Best within-unit (score, path) over frames [t0, t1] of a synced
+    segment, by a backtracking recursion of its own.
+
+    Non-final segments are anchored on the unit's final state and
+    include the boundary exit log probability; the last segment is
+    unanchored and priced with the absorbing final state. This is what
+    parallel._rebuild_hypothesis computes with hmm.viterbi_lattice.
+    """
+    n = unit.n
+    log_trans = unit.log_trans.copy()
+    if is_last:
+        log_trans[unit.final, unit.final] = 0.0
+    delta = unit.log_pi + unit.logb[t0]
+    psi = np.zeros((t1 - t0 + 1, n), dtype=np.intp)
+    for t in range(t0 + 1, t1 + 1):
+        cand = delta[:, None] + log_trans
+        psi[t - t0] = np.argmax(cand, axis=0)
+        delta = cand[psi[t - t0], np.arange(n)] + unit.logb[t]
+    if is_last:
+        end = int(np.argmax(delta))
+        score = float(delta[end])
+    else:
+        end = unit.final
+        score = float(delta[end] + unit.log_exit)
+    path = [end]
+    for t in range(t1 - t0, 0, -1):
+        path.append(int(psi[t, path[-1]]))
+    path.reverse()
+    return score, path
+
+
+def cut_segments_oracle(lexicon, channel, corpus):
+    """Per-phoneme segments of ground-truth paths, by a per-frame scan of
+    each block's (lo, hi, phoneme) state bounds.
+
+    A run of frames ends where the phoneme changes, so two adjacent
+    blocks of the same phoneme merge into one segment; elsewhere this
+    equals cli._cut_segments, which ends a run where the block changes.
+    """
+    inv = lexicon.inventory(channel)
+    segments = {pid: [] for pid in inv.phonemes}
+    for utt in corpus:
+        if not utt.paths or channel not in utt.paths:
+            raise ValidationError(
+                "segmented training requires ground-truth paths in the corpus"
+            )
+        ids = block_ids(lexicon, channel, utt.signs)
+        sizes = [inv.phonemes[pid].n_states for pid in ids]
+        bounds = []
+        off = 0
+        for pid, size in zip(ids, sizes):
+            bounds.append((off, off + size, pid))
+            off += size
+        path = utt.paths[channel]
+        obs = utt.mobs.channels[channel]
+        start = 0
+        current = None
+        for t, state in enumerate(list(path) + [None]):
+            blk = None
+            if state is not None:
+                for lo, hi, pid in bounds:
+                    if lo <= state < hi:
+                        blk = pid
+                        break
+            if blk != current:
+                if current is not None and t > start:
+                    segments[current].append(obs[start:t])
+                current = blk
+                start = t
+    return {pid: segs for pid, segs in segments.items() if segs}
 
 
 def brute_edit_distance(ref, hyp):

@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from phmm.cli import main
-from phmm.corpus import read_corpus
+from oracles import cut_segments_oracle
+
+from phmm.cli import _cut_segments, main
+from phmm.corpus import GenConfig, Utterance, generate, read_corpus
+from phmm.demo import demo_lexicon
+from phmm.errors import ValidationError
+from phmm.hmm import sample
+from phmm.lexicon import MultiObservation
 from phmm.model_io import load_model
+from phmm.parallel import compose_utterance_model
 
 
 def run(args):
@@ -211,6 +218,62 @@ def test_decode_rejects_nan_model(tmp_path, trained_model, demo_corpus, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda rec: {**rec, "channels": {**rec["channels"], "head": [1, [2]]}},
+        lambda rec: {k: v for k, v in rec.items() if k != "signs"},
+        lambda rec: {k: v for k, v in rec.items() if k != "channels"},
+        lambda rec: [rec],
+    ],
+    ids=["ragged-channel", "no-signs", "no-channels", "not-an-object"],
+)
+def test_decode_malformed_corpus_record_is_input_error(
+    corrupt, tmp_path, trained_model, demo_corpus, capsys
+):
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
+    recs[1] = corrupt(recs[1])
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert run(
+        ["decode", "--model", trained_model, "--corpus", corpus,
+         "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "line 2:" in err
+    assert "Traceback" not in err
+
+
+def _phoneme(blob):
+    inventory = next(iter(blob["inventories"].values()))
+    return next(iter(inventory["phonemes"].values()))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda blob: blob.pop("signs"),
+        lambda blob: _phoneme(blob).pop("pi"),
+        lambda blob: _phoneme(blob).__setitem__("topology", "bogus"),
+    ],
+    ids=["no-signs", "phoneme-without-pi", "bogus-topology"],
+)
+def test_decode_malformed_model_is_input_error(
+    corrupt, tmp_path, trained_model, demo_corpus, capsys
+):
+    blob = json.loads(trained_model.read_text())
+    corrupt(blob)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(blob))
+    assert run(
+        ["decode", "--model", bad, "--corpus", demo_corpus,
+         "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "model file" in err
+    assert "Traceback" not in err
+
+
 def test_decode_synced_unequal_lengths_recorded(tmp_path, trained_model):
     jittered = tmp_path / "jit.jsonl"
     assert run(
@@ -290,3 +353,40 @@ def test_training_failure_maps_to_exit_4(demo_corpus, tmp_path, monkeypatch):
         ["train", "--corpus", demo_corpus, "--lexicon", "demo",
          "--seed", 1, "--out", tmp_path / "m.json"]
     ) == 4
+
+
+def test_cut_segments_keeps_repeated_phonemes_apart():
+    # Without epenthesis, "sign0 sign0" composes two adjacent R0 blocks;
+    # each occurrence is its own training segment.
+    lexicon = demo_lexicon()
+    lexicon.epenthesis_policy = "none"
+    signs = ["sign0", "sign0"]
+    model = compose_utterance_model(lexicon, "right_hand", signs)
+    obs, path = sample(model, 20, np.random.default_rng(3))
+    utt = Utterance("u", signs, MultiObservation({"right_hand": obs}), {"right_hand": path})
+    split = sum(s < 3 for s in path)
+    assert 0 < split < 20
+    segments = _cut_segments(lexicon, "right_hand", [utt])
+    assert list(segments) == ["R0"]
+    assert [s.tolist() for s in segments["R0"]] == [obs[:split].tolist(), obs[split:].tolist()]
+
+
+def test_cut_segments_equal_oracle_with_epenthesis():
+    # between_signs: no two adjacent blocks share a phoneme, so cutting
+    # by block and by phoneme agree.
+    lexicon = demo_lexicon()
+    corpus = generate(lexicon, GenConfig(n_utterances=30, seed=5, signs_per_utterance=(1, 3)))
+    for ch in lexicon.channels:
+        got = _cut_segments(lexicon, ch, corpus)
+        want = cut_segments_oracle(lexicon, ch, corpus)
+        assert list(got) == list(want)
+        for pid in want:
+            assert [s.tolist() for s in got[pid]] == [s.tolist() for s in want[pid]]
+
+
+def test_cut_segments_rejects_path_that_does_not_fit():
+    lexicon = demo_lexicon()
+    utt = generate(lexicon, GenConfig(n_utterances=1, seed=6))[0]
+    utt.paths["head"][0] = -1
+    with pytest.raises(ValidationError, match="'head' path"):
+        _cut_segments(lexicon, "head", [utt])

@@ -11,7 +11,6 @@ from phmm.emissions import (
     log_density,
     log_density_seq,
     maximize,
-    merge_stats,
     new_stats,
     validate_emission,
     VAR_FLOOR,
@@ -202,15 +201,3 @@ def test_discrete_rows_normalize_after_log_density():
         total = sum(math.exp(log_density(em, s, k)) for k in range(5))
         assert total == pytest.approx(1.0, abs=1e-12)
 
-
-def test_merge_stats_matches_single_pass():
-    em = DiscreteEmission(np.full((2, 3), 1 / 3))
-    a = new_stats(em)
-    b = new_stats(em)
-    whole = new_stats(em)
-    events = [(0, 1, 0.3), (1, 2, 0.7), (0, 0, 1.0), (1, 1, 0.25)]
-    for i, (s, x, w) in enumerate(events):
-        accumulate(a if i < 2 else b, s, x, w)
-        accumulate(whole, s, x, w)
-    merge_stats(a, b)
-    assert np.allclose(a.counts, whole.counts)

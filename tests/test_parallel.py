@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import build_lexicon, mixed_lexicon, random_phoneme, sample_mobs
-from oracles import segment_scores_oracle, split_forward_oracle
+from oracles import segment_scores_oracle, segment_viterbi_oracle, split_forward_oracle
 
 from phmm import parallel
-from phmm.emissions import GaussianEmission, log_density_seq
+from phmm.emissions import DiscreteEmission, GaussianEmission, log_density_seq
 from phmm.errors import (
     EmptyObservationError,
     EmptySequenceError,
@@ -20,11 +20,15 @@ from phmm.errors import (
     ValidationError,
     VariantMismatchError,
 )
-from phmm.hmm import forward, validate, viterbi
-from phmm.lexicon import MultiObservation, validate_lexicon
+from phmm.hmm import Hmm, Topology, forward, validate, viterbi
+from phmm.lexicon import Lexicon, MultiObservation, PhonemeInventory, Sign, validate_lexicon
 from phmm.parallel import (
+    EPS_UNIT,
     Hypothesis,
+    _rebuild_hypothesis,
+    _Token,
     _channel_score_groups,
+    _unit,
     _Unit,
     compose_models,
     compose_utterance_model,
@@ -489,3 +493,87 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
             ref_exit, ref_last = segment_scores_oracle(unit, t0)
             assert _bits(exit_scores[t0]) == _bits(ref_exit)
             assert _bits(last[t0]) == _bits(ref_last)
+
+
+def test_score_hypothesis_missing_channel_names_it():
+    lex = build_lexicon(np.random.default_rng(25), vocab=2)
+    mobs = sample_mobs(lex, ["s0"], 5, seed=16)
+    del mobs.channels["c1"]
+    with pytest.raises(ValidationError, match="'c1'"):
+        score_hypothesis(lex, ["s0"], mobs)
+
+
+def test_score_hypothesis_empty_channel_names_it():
+    lex = build_lexicon(np.random.default_rng(26), vocab=2)
+    mobs = sample_mobs(lex, ["s1"], 5, seed=17)
+    mobs.channels["c2"] = np.array([], dtype=int)
+    with pytest.raises(EmptyObservationError, match="'c2'"):
+        score_hypothesis(lex, ["s1"], mobs)
+
+
+def _uniform_lexicon():
+    """Two channels of uniform ergodic phonemes (1-3 states, epenthesis
+    between signs): every state path of a unit scores the same."""
+
+    def uniform(n_states):
+        return Hmm(
+            np.full(n_states, 1.0 / n_states),
+            np.full((n_states, n_states), 1.0 / n_states),
+            DiscreteEmission(np.full((n_states, 2), 0.5)),
+            Topology.ERGODIC,
+        )
+
+    inventories = {
+        ch: PhonemeInventory(
+            phonemes={"p1": uniform(1), "p2": uniform(2), "p3": uniform(3), "e": uniform(2)},
+            epenthesis="e",
+        )
+        for ch in ("c0", "c1")
+    }
+    signs = {
+        "s0": Sign("s0", {"c0": ["p3"], "c1": ["p1", "p2"]}),
+        "s1": Sign("s1", {"c0": ["p2", "p1"], "c1": ["p3"]}),
+    }
+    return Lexicon(["c0", "c1"], inventories, signs, "between_signs", exit_prob=0.3)
+
+
+REBUILD_CASES = [dict(gaussian=g, ergodic=e) for g in (False, True) for e in (False, True)]
+
+
+@pytest.mark.parametrize("case", range(len(REBUILD_CASES) + 1))
+def test_rebuild_hypothesis_equals_segment_viterbi_oracle(case):
+    # Random synced tokens over random units: last and anchored segments,
+    # one-frame segments and utterances, and (last case) all-tied scores.
+    rng = np.random.default_rng(50 + case)
+    if case < len(REBUILD_CASES):
+        lex = mixed_lexicon(rng, policy="between_signs", **REBUILD_CASES[case])
+    else:
+        lex = _uniform_lexicon()
+    keys = sorted(lex.signs) + [EPS_UNIT]
+    checked = 0
+    for trial in range(60):
+        t_len = (1, 2, 3, 8)[trial % 4]
+        mobs = sample_mobs(lex, ["s0"], t_len, seed=trial)
+        n_cuts = int(rng.integers(0, t_len))
+        cuts = sorted(rng.choice(np.arange(1, t_len), size=n_cuts, replace=False))
+        bounds = list(zip([0, *cuts], [c - 1 for c in cuts] + [t_len - 1]))
+        segments = tuple((keys[int(rng.integers(0, len(keys)))], t0, t1) for t0, t1 in bounds)
+        token = _Token(0.0, tuple(k for k, _, _ in segments if k != EPS_UNIT), segments)
+        expected = {}
+        for ch in lex.channels:
+            total, path, offset = 0.0, [], 0
+            for k, (key, t0, t1) in enumerate(segments):
+                unit = _unit(lex, ch, key, mobs.channels[ch])
+                score, seg_path = segment_viterbi_oracle(unit, t0, t1, k == len(segments) - 1)
+                total += score
+                path.extend(offset + s for s in seg_path)
+                offset += unit.n
+            expected[ch] = (total, path)
+        if any(total == float("-inf") for total, _ in expected.values()):
+            continue  # the decoder never rebuilds a token that scores -inf
+        hyp = _rebuild_hypothesis(lex, mobs, token)
+        for ch in lex.channels:
+            assert repr(hyp.channel_scores[ch]) == repr(expected[ch][0])
+            assert hyp.state_paths[ch] == expected[ch][1]
+        checked += 1
+    assert checked >= 20
