@@ -21,6 +21,7 @@ import numpy as np
 from . import emissions as em
 from .errors import (
     AllPathsZeroError,
+    DimensionMismatchError,
     EmptyObservationError,
     NegativeEntryError,
     NonStochasticRowError,
@@ -77,7 +78,9 @@ def validate(hmm):
     if abs(total - 1.0) > STOCH_TOL:
         raise NonStochasticRowError("pi", None, float(total))
     if hmm.trans.shape != (hmm.n_states, hmm.n_states):
-        raise NonStochasticRowError("trans shape", None, float("nan"))
+        raise DimensionMismatchError(
+            f"trans has shape {hmm.trans.shape}, expected {(hmm.n_states, hmm.n_states)}"
+        )
     em.check_finite("trans", hmm.trans)
     if np.any(hmm.trans < 0):
         raise NegativeEntryError("trans", float(hmm.trans.min()))
@@ -94,7 +97,10 @@ def validate(hmm):
                     raise TopologyViolationError(i, j, float(hmm.trans[i, j]))
     em.validate_emission(hmm.emissions)
     if hmm.emissions.n_states != hmm.n_states:
-        raise NonStochasticRowError("emission state count", None, float("nan"))
+        raise DimensionMismatchError(
+            f"emissions have {hmm.emissions.n_states} states, expected {hmm.n_states}"
+            f" (pi has shape {hmm.pi.shape})"
+        )
 
 
 def _obs_length(hmm, obs):

@@ -16,9 +16,18 @@ Both decoders score in batches. The exhaustive decoder stacks every
 k-sign candidate's composed model per channel (-inf padded) and runs
 one max-product recursion over the whole stack, reading emissions from
 one table of phoneme-state log densities per channel. The synchronized
-decoder runs each unit's recursion for every entry frame at once. Max
-and + are exact and -inf padding never wins a max, so every score is
-bit-identical to scoring the candidates or entry frames one at a time.
+decoder stacks the units of an utterance (every sign, and the
+epenthesis filler, in every channel; front-padded with -inf so that
+each final state is the last row) and advances one recursion for all
+units and entry frames a frame at a time. Max and + are exact and -inf
+padding never wins a max, so every score is bit-identical to scoring
+the candidates, units or entry frames one at a time.
+
+The synchronized token search is fused with that recursion: at each
+frame, numpy sums every (unit, entry frame) pair's channel scores at
+once, and only the pairs whose sum is within a rounding-error bound of
+their unit's best are rescored with math.fsum, which gives the exact
+scores and ties of scoring every pair with math.fsum.
 """
 
 from __future__ import annotations
@@ -180,36 +189,38 @@ def _log_density_table(inventory, obs):
     return np.hstack(parts)
 
 
+def _state_columns(inventory, pids, base=0):
+    """base plus the column in the inventory's _log_density_table of each
+    state of the model composed from phonemes pids."""
+    sizes = [m.n_states for m in inventory.phonemes.values()]
+    offsets = dict(zip(inventory.phonemes, itertools.accumulate([0] + sizes)))
+    return [base + offsets[p] + i for p in pids for i in range(inventory.phonemes[p].n_states)]
+
+
+def _stack(models, columns):
+    """(log_pi (N, B), log_trans (N, N, B), columns (N, B)) of B models,
+    an iterable, and the list of their state-to-column lists, batch
+    innermost. A model of n < N states fills the last n rows, so every
+    final state is row N - 1; the rows above it are -inf and read column
+    -1, the -inf column of a _log_density_table."""
+    n = max(len(cols) for cols in columns)
+    log_pi = np.full((n, len(columns)), LOG_ZERO)
+    log_trans = np.full((n, n, len(columns)), LOG_ZERO)
+    stacked = np.full((n, len(columns)), -1, dtype=np.intp)
+    for b, (model, cols) in enumerate(zip(models, columns)):
+        lo = n - len(cols)
+        log_pi[lo:, b], log_trans[lo:, lo:, b] = model.log_params()
+        stacked[lo:, b] = cols
+    return log_pi, log_trans, stacked
+
+
 def _candidate_stack(lexicon, channel, candidates):
-    """(log_pi (N, B), log_trans (N, N, B), columns (N, B)) of the B
-    candidates' composed channel models, batch innermost; models shorter
-    than N states are padded with -inf and with the -inf column of the
-    channel's log-density table."""
+    """_stack of the B candidates' composed channel models."""
     inv = lexicon.inventory(channel)
-    # Column of each phoneme's first state in _log_density_table; the
-    # table's last column, after every phoneme state, is the -inf pad.
-    sizes = [m.n_states for m in inv.phonemes.values()]
-    offsets = dict(zip(inv.phonemes, itertools.accumulate([0] + sizes)))
-    pad = sum(sizes)
-    cols = [
-        [
-            offsets[pid] + i
-            for pid in block_ids(lexicon, channel, signs)
-            for i in range(inv.phonemes[pid].n_states)
-        ]
-        for signs in candidates
-    ]
-    n = max(len(c) for c in cols)
-    log_pi = np.full((n, len(candidates)), LOG_ZERO)
-    log_trans = np.full((n, n, len(candidates)), LOG_ZERO)
-    columns = np.full((n, len(candidates)), pad, dtype=np.intp)
-    for b, signs in enumerate(candidates):
-        m = len(cols[b])
-        lp, lt = compose_utterance_model(lexicon, channel, signs).log_params()
-        log_pi[:m, b] = lp
-        log_trans[:m, :m, b] = lt
-        columns[:m, b] = cols[b]
-    return log_pi, log_trans, columns
+    # Composed one at a time: holding all of them at once raised peak RSS.
+    models = (compose_utterance_model(lexicon, channel, signs) for signs in candidates)
+    columns = [_state_columns(inv, block_ids(lexicon, channel, signs)) for signs in candidates]
+    return _stack(models, columns)
 
 
 def _channel_score_groups(lexicon, mobs, max_signs, cache):
@@ -302,57 +313,121 @@ def model_count(lexicon):
 
 
 class _Unit:
-    """One channel's composed model for a sign (or the epenthesis filler),
-    prepared for segment-level dynamic programming."""
+    """The unit models of one utterance, stacked for segment-level
+    dynamic programming: one per (unit key, channel), the composed model
+    of a sign's phonemes in that channel (or of the epenthesis filler).
 
-    def __init__(self, model, obs, exit_prob):
-        self.n = model.n_states
-        self.final = self.n - 1
-        self.log_pi, log_trans = model.log_params()
-        self.log_trans = log_trans.copy()
-        # Mid-utterance pricing: the unit's final state dwells with 1 - exit
+    Each model is front-padded with -inf to N states so that its final
+    state is always row N - 1; the (K keys, C channels) batch axes are
+    innermost. State i of unit (k, c) emits logb[t, i, k, c], gathered
+    through a state-to-column index from the per-channel tables of
+    _log_density_table; padded states read a -inf column.
+    """
+
+    def __init__(self, lexicon, mobs, keys):
+        self.keys = list(keys)
+        self.channels = list(lexicon.channels)
+        tables = [
+            _log_density_table(lexicon.inventory(ch), mobs.channels[ch]) for ch in self.channels
+        ]
+        bases = list(itertools.accumulate([0] + [table.shape[1] for table in tables]))
+        models = []
+        columns = []
+        for key in self.keys:
+            for ch, base in zip(self.channels, bases):
+                inv = lexicon.inventory(ch)
+                pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[ch]
+                blocks = [(pid, inv.phonemes[pid]) for pid in pids]
+                models.append(compose_models(blocks, lexicon.exit_prob)[0])
+                columns.append(_state_columns(inv, pids, base))
+        shape = (len(self.keys), len(self.channels))
+        self.sizes = np.reshape([len(cols) for cols in columns], shape)
+        log_pi, log_trans, columns = _stack(models, columns)
+        n = len(log_pi)
+        self.log_pi = log_pi.reshape((n,) + shape)
+        self.log_trans = log_trans.reshape((n, n) + shape)
+        self.final = n - 1
+        # Mid-utterance pricing: a unit's final state dwells with 1 - exit
         # probability; the complement leaves through the boundary.
-        self.log_trans[self.final, self.final] = safe_log(1.0 - exit_prob)
-        self.log_exit = float(safe_log(exit_prob))
-        self.logb = em_mod.log_density_seq(model.emissions, obs)
-
-    def segment_scores(self):
-        """DP from every entry frame t0 to the end of the utterance.
-
-        Returns (exit_scores, last): exit_scores[t0, t] is the best score
-        of a path entering at t0 and leaving the unit between t and t+1
-        (boundary log included), -inf for t < t0; last[t0] is the best
-        unanchored score through the absorbing (final-unit) pricing up
-        to the last frame. Column t0 of delta starts at frame t0, so all
-        entry frames advance together in T batched steps.
-        """
+        self.log_trans[self.final, self.final] = safe_log(1.0 - lexicon.exit_prob)
+        self.log_exit = float(safe_log(lexicon.exit_prob))
+        self.logb = np.hstack(tables)[:, columns.reshape((n,) + shape)]
         t_len = self.logb.shape[0]
+        # delta[:, t0] is the recursion of every unit entered at frame t0;
+        # final_iso[t0] prices the final state as absorbing, for last().
+        self.delta = np.empty((n, t_len) + shape)
+        self.final_iso = np.empty((t_len,) + shape)
+
+    def segment_scores(self, t):
+        """Advance every unit and entry frame by frame t; called for
+        t = 0, 1, ... in turn.
+
+        Returns the (t + 1, K, C) exit scores of frame t: [t0, k, c] is
+        the best score of a path entering unit (k, c) at frame t0 and
+        leaving it between t and t+1, boundary log included.
+        """
+        delta, final_iso, logb = self.delta, self.final_iso, self.logb[t]
         final = self.final
-        log_trans = self.log_trans[:, :, None]
-        delta = np.empty((self.n, t_len))
-        # The final state priced as absorbing (self-loop log 1), for `last`.
-        final_iso = np.empty(t_len)
-        exit_scores = np.full((t_len, t_len), LOG_ZERO)
-        for t in range(t_len):
-            logb = self.logb[t]
-            if t:
-                cand = delta[:, None, :t] + log_trans
-                arrivals = cand[:final, final].max(axis=0) if final else LOG_ZERO
-                np.add(cand.max(axis=0), logb[:, None], out=delta[:, :t])
-                np.add(np.maximum(arrivals, final_iso[:t]), logb[final], out=final_iso[:t])
-            delta[:, t] = self.log_pi + logb
-            final_iso[t] = delta[final, t]
-            np.add(delta[final, : t + 1], self.log_exit, out=exit_scores[: t + 1, t])
-        best_nf = delta[:final].max(axis=0) if final else LOG_ZERO
-        return exit_scores, np.maximum(best_nf, final_iso)
+        if t:
+            cand = delta[:, None, :t] + self.log_trans[:, :, None]
+            arrivals = cand[:final, final].max(axis=0) if final else LOG_ZERO
+            np.add(cand.max(axis=0), logb[:, None], out=delta[:, :t])
+            np.add(np.maximum(arrivals, final_iso[:t]), logb[final], out=final_iso[:t])
+        delta[:, t] = self.log_pi + logb
+        final_iso[t] = delta[final, t]
+        return delta[final, : t + 1] + self.log_exit
+
+    def last(self):
+        """(T, K, C) best unanchored scores up to the last frame by entry
+        frame, with the final state absorbing; read after the last
+        segment_scores call."""
+        best_nf = self.delta[: self.final].max(axis=0) if self.final else LOG_ZERO
+        return np.maximum(best_nf, self.final_iso)
+
+    def unit(self, k, c):
+        """(log_pi, log_trans, logb (T, n)) of unit (k, c), padding cut off."""
+        lo = self.final + 1 - self.sizes[k, c]
+        return self.log_pi[lo:, k, c], self.log_trans[lo:, lo:, k, c], self.logb[:, lo:, k, c]
 
 
-def _unit(lexicon, channel, key, obs):
-    """The _Unit of a sign (or EPS_UNIT) in one channel."""
-    inv = lexicon.inventory(channel)
-    pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[channel]
-    model, _ = compose_models([(pid, inv.phonemes[pid]) for pid in pids], lexicon.exit_prob)
-    return _Unit(model, obs, lexicon.exit_prob)
+_EPS = float(np.finfo(float).eps)
+
+
+def _best_entries(entry_scores, parts):
+    """Exact maxima of entry_scores[i, k] + math.fsum(parts[i, k]) over
+    rows i, one per column k.
+
+    entry_scores (M, K) holds -inf where column k has no entry at row i;
+    parts (M, K, C). Returns one (best, rows) pair per column: the best
+    score and the rows reaching it in ascending order, or (None, []) if
+    every row scores -inf.
+
+    numpy's left-to-right sums rank the rows; only rows that can reach
+    the exact maximum are rescored with math.fsum. With X = |entry| +
+    sum |parts|, a row's numpy sum is within C * eps * X of its real
+    sum and its fsum score within 2 * eps * X, so a row reaching the
+    exact maximum is within 2 * (C + 2) * eps * X_max of the column's
+    largest numpy sum, X_max being the column's largest finite X. Rows
+    within 2 * tol, tol = (C + 4) * eps * X_max, are kept; the margin
+    covers rounding the cut itself.
+    """
+    approx = entry_scores + parts.sum(axis=-1)
+    finite = approx > LOG_ZERO
+    size = np.abs(entry_scores) + np.abs(parts).sum(axis=-1)
+    tol = (parts.shape[-1] + 4) * _EPS * size.max(axis=0, where=finite, initial=0.0)
+    keep = finite & (approx >= approx.max(axis=0) - 2 * tol)
+    cols, rows = np.nonzero(keep.T)
+    entries = entry_scores[rows, cols].tolist()
+    sums = map(math.fsum, parts[rows, cols].tolist())
+    results = [(None, []) for _ in range(entry_scores.shape[1])]
+    for k, i, entry, total in zip(cols.tolist(), rows.tolist(), entries, sums):
+        score = entry + total
+        best, winners = results[k]
+        if best is None or score > best:
+            results[k] = (score, [i])
+        elif score == best:
+            winners.append(i)
+    return results
 
 
 @dataclass
@@ -394,17 +469,8 @@ def decode_synced(lexicon, mobs, beam_width):
     sign_ids = sorted(lexicon.signs)
     unit_keys = list(sign_ids) + ([EPS_UNIT] if use_eps else [])
 
-    # exits[key][c][t0, t] and lasts[key][c][t0]: unit key's exit and
-    # last-unit scores in channel c by entry frame t0 and exit frame t.
-    exits = {}
-    lasts = {}
-    for key in unit_keys:
-        scores = [
-            _unit(lexicon, ch, key, mobs.channels[ch]).segment_scores()
-            for ch in lexicon.channels
-        ]
-        exits[key] = [ex for ex, _ in scores]
-        lasts[key] = [last for _, last in scores]
+    units = _Unit(lexicon, mobs, unit_keys)
+    n_signs = len(sign_ids)
 
     def entry_tokens(cell):
         """(best token that may enter a sign, best that may enter the
@@ -420,33 +486,22 @@ def decode_synced(lexicon, mobs, beam_width):
         return sign_entry, eps_entry
 
     # sign_entries[t0] / eps_entries[t0]: the best token that may enter a
-    # sign / the epenthesis at frame t0, fixed once frame t0 - 1 is pruned.
+    # sign / the epenthesis at frame t0, fixed once frame t0 - 1 is pruned;
+    # entry_scores[t0, k] is the score of unit k's entry token, -inf if none.
     sign_entries = [_Token(0.0, (), ())]
     eps_entries = [None]
+    entry_scores = np.full((t_len, len(unit_keys)), LOG_ZERO)
+    entry_scores[0, :n_signs] = 0.0
     for t in range(t_len):
         cell = {}
-        for key in unit_keys:
+        winners = _best_entries(entry_scores[: t + 1], units.segment_scores(t))
+        for key, (best_score, t0s) in zip(unit_keys, winners):
             is_sign = key != EPS_UNIT
             entries = sign_entries if is_sign else eps_entries
-            columns = [ex[: t + 1, t].tolist() for ex in exits[key]]
             # The token key orders by score first, so only entry frames
             # reaching the best score can win; ties go to the smaller key.
-            best_score = None
-            winners = []
-            for t0, (entry, parts) in enumerate(zip(entries, zip(*columns))):
-                if entry is None:
-                    continue
-                seg = math.fsum(parts)
-                if seg == LOG_ZERO:
-                    continue
-                score = entry.score + seg
-                if best_score is None or score > best_score:
-                    best_score = score
-                    winners = [t0]
-                elif score == best_score:
-                    winners.append(t0)
             best = None
-            for t0 in winners:
+            for t0 in t0s:
                 entry = entries[t0]
                 tok = _Token(
                     best_score,
@@ -462,25 +517,22 @@ def decode_synced(lexicon, mobs, beam_width):
         sign_entry, eps_entry = entry_tokens(cell)
         sign_entries.append(sign_entry)
         eps_entries.append(eps_entry)
+        if t + 1 < t_len:
+            if sign_entry is not None:
+                entry_scores[t + 1, :n_signs] = sign_entry.score
+            if eps_entry is not None:
+                entry_scores[t + 1, n_signs:] = eps_entry.score
 
     best = None
-    for key in sign_ids:
-        tails = [last.tolist() for last in lasts[key]]
-        for t0, (entry, parts) in enumerate(zip(sign_entries, zip(*tails))):
-            if entry is None:
-                continue
-            tail = math.fsum(parts)
-            if tail == LOG_ZERO:
-                continue
-            tok = _Token(
-                entry.score + tail,
-                entry.signs + (key,),
-                entry.segments + ((key, t0, t_len - 1),),
-            )
+    tails = _best_entries(entry_scores[:, :n_signs], units.last()[:, :n_signs])
+    for key, (score, t0s) in zip(sign_ids, tails):
+        for t0 in t0s:
+            entry = sign_entries[t0]
+            tok = _Token(score, entry.signs + (key,), entry.segments + ((key, t0, t_len - 1),))
             best = _best_token(best, tok)
-    if best is None or best.score == LOG_ZERO:
+    if best is None:
         raise NoFiniteHypothesisError("no synchronized hypothesis has finite score")
-    return _rebuild_hypothesis(lexicon, mobs, best)
+    return _rebuild_hypothesis(units, best)
 
 
 # Failures that end the decode of one utterance: callers record them
@@ -501,33 +553,36 @@ def decode(lexicon, mobs, mode, max_signs, beam_width, cache):
     raise ValueError(f"unknown decode mode {mode!r}")
 
 
-def _rebuild_hypothesis(lexicon, mobs, token):
+def _rebuild_hypothesis(units, token):
     """Recover per-channel scores and state paths for the winning token.
 
-    Each segment (key, t0, t1) is one Viterbi backtrack over frames
-    t0..t1 of its unit. The last segment is unanchored and prices the
-    final state as absorbing; every other segment must end in the final
-    state and pays the boundary exit log probability.
+    units is the utterance's _Unit stack. Each segment (key, t0, t1) is
+    one Viterbi backtrack over frames t0..t1 of its unit. The last
+    segment is unanchored and prices the final state as absorbing; every
+    other segment must end in the final state and pays the boundary exit
+    log probability.
     """
+    index = {key: k for k, key in enumerate(units.keys)}
     channel_scores = {}
     state_paths = {}
-    for ch in lexicon.channels:
+    for c, ch in enumerate(units.channels):
         total_c = 0.0
         path = []
         offset = 0
         for k, (key, t0, t1) in enumerate(token.segments):
-            unit = _unit(lexicon, ch, key, mobs.channels[ch])
-            log_trans = unit.log_trans.copy()
-            logb = unit.logb[t0 : t1 + 1].copy()
+            log_pi, log_trans, logb = units.unit(index[key], c)
+            final = len(log_pi) - 1
+            log_trans = log_trans.copy()
+            logb = logb[t0 : t1 + 1].copy()
             is_last = k == len(token.segments) - 1
             if is_last:
-                log_trans[unit.final, unit.final] = 0.0
+                log_trans[final, final] = 0.0
             else:
-                logb[-1, : unit.final] = LOG_ZERO
-            seg_score, seg_path = viterbi_lattice(unit.log_pi, log_trans, logb)
-            total_c += seg_score if is_last else seg_score + unit.log_exit
+                logb[-1, :final] = LOG_ZERO
+            seg_score, seg_path = viterbi_lattice(log_pi, log_trans, logb)
+            total_c += seg_score if is_last else seg_score + units.log_exit
             path.extend(offset + int(s) for s in seg_path)
-            offset += unit.n
+            offset += final + 1
         channel_scores[ch] = total_c
         state_paths[ch] = path
     return Hypothesis.combine(token.signs, channel_scores, state_paths)

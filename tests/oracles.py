@@ -9,12 +9,16 @@ bit-identically.
 from __future__ import annotations
 
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from phmm.errors import ValidationError
-from phmm.logmath import LOG_ZERO, logsumexp
-from phmm.parallel import block_ids
+from phmm.emissions import log_density_seq
+from phmm.errors import NoFiniteHypothesisError, ValidationError
+from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
+from phmm.logmath import LOG_ZERO, logsumexp, safe_log
+from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models
 
 
 def path_score(log_pi, log_trans, logb, path):
@@ -132,7 +136,7 @@ def segment_scores_oracle(unit, t0):
     t+1 (boundary log included), -inf before t0; last is the best
     unanchored score up to the last frame with the unit's final state
     absorbing. This is the recursion _Unit.segment_scores batches over
-    every t0.
+    every t0, unit and channel.
     """
     t_len = unit.logb.shape[0]
     delta = unit.log_pi + unit.logb[t0]
@@ -185,6 +189,127 @@ def segment_viterbi_oracle(unit, t0, t1, is_last):
         path.append(int(psi[t, path[-1]]))
     path.reverse()
     return score, path
+
+
+def synced_unit(lexicon, channel, key, obs):
+    """One channel's unit of the synced decoder, built on its own: the
+    composed model of sign `key`'s phonemes (or of the epenthesis filler
+    for EPS_UNIT) with its final self-loop repriced to 1 - exit_prob, and
+    its (T, n) log densities of obs."""
+    inv = lexicon.inventory(channel)
+    pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[channel]
+    model, _ = compose_models([(pid, inv.phonemes[pid]) for pid in pids], lexicon.exit_prob)
+    log_pi, log_trans = model.log_params()
+    log_trans[-1, -1] = safe_log(1.0 - lexicon.exit_prob)
+    return SimpleNamespace(
+        n=model.n_states,
+        final=model.n_states - 1,
+        log_pi=log_pi,
+        log_trans=log_trans,
+        log_exit=float(safe_log(lexicon.exit_prob)),
+        logb=log_density_seq(model.emissions, obs),
+    )
+
+
+def _token_key(token):
+    score, signs, _ = token
+    return (-score, len(signs), signs)
+
+
+def _better(a, b):
+    if a is None:
+        return b
+    return a if _token_key(a) <= _token_key(b) else b
+
+
+def decode_synced_oracle(lexicon, mobs, beam_width):
+    """The boundary-synced token search, one unit, channel and entry
+    frame at a time.
+
+    A token is (score, signs, segments). Every (unit, entry frame t0)
+    pair is scored at every exit frame t as the entry token's score plus
+    the math.fsum of the channels' segment_scores_oracle exits; the best
+    token per unit and frame wins (higher score, then fewer signs, then
+    smaller sign ids, then the earlier entry frame), and the beam keeps
+    the best beam_width of them per frame. Each channel's score and path
+    are rebuilt with segment_viterbi_oracle. This is the search
+    parallel.decode_synced runs on one stacked recursion.
+    """
+    channels = lexicon.channels
+    t_len = len(mobs.channels[channels[0]])
+    use_eps = lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS
+    sign_ids = sorted(lexicon.signs)
+    keys = sign_ids + ([EPS_UNIT] if use_eps else [])
+    units = {
+        (key, ch): synced_unit(lexicon, ch, key, mobs.channels[ch])
+        for key in keys
+        for ch in channels
+    }
+    exits = {}
+    lasts = {}
+    for (key, ch), unit in units.items():
+        for t0 in range(t_len):
+            exits[key, ch, t0], lasts[key, ch, t0] = segment_scores_oracle(unit, t0)
+
+    sign_entries = [(0.0, (), ())]
+    eps_entries = [None]
+    for t in range(t_len):
+        cell = {}
+        for key in keys:
+            is_sign = key != EPS_UNIT
+            entries = sign_entries if is_sign else eps_entries
+            best = None
+            for t0 in range(t + 1):
+                if entries[t0] is None:
+                    continue
+                seg = math.fsum(exits[key, ch, t0][t] for ch in channels)
+                if seg == LOG_ZERO:
+                    continue
+                score, signs, segments = entries[t0]
+                best = _better(best, (
+                    score + seg,
+                    signs + ((key,) if is_sign else ()),
+                    segments + ((key, t0, t),),
+                ))
+            if best is not None:
+                cell[key] = best
+        kept = sorted(cell.items(), key=lambda kv: _token_key(kv[1]) + (kv[0],))[:beam_width]
+        sign_entry = eps_entry = None
+        for key, token in kept:
+            if use_eps and key != EPS_UNIT:
+                eps_entry = _better(eps_entry, token)
+            else:
+                sign_entry = _better(sign_entry, token)
+        sign_entries.append(sign_entry)
+        eps_entries.append(eps_entry)
+
+    best = None
+    for key in sign_ids:
+        for t0 in range(t_len):
+            if sign_entries[t0] is None:
+                continue
+            tail = math.fsum(lasts[key, ch, t0] for ch in channels)
+            if tail == LOG_ZERO:
+                continue
+            score, signs, segments = sign_entries[t0]
+            best = _better(best, (score + tail, signs + (key,), segments + ((key, t0, t_len - 1),)))
+    if best is None:
+        raise NoFiniteHypothesisError("no synchronized hypothesis has finite score")
+
+    _, signs, segments = best
+    channel_scores = {}
+    state_paths = {}
+    for ch in channels:
+        total, path, offset = 0.0, [], 0
+        for k, (key, t0, t1) in enumerate(segments):
+            unit = units[key, ch]
+            score, seg_path = segment_viterbi_oracle(unit, t0, t1, k == len(segments) - 1)
+            total += score
+            path.extend(offset + s for s in seg_path)
+            offset += unit.n
+        channel_scores[ch] = total
+        state_paths[ch] = path
+    return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
 def cut_segments_oracle(lexicon, channel, corpus):

@@ -11,7 +11,7 @@ from phmm.demo import demo_lexicon
 from phmm.errors import ValidationError
 from phmm.hmm import sample
 from phmm.lexicon import MultiObservation
-from phmm.model_io import load_model
+from phmm.model_io import load_model, save_model
 from phmm.parallel import compose_utterance_model
 
 
@@ -271,6 +271,22 @@ def test_decode_malformed_model_is_input_error(
     ) == 3
     err = capsys.readouterr().err
     assert "model file" in err
+    assert "Traceback" not in err
+
+
+def test_decode_misshapen_trans_is_dimension_error(tmp_path, demo_corpus, capsys):
+    path = tmp_path / "demo_model.json"
+    save_model(path, demo_lexicon())
+    blob = json.loads(path.read_text())
+    blob["inventories"]["head"]["phonemes"]["H0"]["trans"] = [1.0, 0, 0]
+    path.write_text(json.dumps(blob))
+    assert run(
+        ["decode", "--model", path, "--corpus", demo_corpus,
+         "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "trans has shape (3,), expected (3, 3)" in err
+    assert "sums to" not in err
     assert "Traceback" not in err
 
 

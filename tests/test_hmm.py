@@ -7,6 +7,7 @@ from oracles import brute_forward, brute_viterbi, posteriors_oracle
 from phmm.emissions import DiscreteEmission, log_density_seq
 from phmm.errors import (
     AllPathsZeroError,
+    DimensionMismatchError,
     EmptyObservationError,
     NonFiniteEntryError,
     NonStochasticRowError,
@@ -44,6 +45,26 @@ def test_validate_rejects_nonstochastic_pi():
         emissions=DiscreteEmission(np.full((2, 2), 0.5)),
     )
     with pytest.raises(NonStochasticRowError):
+        validate(h)
+
+
+def test_validate_rejects_misshapen_trans():
+    h = Hmm(
+        pi=[1.0, 0.0, 0.0],
+        trans=[1.0, 0.0, 0.0],
+        emissions=DiscreteEmission(np.full((3, 2), 0.5)),
+    )
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3,\), expected \(3, 3\)"):
+        validate(h)
+
+
+def test_validate_rejects_emission_state_count():
+    h = Hmm(
+        pi=[0.5, 0.5],
+        trans=[[0.5, 0.5], [0.5, 0.5]],
+        emissions=DiscreteEmission(np.full((3, 2), 0.5)),
+    )
+    with pytest.raises(DimensionMismatchError, match=r"3 states, expected 2 \(pi has shape"):
         validate(h)
 
 

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import build_lexicon, mixed_lexicon, random_phoneme, sample_mobs
-from oracles import segment_scores_oracle, segment_viterbi_oracle, split_forward_oracle
+from oracles import (
+    decode_synced_oracle,
+    segment_scores_oracle,
+    segment_viterbi_oracle,
+    split_forward_oracle,
+    synced_unit,
+)
 
 from phmm import parallel
 from phmm.emissions import DiscreteEmission, GaussianEmission, log_density_seq
@@ -27,8 +33,8 @@ from phmm.parallel import (
     Hypothesis,
     _rebuild_hypothesis,
     _Token,
+    _best_entries,
     _channel_score_groups,
-    _unit,
     _Unit,
     compose_models,
     compose_utterance_model,
@@ -462,37 +468,93 @@ def test_decode_exhaustive_rejects_non_finite_gaussian_observations(bad):
         decode_exhaustive(lex, mobs, max_signs=2)
 
 
-def _oracle_units(rng):
-    """Units of 1, 2 and 4 states, a composed unit and one that cannot
-    emit symbol 0 (so some frames have -inf log densities)."""
-    for n_states in (1, 2, 4):
-        for gaussian in (False, True):
-            for ergodic in (False, True):
-                yield random_phoneme(rng, n_states, gaussian, ergodic)
-    a = random_phoneme(rng, 2)
-    b = random_phoneme(rng, 3, ergodic=True)
-    yield compose_models([("a", a), ("b", b)], 0.4)[0]
-    gapped = random_phoneme(rng, 3)
-    gapped.emissions.probs[:, 0] = 0.0
-    gapped.emissions.probs /= gapped.emissions.probs.sum(axis=1, keepdims=True)
-    yield gapped
+def _stack_lexicon(rng, gaussian):
+    """Two channels whose sign units have 1 to 7 states, so the stack
+    pads them unequally: single phonemes of 1, 2 and 4 states (ergodic
+    and Bakis), two-phoneme signs, an epenthesis filler and, in discrete
+    channels, a phoneme that cannot emit symbol 0 (-inf log densities)."""
+    inventories = {}
+    signs = {f"s{v}": Sign(f"s{v}", {}) for v in range(5)}
+    for c, ch in enumerate(("c0", "c1")):
+        phonemes = {
+            "p1": random_phoneme(rng, 1, gaussian),
+            "p2": random_phoneme(rng, 2, gaussian, ergodic=True),
+            "p4": random_phoneme(rng, 4, gaussian),
+            "e": random_phoneme(rng, 2, gaussian),
+        }
+        if gaussian:
+            phonemes["q"] = random_phoneme(rng, 3, gaussian, ergodic=True)
+        else:
+            gapped = random_phoneme(rng, 3)
+            gapped.emissions.probs[:, 0] = 0.0
+            gapped.emissions.probs /= gapped.emissions.probs.sum(axis=1, keepdims=True)
+            phonemes["q"] = gapped
+        inventories[ch] = PhonemeInventory(phonemes=phonemes, epenthesis="e")
+        spellings = [["p1"], ["q"], ["p2", "p4"], ["p4", "q"], ["p1", "p2"]]
+        for v, spelling in enumerate(spellings[c:] + spellings[:c]):
+            signs[f"s{v}"].channels[ch] = spelling
+    return Lexicon(["c0", "c1"], inventories, signs, "between_signs", exit_prob=0.3)
 
 
 @pytest.mark.parametrize("t_len", [1, 2, 9])
 def test_segment_scores_equal_per_entry_frame_oracle(t_len):
+    # One mixed-size stack against every unit, entry frame and exit frame.
     rng = np.random.default_rng(40 + t_len)
-    for model in _oracle_units(rng):
-        if isinstance(model.emissions, GaussianEmission):
-            obs = rng.normal(0.0, 2.0, size=(t_len, model.emissions.dim))
+    for gaussian in (False, True):
+        lex = _stack_lexicon(rng, gaussian)
+        if gaussian:
+            data = {ch: rng.normal(0.0, 2.0, size=(t_len, 2)) for ch in lex.channels}
         else:
-            obs = rng.integers(0, model.emissions.alphabet_size, size=t_len)
-        unit = _Unit(model, obs, exit_prob=0.3)
-        exit_scores, last = unit.segment_scores()
-        assert exit_scores.shape == (t_len, t_len) and last.shape == (t_len,)
-        for t0 in range(t_len):
-            ref_exit, ref_last = segment_scores_oracle(unit, t0)
-            assert _bits(exit_scores[t0]) == _bits(ref_exit)
-            assert _bits(last[t0]) == _bits(ref_last)
+            # Symbol 0 at frame 0 gives the gapped phoneme a -inf log density.
+            data = {ch: np.r_[0, rng.integers(0, 4, size=t_len - 1)] for ch in lex.channels}
+        mobs = MultiObservation(data)
+        keys = sorted(lex.signs) + [EPS_UNIT]
+        stack = _Unit(lex, mobs, keys)
+        assert stack.log_pi.shape == (7, len(keys), 2)
+        columns = [stack.segment_scores(t) for t in range(t_len)]
+        last = stack.last()
+        assert last.shape == (t_len, len(keys), 2)
+        n_inf = 0
+        for k, key in enumerate(keys):
+            for c, ch in enumerate(lex.channels):
+                unit = synced_unit(lex, ch, key, mobs.channels[ch])
+                log_pi, log_trans, logb = stack.unit(k, c)
+                assert _bits(log_pi) == _bits(unit.log_pi)
+                assert _bits(log_trans) == _bits(unit.log_trans)
+                assert _bits(logb) == _bits(unit.logb)
+                n_inf += int(np.isneginf(unit.logb).sum())
+                for t0 in range(t_len):
+                    ref_exit, ref_last = segment_scores_oracle(unit, t0)
+                    for t in range(t0, t_len):
+                        assert columns[t].shape == (t + 1, len(keys), 2)
+                        assert _bits(columns[t][t0, k, c]) == _bits(ref_exit[t])
+                    assert _bits(last[t0, k, c]) == _bits(ref_last)
+        assert (n_inf > 0) == (not gaussian)
+
+
+def test_best_entries_returns_fsum_winner_on_near_tie():
+    # Left to right, 1e16 + 1.0 rounds to 1e16, so numpy sums row 0 to 0.0
+    # and ranks row 1 (0.5) first; math.fsum scores row 0 at 1.0.
+    parts = np.array([[[1e16, 1.0, -1e16]], [[0.5, 0.0, 0.0]]])
+    entries = np.zeros((2, 1))
+    assert parts[0].sum(axis=-1)[0] < parts[1].sum(axis=-1)[0]
+    assert _best_entries(entries, parts) == [(1.0, [0])]
+    # The entry score takes part in the rescoring: row 1 now wins.
+    assert _best_entries(np.array([[-0.75], [0.0]]), parts) == [(0.5, [1])]
+
+
+def test_best_entries_exact_ties_and_dead_rows():
+    inf = float("-inf")
+    parts = np.array(
+        [
+            [[-1.0, -2.0], [-1.0, inf], [-0.5, -0.5]],
+            [[-2.0, -1.0], [-3.0, -0.5], [-0.25, -0.75]],
+            [[-0.5, -2.5], [inf, -1.0], [-1.0, -1.0]],
+        ]
+    )
+    entries = np.array([[0.0, 0.0, inf], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]])
+    assert _best_entries(entries, parts) == [(-3.0, [0, 1, 2]), (-4.0, [1]), (-1.0, [1])]
+    assert _best_entries(np.full((3, 3), inf), parts) == [(None, [])] * 3
 
 
 def test_score_hypothesis_missing_channel_names_it():
@@ -563,7 +625,7 @@ def test_rebuild_hypothesis_equals_segment_viterbi_oracle(case):
         for ch in lex.channels:
             total, path, offset = 0.0, [], 0
             for k, (key, t0, t1) in enumerate(segments):
-                unit = _unit(lex, ch, key, mobs.channels[ch])
+                unit = synced_unit(lex, ch, key, mobs.channels[ch])
                 score, seg_path = segment_viterbi_oracle(unit, t0, t1, k == len(segments) - 1)
                 total += score
                 path.extend(offset + s for s in seg_path)
@@ -571,9 +633,50 @@ def test_rebuild_hypothesis_equals_segment_viterbi_oracle(case):
             expected[ch] = (total, path)
         if any(total == float("-inf") for total, _ in expected.values()):
             continue  # the decoder never rebuilds a token that scores -inf
-        hyp = _rebuild_hypothesis(lex, mobs, token)
+        hyp = _rebuild_hypothesis(_Unit(lex, mobs, keys), token)
         for ch in lex.channels:
             assert repr(hyp.channel_scores[ch]) == repr(expected[ch][0])
             assert hyp.state_paths[ch] == expected[ch][1]
         checked += 1
     assert checked >= 20
+
+
+SYNCED_CASES = [
+    dict(gaussian=g, ergodic=e, policy=p)
+    for g in (False, True)
+    for e in (False, True)
+    for p in ("none", "between_signs")
+] + ["three channels", "uniform"]
+
+
+def _synced_result(lex, mobs, beam_width, decoder):
+    try:
+        hyp = decoder(lex, mobs, beam_width)
+    except NoFiniteHypothesisError:
+        return None
+    return repr((hyp.signs, hyp.channel_scores, hyp.total, hyp.state_paths))
+
+
+@pytest.mark.parametrize("case", range(len(SYNCED_CASES)))
+def test_decode_synced_equals_per_unit_oracle(case):
+    # Stacked fused search against the per-unit, per-entry-frame search:
+    # signs, channel scores, total and state paths identical as repr.
+    rng = np.random.default_rng(70 + case)
+    spec = SYNCED_CASES[case]
+    if spec == "uniform":
+        lex = _uniform_lexicon()
+    elif spec == "three channels":
+        lex = build_lexicon(rng, vocab=4, policy="between_signs", phonemes_per_sign=2)
+    else:
+        lex = mixed_lexicon(rng, **spec)
+    found = 0
+    for trial in range(12):
+        t_len = (1, 2, 5, 9)[trial % 4]
+        n_signs = int(rng.integers(1, 4))
+        signs = [sorted(lex.signs)[int(i)] for i in rng.integers(0, len(lex.signs), n_signs)]
+        mobs = sample_mobs(lex, signs, t_len, seed=100 * case + trial)
+        for beam_width in (1, 2, 1000):
+            got = _synced_result(lex, mobs, beam_width, decode_synced)
+            assert got == _synced_result(lex, mobs, beam_width, decode_synced_oracle)
+            found += got is not None
+    assert found >= 18
