@@ -24,7 +24,7 @@ from .lexicon import Lexicon, PhonemeInventory, validate_lexicon
 from .metrics import evaluate, report_to_dict
 from .model_io import config_hash, load_model, save_model
 from .parallel import DECODE_FAILURES, block_ids, decode, model_count
-from .training import TrainConfig, derive_seed, initial_model, train_embedded, train_segmented
+from .training import TrainConfig, train_embedded, train_segmented
 
 log = logging.getLogger("phmm")
 
@@ -41,17 +41,7 @@ def _load_lexicon(spec):
 
 def cmd_generate(args):
     lexicon = _load_lexicon(args.lexicon)
-    cfg = GenConfig(
-        n_utterances=args.n,
-        seed=args.seed,
-        signs_per_utterance=(args.min_signs, args.max_signs),
-        state_dwell=tuple(args.state_dwell),
-        epenthesis_dwell=tuple(args.eps_dwell),
-        channel_noise=args.noise,
-        desync_jitter=args.jitter,
-        emit_paths=not args.no_paths,
-    )
-    corpus = generate(lexicon, cfg)
+    corpus = generate(lexicon, args.config)
     write_corpus(args.out, corpus)
     print(f"wrote {len(corpus)} utterances to {args.out} (seed={args.seed})")
     return 0
@@ -95,72 +85,25 @@ def cmd_train(args):
     corpus = read_corpus(args.corpus)
     if not corpus:
         raise ValidationError("training corpus is empty")
-    cfg = TrainConfig(
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-        smoothing=args.smoothing,
-        init_strategy=args.init,
-    )
     trained = {}
-    summary = []
+    reports = {}
     for ch in lexicon.channels:
         for utt in corpus:
             if ch not in utt.mobs.channels:
                 raise ValidationError(f"corpus lacks channel {ch!r}")
+        log.info("%s training on channel %s", args.mode, ch)
         if args.mode == "embedded":
-            log.info("embedded training on channel %s", ch)
             utts = [(utt.signs, utt.mobs.channels[ch]) for utt in corpus]
-            models, report = train_embedded(lexicon, ch, utts, cfg)
-            summary.append(
-                (
-                    ch,
-                    report.loglik_trajectory[0],
-                    report.loglik_trajectory[-1],
-                    report.iterations_run,
-                    report.converged,
-                    report.untouched_phonemes,
-                )
-            )
+            trained[ch], reports[ch] = train_embedded(lexicon, ch, utts, args.config)
         else:
-            data = _cut_segments(lexicon, ch, corpus)
-            inv = lexicon.inventory(ch)
-            init_models = {}
-            for pid, segs in data.items():
-                template = inv.phonemes[pid]
-                alphabet = getattr(template.emissions, "alphabet_size", None)
-                init_models[pid] = initial_model(
-                    segs,
-                    cfg,
-                    n_states=template.n_states,
-                    topology=template.topology,
-                    alphabet_size=alphabet,
-                    seed=derive_seed(cfg.seed, "segmented", ch, pid),
-                )
-            models, reports = train_segmented(
-                list(data), data, cfg, init_models=init_models
-            )
-            # phonemes with no segments keep their lexicon-bound parameters
-            untouched = tuple(pid for pid in inv.phonemes if pid not in models)
-            for pid in untouched:
-                models[pid] = inv.phonemes[pid]
-            summary.append(
-                (
-                    ch,
-                    sum(r.loglik_trajectory[0] for r in reports.values()),
-                    sum(r.loglik_trajectory[-1] for r in reports.values()),
-                    max(r.iterations_run for r in reports.values()),
-                    all(r.converged for r in reports.values()),
-                    untouched,
-                )
-            )
-        trained[ch] = models
+            segments = _cut_segments(lexicon, ch, corpus)
+            trained[ch], reports[ch] = train_segmented(lexicon, ch, segments, args.config)
 
     out_lex = Lexicon(
         channels=list(lexicon.channels),
         inventories={
             ch: PhonemeInventory(
-                phonemes={pid: trained[ch][pid] for pid in lexicon.inventory(ch).phonemes},
+                phonemes=trained[ch],
                 epenthesis=lexicon.inventory(ch).epenthesis,
             )
             for ch in lexicon.channels
@@ -183,11 +126,13 @@ def cmd_train(args):
         out_lex,
         {"seed": args.seed, "config_hash": config_hash(run_config)},
     )
-    for ch, first_ll, last_ll, iters, converged, untouched in summary:
+    for ch, report in reports.items():
+        untouched = report.untouched_phonemes
         flags = f" untouched={','.join(untouched)}" if untouched else ""
         print(
-            f"channel {ch}: loglik {first_ll:.6f} -> {last_ll:.6f} "
-            f"iterations={iters} converged={converged}{flags}"
+            f"channel {ch}: loglik {report.loglik_trajectory[0]:.6f} -> "
+            f"{report.loglik_trajectory[-1]:.6f} iterations={report.iterations_run} "
+            f"converged={report.converged}{flags}"
         )
     print(f"wrote model to {args.out}")
     return 0
@@ -325,20 +270,36 @@ def build_parser():
 
 
 def _validate_usage(parser, args):
-    if args.command == "generate":
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-        if args.min_signs < 1 or args.max_signs < args.min_signs:
-            parser.error("--min-signs/--max-signs range is empty")
-        if args.jitter < 0:
-            parser.error("--jitter must be >= 0")
+    """Exit 2 on an invalid option value. generate and train build their
+    GenConfig or TrainConfig here as args.config, so a value it rejects
+    is a usage error too."""
     if args.command in ("decode", "evaluate"):
         if args.max_signs < 1:
             parser.error("--max-signs must be >= 1")
         if args.beam_width < 1:
             parser.error("--beam-width must be >= 1")
-    if args.command == "train" and args.max_iters < 1:
-        parser.error("--max-iters must be >= 1")
+    try:
+        if args.command == "generate":
+            args.config = GenConfig(
+                n_utterances=args.n,
+                seed=args.seed,
+                signs_per_utterance=(args.min_signs, args.max_signs),
+                state_dwell=tuple(args.state_dwell),
+                epenthesis_dwell=tuple(args.eps_dwell),
+                channel_noise=args.noise,
+                desync_jitter=args.jitter,
+                emit_paths=not args.no_paths,
+            )
+        if args.command == "train":
+            args.config = TrainConfig(
+                max_iters=args.max_iters,
+                rel_tol=args.rel_tol,
+                seed=args.seed,
+                smoothing=args.smoothing,
+                init_strategy=args.init,
+            )
+    except (ValueError, ValidationError) as exc:
+        parser.error(str(exc))
 
 
 def main(argv=None):

@@ -50,6 +50,11 @@ class GenConfig:
                 raise ValidationError(f"{name} range is empty")
         if self.desync_jitter < 0:
             raise ValidationError("desync_jitter must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        noise = self.channel_noise
+        if not all(x >= 0 for x in (noise.values() if isinstance(noise, dict) else [noise])):
+            raise ValidationError(f"channel_noise must be >= 0, got {noise!r}")
 
     def noise_for(self, channel):
         if isinstance(self.channel_noise, dict):
@@ -126,6 +131,8 @@ def _apply_noise(model, obs, noise, rng):
     if noise <= 0:
         return obs
     if isinstance(model.emissions, DiscreteEmission):
+        if noise > 1:
+            raise ValidationError(f"noise rate {noise!r} of a discrete channel exceeds 1")
         alphabet = model.emissions.alphabet_size
         out = np.array(obs, dtype=np.intp)
         hits = rng.uniform(size=out.shape[0]) < noise
@@ -201,13 +208,15 @@ def utterance_from_record(rec):
     if missing:
         raise FileFormatError(f"record lacks {', '.join(missing)}")
     if not (
-        isinstance(rec["signs"], list)
+        isinstance(rec["id"], str)
+        and isinstance(rec["signs"], list)
         and all(isinstance(sid, str) for sid in rec["signs"])
         and isinstance(rec["channels"], dict)
         and isinstance(rec.get("paths") or {}, dict)
     ):
         raise FileFormatError(
-            "signs must be an array of strings; channels and paths JSON objects"
+            "id must be a string, signs an array of strings, channels and paths"
+            " JSON objects"
         )
     channels = {ch: _obs_from_json(v) for ch, v in rec["channels"].items()}
     return Utterance(

@@ -4,7 +4,7 @@ Both variants expose log-density evaluation, sufficient-statistics
 accumulation for EM, and a closed-form M-step. Gaussian covariance is
 diagonal only; variances are floored at VAR_FLOOR by the M-step.
 
-log_density is read-only and safe to call concurrently; statistics
+log_density_seq is read-only and safe to call concurrently; statistics
 accumulators are single-writer.
 """
 
@@ -18,10 +18,8 @@ from .errors import (
     DimensionMismatchError,
     EmptyStateError,
     NegativeEntryError,
-    NegativeWeightError,
     NonFiniteEntryError,
     NonStochasticRowError,
-    StateOutOfRangeError,
     VariantMismatchError,
 )
 from .logmath import safe_log
@@ -115,31 +113,6 @@ def validate_emission(em):
         raise VariantMismatchError(f"unknown emission model {type(em)!r}")
 
 
-def _check_state(em, state):
-    if not 0 <= state < em.n_states:
-        raise StateOutOfRangeError(state, em.n_states)
-
-
-def log_density(em, state, x):
-    """Log output density of observation x at one state.
-
-    Discrete: log of the table entry (exactly -inf for zero entries).
-    Gaussian: exact diagonal-Gaussian log density.
-    """
-    _check_state(em, state)
-    if isinstance(em, DiscreteEmission):
-        sym = _check_symbol(em, x)
-        return float(safe_log(em.probs[state, sym]))
-    if isinstance(em, GaussianEmission):
-        v = _check_vector(em, x)
-        var = em.variances[state]
-        diff = v - em.means[state]
-        return float(
-            -0.5 * (em.dim * LOG_TWO_PI + np.sum(np.log(var)) + np.sum(diff * diff / var))
-        )
-    raise VariantMismatchError(f"unknown emission model {type(em)!r}")
-
-
 def check_observations(em, obs):
     """The observation sequence as an array the emission model can score.
 
@@ -185,28 +158,6 @@ def log_density_seq(em, obs):
     return -0.5 * (quad + const[None, :])
 
 
-def _check_symbol(em, x):
-    if np.ndim(x) != 0:
-        raise VariantMismatchError("discrete model expects a scalar symbol id")
-    sym = int(x)
-    if not 0 <= sym < em.alphabet_size:
-        raise DimensionMismatchError(
-            f"symbol {sym} out of range for alphabet size {em.alphabet_size}"
-        )
-    return sym
-
-
-def _check_vector(em, x):
-    if np.ndim(x) == 0:
-        raise VariantMismatchError("gaussian model expects a feature vector")
-    v = np.asarray(x, dtype=float)
-    if v.shape != (em.dim,):
-        raise DimensionMismatchError(
-            f"expected observation of dimension {em.dim}, got shape {v.shape}"
-        )
-    return v
-
-
 @dataclass
 class DiscreteStats:
     """Expected symbol counts per state."""
@@ -240,26 +191,6 @@ def new_stats(em):
     if isinstance(em, GaussianEmission):
         return GaussianStats.zeros(em.n_states, em.dim)
     raise VariantMismatchError(f"unknown emission model {type(em)!r}")
-
-
-def accumulate(stats, state, x, weight):
-    """Add one weighted observation to the statistics, in place.
-
-    weight is a posterior probability in [0, 1] (a small positive
-    tolerance above 1 is accepted for float slack).
-    """
-    if weight < 0:
-        raise NegativeWeightError(weight)
-    if isinstance(stats, DiscreteStats):
-        stats.counts[state, int(x)] += weight
-    elif isinstance(stats, GaussianStats):
-        v = np.asarray(x, dtype=float)
-        stats.weight[state] += weight
-        stats.wsum[state] += weight * v
-        stats.wsq[state] += weight * v * v
-    else:
-        raise VariantMismatchError(f"unknown stats {type(stats)!r}")
-    return stats
 
 
 def accumulate_seq(stats, gamma, obs):

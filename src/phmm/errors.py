@@ -48,22 +48,12 @@ class VariantMismatchError(ValidationError):
     """Observation kind does not match the emission model kind."""
 
 
-class StateOutOfRangeError(ValidationError):
-    def __init__(self, state, n_states):
-        super().__init__(f"state {state} out of range for {n_states} states")
-
-
 class DimensionMismatchError(ValidationError):
     """Observation incompatible with the emission model's alphabet/dimension."""
 
 
 class EmptyObservationError(ValidationError):
     """Inference requires a nonempty observation sequence."""
-
-
-class NegativeWeightError(ValidationError):
-    def __init__(self, weight):
-        super().__init__(f"accumulation weight {weight!r} is negative")
 
 
 class EmptyStateError(PhmmError):
@@ -86,17 +76,11 @@ class AllPathsZeroError(PhmmError):
 
 
 class IncompatibleDataError(PhmmError):
-    """Training data does not match the model's emission variant."""
+    """Training data is empty or has no observations."""
 
 
 class DegenerateModelError(PhmmError):
     """Initial model assigns zero likelihood to the training data."""
-
-
-class MissingPhonemeDataError(PhmmError):
-    def __init__(self, phoneme):
-        self.phoneme = phoneme
-        super().__init__(f"no training segments for phoneme {phoneme!r}")
 
 
 class UnknownSignError(PhmmError):

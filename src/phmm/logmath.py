@@ -26,18 +26,12 @@ def safe_log(p):
         return np.log(arr)
 
 
-def logsumexp(values, axis=None):
+def logsumexp(values, axis):
     """Numerically stable log(sum(exp(values))) along an axis.
 
-    An all--inf reduction yields -inf, not NaN. Works on scalars,
-    vectors and matrices.
+    An all--inf reduction yields -inf, not NaN.
     """
     arr = np.asarray(values, dtype=float)
-    if axis is None:
-        m = np.max(arr) if arr.size else LOG_ZERO
-        if m == LOG_ZERO:
-            return LOG_ZERO
-        return float(m + np.log(np.sum(np.exp(arr - m))))
     m = np.max(arr, axis=axis, keepdims=True)
     # An all--inf slice shifts by 0 instead of -inf: its exp terms are 0
     # and log(0) gives the -inf it sums to, with no NaN from -inf - -inf.

@@ -1,18 +1,27 @@
-"""Baum-Welch estimation: single models, per-phoneme segmented training,
-and whole-utterance embedded training over concatenated models.
+"""Baum-Welch estimation through one engine: single models, per-phoneme
+segmented training and whole-utterance embedded training.
 
-Embedded training ties every occurrence of a phoneme (within and across
-utterances) to one parameter set: sufficient statistics are pooled
-before a single M-step per iteration. The structural rows written by
-composition (final-state exit wiring) are constants and receive no
-updates, which keeps every iteration an exact EM step and the total
-log likelihood non-decreasing.
+Every kind of training is EM over a dict of models and a list of
+chains, a chain being the tuple of model keys that one sequence is
+scored on, composed left to right (parallel.compose_models). Every
+occurrence of a key, within and across sequences, is tied to one
+parameter set: its statistics are pooled before one M-step per
+iteration. baum_welch trains one model on one-block chains (Rabiner,
+Proc. IEEE 1989, section III.C), train_segmented runs baum_welch per
+phoneme on its segments, and train_embedded trains every phoneme of a
+channel on the utterances' block sequences.
 
-The E-step runs hmm.posteriors_lattice over a batch of sequences at
-once, so its Python loop steps over the frames of the longest sequence,
-not over every frame of every sequence. Baum-Welch batches all its
-sequences; embedded training batches utterances by composed state count
-and adds their posteriors to the tied statistics in corpus order.
+Composition rewires the final row of every block except a chain's last
+(exit wiring). Exactly those rows are structural constants and receive
+no statistics; every other row, the final row of a chain's last block
+included, is a tied parameter. So every iteration is an exact EM step,
+the total log likelihood never decreases, and a one-block chain is
+plain Baum-Welch.
+
+The E-step runs hmm.posteriors_lattice over batches of sequences whose
+composed models have the same state count, so its Python loop steps
+over the frames of the longest sequence, not over every frame of every
+sequence. Statistics are added in corpus order whatever the batches.
 
 All training is single-threaded with a fixed accumulation order, so
 identical inputs and seed reproduce identical models.
@@ -31,7 +40,6 @@ from .errors import (
     DegenerateModelError,
     EmptyObservationError,
     IncompatibleDataError,
-    MissingPhonemeDataError,
 )
 from .hmm import Hmm, Topology, forward_lattice, posteriors_lattice, validate
 from .logmath import LOG_ZERO
@@ -52,10 +60,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
+        if not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
+        if not self.smoothing >= 0:
+            raise ValueError(f"smoothing must be >= 0, got {self.smoothing!r}")
 
 
 @dataclass
@@ -72,10 +80,6 @@ def derive_seed(seed, *labels):
         ("|".join([str(seed)] + [str(x) for x in labels])).encode()
     ).digest()
     return int.from_bytes(h[:8], "big")
-
-
-def _rel_improvement(prev, cur):
-    return abs(cur - prev) / (abs(cur) + 1.0)
 
 
 def _global_discrete_freq(data, alphabet_size):
@@ -112,7 +116,6 @@ def initial_model(
     n_states=3,
     topology=Topology.LEFT_TO_RIGHT,
     alphabet_size=None,
-    dim=None,
     seed=None,
 ):
     """Build a starting model from global data statistics.
@@ -149,8 +152,7 @@ def initial_model(
         emissions = em_mod.DiscreteEmission(probs)
     else:
         mean, var = _global_gaussian_moments(data)
-        if dim is None:
-            dim = mean.shape[0]
+        dim = mean.shape[0]
         if perturb:
             offsets = rng.uniform(-1.0, 1.0, size=(n_states, dim))
         elif n_states > 1:
@@ -166,66 +168,50 @@ def initial_model(
     return model
 
 
-def _check_variant(model, data):
-    discrete = isinstance(model.emissions, em_mod.DiscreteEmission)
-    for seq in data:
-        arr = np.asarray(seq)
-        if discrete and arr.ndim != 1:
-            raise IncompatibleDataError("discrete model given vector data")
-        if not discrete and arr.ndim != 2:
-            raise IncompatibleDataError("gaussian model given symbol data")
+def _initial_models(lexicon, channel, data, cfg, mode):
+    """initial_model of every phoneme key of data (phoneme id -> list of
+    sequences) from the statistics of its sequences, with the state
+    count, topology and alphabet of the channel's lexicon template and
+    the seed derive_seed(cfg.seed, mode, channel, pid)."""
+    inv = lexicon.inventory(channel)
+    models = {}
+    for pid, seqs in data.items():
+        template = inv.phonemes[pid]
+        for obs in seqs:
+            em_mod.check_observations(template.emissions, obs)
+        models[pid] = initial_model(
+            seqs,
+            cfg,
+            n_states=template.n_states,
+            topology=template.topology,
+            alphabet_size=getattr(template.emissions, "alphabet_size", None),
+            seed=derive_seed(cfg.seed, mode, channel, pid),
+        )
+    return models
 
 
-def _m_step_trans(prev_trans, trans_acc):
-    """Row-normalize expected transition counts; zero-evidence rows keep
-    their previous values (their likelihood contribution is flat)."""
-    new = prev_trans.copy()
-    for i in range(new.shape[0]):
-        total = trans_acc[i].sum()
+def _m_step(model, stats, cfg):
+    """Normalized expected counts. pi or a transition row without
+    evidence keeps its previous values (its likelihood contribution is
+    flat), and so does an emission state (maximize's fallback)."""
+    pi_acc, trans_acc, em_stats = stats
+    pi_total = pi_acc.sum()
+    new_pi = pi_acc / pi_total if pi_total > 0 else model.pi.copy()
+    new_trans = model.trans.copy()
+    for i, row in enumerate(trans_acc):
+        total = row.sum()
         if total > 0:
-            new[i] = trans_acc[i] / total
-    return new
-
-
-def baum_welch(init, data, cfg, on_iteration=None):
-    """EM re-estimation of one model from a set of observation sequences.
-
-    Returns (model, report). The report's loglik_trajectory holds the
-    total data log likelihood of the model at the start of every
-    iteration plus the final model, and is non-decreasing.
-    """
-    data = list(data)
-    if not data:
-        raise IncompatibleDataError("training data is empty")
-    _check_variant(init, data)
-    model = init.copy()
-    trajectory = []
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iters):
-        loglik, stats = _e_step(model, data)
-        trajectory.append(loglik)
-        if on_iteration is not None:
-            on_iteration(it, model, loglik)
-        if it > 0 and _rel_improvement(trajectory[-2], loglik) < cfg.rel_tol:
-            converged = True
-            break
-        model = _m_step(model, stats, cfg)
-        iterations += 1
-    if not converged:
-        final_ll, _ = _e_step(model, data, stats_needed=False)
-        trajectory.append(final_ll)
-        if on_iteration is not None:
-            on_iteration(iterations, model, final_ll)
-    return model, TrainReport(trajectory, iterations, converged)
+            new_trans[i] = row / total
+    new_em = em_mod.maximize(em_stats, cfg.smoothing, fallback=model.emissions)
+    return Hmm(new_pi, new_trans, new_em, model.topology)
 
 
 def _forward_backward(log_pi, log_trans, emissions, data, stats_needed):
     """Forward-backward over the sequences data[b], each scored with
     emissions[b] and entry b of the (N, B) log_pi and (N, N, B) log_trans
-    stacks (a batch axis of 1 shares one model): one posteriors_lattice
-    call, or one forward_lattice call without stats. Returns (logliks,
-    gamma, xi_sum, lengths), gamma and xi_sum None without stats."""
+    stacks: one posteriors_lattice call, or one forward_lattice call
+    without stats. Returns (logliks, gamma, xi_sum, lengths), gamma and
+    xi_sum None without stats."""
     lengths = np.array([len(obs) for obs in data])
     if not lengths.all():
         raise EmptyObservationError("empty observation sequence")
@@ -238,77 +224,163 @@ def _forward_backward(log_pi, log_trans, emissions, data, stats_needed):
     return (*posteriors_lattice(log_pi, log_trans, logb, lengths), lengths)
 
 
-def _total_loglik(logliks, what):
-    """math.fsum of the log likelihoods; DegenerateModelError counting
-    the -inf ones, if any."""
+def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
+    """Total log likelihood of data[i] on the composed chains[i] for
+    every i, and the tied statistics (pi, trans, emission) per model key
+    that occurs in a chain, or None without stats.
+
+    Initial-state evidence of a block is the chain's start posterior for
+    its first block and the boundary transitions into it for later ones.
+    Transition evidence covers every row of a block but the final row of
+    a block that is not the chain's last, which composition rewires.
+    """
+    composed = {}
+    for chain in dict.fromkeys(chains):
+        model, offsets = compose_models([(key, models[key]) for key in chain], exit_prob)
+        composed[chain] = (offsets, model.emissions, *model.log_params())
+    batches = {}
+    for i, chain in enumerate(chains):
+        batches.setdefault(len(composed[chain][2]), []).append(i)
+    logliks = np.empty(len(data))
+    post = [None] * len(data)
+    for batch in batches.values():
+        entries = [composed[chains[i]] for i in batch]
+        lls, gamma, xi_sum, lengths = _forward_backward(
+            np.stack([e[2] for e in entries], axis=-1),
+            np.stack([e[3] for e in entries], axis=-1),
+            [e[1] for e in entries],
+            [data[i] for i in batch],
+            stats_needed,
+        )
+        logliks[batch] = lls
+        if stats_needed:
+            for b, i in enumerate(batch):
+                post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
     n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
     if n_impossible:
-        raise DegenerateModelError(f"{n_impossible} of {len(logliks)} {what}")
-    return math.fsum(logliks.tolist())
-
-
-def _e_step(model, data, stats_needed=True):
-    """All sequences share the model, so they run as one batch."""
-    lp, lt = model.log_params()
-    logliks, gamma, xi_sum, lengths = _forward_backward(
-        lp[:, None], lt[:, :, None], [model.emissions] * len(data), data, stats_needed
-    )
-    total = _total_loglik(logliks, "sequences have zero likelihood under the model")
+        raise DegenerateModelError(
+            f"{n_impossible} of {len(data)} {what} have zero likelihood"
+            " under the current models"
+        )
+    total = math.fsum(logliks.tolist())
     if not stats_needed:
         return total, None
-    pi_acc = np.zeros(model.n_states)
-    trans_acc = np.zeros((model.n_states, model.n_states))
-    em_stats = em_mod.new_stats(model.emissions)
-    for b, seq in enumerate(data):
-        pi_acc += gamma[0, :, b]
-        trans_acc += xi_sum[:, :, b]
-        em_mod.accumulate_seq(em_stats, gamma[: lengths[b], :, b], seq)
-    return total, (pi_acc, trans_acc, em_stats)
+    accs = {}
+    for chain, obs, (gamma, xi_sum) in zip(chains, data, post):
+        offsets = composed[chain][0]
+        for k, key in enumerate(chain):
+            if key not in accs:
+                m = models[key]
+                accs[key] = (
+                    np.zeros(m.n_states),
+                    np.zeros((m.n_states, m.n_states)),
+                    em_mod.new_stats(m.emissions),
+                )
+            pi_acc, trans_acc, em_stats = accs[key]
+            off = offsets[k]
+            n = models[key].n_states
+            rows = n if k == len(chain) - 1 else n - 1
+            em_mod.accumulate_seq(em_stats, gamma[:, off : off + n], obs)
+            trans_acc[:rows] += xi_sum[off : off + rows, off : off + n]
+            pi_acc += gamma[0, off : off + n] if k == 0 else xi_sum[off - 1, off : off + n]
+    return total, accs
 
 
-def _m_step(model, stats, cfg):
-    pi_acc, trans_acc, em_stats = stats
-    pi_total = pi_acc.sum()
-    new_pi = pi_acc / pi_total if pi_total > 0 else model.pi.copy()
-    new_trans = _m_step_trans(model.trans, trans_acc)
-    new_em = em_mod.maximize(em_stats, cfg.smoothing, fallback=model.emissions)
-    return Hmm(new_pi, new_trans, new_em, model.topology)
+def _em(models, chains, data, exit_prob, cfg, on_iteration, what="sequences"):
+    """EM on the tied models (a dict keyed like the chains) until the
+    relative log-likelihood gain drops below cfg.rel_tol or
+    cfg.max_iters M-steps ran; data[i] is scored on chains[i].
 
-
-def train_segmented(
-    inventory,
-    labeled_segments,
-    cfg,
-    n_states=3,
-    topology=Topology.LEFT_TO_RIGHT,
-    init_models=None,
-    alphabet_size=None,
-):
-    """Train one model per phoneme from pre-segmented observations.
-
-    Phonemes are trained independently: the result for a phoneme
-    depends only on its own segments, the config and the seed.
-    Returns (models, reports), both keyed by phoneme id.
+    on_iteration(it, models, loglik) sees the models each log likelihood
+    was computed with. Returns (models, report): the report's
+    loglik_trajectory holds the total data log likelihood at the start
+    of every iteration plus the final models', and is non-decreasing;
+    keys in no chain keep their parameters and are listed as untouched.
     """
+    if not data:
+        raise IncompatibleDataError(f"no training {what}")
+    models = {key: m.copy() for key, m in models.items()}
+    trajectory = []
+    converged = False
+    iterations = 0
+    for it in range(cfg.max_iters):
+        loglik, accs = _e_step(models, chains, data, exit_prob, what)
+        trajectory.append(loglik)
+        if on_iteration is not None:
+            on_iteration(it, models, loglik)
+        if it > 0 and abs(loglik - trajectory[-2]) / (abs(loglik) + 1.0) < cfg.rel_tol:
+            converged = True
+            break
+        for key, stats in accs.items():
+            models[key] = _m_step(models[key], stats, cfg)
+        iterations += 1
+    if not converged:
+        final_ll, _ = _e_step(models, chains, data, exit_prob, what, stats_needed=False)
+        trajectory.append(final_ll)
+        if on_iteration is not None:
+            on_iteration(iterations, models, final_ll)
+    used = {key for chain in chains for key in chain}
+    untouched = tuple(key for key in models if key not in used)
+    return models, TrainReport(trajectory, iterations, converged, untouched)
+
+
+def baum_welch(init, data, cfg, on_iteration=None):
+    """EM re-estimation of one model from a set of observation sequences:
+    the engine with every sequence on the one-block chain of the model.
+
+    Returns (model, report); on_iteration(it, model, loglik) as in
+    train_embedded, with the one model.
+    """
+    data = list(data)
+
+    def hook(it, models, loglik):
+        if on_iteration is not None:
+            on_iteration(it, models[0], loglik)
+
+    # One-block chains have no exit rows, so exit_prob is unused.
+    models, report = _em({0: init}, [(0,)] * len(data), data, None, cfg, hook)
+    return models[0], report
+
+
+def train_segmented(lexicon, channel, segments, cfg, init_models=None):
+    """Train every phoneme of a channel on its own segments with
+    baum_welch: the result for a phoneme depends only on its segments,
+    the config and the seed.
+
+    segments maps phoneme ids to lists of observation sequences. Initial
+    models come from init_models when given, else from the statistics of
+    each phoneme's segments. Phonemes without segments keep their
+    lexicon-bound models and are reported as untouched. Returns (models,
+    report), models in inventory order; the report's loglik_trajectory
+    sums the phonemes' trajectories, one that stopped early holding its
+    final value.
+    """
+    inv = lexicon.inventory(channel)
+    data = {pid: list(segments[pid]) for pid in inv.phonemes if segments.get(pid)}
+    if not data:
+        raise IncompatibleDataError(f"no training segments for channel {channel!r}")
+    if init_models is None:
+        init_models = _initial_models(lexicon, channel, data, cfg, "segmented")
     models = {}
-    reports = {}
-    for pid in inventory:
-        segments = labeled_segments.get(pid)
-        if not segments:
-            raise MissingPhonemeDataError(pid)
-        if init_models is not None and pid in init_models:
-            init = init_models[pid]
+    reports = []
+    for pid, template in inv.phonemes.items():
+        if pid in data:
+            models[pid], report = baum_welch(init_models[pid], data[pid], cfg)
+            reports.append(report)
         else:
-            init = initial_model(
-                segments,
-                cfg,
-                n_states=n_states,
-                topology=topology,
-                alphabet_size=alphabet_size,
-                seed=derive_seed(cfg.seed, "segmented", pid),
-            )
-        models[pid], reports[pid] = baum_welch(init, segments, cfg)
-    return models, reports
+            models[pid] = template.copy()
+    length = max(len(r.loglik_trajectory) for r in reports)
+    trajectory = [
+        sum(r.loglik_trajectory[min(i, len(r.loglik_trajectory) - 1)] for r in reports)
+        for i in range(length)
+    ]
+    untouched = tuple(pid for pid in inv.phonemes if pid not in data)
+    return models, TrainReport(
+        trajectory,
+        max(r.iterations_run for r in reports),
+        all(r.converged for r in reports),
+        untouched,
+    )
 
 
 def train_embedded(
@@ -317,138 +389,29 @@ def train_embedded(
     """Embedded Baum-Welch over composed utterance models for one channel.
 
     utterances is a sequence of (sign id sequence, observation
-    sequence) pairs. Parameters of a phoneme are tied across all of its
-    occurrences; epenthesis fillers train like any other phoneme. The
-    bound models in the lexicon only provide each phoneme's state count
-    and topology; parameters start from init_models when given, else
-    from a data-driven initialization.
+    sequence) pairs; each is scored on the chain of its phoneme blocks
+    (parallel.block_ids). Epenthesis fillers train like any other
+    phoneme. The bound models in the lexicon only provide each phoneme's
+    state count, topology and alphabet; parameters start from
+    init_models when given, else from the statistics of all utterances.
 
-    Returns (models, report).
+    Returns (models, report), models in inventory order; phonemes that
+    occur in no utterance are listed in report.untouched_phonemes.
     """
     utterances = list(utterances)
-    if not utterances:
-        raise IncompatibleDataError("no training utterances")
-    inv = lexicon.inventory(channel)
-    phoneme_ids = list(inv.phonemes)
-    first = inv.phonemes[phoneme_ids[0]].emissions
-    for _, obs in utterances:
-        em_mod.check_observations(first, obs)
-
+    data = [obs for _, obs in utterances]
+    phonemes = lexicon.inventory(channel).phonemes
     if init_models is None:
-        all_obs = [obs for _, obs in utterances]
-        init_models = {}
-        for pid in phoneme_ids:
-            template = inv.phonemes[pid]
-            alphabet = (
-                template.emissions.alphabet_size
-                if isinstance(template.emissions, em_mod.DiscreteEmission)
-                else None
-            )
-            init_models[pid] = initial_model(
-                all_obs,
-                cfg,
-                n_states=template.n_states,
-                topology=template.topology,
-                alphabet_size=alphabet,
-                seed=derive_seed(cfg.seed, "embedded", channel, pid),
-            )
-    models = {pid: init_models[pid].copy() for pid in phoneme_ids}
-
-    block_id_seqs = {}
-    for signs, _ in utterances:
-        key = tuple(signs)
-        if key not in block_id_seqs:
-            block_id_seqs[key] = block_ids(lexicon, channel, signs)
-
-    trajectory = []
-    converged = False
-    iterations = 0
-    touched = set()
-    for it in range(cfg.max_iters):
-        loglik, accs, touched = _embedded_e_step(
-            models, block_id_seqs, utterances, lexicon.exit_prob
+        init_models = _initial_models(
+            lexicon, channel, dict.fromkeys(phonemes, data), cfg, "embedded"
         )
-        trajectory.append(loglik)
-        if on_iteration is not None:
-            on_iteration(it, models, loglik)
-        if it > 0 and _rel_improvement(trajectory[-2], loglik) < cfg.rel_tol:
-            converged = True
-            break
-        for pid in touched:
-            models[pid] = _m_step(models[pid], accs[pid], cfg)
-        iterations += 1
-    if not converged:
-        final_ll, _, _ = _embedded_e_step(
-            models, block_id_seqs, utterances, lexicon.exit_prob, stats_needed=False
-        )
-        trajectory.append(final_ll)
-        if on_iteration is not None:
-            on_iteration(iterations, models, final_ll)
-    untouched = tuple(pid for pid in phoneme_ids if pid not in touched)
-    report = TrainReport(trajectory, iterations, converged, untouched)
-    return models, report
-
-
-def _embedded_e_step(models, block_id_seqs, utterances, exit_prob, stats_needed=True):
-    """Pooled E-step over all utterances, one forward-backward per batch
-    of utterances whose composed models have the same state count.
-
-    Tied statistics per phoneme: initial-state evidence combines the
-    first block's start posteriors with the boundary transitions that
-    enter later occurrences; within-block transition evidence excludes
-    each block's final row, which is structural after composition.
-    Statistics are added in corpus order whatever the batches.
-    """
-    composed = {}
-    for key, id_seq in block_id_seqs.items():
-        blocks = [(pid, models[pid]) for pid in id_seq]
-        model, offsets = compose_models(blocks, exit_prob)
-        composed[key] = (blocks, offsets, model.emissions, *model.log_params())
-    batches = {}
-    for i, (signs, _) in enumerate(utterances):
-        batches.setdefault(len(composed[tuple(signs)][3]), []).append(i)
-    logliks = np.empty(len(utterances))
-    post = [None] * len(utterances)
-    for batch in batches.values():
-        entries = [composed[tuple(utterances[i][0])] for i in batch]
-        lls, gamma, xi_sum, lengths = _forward_backward(
-            np.stack([e[3] for e in entries], axis=-1),
-            np.stack([e[4] for e in entries], axis=-1),
-            [e[2] for e in entries],
-            [utterances[i][1] for i in batch],
-            stats_needed,
-        )
-        logliks[batch] = lls
-        if stats_needed:
-            for b, i in enumerate(batch):
-                post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
-    total = _total_loglik(
-        logliks, "utterances have zero likelihood under the current models"
+    chains = [tuple(block_ids(lexicon, channel, signs)) for signs, _ in utterances]
+    return _em(
+        {pid: init_models[pid] for pid in phonemes},
+        chains,
+        data,
+        lexicon.exit_prob,
+        cfg,
+        on_iteration,
+        what="utterances",
     )
-    if not stats_needed:
-        return total, None, None
-    accs = {
-        pid: (
-            np.zeros(m.n_states),
-            np.zeros((m.n_states, m.n_states)),
-            em_mod.new_stats(m.emissions),
-        )
-        for pid, m in models.items()
-    }
-    touched = set()
-    for (signs, obs), (gamma, xi_sum) in zip(utterances, post):
-        blocks, offsets = composed[tuple(signs)][:2]
-        for k, (pid, sub) in enumerate(blocks):
-            off = offsets[k]
-            n = sub.n_states
-            pi_acc, trans_acc, em_stats = accs[pid]
-            touched.add(pid)
-            em_mod.accumulate_seq(em_stats, gamma[:, off : off + n], obs)
-            if n > 1:
-                trans_acc[: n - 1, :] += xi_sum[off : off + n - 1, off : off + n]
-            if k == 0:
-                pi_acc += gamma[0, off : off + n]
-            else:
-                prev_last = offsets[k - 1] + blocks[k - 1][1].n_states - 1
-                pi_acc += xi_sum[prev_last, off : off + n]
-    return total, accs, touched

@@ -14,8 +14,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from phmm.emissions import log_density_seq
-from phmm.errors import NoFiniteHypothesisError, ValidationError
+from phmm.emissions import (
+    DiscreteEmission,
+    DiscreteStats,
+    accumulate_seq,
+    log_density_seq,
+    maximize,
+    new_stats,
+)
+from phmm.errors import DegenerateModelError, NoFiniteHypothesisError, ValidationError
+from phmm.hmm import Hmm, forward_lattice, posteriors_lattice
 from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
 from phmm.logmath import LOG_ZERO, logsumexp, safe_log
 from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models
@@ -40,7 +48,7 @@ def brute_forward(log_pi, log_trans, logb):
     """log sum over every state path of P(path, obs)."""
     t_len, n = logb.shape
     scores = [path_score(log_pi, log_trans, logb, p) for p in all_paths(n, t_len)]
-    return logsumexp(np.array(scores))
+    return logsumexp(np.array(scores), axis=0)
 
 def brute_viterbi(log_pi, log_trans, logb):
     """(path, score) by full enumeration.
@@ -77,7 +85,7 @@ def posteriors_oracle(log_pi, log_trans, logb):
     alpha[0] = log_pi + logb[0]
     for t in range(1, t_len):
         alpha[t] = logsumexp(alpha[t - 1][:, None] + log_trans, axis=0) + logb[t]
-    loglik = logsumexp(alpha[-1])
+    loglik = logsumexp(alpha[-1], axis=0)
     if loglik == LOG_ZERO:
         return loglik, None, None
     beta = np.empty((t_len, n))
@@ -91,6 +99,152 @@ def posteriors_oracle(log_pi, log_trans, logb):
             alpha[t][:, None] + log_trans + (logb[t + 1] + beta[t + 1])[None, :] - loglik
         )
     return loglik, gamma, xi_sum
+
+
+def log_density(em, state, x):
+    """Log output density of one observation x at one state, the
+    reference for emissions.log_density_seq: the log table entry
+    (exactly -inf for a zero entry), or the diagonal-Gaussian density."""
+    if isinstance(em, DiscreteEmission):
+        return float(safe_log(em.probs[state, int(x)]))
+    var = em.variances[state]
+    diff = np.asarray(x, dtype=float) - em.means[state]
+    return float(
+        -0.5 * (em.dim * math.log(2 * math.pi) + np.sum(np.log(var)) + np.sum(diff * diff / var))
+    )
+
+
+def accumulate(stats, state, x, weight):
+    """Add one weighted observation to the statistics in place, the
+    reference for emissions.accumulate_seq."""
+    if isinstance(stats, DiscreteStats):
+        stats.counts[state, int(x)] += weight
+    else:
+        v = np.asarray(x, dtype=float)
+        stats.weight[state] += weight
+        stats.wsum[state] += weight * v
+        stats.wsq[state] += weight * v * v
+    return stats
+
+
+def _single_model_e_step(model, data, stats_needed=True):
+    """Every sequence on the one model, as one batch of a shared (N, 1)
+    log_pi and (N, N, 1) log_trans."""
+    lengths = np.array([len(obs) for obs in data])
+    lp, lt = model.log_params()
+    logb = np.full((lengths.max(), model.n_states, len(data)), LOG_ZERO)
+    for b, obs in enumerate(data):
+        logb[: lengths[b], :, b] = log_density_seq(model.emissions, obs)
+    if stats_needed:
+        logliks, gamma, xi_sum = posteriors_lattice(lp[:, None], lt[:, :, None], logb, lengths)
+    else:
+        logliks, _ = forward_lattice(lp[:, None], lt[:, :, None], logb, lengths)
+    if np.any(logliks == LOG_ZERO):
+        raise DegenerateModelError("sequences have zero likelihood under the model")
+    total = math.fsum(logliks.tolist())
+    if not stats_needed:
+        return total, None
+    pi_acc = np.zeros(model.n_states)
+    trans_acc = np.zeros((model.n_states, model.n_states))
+    em_stats = new_stats(model.emissions)
+    for b, seq in enumerate(data):
+        pi_acc += gamma[0, :, b]
+        trans_acc += xi_sum[:, :, b]
+        accumulate_seq(em_stats, gamma[: lengths[b], :, b], seq)
+    return total, (pi_acc, trans_acc, em_stats)
+
+
+def _single_model_m_step(model, stats, cfg):
+    """Normalized expected counts; a row or pi without evidence keeps its
+    previous values, and maximize falls back to the previous emissions."""
+    pi_acc, trans_acc, em_stats = stats
+    new_pi = pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else model.pi.copy()
+    new_trans = model.trans.copy()
+    for i in range(model.n_states):
+        if trans_acc[i].sum() > 0:
+            new_trans[i] = trans_acc[i] / trans_acc[i].sum()
+    new_em = maximize(em_stats, cfg.smoothing, fallback=model.emissions)
+    return Hmm(new_pi, new_trans, new_em, model.topology)
+
+
+def baum_welch_oracle(init, data, cfg):
+    """Single-model Baum-Welch with its own E-step, M-step and EM loop:
+    the reference for training.baum_welch. Returns (model,
+    loglik_trajectory, iterations_run, converged)."""
+    model = init.copy()
+    trajectory = []
+    for it in range(cfg.max_iters):
+        loglik, stats = _single_model_e_step(model, data)
+        trajectory.append(loglik)
+        if it > 0 and abs(loglik - trajectory[-2]) / (abs(loglik) + 1.0) < cfg.rel_tol:
+            return model, trajectory, it, True
+        model = _single_model_m_step(model, stats, cfg)
+    trajectory.append(_single_model_e_step(model, data, stats_needed=False)[0])
+    return model, trajectory, cfg.max_iters, False
+
+
+def tied_counts_oracle(models, chains, data, exit_prob):
+    """Expected counts of every tied parameter, pooled over the sequences
+    data[i] on the chains[i] of models[key], by enumerating the state
+    paths of each chain with the composition wiring written out: the
+    final state of a block before the chain's last loops with
+    1 - exit_prob (a constant) and enters state j of the next block with
+    exit_prob times that block's pi[j] (initial-state evidence for it).
+    Returns {key: (pi counts, trans counts, emission stats)}.
+    """
+    counts = {}
+    for chain in chains:
+        for key in chain:
+            m = models[key]
+            counts.setdefault(
+                key,
+                (np.zeros(m.n_states), np.zeros((m.n_states, m.n_states)), new_stats(m.emissions)),
+            )
+    for chain, obs in zip(chains, data):
+        states = [(k, i) for k, key in enumerate(chain) for i in range(models[key].n_states)]
+        emit = [[log_density(models[chain[k]].emissions, i, x) for k, i in states] for x in obs]
+
+        def step(a, b):
+            """(probability, tied parameter or None) of the move a -> b."""
+            (k, i), (l, j) = states[a], states[b]
+            model = models[chain[k]]
+            if i < model.n_states - 1 or k == len(chain) - 1:
+                return (model.trans[i, j], (k, "trans", i, j)) if l == k else (0.0, None)
+            if (l, j) == (k, i):
+                return 1.0 - exit_prob, None
+            if l == k + 1:
+                return exit_prob * models[chain[l]].pi[j], (l, "pi", j)
+            return 0.0, None
+
+        weights = {}
+        for path in all_paths(len(states), len(obs)):
+            k0, i0 = states[path[0]]
+            if k0 != 0 or models[chain[0]].pi[i0] == 0:
+                continue
+            logw = math.log(models[chain[0]].pi[i0]) + emit[0][path[0]]
+            uses = [(0, "pi", i0)]
+            for t in range(1, len(obs)):
+                prob, param = step(path[t - 1], path[t])
+                if prob == 0:
+                    break
+                logw += math.log(prob) + emit[t][path[t]]
+                uses.append(param)
+            else:
+                weights[path] = (logw, uses)
+        top = max(logw for logw, _ in weights.values())
+        total = math.fsum(math.exp(logw - top) for logw, _ in weights.values())
+        for path, (logw, uses) in weights.items():
+            w = math.exp(logw - top) / total
+            for param in filter(None, uses):
+                pi, trans, _ = counts[chain[param[0]]]
+                if param[1] == "pi":
+                    pi[param[2]] += w
+                else:
+                    trans[param[2], param[3]] += w
+            for t, s in enumerate(path):
+                k, i = states[s]
+                accumulate(counts[chain[k]][2], i, obs[t], w)
+    return counts
 
 
 def split_forward_oracle(model_a, model_b, exit_prob, obs, logb_a, logb_b):
@@ -122,10 +276,10 @@ def split_forward_oracle(model_a, model_b, exit_prob, obs, logb_a, logb_b):
             path_score(log_pi_b, log_trans_b, logb_b[tau:], p)
             for p in all_paths(n_b, t_len - tau)
         ]
-        left = logsumexp(np.array(a_scores)) if a_scores else LOG_ZERO
-        right = logsumexp(np.array(b_scores)) if b_scores else LOG_ZERO
+        left = logsumexp(np.array(a_scores), axis=0) if a_scores else LOG_ZERO
+        right = logsumexp(np.array(b_scores), axis=0) if b_scores else LOG_ZERO
         terms.append(left + log_exit + right)
-    return logsumexp(np.array(terms))
+    return logsumexp(np.array(terms), axis=0)
 
 
 def segment_scores_oracle(unit, t0):

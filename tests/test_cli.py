@@ -10,7 +10,7 @@ from phmm.corpus import GenConfig, Utterance, generate, read_corpus
 from phmm.demo import demo_lexicon
 from phmm.errors import ValidationError
 from phmm.hmm import sample
-from phmm.lexicon import MultiObservation
+from phmm.lexicon import MultiObservation, validate_lexicon
 from phmm.model_io import load_model, save_model
 from phmm.parallel import compose_utterance_model
 
@@ -148,6 +148,70 @@ def test_train_segmented_requires_paths(tmp_path, demo_corpus):
     ) == 3
 
 
+def test_train_segmented_end_to_end(tmp_path, capsys):
+    # Single-sign utterances never use the epenthesis fillers, so they
+    # keep their lexicon-bound models and are flagged untouched.
+    corpus = tmp_path / "single.jsonl"
+    assert run(
+        ["generate", "--lexicon", "demo", "--n", 6, "--seed", 4,
+         "--max-signs", 1, "--out", corpus]
+    ) == 0
+    outs = []
+    for name in ("a.json", "b.json"):
+        outs.append(tmp_path / name)
+        assert run(
+            ["train", "--corpus", corpus, "--lexicon", "demo", "--mode", "segmented",
+             "--seed", 1, "--max-iters", 10, "--out", outs[-1]]
+        ) == 0
+    printed = capsys.readouterr().out
+    assert "channel right_hand:" in printed and " untouched=R_eps\n" in printed
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    lexicon, prov = load_model(outs[0])
+    validate_lexicon(lexicon)
+    assert prov["seed"] == 1
+    demo = demo_lexicon().inventory("right_hand").phonemes["R_eps"]
+    trained = lexicon.inventory("right_hand").phonemes["R_eps"]
+    assert np.array_equal(trained.trans, demo.trans)
+    assert np.array_equal(trained.emissions.probs, demo.emissions.probs)
+    assert not np.array_equal(
+        lexicon.inventory("right_hand").phonemes["R0"].emissions.probs,
+        demo_lexicon().inventory("right_hand").phonemes["R0"].emissions.probs,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, option, value, code",
+    [
+        ("train", "--rel-tol", "0", 2),
+        ("train", "--rel-tol", "nan", 2),
+        ("train", "--smoothing", "-1", 2),
+        ("generate", "--seed", "-1", 2),
+        ("generate", "--noise", "nan", 2),
+        ("generate", "--noise", "-0.5", 2),
+        ("generate", "--noise", "1.5", 3),
+    ],
+)
+def test_invalid_option_value_exit_code(
+    command, option, value, code, tmp_path, demo_corpus, capsys
+):
+    # Each case exits 2 (usage) or 3 (invalid input) before writing output;
+    # a discrete noise rate above 1 is only invalid for the lexicon's
+    # discrete channels, hence input, not usage.
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--corpus", demo_corpus, "--lexicon", "demo", "--max-iters", 2]
+    else:
+        args = ["generate", "--lexicon", "demo", "--n", 3]
+    args += ["--seed", 1, "--out", out, option, value]
+    try:
+        got = run(args)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert not out.exists()
+    assert option.strip("-").replace("-", "_") in capsys.readouterr().err
+
+
 def test_decode_records(tmp_path, trained_model, demo_corpus):
     hyp = tmp_path / "hyp.jsonl"
     assert run(
@@ -225,8 +289,9 @@ def test_decode_rejects_nan_model(tmp_path, trained_model, demo_corpus, capsys):
         lambda rec: {k: v for k, v in rec.items() if k != "signs"},
         lambda rec: {k: v for k, v in rec.items() if k != "channels"},
         lambda rec: [rec],
+        lambda rec: {**rec, "id": ["a"]},
     ],
-    ids=["ragged-channel", "no-signs", "no-channels", "not-an-object"],
+    ids=["ragged-channel", "no-signs", "no-channels", "not-an-object", "non-string-id"],
 )
 def test_decode_malformed_corpus_record_is_input_error(
     corrupt, tmp_path, trained_model, demo_corpus, capsys

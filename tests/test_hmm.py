@@ -137,7 +137,7 @@ def test_backward_last_row_zero_and_consistency():
         beta = backward(h, obs)
         assert np.all(beta[-1] == 0.0)
         for t in range(5):
-            assert logsumexp(alpha[t] + beta[t]) == pytest.approx(loglik, abs=1e-9)
+            assert logsumexp(alpha[t] + beta[t], axis=0) == pytest.approx(loglik, abs=1e-9)
 
 
 def test_backward_degenerate_single_state():
@@ -205,7 +205,7 @@ def test_gaussian_inference_consistency():
     loglik, alpha = forward(h, obs)
     beta = backward(h, obs)
     for t in range(6):
-        assert logsumexp(alpha[t] + beta[t]) == pytest.approx(loglik, abs=1e-9)
+        assert logsumexp(alpha[t] + beta[t], axis=0) == pytest.approx(loglik, abs=1e-9)
     _, score = viterbi(h, obs)
     assert score <= loglik + 1e-12
 

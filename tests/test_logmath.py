@@ -22,12 +22,12 @@ def test_logsumexp_matches_direct_sum():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.normal(-5, 3, size=7)
-        assert logsumexp(x) == pytest.approx(math.log(sum(math.exp(v) for v in x)), abs=1e-12)
+        assert logsumexp(x, axis=0) == pytest.approx(math.log(sum(math.exp(v) for v in x)), abs=1e-12)
 
 
 def test_logsumexp_neg_inf_identity():
-    assert logsumexp(np.array([LOG_ZERO, -1.5])) == pytest.approx(-1.5)
-    assert logsumexp(np.array([LOG_ZERO, LOG_ZERO])) == LOG_ZERO
+    assert logsumexp(np.array([LOG_ZERO, -1.5]), axis=0) == pytest.approx(-1.5)
+    assert logsumexp(np.array([LOG_ZERO, LOG_ZERO]), axis=0) == LOG_ZERO
 
 
 def test_logsumexp_axis_all_neg_inf_column():
@@ -40,4 +40,4 @@ def test_logsumexp_axis_all_neg_inf_column():
 
 def test_logsumexp_extreme_magnitudes():
     x = np.array([-1000.0, -1000.5])
-    assert logsumexp(x) == pytest.approx(-1000.0 + math.log(1 + math.exp(-0.5)))
+    assert logsumexp(x, axis=0) == pytest.approx(-1000.0 + math.log(1 + math.exp(-0.5)))

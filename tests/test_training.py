@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
 
-from helpers import left_to_right_hmm, mixed_lexicon, random_discrete_hmm, sample_mobs
+from helpers import (
+    left_to_right_hmm,
+    mixed_lexicon,
+    random_discrete_hmm,
+    random_phoneme,
+    sample_mobs,
+)
+from oracles import baum_welch_oracle, tied_counts_oracle
 from phmm.emissions import DiscreteEmission, GaussianEmission
 from phmm.errors import (
     DegenerateModelError,
     IncompatibleDataError,
-    MissingPhonemeDataError,
     NonFiniteEntryError,
     VariantMismatchError,
 )
 from phmm.hmm import Hmm, Topology, forward, sample, validate
 from phmm.lexicon import Lexicon, PhonemeInventory, Sign
+from phmm.parallel import compose_models
 from phmm.training import (
     TrainConfig,
+    _e_step,
     baum_welch,
     derive_seed,
     initial_model,
@@ -106,8 +114,18 @@ def test_degenerate_init_raises():
 
 def test_variant_mismatch_raises():
     init = left_to_right_hmm()
-    with pytest.raises(IncompatibleDataError):
+    with pytest.raises(VariantMismatchError):
         baum_welch(init, [np.zeros((4, 2))], TrainConfig())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rel_tol", 0.0), ("rel_tol", np.nan), ("smoothing", -1.0), ("smoothing", np.nan),
+     ("max_iters", 0)],
+)
+def test_train_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_determinism_same_seed_same_model():
@@ -146,24 +164,38 @@ def test_initial_model_respects_topology_and_stats():
     assert np.allclose(flat.emissions.probs[0], [2 / 7, 2 / 7, 3 / 7])
 
 
+def _single_phoneme_lexicon(model):
+    inv = PhonemeInventory(phonemes={"p": model})
+    sign = Sign("s", {"ch": ["p"]})
+    return Lexicon(channels=["ch"], inventories={"ch": inv}, signs={"s": sign})
+
+
+def _phoneme_lexicon(phonemes):
+    """Channel "ch" over the given phoneme models, one sign per phoneme."""
+    inv = PhonemeInventory(phonemes=dict(phonemes))
+    signs = {pid: Sign(pid, {"ch": [pid]}) for pid in phonemes}
+    return Lexicon(channels=["ch"], inventories={"ch": inv}, signs=signs)
+
+
 def test_train_segmented_reduces_to_baum_welch():
     rng = np.random.default_rng(10)
     gen = left_to_right_hmm(rng=rng)
     segments = [sample(gen, 8, np.random.default_rng((10, i)))[0] for i in range(6)]
     cfg = TrainConfig(max_iters=10, seed=21)
-    models, reports = train_segmented(["p"], {"p": segments}, cfg, alphabet_size=4)
+    models, report = train_segmented(_single_phoneme_lexicon(gen), "ch", {"p": segments}, cfg)
     init = initial_model(
         segments,
         cfg,
         n_states=3,
         topology=Topology.LEFT_TO_RIGHT,
         alphabet_size=4,
-        seed=derive_seed(21, "segmented", "p"),
+        seed=derive_seed(21, "segmented", "ch", "p"),
     )
     direct, direct_report = baum_welch(init, segments, cfg)
-    assert np.allclose(models["p"].trans, direct.trans, atol=0)
-    assert np.allclose(models["p"].emissions.probs, direct.emissions.probs, atol=0)
-    assert reports["p"].loglik_trajectory == direct_report.loglik_trajectory
+    assert np.array_equal(models["p"].trans, direct.trans)
+    assert np.array_equal(models["p"].emissions.probs, direct.emissions.probs)
+    assert report.loglik_trajectory == direct_report.loglik_trajectory
+    assert report.untouched_phonemes == ()
 
 
 def test_train_segmented_independent_of_other_phonemes():
@@ -174,15 +206,28 @@ def test_train_segmented_independent_of_other_phonemes():
     segs_b = [sample(gen_b, 8, np.random.default_rng((2, i)))[0] for i in range(5)]
     segs_c = [sample(gen_b, 8, np.random.default_rng((3, i)))[0] for i in range(5)]
     cfg = TrainConfig(max_iters=8, seed=2)
-    m1, _ = train_segmented(["a", "b"], {"a": segs_a, "b": segs_b}, cfg, alphabet_size=4)
-    m2, _ = train_segmented(["a", "b"], {"a": segs_a, "b": segs_c}, cfg, alphabet_size=4)
+    lex = _phoneme_lexicon({"a": gen_a, "b": gen_b})
+    m1, _ = train_segmented(lex, "ch", {"a": segs_a, "b": segs_b}, cfg)
+    m2, _ = train_segmented(lex, "ch", {"a": segs_a, "b": segs_c}, cfg)
     assert np.array_equal(m1["a"].trans, m2["a"].trans)
     assert np.array_equal(m1["a"].emissions.probs, m2["a"].emissions.probs)
 
 
 def test_train_segmented_missing_phoneme():
-    with pytest.raises(MissingPhonemeDataError):
-        train_segmented(["a"], {}, TrainConfig())
+    # A phoneme without segments keeps its lexicon-bound model.
+    rng = np.random.default_rng(15)
+    gen_a = left_to_right_hmm(rng=rng)
+    gen_b = left_to_right_hmm(rng=rng)
+    lex = _phoneme_lexicon({"a": gen_a, "b": gen_b})
+    segs = [sample(gen_a, 8, np.random.default_rng((4, i)))[0] for i in range(5)]
+    models, report = train_segmented(lex, "ch", {"a": segs, "b": []}, TrainConfig(max_iters=4))
+    assert list(models) == ["a", "b"]
+    assert report.untouched_phonemes == ("b",)
+    assert np.array_equal(models["b"].trans, gen_b.trans)
+    assert np.array_equal(models["b"].emissions.probs, gen_b.emissions.probs)
+    assert models["b"] is not gen_b
+    with pytest.raises(IncompatibleDataError, match="no training segments"):
+        train_segmented(lex, "ch", {}, TrainConfig())
 
 
 def test_train_segmented_recovers_generators():
@@ -205,43 +250,94 @@ def test_train_segmented_recovers_generators():
         for k, (pid, m) in enumerate(phonemes.items())
     }
     cfg = TrainConfig(max_iters=40, seed=77)
-    models, _ = train_segmented(list(phonemes), train, cfg, alphabet_size=8)
+    models, _ = train_segmented(_phoneme_lexicon(phonemes), "ch", train, cfg)
     for pid in phonemes:
         ll_true = sum(forward(phonemes[pid], seq)[0] for seq in held[pid])
         ll_learned = sum(forward(models[pid], seq)[0] for seq in held[pid])
         assert abs(ll_learned - ll_true) / abs(ll_true) <= 0.05
 
 
-def _single_phoneme_lexicon(model):
-    inv = PhonemeInventory(phonemes={"p": model})
-    sign = Sign("s", {"ch": ["p"]})
-    return Lexicon(channels=["ch"], inventories={"ch": inv}, signs={"s": sign})
+def _assert_same_model(a, b):
+    assert np.array_equal(a.pi, b.pi)
+    assert np.array_equal(a.trans, b.trans)
+    assert type(a.emissions) is type(b.emissions)
+    for name, arr in vars(a.emissions).items():
+        assert np.array_equal(arr, getattr(b.emissions, name))
 
 
-def test_embedded_single_phoneme_reduces_to_baum_welch():
+TOPOLOGIES = [(False, False), (False, True), (True, False), (True, True)]
+TOPOLOGY_IDS = ["bakis", "ergodic", "bakis-gaussian", "ergodic-gaussian"]
+
+
+@pytest.mark.parametrize("gaussian, ergodic", TOPOLOGIES, ids=TOPOLOGY_IDS)
+def test_baum_welch_and_segmented_equal_single_model_oracle(gaussian, ergodic):
+    rng = np.random.default_rng(12)
+    gen = random_phoneme(rng, 3, gaussian, ergodic)
+    data = [sample(gen, 5 + i % 7, np.random.default_rng((12, i)))[0] for i in range(12)]
+    for max_iters in (1, 4, 200):
+        cfg = TrainConfig(max_iters=max_iters, seed=9)
+        init = initial_model(data, cfg, n_states=3, topology=gen.topology)
+        want, trajectory, iterations, converged = baum_welch_oracle(init, data, cfg)
+        got, report = baum_welch(init, data, cfg)
+        _assert_same_model(got, want)
+        assert report.loglik_trajectory == trajectory
+        assert (report.iterations_run, report.converged) == (iterations, converged)
+        models, seg_report = train_segmented(
+            _single_phoneme_lexicon(gen), "ch", {"p": data}, cfg, init_models={"p": init}
+        )
+        _assert_same_model(models["p"], want)
+        assert seg_report.loglik_trajectory == trajectory
+    assert converged
+
+
+@pytest.mark.parametrize("gaussian, ergodic", TOPOLOGIES, ids=TOPOLOGY_IDS)
+def test_embedded_single_phoneme_reduces_to_baum_welch(gaussian, ergodic):
+    # An ergodic phoneme's final row is trained like every other row, as
+    # in single-model Baum-Welch; a Bakis final row stays [0, ..., 0, 1].
     rng = np.random.default_rng(8)
-    gen = left_to_right_hmm(rng=rng)
+    gen = random_phoneme(rng, 3, gaussian, ergodic)
     lex = _single_phoneme_lexicon(gen)
     utts = [
         (["s"], sample(gen, 9, np.random.default_rng((8, i)))[0]) for i in range(10)
     ]
     cfg = TrainConfig(max_iters=12, seed=3)
     init = initial_model(
-        [obs for _, obs in utts],
-        cfg,
-        n_states=3,
-        topology=Topology.LEFT_TO_RIGHT,
-        alphabet_size=4,
-        seed=1234,
+        [obs for _, obs in utts], cfg, n_states=3, topology=gen.topology, seed=1234
     )
     emb_models, emb_report = train_embedded(
         lex, "ch", utts, cfg, init_models={"p": init}
     )
     direct, direct_report = baum_welch(init, [obs for _, obs in utts], cfg)
-    assert np.allclose(emb_models["p"].pi, direct.pi, atol=0)
-    assert np.allclose(emb_models["p"].trans, direct.trans, atol=0)
-    assert np.allclose(emb_models["p"].emissions.probs, direct.emissions.probs, atol=0)
+    _assert_same_model(emb_models["p"], direct)
     assert emb_report.loglik_trajectory == direct_report.loglik_trajectory
+    if not ergodic:
+        assert emb_models["p"].trans[-1].tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_tied_statistics_equal_path_enumeration(gaussian):
+    # Multi-block chains of ergodic and Bakis phonemes, repeated phonemes
+    # included: the E-step's pooled statistics against explicit paths.
+    rng = np.random.default_rng(19)
+    models = {
+        "a": random_phoneme(rng, 2, gaussian, ergodic=True),
+        "b": random_phoneme(rng, 1, gaussian, ergodic=True),
+        "c": random_phoneme(rng, 2, gaussian, ergodic=False),
+    }
+    chains = [("a",), ("a", "b"), ("b", "a"), ("c", "a"), ("a", "b", "c"), ("a", "a")]
+    data = []
+    for i, chain in enumerate(chains):
+        blocks = [(key, models[key]) for key in chain]
+        composed, _ = compose_models(blocks, 0.3)
+        data.append(sample(composed, 3 + i % 3, np.random.default_rng((19, i)))[0])
+    _, accs = _e_step(models, chains, data, 0.3, "sequences")
+    want = tied_counts_oracle(models, chains, data, 0.3)
+    assert list(accs) == list(want) == ["a", "b", "c"]
+    for key, (pi, trans, stats) in accs.items():
+        assert np.allclose(pi, want[key][0], rtol=1e-9, atol=1e-12)
+        assert np.allclose(trans, want[key][1], rtol=1e-9, atol=1e-12)
+        for name, arr in vars(stats).items():
+            assert np.allclose(arr, getattr(want[key][2], name), rtol=1e-9, atol=1e-12)
 
 
 def test_embedded_unused_phoneme_unchanged_and_flagged():
@@ -339,9 +435,13 @@ def _mixed_utterances(lex, n, seed):
     return utts
 
 
-@pytest.mark.parametrize("gaussian", [False, True])
-def test_embedded_training_repeats_exactly(gaussian):
-    lex = mixed_lexicon(np.random.default_rng(71), gaussian=gaussian, policy="between_signs")
+@pytest.mark.parametrize(
+    "gaussian, ergodic", TOPOLOGIES, ids=["False", "ergodic", "True", "ergodic-gaussian"]
+)
+def test_embedded_training_repeats_exactly(gaussian, ergodic):
+    lex = mixed_lexicon(
+        np.random.default_rng(71), gaussian=gaussian, ergodic=ergodic, policy="between_signs"
+    )
     utts = _mixed_utterances(lex, 24, 72)
     cfg = TrainConfig(max_iters=6, seed=4)
     (m1, r1), (m2, r2) = (train_embedded(lex, "c0", utts, cfg) for _ in range(2))
