@@ -14,6 +14,7 @@ written with full round-trip precision.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class GenConfig:
     signs_per_utterance: tuple = (1, 3)
     state_dwell: tuple = (2, 4)
     epenthesis_dwell: tuple = (2, 4)
-    channel_noise: dict | float = 0.0
+    channel_noise: float = 0.0
     desync_jitter: int = 0
     emit_paths: bool = True
 
@@ -52,14 +53,8 @@ class GenConfig:
             raise ValidationError("desync_jitter must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        noise = self.channel_noise
-        if not all(x >= 0 for x in (noise.values() if isinstance(noise, dict) else [noise])):
-            raise ValidationError(f"channel_noise must be >= 0, got {noise!r}")
-
-    def noise_for(self, channel):
-        if isinstance(self.channel_noise, dict):
-            return float(self.channel_noise.get(channel, 0.0))
-        return float(self.channel_noise)
+        if not isinstance(self.channel_noise, numbers.Real) or not self.channel_noise >= 0:
+            raise ValidationError(f"channel_noise must be a float >= 0, got {self.channel_noise!r}")
 
 
 @dataclass
@@ -113,7 +108,7 @@ def generate(lexicon, cfg):
                 int(rng.integers(0, cfg.desync_jitter + 1)) if cfg.desync_jitter else 0
             )
             obs, path = hmm_mod.sample(model, t_len, rng)
-            obs = _apply_noise(model, obs, cfg.noise_for(ch), rng)
+            obs = _apply_noise(model, obs, float(cfg.channel_noise), rng)
             channels[ch] = obs
             paths[ch] = path
         utterances.append(

@@ -96,6 +96,13 @@ def lexicon_to_json(lexicon, provenance=None):
     }
 
 
+def _array(field, value):
+    """value, which must be a JSON array (a string would be read by character)."""
+    if not isinstance(value, list):
+        raise FileFormatError(f"model file field {field} must be a JSON array, got {value!r}")
+    return value
+
+
 def lexicon_from_json(data):
     """Returns (lexicon, provenance); FileFormatError for a document that
     does not follow the model-file schema."""
@@ -114,11 +121,11 @@ def lexicon_from_json(data):
                 epenthesis=inv.get("epenthesis"),
             )
         signs = {
-            sid: Sign(sid, {ch: list(seq) for ch, seq in chans.items()})
+            sid: Sign(sid, {ch: list(_array(f"signs.{sid}.{ch}", s)) for ch, s in chans.items()})
             for sid, chans in data["signs"].items()
         }
         lexicon = Lexicon(
-            channels=list(data["channels"]),
+            channels=list(_array("channels", data["channels"])),
             inventories=inventories,
             signs=signs,
             epenthesis_policy=data.get("epenthesis_policy", "none"),

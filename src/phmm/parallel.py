@@ -23,11 +23,11 @@ units and entry frames a frame at a time. Max and + are exact and -inf
 padding never wins a max, so every score is bit-identical to scoring
 the candidates, units or entry frames one at a time.
 
-The synchronized token search is fused with that recursion: at each
-frame, numpy sums every (unit, entry frame) pair's channel scores at
-once, and only the pairs whose sum is within a rounding-error bound of
-their unit's best are rescored with math.fsum, which gives the exact
-scores and ties of scoring every pair with math.fsum.
+Both decoders pick winners with one exact argmax, _best_entries: numpy
+sums the channel scores of every row, and only rows within a rounding
+bound of the best are rescored with math.fsum. It runs once over the
+exhaustive candidates, whose winner is backtracked on its stack row, and
+at each frame over the synced search's (unit, entry frame) pairs.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ from .logmath import LOG_ZERO, safe_log
 MAX_CANDIDATES = 1_000_000
 
 EPS_UNIT = "<eps>"
-
-# Compose-cache key tag of the candidate stacks: (_STACK, channel, k).
-_STACK = "candidate stack"
 
 
 @dataclass
@@ -139,18 +136,7 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _cached_model(lexicon, channel, signs, cache):
-    """Composed channel model, memoized per (channel, sign sequence)."""
-    key = (channel, signs)
-    model = None if cache is None else cache.get(key)
-    if model is None:
-        model = compose_utterance_model(lexicon, channel, signs)
-        if cache is not None:
-            cache[key] = model
-    return model
-
-
-def score_hypothesis(lexicon, signs, mobs, cache=None):
+def score_hypothesis(lexicon, signs, mobs):
     """Score one sign sequence: independent per-channel Viterbi alignments.
 
     Every lexicon channel needs a nonempty observation sequence
@@ -164,7 +150,7 @@ def score_hypothesis(lexicon, signs, mobs, cache=None):
     channel_scores = {}
     state_paths = {}
     for ch in lexicon.channels:
-        model = _cached_model(lexicon, ch, signs, cache)
+        model = compose_utterance_model(lexicon, ch, signs)
         try:
             state_paths[ch], channel_scores[ch] = viterbi(model, mobs.channels[ch])
         except AllPathsZeroError:
@@ -223,27 +209,26 @@ def _candidate_stack(lexicon, channel, candidates):
     return _stack(models, columns)
 
 
-def _channel_score_groups(lexicon, mobs, max_signs, cache):
-    """One (candidates, {channel: (B,) best-path scores}) pair per sign
-    count k = 1..max_signs, candidates in enumeration order."""
-    sign_ids = sorted(lexicon.signs)
-    tables = {
-        ch: _log_density_table(lexicon.inventory(ch), mobs.channels[ch])
-        for ch in lexicon.channels
-    }
-    groups = []
+def _candidate_scores(lexicon, mobs, max_signs, cache):
+    """Every sign sequence of 1..max_signs signs, shorter first and then
+    lexicographic; their (M, C) best-path scores, one column per lexicon
+    channel; and each channel's _log_density_table. Fills cache as
+    decode_exhaustive describes."""
+    inv = lexicon.inventory
+    tables = [_log_density_table(inv(ch), mobs.channels[ch]) for ch in lexicon.channels]
+    candidates = []
+    scores = []
     for k in range(1, max_signs + 1):
-        candidates = list(itertools.product(sign_ids, repeat=k))
-        scores = {}
-        for ch in lexicon.channels:
-            key = (_STACK, ch, k)
-            stack = cache.get(key)
-            if stack is None:
-                stack = cache[key] = _candidate_stack(lexicon, ch, candidates)
-            log_pi, log_trans, columns = stack
-            scores[ch] = viterbi_score_lattice(log_pi, log_trans, tables[ch], columns)
-        groups.append((candidates, scores))
-    return groups
+        group = list(itertools.product(sorted(lexicon.signs), repeat=k))
+        candidates += group
+        by_channel = []
+        for ch, table in zip(lexicon.channels, tables):
+            if (ch, k) not in cache:
+                cache[ch, k] = _candidate_stack(lexicon, ch, group)
+            log_pi, log_trans, columns = cache[ch, k]
+            by_channel.append(viterbi_score_lattice(log_pi, log_trans, table, columns))
+        scores.append(np.stack(by_channel, axis=1))
+    return candidates, np.vstack(scores), tables
 
 
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
@@ -252,42 +237,39 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     Implements the joint objective exactly: channels align
     independently and the argmax runs over the full enumeration.
     Candidates are scored in one batch per channel and sign count; each
-    total is the math.fsum of its channel scores, ties go to the shorter,
-    then lexicographically smaller sequence, and the winner is rescored
-    with score_hypothesis for its state paths.
+    total is the math.fsum of its channel scores, and ties go to the
+    shorter, then lexicographically smaller sequence. The winner keeps
+    its batched scores; its state paths are backtracked on its row.
 
-    cache is a dict reused across utterances of one lexicon. It holds,
-    per channel and sign count, the -inf-padded (log_pi, log_trans)
-    stacks of every candidate's composed model with their state-to-column
-    index, plus the composed models of the winners (see score_hypothesis).
+    cache is a dict reused across utterances of one lexicon; cache[channel,
+    k] is the -inf-padded _candidate_stack of every k-sign candidate.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
-    sign_ids = sorted(lexicon.signs)
-    if not sign_ids:
+    if not lexicon.signs:
         raise ValidationError("lexicon has no signs")
-    n_cand = _candidate_count(len(sign_ids), max_signs)
+    n_cand = _candidate_count(len(lexicon.signs), max_signs)
     if n_cand > MAX_CANDIDATES:
         raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
     validate_multi_observation(lexicon, mobs)
     if cache is None:
         cache = {}
-    best_key = None
-    best_signs = None
-    groups = _channel_score_groups(lexicon, mobs, max_signs, cache)
-    for k, (candidates, scores) in enumerate(groups, start=1):
-        per_channel = [scores[ch].tolist() for ch in lexicon.channels]
-        for signs, channel_scores in zip(candidates, zip(*per_channel)):
-            total = math.fsum(channel_scores)
-            if total == LOG_ZERO:
-                continue
-            key = (-total, k, signs)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_signs = signs
-    if best_signs is None:
+    candidates, scores, tables = _candidate_scores(lexicon, mobs, max_signs, cache)
+    [(best, rows)] = _best_entries(np.zeros((len(candidates), 1)), scores[:, None])
+    if best is None:
         raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
-    return score_hypothesis(lexicon, best_signs, mobs, cache=cache)
+    signs = candidates[rows[0]]
+    # The winner is column b of its (channel, k) stacks, padded at the
+    # front by the rows whose column is -1.
+    k = len(signs)
+    b = rows[0] - sum(len(lexicon.signs) ** j for j in range(1, k))
+    paths = {}
+    for ch, table in zip(lexicon.channels, tables):
+        log_pi, log_trans, columns = cache[ch, k]
+        lo = np.count_nonzero(columns[:, b] < 0)
+        _, path = viterbi_lattice(log_pi[lo:, b], log_trans[lo:, lo:, b], table[:, columns[lo:, b]])
+        paths[ch] = path.tolist()
+    return Hypothesis.combine(signs, dict(zip(lexicon.channels, scores[rows[0]].tolist())), paths)
 
 
 def model_count(lexicon):

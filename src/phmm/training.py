@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
         if not self.smoothing >= 0:
             raise ValueError(f"smoothing must be >= 0, got {self.smoothing!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from phmm.errors import DegenerateModelError, NoFiniteHypothesisError, Validatio
 from phmm.hmm import Hmm, forward_lattice, posteriors_lattice
 from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
 from phmm.logmath import LOG_ZERO, logsumexp, safe_log
-from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models
+from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models, score_hypothesis
 
 
 def path_score(log_pi, log_trans, logb, path):
@@ -464,6 +464,23 @@ def decode_synced_oracle(lexicon, mobs, beam_width):
         channel_scores[ch] = total
         state_paths[ch] = path
     return Hypothesis.combine(signs, channel_scores, state_paths)
+
+
+def decode_exhaustive_oracle(lexicon, mobs, max_signs):
+    """The exhaustive decoder one candidate at a time: every sign
+    sequence of 1..max_signs signs is scored on its own composed models
+    with score_hypothesis, and the highest math.fsum total wins, ties
+    going to the shorter, then lexicographically smaller sequence."""
+    best_key = best = None
+    for k in range(1, max_signs + 1):
+        for signs in itertools.product(sorted(lexicon.signs), repeat=k):
+            hyp = score_hypothesis(lexicon, signs, mobs)
+            key = (-hyp.total, k, signs)
+            if hyp.total != LOG_ZERO and (best_key is None or key < best_key):
+                best_key, best = key, hyp
+    if best is None:
+        raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
+    return best
 
 
 def cut_segments_oracle(lexicon, channel, corpus):

@@ -185,6 +185,7 @@ def test_train_segmented_end_to_end(tmp_path, capsys):
         ("train", "--rel-tol", "0", 2),
         ("train", "--rel-tol", "nan", 2),
         ("train", "--smoothing", "-1", 2),
+        ("train", "--seed", "-1", 2),
         ("generate", "--seed", "-1", 2),
         ("generate", "--noise", "nan", 2),
         ("generate", "--noise", "-0.5", 2),

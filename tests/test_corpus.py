@@ -242,6 +242,8 @@ def test_genconfig_validation():
         GenConfig(n_utterances=1, seed=1, signs_per_utterance=(2, 1))
     with pytest.raises(ValidationError, match="seed"):
         GenConfig(n_utterances=1, seed=-1)
-    for noise in (float("nan"), -0.1, {"ch": float("nan")}):
+    # A dict is not a noise rate: a misspelled channel in it would leave
+    # every channel noise-free.
+    for noise in (float("nan"), -0.1, {"ch": float("nan")}, {"right_hnd": 0.5}):
         with pytest.raises(ValidationError, match="channel_noise"):
             GenConfig(n_utterances=1, seed=1, channel_noise=noise)

@@ -77,6 +77,23 @@ def test_invalid_model_rejected_on_load():
         lexicon_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("channels", lambda data: data.update(channels="right_hand")),
+        ("signs.sign0.right_hand", lambda data: data["signs"]["sign0"].update(right_hand="R0")),
+    ],
+    ids=["channels", "sign-channel"],
+)
+def test_string_for_array_field_is_named(field, edit):
+    # Read character by character, these strings would be reported as
+    # duplicate channel names and as the unknown phoneme 'R'.
+    data = lexicon_to_json(demo_lexicon())
+    edit(data)
+    with pytest.raises(FileFormatError, match=f"{field} must be a JSON array"):
+        lexicon_from_json(data)
+
+
 def test_config_hash_stable_and_order_insensitive():
     a = config_hash({"x": 1, "y": [1, 2]})
     b = config_hash({"y": [1, 2], "x": 1})

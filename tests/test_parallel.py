@@ -6,6 +6,7 @@ import pytest
 
 from helpers import build_lexicon, mixed_lexicon, random_phoneme, sample_mobs
 from oracles import (
+    decode_exhaustive_oracle,
     decode_synced_oracle,
     segment_scores_oracle,
     segment_viterbi_oracle,
@@ -34,7 +35,7 @@ from phmm.parallel import (
     _rebuild_hypothesis,
     _Token,
     _best_entries,
-    _channel_score_groups,
+    _candidate_scores,
     _Unit,
     compose_models,
     compose_utterance_model,
@@ -214,27 +215,8 @@ def test_decode_exhaustive_matches_enumeration_oracle():
         true_signs = ["s0", "s1"] if trial % 3 else ["s2"]
         mobs = sample_mobs(lex, true_signs, 6, seed=300 + trial)
         got = decode_exhaustive(lex, mobs, max_signs=2)
-
-        best = None
-        sign_ids = sorted(lex.signs)
-        for k in (1, 2):
-            for signs in itertools.product(sign_ids, repeat=k):
-                scores = {}
-                for ch in lex.channels:
-                    model = compose_utterance_model(lex, ch, signs)
-                    try:
-                        _, s = viterbi(model, mobs.channels[ch])
-                    except Exception:
-                        s = float("-inf")
-                    scores[ch] = s
-                total = math.fsum(scores.values())
-                if total == float("-inf"):
-                    continue
-                key = (-total, len(signs), signs)
-                if best is None or key < best[0]:
-                    best = (key, signs, total)
-        assert got.signs == best[1]
-        assert got.total == pytest.approx(best[2], abs=1e-9)
+        want = decode_exhaustive_oracle(lex, mobs, max_signs=2)
+        assert (got.signs, got.total) == (want.signs, want.total)
 
 
 def test_decode_exhaustive_search_space_guard():
@@ -393,13 +375,14 @@ def test_batched_exhaustive_scores_equal_score_hypothesis(case):
     lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
     lengths = {"c0": 7, "c1": 1 + case % 4}
     mobs = sample_mobs(lex, ["s1", "s0"], lengths, seed=case)
-    groups = _channel_score_groups(lex, mobs, 2, cache={})
-    assert [len(candidates) for candidates, _ in groups] == [3, 9]
-    for candidates, scores in groups:
-        for b, signs in enumerate(candidates):
-            ref = score_hypothesis(lex, signs, mobs)
-            for ch in lex.channels:
-                assert _bits(scores[ch][b]) == _bits(ref.channel_scores[ch])
+    candidates, scores, _ = _candidate_scores(lex, mobs, 2, cache={})
+    assert candidates == [(s,) for s in "s0 s1 s2".split()] + list(
+        itertools.product(["s0", "s1", "s2"], repeat=2)
+    )
+    assert scores.shape == (12, 2)
+    for signs, row in zip(candidates, scores):
+        ref = score_hypothesis(lex, signs, mobs)
+        assert _bits(row) == _bits([ref.channel_scores[ch] for ch in lex.channels])
 
 
 @pytest.mark.parametrize("policy", ["none", "between_signs"])
@@ -409,15 +392,42 @@ def test_batched_exhaustive_scores_keep_impossible_candidates(policy):
         np.random.default_rng(19), vocab=3, separated=True, n_states=3, policy=policy
     )
     mobs = sample_mobs(lex, ["s2", "s0"], 8, seed=11)
-    groups = _channel_score_groups(lex, mobs, 2, cache={})
+    candidates, scores, _ = _candidate_scores(lex, mobs, 2, cache={})
     n_dead = 0
-    for candidates, scores in groups:
-        for b, signs in enumerate(candidates):
-            ref = score_hypothesis(lex, signs, mobs)
-            for ch in lex.channels:
-                assert _bits(scores[ch][b]) == _bits(ref.channel_scores[ch])
-            n_dead += ref.total == float("-inf")
+    for signs, row in zip(candidates, scores):
+        ref = score_hypothesis(lex, signs, mobs)
+        assert _bits(row) == _bits([ref.channel_scores[ch] for ch in lex.channels])
+        n_dead += ref.total == float("-inf")
     assert 0 < n_dead < 12
+
+
+def _tied_lexicon():
+    # s1 is bound to s2's phonemes in every channel, so every sequence
+    # with s2 ties exactly with the one that has s1 in its place.
+    lex = mixed_lexicon(np.random.default_rng(49), policy="between_signs")
+    lex.signs["s1"] = Sign("s1", dict(lex.signs["s2"].channels))
+    return lex
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES) + 1))
+def test_decode_exhaustive_equals_one_at_a_time_oracle(case):
+    if case < len(BATCH_CASES):
+        lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
+        true_signs = ["s1", "s0"]
+    else:
+        lex = _tied_lexicon()
+        true_signs = ["s2", "s0"]
+    cache = {}
+    for seed in range(3):
+        mobs = sample_mobs(lex, true_signs, {"c0": 7, "c1": 5 + seed}, seed=40 + seed)
+        got = decode_exhaustive(lex, mobs, max_signs=2, cache=cache)
+        want = decode_exhaustive_oracle(lex, mobs, max_signs=2)
+        for field in ("signs", "channel_scores", "total", "state_paths"):
+            assert repr(getattr(got, field)) == repr(getattr(want, field))
+        if case == len(BATCH_CASES):
+            swapped = tuple("s2" if s == "s1" else s for s in got.signs)
+            assert "s2" not in got.signs and swapped != got.signs
+            assert score_hypothesis(lex, swapped, mobs).total == got.total
 
 
 def test_decode_exhaustive_cache_reuse_matches_fresh_cache():

@@ -121,7 +121,7 @@ def test_variant_mismatch_raises():
 @pytest.mark.parametrize(
     "field, value",
     [("rel_tol", 0.0), ("rel_tol", np.nan), ("smoothing", -1.0), ("smoothing", np.nan),
-     ("max_iters", 0)],
+     ("max_iters", 0), ("seed", -1)],
 )
 def test_train_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
