@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as hmm_mod
-from .emissions import DiscreteEmission
 from .errors import DegenerateSplitError, FileFormatError, ValidationError
 from .lexicon import MultiObservation
 from .parallel import block_ids, compose_utterance_model
@@ -108,7 +107,8 @@ def generate(lexicon, cfg):
                 int(rng.integers(0, cfg.desync_jitter + 1)) if cfg.desync_jitter else 0
             )
             obs, path = hmm_mod.sample(model, t_len, rng)
-            obs = _apply_noise(model, obs, float(cfg.channel_noise), rng)
+            if cfg.channel_noise > 0:
+                obs = model.emissions.add_noise(obs, float(cfg.channel_noise), rng)
             channels[ch] = obs
             paths[ch] = path
         utterances.append(
@@ -120,23 +120,6 @@ def generate(lexicon, cfg):
             )
         )
     return utterances
-
-
-def _apply_noise(model, obs, noise, rng):
-    if noise <= 0:
-        return obs
-    if isinstance(model.emissions, DiscreteEmission):
-        if noise > 1:
-            raise ValidationError(f"noise rate {noise!r} of a discrete channel exceeds 1")
-        alphabet = model.emissions.alphabet_size
-        out = np.array(obs, dtype=np.intp)
-        hits = rng.uniform(size=out.shape[0]) < noise
-        for t in np.where(hits)[0]:
-            # substitute with a uniformly random *other* symbol
-            shift = int(rng.integers(1, alphabet))
-            out[t] = (out[t] + shift) % alphabet
-        return out
-    return np.asarray(obs, dtype=float) + noise * rng.standard_normal(np.shape(obs))
 
 
 def split(corpus, train_fraction, seed):

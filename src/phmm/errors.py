@@ -102,11 +102,10 @@ class NoFiniteHypothesisError(PhmmError):
 
 
 class SearchSpaceTooLargeError(PhmmError):
-    def __init__(self, n_candidates, limit):
-        super().__init__(
-            f"exhaustive decode would enumerate {n_candidates} candidates "
-            f"(limit {limit})"
-        )
+    """The exhaustive search would exceed a limit; what names the quantity."""
+
+    def __init__(self, size, limit, what="enumerate {} candidates"):
+        super().__init__(f"exhaustive decode would {what.format(size)} (limit {limit})")
 
 
 class DegenerateSplitError(PhmmError):

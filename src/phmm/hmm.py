@@ -234,17 +234,7 @@ def sample(hmm, t_len, seed):
     path[0] = rng.choice(n, p=hmm.pi)
     for t in range(1, t_len):
         path[t] = rng.choice(n, p=hmm.trans[path[t - 1]])
-    e = hmm.emissions
-    if isinstance(e, em.DiscreteEmission):
-        obs = np.empty(t_len, dtype=np.intp)
-        for t in range(t_len):
-            obs[t] = rng.choice(e.alphabet_size, p=e.probs[path[t]])
-    else:
-        obs = np.empty((t_len, e.dim))
-        for t in range(t_len):
-            s = path[t]
-            obs[t] = e.means[s] + np.sqrt(e.variances[s]) * rng.standard_normal(e.dim)
-    return obs, [int(s) for s in path]
+    return hmm.emissions.sample(path, rng), [int(s) for s in path]
 
 
 def posteriors_lattice(log_pi, log_trans, logb, lengths):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hmm as hmm_mod
-from .emissions import DiscreteEmission, GaussianEmission
 from .errors import EmptyObservationError, ValidationError
 
 DEFAULT_CHANNELS = ("right_hand", "left_hand", "head")
@@ -78,10 +77,9 @@ def validate_lexicon(lex):
         shape = None
         for pid, model in inv.phonemes.items():
             hmm_mod.validate(model)
-            sig = _emission_signature(model.emissions)
-            if shape is None:
-                shape = sig
-            elif sig != shape:
+            sig = model.emissions.signature()
+            shape = shape or sig
+            if sig != shape:
                 raise ValidationError(
                     f"channel {ch!r}: phoneme {pid!r} emission signature {sig} "
                     f"differs from {shape}"
@@ -106,14 +104,6 @@ def validate_lexicon(lex):
                         f"sign {sid!r} references unknown phoneme {pid!r} "
                         f"in channel {ch!r}"
                     )
-
-
-def _emission_signature(em):
-    if isinstance(em, DiscreteEmission):
-        return ("discrete", em.alphabet_size)
-    if isinstance(em, GaussianEmission):
-        return ("gaussian", em.dim)
-    return ("unknown",)
 
 
 def validate_multi_observation(lex, mobs):

@@ -12,8 +12,7 @@ import json
 
 import numpy as np
 
-from . import __version__
-from .emissions import DiscreteEmission, GaussianEmission
+from . import __version__, emissions
 from .errors import FileFormatError
 from .hmm import Hmm, Topology
 from .lexicon import Lexicon, PhonemeInventory, Sign, validate_lexicon
@@ -27,40 +26,12 @@ def config_hash(config):
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _matrix(values):
-    return [[float(v) for v in row] for row in np.asarray(values, dtype=float)]
-
-
-def _emission_to_json(em):
-    if isinstance(em, DiscreteEmission):
-        return {"kind": "discrete", "probs": _matrix(em.probs)}
-    if isinstance(em, GaussianEmission):
-        return {
-            "kind": "gaussian",
-            "means": _matrix(em.means),
-            "variances": _matrix(em.variances),
-        }
-    raise FileFormatError(f"cannot serialize emission model {type(em)!r}")
-
-
-def _emission_from_json(data):
-    kind = data.get("kind")
-    if kind == "discrete":
-        return DiscreteEmission(np.asarray(data["probs"], dtype=float))
-    if kind == "gaussian":
-        return GaussianEmission(
-            np.asarray(data["means"], dtype=float),
-            np.asarray(data["variances"], dtype=float),
-        )
-    raise FileFormatError(f"unknown emission kind {kind!r}")
-
-
 def _hmm_to_json(model):
     return {
         "topology": model.topology.value,
-        "pi": [float(v) for v in model.pi],
-        "trans": _matrix(model.trans),
-        "emission": _emission_to_json(model.emissions),
+        "pi": model.pi.tolist(),
+        "trans": model.trans.tolist(),
+        "emission": model.emissions.to_json(),
     }
 
 
@@ -68,7 +39,7 @@ def _hmm_from_json(data):
     return Hmm(
         pi=np.asarray(data["pi"], dtype=float),
         trans=np.asarray(data["trans"], dtype=float),
-        emissions=_emission_from_json(data["emission"]),
+        emissions=emissions.from_json(data["emission"]),
         topology=Topology(data["topology"]),
     )
 

@@ -53,6 +53,7 @@ from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
 MAX_CANDIDATES = 1_000_000
+MAX_STACK_BYTES = 1 << 30
 
 EPS_UNIT = "<eps>"
 
@@ -117,14 +118,7 @@ def compose_models(blocks, exit_prob=0.5):
             trans[last, :] = 0.0
             trans[last, last] = 1.0 - exit_prob
             trans[last, nxt_off : nxt_off + nxt.n_states] = exit_prob * nxt.pi
-    first = blocks[0][1].emissions
-    if isinstance(first, em_mod.DiscreteEmission):
-        probs = np.vstack([b.emissions.probs for _, b in blocks])
-        emissions = em_mod.DiscreteEmission(probs)
-    else:
-        means = np.vstack([b.emissions.means for _, b in blocks])
-        variances = np.vstack([b.emissions.variances for _, b in blocks])
-        emissions = em_mod.GaussianEmission(means, variances)
+    emissions = type(blocks[0][1].emissions).stack([b.emissions for _, b in blocks])
     return Hmm(pi, trans, emissions, Topology.ERGODIC), offsets
 
 
@@ -164,6 +158,32 @@ def _candidate_count(vocab, max_signs):
         total += vocab**k
         if total > MAX_CANDIDATES:
             return total
+    return total
+
+
+def _stack_bytes(lexicon, max_signs):
+    """Bytes (8 per entry) of every (channel, k) _candidate_stack for k =
+    1..max_signs; SearchSpaceTooLargeError as soon as they pass
+    MAX_STACK_BYTES. The k-sign stack has the rows of its largest
+    candidate: k of the channel's largest sign, plus k - 1 epenthesis
+    fillers if the policy has them."""
+    total = 0
+    for ch in lexicon.channels:
+        inv = lexicon.inventory(ch)
+        sign_states = max(
+            sum(inv.phonemes[pid].n_states for pid in sign.channels[ch])
+            for sign in lexicon.signs.values()
+        )
+        eps_states = 0
+        if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
+            eps_states = inv.phonemes[inv.epenthesis].n_states
+        for k in range(1, max_signs + 1):
+            n = k * sign_states + (k - 1) * eps_states
+            total += len(lexicon.signs) ** k * (n + 2) * n * 8
+            if total > MAX_STACK_BYTES:
+                raise SearchSpaceTooLargeError(
+                    total, MAX_STACK_BYTES, "cache over {} bytes of candidate stacks"
+                )
     return total
 
 
@@ -243,6 +263,8 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
 
     cache is a dict reused across utterances of one lexicon; cache[channel,
     k] is the -inf-padded _candidate_stack of every k-sign candidate.
+    SearchSpaceTooLargeError is raised before anything is built when the
+    candidates exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
@@ -251,6 +273,7 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     n_cand = _candidate_count(len(lexicon.signs), max_signs)
     if n_cand > MAX_CANDIDATES:
         raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
+    _stack_bytes(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
     if cache is None:
         cache = {}

@@ -64,6 +64,10 @@ class TrainConfig:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
         if not self.smoothing >= 0:
             raise ValueError(f"smoothing must be >= 0, got {self.smoothing!r}")
+        if self.smoothing == math.inf:
+            raise ValueError("smoothing must be finite, got inf")
+        if self.init_strategy not in (INIT_UNIFORM_PERTURBED, INIT_FROM_GLOBAL_STATS):
+            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
@@ -84,43 +88,18 @@ def derive_seed(seed, *labels):
     return int.from_bytes(h[:8], "big")
 
 
-def _global_discrete_freq(data, alphabet_size):
-    counts = np.zeros(alphabet_size)
-    for seq in data:
-        np.add.at(counts, np.asarray(seq, dtype=int), 1.0)
-    total = counts.sum()
-    if total == 0:
-        raise IncompatibleDataError("no observations in training data")
-    return counts / total
-
-def _global_gaussian_moments(data):
-    stacked = np.vstack([np.asarray(seq, dtype=float) for seq in data])
-    mean = stacked.mean(axis=0)
-    var = np.maximum(stacked.var(axis=0), em_mod.VAR_FLOOR)
-    return mean, var
-
-
 def _uniform_topology_rows(n_states, topology):
-    trans = np.zeros((n_states, n_states))
-    if topology is Topology.LEFT_TO_RIGHT:
-        for i in range(n_states - 1):
-            trans[i, i] = 0.5
-            trans[i, i + 1] = 0.5
-        trans[-1, -1] = 1.0
-    else:
-        trans[:, :] = 1.0 / n_states
+    if topology is Topology.ERGODIC:
+        return np.full((n_states, n_states), 1.0 / n_states)
+    trans = 0.5 * (np.eye(n_states) + np.eye(n_states, k=1))
+    trans[-1, -1] = 1.0
     return trans
 
 
-def initial_model(
-    data,
-    cfg,
-    n_states=3,
-    topology=Topology.LEFT_TO_RIGHT,
-    alphabet_size=None,
-    seed=None,
-):
-    """Build a starting model from global data statistics.
+def initial_model(template, data, cfg, seed=None):
+    """A starting model with the state count, topology and emission kind
+    (alphabet or dimension) of the template model, its parameters from
+    the statistics of data, every sequence of which must fit the template.
 
     uniform_perturbed applies seeded multiplicative noise in [0.9, 1.1]
     to the uniform pi/trans and the per-state emission parameters, so
@@ -130,66 +109,32 @@ def initial_model(
     """
     if not data:
         raise IncompatibleDataError("training data is empty")
-    first = np.asarray(data[0])
-    discrete = first.ndim == 1 and np.issubdtype(first.dtype, np.integer)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    perturb = cfg.init_strategy == INIT_UNIFORM_PERTURBED
-
-    def jitter(shape):
-        return rng.uniform(0.9, 1.1, size=shape) if perturb else np.ones(shape)
-
-    pi = np.full(n_states, 1.0 / n_states) * jitter(n_states)
+    data = [template.emissions.check(obs) for obs in data]
+    if not any(len(obs) for obs in data):
+        raise IncompatibleDataError("no observations in training data")
+    rng = None
+    if cfg.init_strategy == INIT_UNIFORM_PERTURBED:
+        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    n_states, topology = template.n_states, template.topology
+    pi = np.full(n_states, 1.0 / n_states) * em_mod.jitter(rng, n_states)
     pi /= pi.sum()
     trans = _uniform_topology_rows(n_states, topology)
-    mask = trans > 0
-    trans = trans * np.where(mask, jitter((n_states, n_states)), 1.0)
+    trans = trans * np.where(trans > 0, em_mod.jitter(rng, (n_states, n_states)), 1.0)
     trans /= trans.sum(axis=1, keepdims=True)
-
-    if discrete:
-        if alphabet_size is None:
-            alphabet_size = int(max(np.max(np.asarray(seq)) for seq in data)) + 1
-        freq = _global_discrete_freq(data, alphabet_size)
-        probs = freq[None, :] * jitter((n_states, alphabet_size))
-        probs /= probs.sum(axis=1, keepdims=True)
-        emissions = em_mod.DiscreteEmission(probs)
-    else:
-        mean, var = _global_gaussian_moments(data)
-        dim = mean.shape[0]
-        if perturb:
-            offsets = rng.uniform(-1.0, 1.0, size=(n_states, dim))
-        elif n_states > 1:
-            ladder = np.linspace(-1.0, 1.0, n_states)
-            offsets = np.tile(ladder[:, None], (1, dim))
-        else:
-            offsets = np.zeros((1, dim))
-        means = mean[None, :] + 0.5 * np.sqrt(var)[None, :] * offsets
-        variances = np.tile(var[None, :], (n_states, 1))
-        emissions = em_mod.GaussianEmission(means, variances)
-    model = Hmm(pi, trans, emissions, topology)
+    model = Hmm(pi, trans, template.emissions.initial(data, rng), topology)
     validate(model)
     return model
 
 
 def _initial_models(lexicon, channel, data, cfg, mode):
     """initial_model of every phoneme key of data (phoneme id -> list of
-    sequences) from the statistics of its sequences, with the state
-    count, topology and alphabet of the channel's lexicon template and
-    the seed derive_seed(cfg.seed, mode, channel, pid)."""
-    inv = lexicon.inventory(channel)
-    models = {}
-    for pid, seqs in data.items():
-        template = inv.phonemes[pid]
-        for obs in seqs:
-            em_mod.check_observations(template.emissions, obs)
-        models[pid] = initial_model(
-            seqs,
-            cfg,
-            n_states=template.n_states,
-            topology=template.topology,
-            alphabet_size=getattr(template.emissions, "alphabet_size", None),
-            seed=derive_seed(cfg.seed, mode, channel, pid),
-        )
-    return models
+    sequences) on its lexicon-bound template, with the seed
+    derive_seed(cfg.seed, mode, channel, pid)."""
+    phonemes = lexicon.inventory(channel).phonemes
+    return {
+        pid: initial_model(phonemes[pid], seqs, cfg, derive_seed(cfg.seed, mode, channel, pid))
+        for pid, seqs in data.items()
+    }
 
 
 def _m_step(model, stats, cfg):
@@ -199,11 +144,9 @@ def _m_step(model, stats, cfg):
     pi_acc, trans_acc, em_stats = stats
     pi_total = pi_acc.sum()
     new_pi = pi_acc / pi_total if pi_total > 0 else model.pi.copy()
-    new_trans = model.trans.copy()
-    for i, row in enumerate(trans_acc):
-        total = row.sum()
-        if total > 0:
-            new_trans[i] = row / total
+    totals = trans_acc.sum(axis=1, keepdims=True)
+    live = totals > 0
+    new_trans = np.where(live, trans_acc / np.where(live, totals, 1.0), model.trans)
     new_em = em_mod.maximize(em_stats, cfg.smoothing, fallback=model.emissions)
     return Hmm(new_pi, new_trans, new_em, model.topology)
 
@@ -276,7 +219,7 @@ def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
                 accs[key] = (
                     np.zeros(m.n_states),
                     np.zeros((m.n_states, m.n_states)),
-                    em_mod.new_stats(m.emissions),
+                    m.emissions.new_stats(),
                 )
             pi_acc, trans_acc, em_stats = accs[key]
             off = offsets[k]

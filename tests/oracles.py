@@ -15,14 +15,19 @@ from types import SimpleNamespace
 import numpy as np
 
 from phmm.emissions import (
+    VAR_FLOOR,
     DiscreteEmission,
     DiscreteStats,
+    GaussianEmission,
     accumulate_seq,
     log_density_seq,
-    maximize,
-    new_stats,
 )
-from phmm.errors import DegenerateModelError, NoFiniteHypothesisError, ValidationError
+from phmm.errors import (
+    DegenerateModelError,
+    EmptyStateError,
+    NoFiniteHypothesisError,
+    ValidationError,
+)
 from phmm.hmm import Hmm, forward_lattice, posteriors_lattice
 from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
 from phmm.logmath import LOG_ZERO, logsumexp, safe_log
@@ -127,6 +132,47 @@ def accumulate(stats, state, x, weight):
     return stats
 
 
+def maximize_oracle(stats, smoothing=0.0, fallback=None):
+    """The M-step one state at a time, the reference for
+    emissions.maximize: a state with zero total weight takes its
+    fallback parameters, else raises EmptyStateError when smoothing is
+    not positive, else gets a smoothed discrete row or a Gaussian with
+    mean 0 and variance 1."""
+    if isinstance(stats, DiscreteStats):
+        counts = stats.counts
+        n, m = counts.shape
+        rows = np.empty_like(counts)
+        for i in range(n):
+            total = counts[i].sum()
+            if total <= 0:
+                if fallback is not None:
+                    rows[i] = fallback.probs[i]
+                    continue
+                if smoothing <= 0:
+                    raise EmptyStateError(i)
+            rows[i] = (counts[i] + smoothing) / (total + m * smoothing)
+        return DiscreteEmission(rows)
+    n = stats.weight.shape[0]
+    dim = stats.wsum.shape[1]
+    means = np.empty((n, dim))
+    variances = np.empty((n, dim))
+    for i in range(n):
+        w = stats.weight[i]
+        if w <= 0:
+            if fallback is not None:
+                means[i] = fallback.means[i]
+                variances[i] = fallback.variances[i]
+                continue
+            if smoothing <= 0:
+                raise EmptyStateError(i)
+            means[i] = 0.0
+            variances[i] = 1.0
+            continue
+        means[i] = stats.wsum[i] / w
+        variances[i] = np.maximum(stats.wsq[i] / w - means[i] ** 2, VAR_FLOOR)
+    return GaussianEmission(means, variances)
+
+
 def _single_model_e_step(model, data, stats_needed=True):
     """Every sequence on the one model, as one batch of a shared (N, 1)
     log_pi and (N, N, 1) log_trans."""
@@ -146,7 +192,7 @@ def _single_model_e_step(model, data, stats_needed=True):
         return total, None
     pi_acc = np.zeros(model.n_states)
     trans_acc = np.zeros((model.n_states, model.n_states))
-    em_stats = new_stats(model.emissions)
+    em_stats = model.emissions.new_stats()
     for b, seq in enumerate(data):
         pi_acc += gamma[0, :, b]
         trans_acc += xi_sum[:, :, b]
@@ -156,14 +202,14 @@ def _single_model_e_step(model, data, stats_needed=True):
 
 def _single_model_m_step(model, stats, cfg):
     """Normalized expected counts; a row or pi without evidence keeps its
-    previous values, and maximize falls back to the previous emissions."""
+    previous values, and maximize_oracle falls back to the previous emissions."""
     pi_acc, trans_acc, em_stats = stats
     new_pi = pi_acc / pi_acc.sum() if pi_acc.sum() > 0 else model.pi.copy()
     new_trans = model.trans.copy()
     for i in range(model.n_states):
         if trans_acc[i].sum() > 0:
             new_trans[i] = trans_acc[i] / trans_acc[i].sum()
-    new_em = maximize(em_stats, cfg.smoothing, fallback=model.emissions)
+    new_em = maximize_oracle(em_stats, cfg.smoothing, fallback=model.emissions)
     return Hmm(new_pi, new_trans, new_em, model.topology)
 
 
@@ -198,7 +244,7 @@ def tied_counts_oracle(models, chains, data, exit_prob):
             m = models[key]
             counts.setdefault(
                 key,
-                (np.zeros(m.n_states), np.zeros((m.n_states, m.n_states)), new_stats(m.emissions)),
+                (np.zeros(m.n_states), np.zeros((m.n_states, m.n_states)), m.emissions.new_stats()),
             )
     for chain, obs in zip(chains, data):
         states = [(k, i) for k, key in enumerate(chain) for i in range(models[key].n_states)]

@@ -185,6 +185,7 @@ def test_train_segmented_end_to_end(tmp_path, capsys):
         ("train", "--rel-tol", "0", 2),
         ("train", "--rel-tol", "nan", 2),
         ("train", "--smoothing", "-1", 2),
+        ("train", "--smoothing", "inf", 2),
         ("train", "--seed", "-1", 2),
         ("generate", "--seed", "-1", 2),
         ("generate", "--noise", "nan", 2),
@@ -241,6 +242,22 @@ def test_decode_exhaustive_empty_channel_is_input_error(
          "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
     ) == 3
     assert "'head'" in capsys.readouterr().err
+
+
+def test_decode_exhaustive_stack_memory_guard(
+    tmp_path, trained_model, demo_corpus, capsys, monkeypatch
+):
+    from phmm import parallel
+
+    def no_candidate_stack(*args):
+        raise AssertionError("a candidate stack was built past the memory guard")
+
+    monkeypatch.setattr(parallel, "_candidate_stack", no_candidate_stack)
+    assert run(
+        ["decode", "--model", trained_model, "--corpus", demo_corpus,
+         "--mode", "exhaustive", "--max-signs", 6, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    assert "bytes of candidate stacks" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["decode", "evaluate"])

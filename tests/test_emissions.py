@@ -1,16 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oracles import accumulate, log_density
+from helpers import random_stochastic
+from oracles import accumulate, log_density, maximize_oracle
 from phmm.emissions import (
     DiscreteEmission,
     GaussianEmission,
     accumulate_seq,
     log_density_seq,
     maximize,
-    new_stats,
     validate_emission,
     VAR_FLOOR,
 )
@@ -88,14 +89,14 @@ def test_validate_emission_rejects_nan(field):
 
 def test_accumulate_weight_zero_noop():
     em = DiscreteEmission(np.array([[0.5, 0.5]]))
-    st = new_stats(em)
+    st = em.new_stats()
     accumulate_seq(st, np.zeros((1, 1)), np.array([1]))
     assert st.counts.sum() == 0.0
 
 
 def test_single_unit_accumulation():
     em = DiscreteEmission(np.array([[0.5, 0.25, 0.25]]))
-    st = new_stats(em)
+    st = em.new_stats()
     accumulate_seq(st, np.ones((1, 1)), np.array([2]))
     assert st.counts[0, 2] == 1.0
     assert st.counts.sum() == 1.0
@@ -107,8 +108,8 @@ def test_accumulation_order_independent():
     obs = rng.normal(size=(100, 2))
     gamma = np.zeros((100, 2))
     gamma[np.arange(100), rng.integers(0, 2, size=100)] = rng.uniform(0, 1, size=100)
-    a = new_stats(em)
-    b = new_stats(em)
+    a = em.new_stats()
+    b = em.new_stats()
     accumulate_seq(a, gamma, obs)
     accumulate_seq(b, gamma[::-1], obs[::-1])
     assert np.allclose(a.wsum, b.wsum, rtol=1e-9)
@@ -121,9 +122,9 @@ def test_accumulate_seq_matches_scalar_loop():
     em = DiscreteEmission(np.full((3, 4), 0.25))
     obs = rng.integers(0, 4, size=9)
     gamma = rng.uniform(0, 1, size=(9, 3))
-    fast = new_stats(em)
+    fast = em.new_stats()
     accumulate_seq(fast, gamma, obs)
-    slow = new_stats(em)
+    slow = em.new_stats()
     for t in range(9):
         for s in range(3):
             accumulate(slow, s, obs[t], gamma[t, s])
@@ -132,12 +133,12 @@ def test_accumulate_seq_matches_scalar_loop():
 
 def test_maximize_discrete():
     em = DiscreteEmission(np.array([[0.5, 0.5]]))
-    st = new_stats(em)
+    st = em.new_stats()
     accumulate(st, 0, 0, 1.0)
     out = maximize(st, smoothing=0.0)
     assert np.allclose(out.probs, [[1.0, 0.0]])
 
-    st2 = new_stats(em)
+    st2 = em.new_stats()
     accumulate(st2, 0, 0, 2.0)
     accumulate(st2, 0, 1, 2.0)
     out2 = maximize(st2, smoothing=0.0)
@@ -146,7 +147,7 @@ def test_maximize_discrete():
 
 def test_maximize_empty_state_error_and_smoothing():
     em = DiscreteEmission(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    st = new_stats(em)
+    st = em.new_stats()
     accumulate(st, 0, 0, 1.0)
     with pytest.raises(EmptyStateError):
         maximize(st, smoothing=0.0)
@@ -160,7 +161,7 @@ def test_maximize_gaussian_matches_weighted_moments():
     em = GaussianEmission(np.zeros((1, 2)), np.ones((1, 2)))
     xs = rng.normal(1.5, 2.0, size=(1000, 2))
     ws = rng.uniform(0.01, 1.0, size=1000)
-    st = new_stats(em)
+    st = em.new_stats()
     accumulate_seq(st, ws[:, None], xs)
     out = maximize(st)
     w = ws.sum()
@@ -172,7 +173,7 @@ def test_maximize_gaussian_matches_weighted_moments():
 
 def test_variance_floor_applied():
     em = GaussianEmission(np.zeros((1, 1)), np.ones((1, 1)))
-    st = new_stats(em)
+    st = em.new_stats()
     for _ in range(5):
         accumulate(st, 0, np.array([2.0]), 1.0)
     out = maximize(st)
@@ -189,3 +190,40 @@ def test_discrete_rows_normalize_after_log_density():
         total = sum(math.exp(log_density(em, s, k)) for k in range(5))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+
+
+def _random_stats(rng, gaussian):
+    """An emission model and statistics in which some states saw no frame."""
+    n, width, t_len = (int(v) for v in rng.integers(1, [6, 12, 30]))
+    if gaussian:
+        em = GaussianEmission(rng.normal(size=(n, width)), rng.uniform(0.5, 2.0, size=(n, width)))
+        obs = rng.normal(size=(t_len, width))
+        if rng.uniform() < 0.2:
+            obs[:] = obs[0]  # one repeated frame: variances fall to the floor
+    else:
+        em = DiscreteEmission(random_stochastic(rng, (n, width)))
+        obs = rng.integers(0, width, size=t_len)
+    gamma = rng.uniform(size=(t_len, n)) * (rng.uniform(size=n) < 0.7)
+    return em, accumulate_seq(em.new_stats(), gamma, obs)
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["discrete", "gaussian"])
+def test_maximize_equals_per_state_oracle(gaussian):
+    rng = np.random.default_rng(61 + gaussian)
+    raised = 0
+    for _ in range(300):
+        em, stats = _random_stats(rng, gaussian)
+        for smoothing in (0.0, 1e-8, 0.5):
+            for fallback in (None, em):
+                try:
+                    want = maximize_oracle(stats, smoothing, fallback)
+                except EmptyStateError as exc:
+                    raised += 1
+                    with pytest.raises(EmptyStateError, match=f"^{re.escape(str(exc))}$"):
+                        maximize(stats, smoothing, fallback)
+                    continue
+                got = maximize(stats, smoothing, fallback)
+                assert type(got) is type(want)
+                for name, arr in vars(want).items():
+                    assert np.array_equal(getattr(got, name), arr), name
+    assert 0 < raised < 300

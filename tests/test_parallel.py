@@ -226,6 +226,35 @@ def test_decode_exhaustive_search_space_guard():
         decode_exhaustive(lex, mobs, max_signs=20)
 
 
+def _no_candidate_stack(*args):
+    raise AssertionError("a candidate stack was built past the memory guard")
+
+
+def test_decode_exhaustive_stack_memory_guard(monkeypatch):
+    # 6 signs of the demo lexicon pass the candidate guard (299,592
+    # candidates), but their stacks would take about 7.9 GB; 5 signs
+    # (about 0.67 GB) stay within the limit.
+    from phmm.demo import demo_lexicon
+
+    lex = demo_lexicon()
+    assert parallel._candidate_count(len(lex.signs), 6) <= parallel.MAX_CANDIDATES
+    assert parallel._stack_bytes(lex, 5) <= parallel.MAX_STACK_BYTES
+    monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
+    mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
+    with pytest.raises(SearchSpaceTooLargeError, match="bytes of candidate stacks"):
+        decode_exhaustive(lex, mobs, max_signs=6)
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+def test_stack_bytes_equal_the_cached_stacks(policy):
+    lex = mixed_lexicon(np.random.default_rng(44), policy=policy)
+    mobs = sample_mobs(lex, ["s1", "s0"], 9, seed=45)
+    cache = {}
+    decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
+    held = sum(arr.nbytes for stack in cache.values() for arr in stack)
+    assert parallel._stack_bytes(lex, 3) == held
+
+
 def test_decode_exhaustive_no_finite_hypothesis():
     # single sign bound to phoneme 0; feed symbols only phoneme 1 can emit
     lex = build_lexicon(np.random.default_rng(13), separated=True, vocab=1)

@@ -16,7 +16,7 @@ from phmm.errors import (
     NonFiniteEntryError,
     VariantMismatchError,
 )
-from phmm.hmm import Hmm, Topology, forward, sample, validate
+from phmm.hmm import Hmm, forward, sample, validate
 from phmm.lexicon import Lexicon, PhonemeInventory, Sign
 from phmm.parallel import compose_models
 from phmm.training import (
@@ -69,7 +69,7 @@ def test_monotone_loglik_and_valid_params_every_iteration():
     rng = np.random.default_rng(31)
     gen = random_discrete_hmm(rng, n_states=2, alphabet=3)
     data = [sample(gen, 12, np.random.default_rng((31, i)))[0] for i in range(50)]
-    init = initial_model(data, TrainConfig(seed=5), n_states=2, topology=Topology.ERGODIC)
+    init = initial_model(gen, data, TrainConfig(seed=5))
     cfg = TrainConfig(max_iters=25, seed=5)
 
     seen = []
@@ -96,10 +96,25 @@ def test_gaussian_training_monotone():
         emissions=GaussianEmission(np.array([[-2.0], [2.0]]), np.array([[1.0], [1.0]])),
     )
     data = [sample(gen, 20, np.random.default_rng((7, i)))[0] for i in range(15)]
-    init = initial_model(data, TrainConfig(seed=3), n_states=2, topology=Topology.ERGODIC)
+    init = initial_model(gen, data, TrainConfig(seed=3))
     model, report = baum_welch(init, data, TrainConfig(max_iters=30, seed=3))
     assert_monotone(report.loglik_trajectory)
     validate(model)
+
+
+def test_rows_without_evidence_keep_their_parameters():
+    # Two-frame sequences from state 0 of a Bakis chain never leave
+    # states 1 and 2, so their transition rows and emissions get no
+    # evidence and keep their previous values.
+    init = left_to_right_hmm(rng=np.random.default_rng(81))
+    data = [np.array([i % 4, (i + 1) % 4]) for i in range(6)]
+    cfg = TrainConfig(max_iters=3, smoothing=0.0)
+    model, _ = baum_welch(init, data, cfg)
+    want, _, _, _ = baum_welch_oracle(init, data, cfg)
+    _assert_same_model(model, want)
+    assert np.array_equal(model.trans[1:], init.trans[1:])
+    assert not np.array_equal(model.trans[0], init.trans[0])
+    assert np.array_equal(model.emissions.probs[2:], init.emissions.probs[2:])
 
 
 def test_degenerate_init_raises():
@@ -121,7 +136,8 @@ def test_variant_mismatch_raises():
 @pytest.mark.parametrize(
     "field, value",
     [("rel_tol", 0.0), ("rel_tol", np.nan), ("smoothing", -1.0), ("smoothing", np.nan),
-     ("max_iters", 0), ("seed", -1)],
+     ("smoothing", np.inf), ("max_iters", 0), ("seed", -1),
+     ("init_strategy", "uniform-perturbed")],
 )
 def test_train_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -135,7 +151,7 @@ def test_determinism_same_seed_same_model():
     outs = []
     for _ in range(2):
         cfg = TrainConfig(max_iters=15, seed=12)
-        init = initial_model(data, cfg, n_states=2, topology=Topology.ERGODIC)
+        init = initial_model(gen, data, cfg)
         model, _ = baum_welch(init, data, cfg)
         outs.append(model)
     a, b = outs
@@ -147,19 +163,15 @@ def test_determinism_same_seed_same_model():
 def test_initial_model_respects_topology_and_stats():
     data = [np.array([0, 0, 1, 2]), np.array([2, 2, 1])]
     cfg = TrainConfig(seed=9)
-    m = initial_model(data, cfg, n_states=3, topology=Topology.LEFT_TO_RIGHT)
+    template = left_to_right_hmm(n_states=3, alphabet=3)
+    m = initial_model(template, data, cfg)
     validate(m)
     assert m.trans[2, 2] == 1.0
     assert m.trans[1, 0] == 0.0
     # global frequency of symbol 1 is 2/7; rows stay close to it after jitter
     assert np.all(np.abs(m.emissions.probs[:, 1] - 2 / 7) < 0.05)
 
-    flat = initial_model(
-        data,
-        TrainConfig(seed=9, init_strategy="from_global_stats"),
-        n_states=3,
-        topology=Topology.LEFT_TO_RIGHT,
-    )
+    flat = initial_model(template, data, TrainConfig(seed=9, init_strategy="from_global_stats"))
     assert np.allclose(flat.pi, 1 / 3)
     assert np.allclose(flat.emissions.probs[0], [2 / 7, 2 / 7, 3 / 7])
 
@@ -183,14 +195,7 @@ def test_train_segmented_reduces_to_baum_welch():
     segments = [sample(gen, 8, np.random.default_rng((10, i)))[0] for i in range(6)]
     cfg = TrainConfig(max_iters=10, seed=21)
     models, report = train_segmented(_single_phoneme_lexicon(gen), "ch", {"p": segments}, cfg)
-    init = initial_model(
-        segments,
-        cfg,
-        n_states=3,
-        topology=Topology.LEFT_TO_RIGHT,
-        alphabet_size=4,
-        seed=derive_seed(21, "segmented", "ch", "p"),
-    )
+    init = initial_model(gen, segments, cfg, seed=derive_seed(21, "segmented", "ch", "p"))
     direct, direct_report = baum_welch(init, segments, cfg)
     assert np.array_equal(models["p"].trans, direct.trans)
     assert np.array_equal(models["p"].emissions.probs, direct.emissions.probs)
@@ -276,7 +281,7 @@ def test_baum_welch_and_segmented_equal_single_model_oracle(gaussian, ergodic):
     data = [sample(gen, 5 + i % 7, np.random.default_rng((12, i)))[0] for i in range(12)]
     for max_iters in (1, 4, 200):
         cfg = TrainConfig(max_iters=max_iters, seed=9)
-        init = initial_model(data, cfg, n_states=3, topology=gen.topology)
+        init = initial_model(gen, data, cfg)
         want, trajectory, iterations, converged = baum_welch_oracle(init, data, cfg)
         got, report = baum_welch(init, data, cfg)
         _assert_same_model(got, want)
@@ -301,9 +306,7 @@ def test_embedded_single_phoneme_reduces_to_baum_welch(gaussian, ergodic):
         (["s"], sample(gen, 9, np.random.default_rng((8, i)))[0]) for i in range(10)
     ]
     cfg = TrainConfig(max_iters=12, seed=3)
-    init = initial_model(
-        [obs for _, obs in utts], cfg, n_states=3, topology=gen.topology, seed=1234
-    )
+    init = initial_model(gen, [obs for _, obs in utts], cfg, seed=1234)
     emb_models, emb_report = train_embedded(
         lex, "ch", utts, cfg, init_models={"p": init}
     )
@@ -352,9 +355,7 @@ def test_embedded_unused_phoneme_unchanged_and_flagged():
     ]
     cfg = TrainConfig(max_iters=6, seed=1)
     init_q = left_to_right_hmm(rng=np.random.default_rng(55))
-    init_p = initial_model(
-        [obs for _, obs in utts], cfg, alphabet_size=4, seed=derive_seed(1, "x")
-    )
+    init_p = initial_model(gen, [obs for _, obs in utts], cfg, seed=derive_seed(1, "x"))
     models, report = train_embedded(
         lex, "ch", utts, cfg, init_models={"p": init_p, "q": init_q}
     )
@@ -469,4 +470,13 @@ def test_embedded_rejects_non_finite_gaussian_observations(bad):
     utts = _mixed_utterances(lex, 4, 76)
     utts[1][1][0, 1] = bad
     with pytest.raises(NonFiniteEntryError, match="observations"):
+        train_embedded(lex, "c0", utts, TrainConfig(max_iters=2))
+
+
+def test_embedded_gaussian_without_frames_is_incompatible_data():
+    # Like discrete data, Gaussian data with no frames cannot seed an
+    # initial model; it used to average an empty array into NaN means.
+    lex = mixed_lexicon(np.random.default_rng(77), gaussian=True)
+    utts = [(["s0"], np.empty((0, 2)))]
+    with pytest.raises(IncompatibleDataError, match="no observations"):
         train_embedded(lex, "c0", utts, TrainConfig(max_iters=2))
