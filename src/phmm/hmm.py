@@ -71,6 +71,8 @@ class Hmm:
 
 def validate(hmm):
     """Check all Hmm invariants; raises a ValidationError subclass on failure."""
+    if hmm.pi.ndim != 1:
+        raise DimensionMismatchError(f"pi has shape {hmm.pi.shape}, expected a vector")
     em.check_finite("pi", hmm.pi)
     if np.any(hmm.pi < 0):
         raise NegativeEntryError("pi", float(hmm.pi.min()))

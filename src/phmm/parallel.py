@@ -163,11 +163,12 @@ def _candidate_count(vocab, max_signs):
 
 def _stack_bytes(lexicon, max_signs):
     """Bytes (8 per entry) of every (channel, k) _candidate_stack for k =
-    1..max_signs; SearchSpaceTooLargeError as soon as they pass
-    MAX_STACK_BYTES. The k-sign stack has the rows of its largest
-    candidate: k of the channel's largest sign, plus k - 1 epenthesis
-    fillers if the policy has them."""
-    total = 0
+    1..max_signs. SearchSpaceTooLargeError as soon as they pass
+    MAX_STACK_BYTES together with viterbi_score_lattice's per-frame
+    temporary, one N x N x B block of the largest stack. The k-sign
+    stack has the rows of its largest candidate: k of the channel's
+    largest sign, plus k - 1 epenthesis fillers if the policy has them."""
+    total = temporary = 0
     for ch in lexicon.channels:
         inv = lexicon.inventory(ch)
         sign_states = max(
@@ -180,27 +181,27 @@ def _stack_bytes(lexicon, max_signs):
         for k in range(1, max_signs + 1):
             n = k * sign_states + (k - 1) * eps_states
             total += len(lexicon.signs) ** k * (n + 2) * n * 8
-            if total > MAX_STACK_BYTES:
-                raise SearchSpaceTooLargeError(
-                    total, MAX_STACK_BYTES, "cache over {} bytes of candidate stacks"
-                )
+            temporary = max(temporary, len(lexicon.signs) ** k * n * n * 8)
+            if total + temporary > MAX_STACK_BYTES:
+                what = "hold {} bytes of candidate stacks and their per-frame temporary"
+                raise SearchSpaceTooLargeError(total + temporary, MAX_STACK_BYTES, what)
     return total
 
 
-def _log_density_table(inventory, obs):
-    """(T, S + 1) log densities of all S phoneme states in inventory
-    order, then a -inf column."""
-    parts = [em_mod.log_density_seq(m.emissions, obs) for m in inventory.phonemes.values()]
+def _log_density_table(phonemes, obs):
+    """(T, S + 1) log densities of all S states of the phoneme models
+    (a dict) in order, then a -inf column."""
+    parts = [em_mod.log_density_seq(m.emissions, obs) for m in phonemes.values()]
     parts.append(np.full((len(obs), 1), LOG_ZERO))
     return np.hstack(parts)
 
 
-def _state_columns(inventory, pids, base=0):
-    """base plus the column in the inventory's _log_density_table of each
-    state of the model composed from phonemes pids."""
-    sizes = [m.n_states for m in inventory.phonemes.values()]
-    offsets = dict(zip(inventory.phonemes, itertools.accumulate([0] + sizes)))
-    return [base + offsets[p] + i for p in pids for i in range(inventory.phonemes[p].n_states)]
+def _state_columns(phonemes, pids, base=0):
+    """base plus the column in the phoneme models' _log_density_table of
+    each state of the model composed from phonemes pids."""
+    sizes = [m.n_states for m in phonemes.values()]
+    offsets = dict(zip(phonemes, itertools.accumulate([0] + sizes)))
+    return [base + offsets[p] + i for p in pids for i in range(phonemes[p].n_states)]
 
 
 def _stack(models, columns):
@@ -222,10 +223,10 @@ def _stack(models, columns):
 
 def _candidate_stack(lexicon, channel, candidates):
     """_stack of the B candidates' composed channel models."""
-    inv = lexicon.inventory(channel)
+    phonemes = lexicon.inventory(channel).phonemes
     # Composed one at a time: holding all of them at once raised peak RSS.
     models = (compose_utterance_model(lexicon, channel, signs) for signs in candidates)
-    columns = [_state_columns(inv, block_ids(lexicon, channel, signs)) for signs in candidates]
+    columns = [_state_columns(phonemes, block_ids(lexicon, channel, signs)) for signs in candidates]
     return _stack(models, columns)
 
 
@@ -235,7 +236,7 @@ def _candidate_scores(lexicon, mobs, max_signs, cache):
     channel; and each channel's _log_density_table. Fills cache as
     decode_exhaustive describes."""
     inv = lexicon.inventory
-    tables = [_log_density_table(inv(ch), mobs.channels[ch]) for ch in lexicon.channels]
+    tables = [_log_density_table(inv(ch).phonemes, mobs.channels[ch]) for ch in lexicon.channels]
     candidates = []
     scores = []
     for k in range(1, max_signs + 1):
@@ -333,7 +334,8 @@ class _Unit:
         self.keys = list(keys)
         self.channels = list(lexicon.channels)
         tables = [
-            _log_density_table(lexicon.inventory(ch), mobs.channels[ch]) for ch in self.channels
+            _log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch])
+            for ch in self.channels
         ]
         bases = list(itertools.accumulate([0] + [table.shape[1] for table in tables]))
         models = []
@@ -344,7 +346,7 @@ class _Unit:
                 pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[ch]
                 blocks = [(pid, inv.phonemes[pid]) for pid in pids]
                 models.append(compose_models(blocks, lexicon.exit_prob)[0])
-                columns.append(_state_columns(inv, pids, base))
+                columns.append(_state_columns(inv.phonemes, pids, base))
         shape = (len(self.keys), len(self.channels))
         self.sizes = np.reshape([len(cols) for cols in columns], shape)
         log_pi, log_trans, columns = _stack(models, columns)

@@ -21,7 +21,10 @@ plain Baum-Welch.
 The E-step runs hmm.posteriors_lattice over batches of sequences whose
 composed models have the same state count, so its Python loop steps
 over the frames of the longest sequence, not over every frame of every
-sequence. Statistics are added in corpus order whatever the batches.
+sequence. As in the decoders, emissions come from one table of every
+model's state log densities per batch (parallel._log_density_table),
+read through each chain's state columns. Statistics are added in
+corpus order whatever the batches.
 
 All training is single-threaded with a fixed accumulation order, so
 identical inputs and seed reproduce identical models.
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .hmm import Hmm, Topology, forward_lattice, posteriors_lattice, validate
 from .logmath import LOG_ZERO
-from .parallel import block_ids, compose_models
+from .parallel import _log_density_table, _state_columns, block_ids, compose_models
 
 INIT_UNIFORM_PERTURBED = "uniform_perturbed"
 INIT_FROM_GLOBAL_STATS = "from_global_stats"
@@ -151,28 +154,10 @@ def _m_step(model, stats, cfg):
     return Hmm(new_pi, new_trans, new_em, model.topology)
 
 
-def _forward_backward(log_pi, log_trans, emissions, data, stats_needed):
-    """Forward-backward over the sequences data[b], each scored with
-    emissions[b] and entry b of the (N, B) log_pi and (N, N, B) log_trans
-    stacks: one posteriors_lattice call, or one forward_lattice call
-    without stats. Returns (logliks, gamma, xi_sum, lengths), gamma and
-    xi_sum None without stats."""
-    lengths = np.array([len(obs) for obs in data])
-    if not lengths.all():
-        raise EmptyObservationError("empty observation sequence")
-    logb = np.full((lengths.max(), log_pi.shape[0], len(data)), LOG_ZERO)
-    for b, (e, obs) in enumerate(zip(emissions, data)):
-        logb[: lengths[b], :, b] = em_mod.log_density_seq(e, obs)
-    if not stats_needed:
-        logliks, _ = forward_lattice(log_pi, log_trans, logb, lengths)
-        return logliks, None, None, lengths
-    return (*posteriors_lattice(log_pi, log_trans, logb, lengths), lengths)
-
-
 def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
-    """Total log likelihood of data[i] on the composed chains[i] for
-    every i, and the tied statistics (pi, trans, emission) per model key
-    that occurs in a chain, or None without stats.
+    """Total log likelihood of data[i] (checked and nonempty) on the
+    composed chains[i] for every i, and the tied statistics (pi, trans,
+    emission) per model key in a chain, or None without stats.
 
     Initial-state evidence of a block is the chain's start posterior for
     its first block and the boundary transitions into it for later ones.
@@ -182,25 +167,32 @@ def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
     composed = {}
     for chain in dict.fromkeys(chains):
         model, offsets = compose_models([(key, models[key]) for key in chain], exit_prob)
-        composed[chain] = (offsets, model.emissions, *model.log_params())
+        composed[chain] = (offsets, _state_columns(models, chain), *model.log_params())
     batches = {}
     for i, chain in enumerate(chains):
-        batches.setdefault(len(composed[chain][2]), []).append(i)
+        batches.setdefault(len(composed[chain][1]), []).append(i)
     logliks = np.empty(len(data))
     post = [None] * len(data)
     for batch in batches.values():
         entries = [composed[chains[i]] for i in batch]
-        lls, gamma, xi_sum, lengths = _forward_backward(
-            np.stack([e[2] for e in entries], axis=-1),
-            np.stack([e[3] for e in entries], axis=-1),
-            [e[1] for e in entries],
-            [data[i] for i in batch],
-            stats_needed,
-        )
-        logliks[batch] = lls
-        if stats_needed:
-            for b, i in enumerate(batch):
-                post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
+        lengths = np.array([len(data[i]) for i in batch])
+        # Frame t of entry b reads row t of its span of the table. Frames
+        # past its length are -inf: finite padding can overflow exp in
+        # posteriors_lattice, although the result masks those frames.
+        frames = np.arange(lengths.max())[:, None]
+        rows = np.cumsum(lengths) - lengths + np.minimum(frames, lengths - 1)
+        obs = np.concatenate([data[i] for i in batch])
+        columns = np.stack([e[1] for e in entries], axis=-1)
+        logb = _log_density_table(models, obs)[rows[:, None], columns]
+        np.copyto(logb, LOG_ZERO, where=(frames >= lengths)[:, None])
+        log_pi = np.stack([e[2] for e in entries], axis=-1)
+        log_trans = np.stack([e[3] for e in entries], axis=-1)
+        if not stats_needed:
+            logliks[batch], _ = forward_lattice(log_pi, log_trans, logb, lengths)
+            continue
+        logliks[batch], gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
+        for b, i in enumerate(batch):
+            post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
     n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
     if n_impossible:
         raise DegenerateModelError(
@@ -214,16 +206,11 @@ def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
     for chain, obs, (gamma, xi_sum) in zip(chains, data, post):
         offsets = composed[chain][0]
         for k, key in enumerate(chain):
+            n = models[key].n_states
             if key not in accs:
-                m = models[key]
-                accs[key] = (
-                    np.zeros(m.n_states),
-                    np.zeros((m.n_states, m.n_states)),
-                    m.emissions.new_stats(),
-                )
+                accs[key] = (np.zeros(n), np.zeros((n, n)), models[key].emissions.new_stats())
             pi_acc, trans_acc, em_stats = accs[key]
             off = offsets[k]
-            n = models[key].n_states
             rows = n if k == len(chain) - 1 else n - 1
             em_mod.accumulate_seq(em_stats, gamma[:, off : off + n], obs)
             trans_acc[:rows] += xi_sum[off : off + rows, off : off + n]
@@ -234,7 +221,8 @@ def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
 def _em(models, chains, data, exit_prob, cfg, on_iteration, what="sequences"):
     """EM on the tied models (a dict keyed like the chains) until the
     relative log-likelihood gain drops below cfg.rel_tol or
-    cfg.max_iters M-steps ran; data[i] is scored on chains[i].
+    cfg.max_iters M-steps ran; data[i] is checked by the first model of
+    chains[i] and scored on chains[i].
 
     on_iteration(it, models, loglik) sees the models each log likelihood
     was computed with. Returns (models, report): the report's
@@ -244,6 +232,9 @@ def _em(models, chains, data, exit_prob, cfg, on_iteration, what="sequences"):
     """
     if not data:
         raise IncompatibleDataError(f"no training {what}")
+    if not all(len(obs) for obs in data):
+        raise EmptyObservationError("empty observation sequence")
+    data = [models[chain[0]].emissions.check(obs) for chain, obs in zip(chains, data)]
     models = {key: m.copy() for key, m in models.items()}
     trajectory = []
     converged = False

@@ -8,6 +8,11 @@ from phmm.emissions import DiscreteEmission, GaussianEmission
 from phmm.hmm import Hmm, Topology
 
 
+def bits(x):
+    """The bytes of x as float64, for bit-for-bit comparisons."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def random_stochastic(rng, shape):
     a = rng.uniform(0.1, 1.0, size=shape)
     return a / a.sum(axis=-1, keepdims=True)
@@ -158,6 +163,16 @@ def random_phoneme(rng, n_states, gaussian=False, ergodic=False, alphabet=4, dim
         emissions = DiscreteEmission(random_stochastic(rng, (n_states, alphabet)))
     topology = Topology.ERGODIC if ergodic else Topology.LEFT_TO_RIGHT
     return Hmm(pi, trans, emissions, topology)
+
+
+# Every kind of mixed_lexicon: discrete or Gaussian, Bakis or ergodic,
+# with and without epenthesis.
+BATCH_CASES = [
+    dict(gaussian=g, ergodic=e, policy=p)
+    for g in (False, True)
+    for e in (False, True)
+    for p in ("none", "between_signs")
+]
 
 
 def mixed_lexicon(rng, gaussian=False, ergodic=False, policy="none", channels=("c0", "c1")):

@@ -229,6 +229,57 @@ def baum_welch_oracle(init, data, cfg):
     return model, trajectory, cfg.max_iters, False
 
 
+def composed_e_step_oracle(models, chains, data, exit_prob, stats_needed=True):
+    """training._e_step scoring every sequence on its composed model's
+    stacked emissions: one log_density_seq call per sequence, written
+    into a -inf padded (T, N, B) lattice per batch of equal state
+    counts. Returns (total log likelihood, {key: (pi, trans, emission
+    stats)} or None without stats)."""
+    composed = {}
+    for chain in dict.fromkeys(chains):
+        model, offsets = compose_models([(key, models[key]) for key in chain], exit_prob)
+        composed[chain] = (offsets, model.emissions, *model.log_params())
+    batches = {}
+    for i, chain in enumerate(chains):
+        batches.setdefault(len(composed[chain][2]), []).append(i)
+    logliks = np.empty(len(data))
+    post = [None] * len(data)
+    for batch in batches.values():
+        entries = [composed[chains[i]] for i in batch]
+        lengths = np.array([len(data[i]) for i in batch])
+        logb = np.full((lengths.max(), len(entries[0][2]), len(batch)), LOG_ZERO)
+        for b, (e, i) in enumerate(zip(entries, batch)):
+            logb[: lengths[b], :, b] = log_density_seq(e[1], data[i])
+        log_pi = np.stack([e[2] for e in entries], axis=-1)
+        log_trans = np.stack([e[3] for e in entries], axis=-1)
+        if not stats_needed:
+            logliks[batch], _ = forward_lattice(log_pi, log_trans, logb, lengths)
+            continue
+        logliks[batch], gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
+        for b, i in enumerate(batch):
+            post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
+    if np.any(logliks == LOG_ZERO):
+        raise DegenerateModelError("sequences have zero likelihood under the models")
+    total = math.fsum(logliks.tolist())
+    if not stats_needed:
+        return total, None
+    accs = {}
+    for chain, obs, (gamma, xi_sum) in zip(chains, data, post):
+        offsets = composed[chain][0]
+        for k, key in enumerate(chain):
+            m = models[key]
+            n = m.n_states
+            if key not in accs:
+                accs[key] = (np.zeros(n), np.zeros((n, n)), m.emissions.new_stats())
+            pi_acc, trans_acc, em_stats = accs[key]
+            off = offsets[k]
+            rows = n if k == len(chain) - 1 else n - 1
+            accumulate_seq(em_stats, gamma[:, off : off + n], obs)
+            trans_acc[:rows] += xi_sum[off : off + rows, off : off + n]
+            pi_acc += gamma[0, off : off + n] if k == 0 else xi_sum[off - 1, off : off + n]
+    return total, accs
+
+
 def tied_counts_oracle(models, chains, data, exit_prob):
     """Expected counts of every tied parameter, pooled over the sequences
     data[i] on the chains[i] of models[key], by enumerating the state

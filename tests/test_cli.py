@@ -332,17 +332,25 @@ def _phoneme(blob):
     return next(iter(inventory["phonemes"].values()))
 
 
+def _set_pi(blob, channel, pid, pi):
+    blob["inventories"][channel]["phonemes"][pid]["pi"] = pi
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        lambda blob: blob.pop("signs"),
-        lambda blob: _phoneme(blob).pop("pi"),
-        lambda blob: _phoneme(blob).__setitem__("topology", "bogus"),
+        (lambda blob: blob.pop("signs"), "model file"),
+        (lambda blob: _phoneme(blob).pop("pi"), "model file"),
+        (lambda blob: _phoneme(blob).__setitem__("topology", "bogus"), "model file"),
+        (
+            lambda blob: _set_pi(blob, "right_hand", "R0", [[1.0], [0.0], [0.0]]),
+            "pi has shape (3, 1), expected a vector",
+        ),
     ],
-    ids=["no-signs", "phoneme-without-pi", "bogus-topology"],
+    ids=["no-signs", "phoneme-without-pi", "bogus-topology", "column-pi"],
 )
 def test_decode_malformed_model_is_input_error(
-    corrupt, tmp_path, trained_model, demo_corpus, capsys
+    corrupt, message, tmp_path, trained_model, demo_corpus, capsys
 ):
     blob = json.loads(trained_model.read_text())
     corrupt(blob)
@@ -353,7 +361,7 @@ def test_decode_malformed_model_is_input_error(
          "--mode", "exhaustive", "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
     ) == 3
     err = capsys.readouterr().err
-    assert "model file" in err
+    assert message in err
     assert "Traceback" not in err
 
 

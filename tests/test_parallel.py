@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import build_lexicon, mixed_lexicon, random_phoneme, sample_mobs
+from helpers import (
+    BATCH_CASES,
+    bits,
+    build_lexicon,
+    mixed_lexicon,
+    random_phoneme,
+    sample_mobs,
+)
 from oracles import (
     decode_exhaustive_oracle,
     decode_synced_oracle,
@@ -245,6 +252,18 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
         decode_exhaustive(lex, mobs, max_signs=6)
 
 
+def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
+    # At 4 signs the demo lexicon's stacks take 48.4 MiB, and every frame
+    # of viterbi_score_lattice adds a 13.8 MiB temporary: 62.2 MiB in all.
+    from phmm.demo import demo_lexicon
+
+    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", 55 << 20)
+    monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
+    mobs = sample_mobs(demo_lexicon(), ["sign0"], 12, seed=1)
+    with pytest.raises(SearchSpaceTooLargeError, match="bytes of candidate stacks"):
+        decode_exhaustive(demo_lexicon(), mobs, max_signs=4)
+
+
 @pytest.mark.parametrize("policy", ["none", "between_signs"])
 def test_stack_bytes_equal_the_cached_stacks(policy):
     lex = mixed_lexicon(np.random.default_rng(44), policy=policy)
@@ -386,18 +405,6 @@ def test_hypothesis_total_is_exact_fsum():
     assert h.total == math.fsum([-1.1, -2.2, -3.3])
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).tobytes()
-
-
-BATCH_CASES = [
-    dict(gaussian=g, ergodic=e, policy=p)
-    for g in (False, True)
-    for e in (False, True)
-    for p in ("none", "between_signs")
-]
-
-
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
 def test_batched_exhaustive_scores_equal_score_hypothesis(case):
     # phonemes of 1-3 states, signs of 1-2 phonemes, unequal channel lengths
@@ -411,7 +418,7 @@ def test_batched_exhaustive_scores_equal_score_hypothesis(case):
     assert scores.shape == (12, 2)
     for signs, row in zip(candidates, scores):
         ref = score_hypothesis(lex, signs, mobs)
-        assert _bits(row) == _bits([ref.channel_scores[ch] for ch in lex.channels])
+        assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
 
 
 @pytest.mark.parametrize("policy", ["none", "between_signs"])
@@ -425,7 +432,7 @@ def test_batched_exhaustive_scores_keep_impossible_candidates(policy):
     n_dead = 0
     for signs, row in zip(candidates, scores):
         ref = score_hypothesis(lex, signs, mobs)
-        assert _bits(row) == _bits([ref.channel_scores[ch] for ch in lex.channels])
+        assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
         n_dead += ref.total == float("-inf")
     assert 0 < n_dead < 12
 
@@ -558,16 +565,16 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
             for c, ch in enumerate(lex.channels):
                 unit = synced_unit(lex, ch, key, mobs.channels[ch])
                 log_pi, log_trans, logb = stack.unit(k, c)
-                assert _bits(log_pi) == _bits(unit.log_pi)
-                assert _bits(log_trans) == _bits(unit.log_trans)
-                assert _bits(logb) == _bits(unit.logb)
+                assert bits(log_pi) == bits(unit.log_pi)
+                assert bits(log_trans) == bits(unit.log_trans)
+                assert bits(logb) == bits(unit.logb)
                 n_inf += int(np.isneginf(unit.logb).sum())
                 for t0 in range(t_len):
                     ref_exit, ref_last = segment_scores_oracle(unit, t0)
                     for t in range(t0, t_len):
                         assert columns[t].shape == (t + 1, len(keys), 2)
-                        assert _bits(columns[t][t0, k, c]) == _bits(ref_exit[t])
-                    assert _bits(last[t0, k, c]) == _bits(ref_last)
+                        assert bits(columns[t][t0, k, c]) == bits(ref_exit[t])
+                    assert bits(last[t0, k, c]) == bits(ref_last)
         assert (n_inf > 0) == (not gaussian)
 
 

@@ -2,23 +2,26 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BATCH_CASES,
+    bits,
     left_to_right_hmm,
     mixed_lexicon,
     random_discrete_hmm,
     random_phoneme,
     sample_mobs,
 )
-from oracles import baum_welch_oracle, tied_counts_oracle
+from oracles import baum_welch_oracle, composed_e_step_oracle, tied_counts_oracle
 from phmm.emissions import DiscreteEmission, GaussianEmission
 from phmm.errors import (
     DegenerateModelError,
+    DimensionMismatchError,
     IncompatibleDataError,
     NonFiniteEntryError,
     VariantMismatchError,
 )
 from phmm.hmm import Hmm, forward, sample, validate
 from phmm.lexicon import Lexicon, PhonemeInventory, Sign
-from phmm.parallel import compose_models
+from phmm.parallel import block_ids, compose_models
 from phmm.training import (
     TrainConfig,
     _e_step,
@@ -131,6 +134,21 @@ def test_variant_mismatch_raises():
     init = left_to_right_hmm()
     with pytest.raises(VariantMismatchError):
         baum_welch(init, [np.zeros((4, 2))], TrainConfig())
+    # A bad sequence next to a good one of the same batch: each is checked
+    # before the batch's frames are concatenated, which would otherwise
+    # fail with numpy's ValueError.
+    gaussian = random_phoneme(np.random.default_rng(5), 3, gaussian=True)
+    cases = [
+        (init, [np.array([0, 1, 2]), np.zeros((4, 2), dtype=int)], VariantMismatchError),
+        (gaussian, [np.zeros((4, 2)), np.zeros((4, 3))], DimensionMismatchError),
+    ]
+    cfg = TrainConfig(max_iters=2)
+    for model, data, error in cases:
+        with pytest.raises(error):
+            baum_welch(model, data, cfg)
+        utts = [(["s"], obs) for obs in data]
+        with pytest.raises(error):
+            train_embedded(_single_phoneme_lexicon(model), "ch", utts, cfg, init_models={"p": model})
 
 
 @pytest.mark.parametrize(
@@ -341,6 +359,49 @@ def test_tied_statistics_equal_path_enumeration(gaussian):
         assert np.allclose(trans, want[key][1], rtol=1e-9, atol=1e-12)
         for name, arr in vars(stats).items():
             assert np.allclose(arr, getattr(want[key][2], name), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_e_step_equals_composed_emission_oracle(case):
+    # Chains with a phoneme repeated within them, equal state counts at
+    # unequal lengths and a one-frame sequence: the E-step reading one
+    # density table per batch against scoring every sequence on its
+    # composed model's stacked emissions, bit for bit.
+    lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
+    models = lex.inventory("c0").phonemes
+    utts = [(["s0"], 5), (["s1", "s1"], 7), (["s2", "s0", "s1"], 9), (["s1"], 1),
+            (["s0", "s2"], 4), (["s2", "s2", "s2"], 11), (["s1"], 6), (["s0"], 3)]
+    chains = [tuple(block_ids(lex, "c0", signs)) for signs, _ in utts]
+    data = [
+        sample_mobs(lex, signs, t_len, seed=100 * case + i).channels["c0"]
+        for i, (signs, t_len) in enumerate(utts)
+    ]
+    assert any(len(set(chain)) < len(chain) for chain in chains)
+    for stats_needed in (True, False):
+        got_ll, got = _e_step(models, chains, data, lex.exit_prob, "sequences", stats_needed)
+        want_ll, want = composed_e_step_oracle(models, chains, data, lex.exit_prob, stats_needed)
+        assert bits(got_ll) == bits(want_ll)
+        if not stats_needed:
+            assert got is None and want is None
+            continue
+        assert list(got) == list(want)
+        for key, (pi, trans, stats) in got.items():
+            assert bits(pi) == bits(want[key][0])
+            assert bits(trans) == bits(want[key][1])
+            for name, arr in vars(stats).items():
+                assert bits(arr) == bits(getattr(want[key][2], name))
+
+
+def test_e_step_padding_cannot_overflow():
+    # A one-frame sequence batched with an 80-frame one under a sharp
+    # Gaussian (log density about +12 per frame): finite padding of the
+    # short one would overflow exp in posteriors_lattice, which pytest
+    # turns into an error.
+    model = Hmm([1.0], [[1.0]], GaussianEmission(np.zeros((1, 2)), np.full((1, 2), 1e-6)))
+    data = [np.zeros((1, 2)), np.zeros((80, 2))]
+    total, accs = _e_step({0: model}, [(0,), (0,)], data, None, "sequences")
+    assert total == composed_e_step_oracle({0: model}, [(0,), (0,)], data, None)[0]
+    assert accs[0][2].weight[0] == pytest.approx(81.0)
 
 
 def test_embedded_unused_phoneme_unchanged_and_flagged():
