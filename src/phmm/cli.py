@@ -80,6 +80,22 @@ def _cut_segments(lexicon, channel, corpus):
     return {pid: segs for pid, segs in segments.items() if segs}
 
 
+def _log_iterations(channel):
+    """An on_iteration hook that logs each EM iteration's total
+    log-likelihood and its change at INFO level."""
+    trajectory = []
+
+    def hook(it, models, loglik):
+        line = "channel %s iteration %d: loglik %.6f"
+        if trajectory:
+            log.info(line + " change %+.6g", channel, it, loglik, loglik - trajectory[-1])
+        else:
+            log.info(line, channel, it, loglik)
+        trajectory.append(loglik)
+
+    return hook
+
+
 def cmd_train(args):
     lexicon = _load_lexicon(args.lexicon)
     corpus = read_corpus(args.corpus)
@@ -92,12 +108,19 @@ def cmd_train(args):
             if ch not in utt.mobs.channels:
                 raise ValidationError(f"corpus lacks channel {ch!r}")
         log.info("%s training on channel %s", args.mode, ch)
+        hook = _log_iterations(ch)
         if args.mode == "embedded":
             utts = [(utt.signs, utt.mobs.channels[ch]) for utt in corpus]
-            trained[ch], reports[ch] = train_embedded(lexicon, ch, utts, args.config)
+            trained[ch], reports[ch] = train_embedded(
+                lexicon, ch, utts, args.config, on_iteration=hook
+            )
         else:
             segments = _cut_segments(lexicon, ch, corpus)
             trained[ch], reports[ch] = train_segmented(lexicon, ch, segments, args.config)
+            # Phonemes train one after another; their summed trajectory
+            # is logged once they are done.
+            for it, loglik in enumerate(reports[ch].loglik_trajectory):
+                hook(it, trained[ch], loglik)
 
     out_lex = Lexicon(
         channels=list(lexicon.channels),

@@ -66,6 +66,14 @@ class _Emission:
     def copy(self):
         return type(self)(*(arr.copy() for arr in vars(self).values()))
 
+    def check_rank(self):
+        """Raise DimensionMismatchError unless every field is 2-d."""
+        for name, arr in vars(self).items():
+            if arr.ndim != 2:
+                raise DimensionMismatchError(
+                    f"emission {name} has shape {arr.shape}, expected a 2-d array"
+                )
+
     @classmethod
     def stack(cls, parts):
         """The emissions of blocks composed in order: their rows stacked."""
@@ -94,6 +102,7 @@ class DiscreteEmission(_Emission):
         return self.probs.shape[1]
 
     def validate(self):
+        self.check_rank()
         check_finite("emission probs", self.probs)
         if np.any(self.probs < 0):
             raise NegativeEntryError("emission probs", float(self.probs.min()))
@@ -173,6 +182,7 @@ class GaussianEmission(_Emission):
         return self.means.shape[1]
 
     def validate(self):
+        self.check_rank()
         if self.means.shape != self.variances.shape:
             raise DimensionMismatchError("means and variances shapes differ")
         check_finite("emission means", self.means)

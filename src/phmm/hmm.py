@@ -1,14 +1,16 @@
 """Single-channel HMM: representation, validation and exact inference.
 
-Forward, backward and Viterbi all run in log space via the conventions
-in logmath; there are no probability-domain scaling coefficients. A
-model is immutable during inference and safe to share across threads;
-construction and training updates are single-writer.
+Forward, backward and Viterbi run in log space via the conventions in
+logmath. The training E-step (posteriors_lattice, loglik_lattice) runs
+Rabiner's scaled forward-backward on probabilities instead: one scale
+factor per frame takes the place of the logs, and a -inf log value is
+an exact 0. A model is immutable during inference and safe to share
+across threads; construction and training updates are single-writer.
 
 The lattice kernels take explicit log parameters and may score a batch
 of models and sequences at once, the batch on the innermost axis:
-viterbi_score_lattice for the decoders, forward_lattice and
-posteriors_lattice for the training E-step.
+viterbi_score_lattice for the decoders, and posteriors_lattice and
+loglik_lattice for training.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import (
 from .logmath import LOG_ZERO, logsumexp, safe_log
 
 STOCH_TOL = 1e-12
+TINY = np.finfo(float).tiny
 
 
 class Topology(str, Enum):
@@ -112,27 +115,16 @@ def _obs_length(hmm, obs):
     return logb
 
 
-def forward_lattice(log_pi, log_trans, logb, lengths=None):
+def forward_lattice(log_pi, log_trans, logb):
     """Forward recursion on explicit log parameters.
 
     Returns (loglik, alpha) where alpha[t][i] = log P(o_1..o_t, q_t = i).
-    log_pi (N, B), log_trans (N, N, B) and logb (T, N, B) may carry a
-    trailing batch axis, one model and sequence per entry, as in
-    viterbi_score_lattice; loglik is then a (B,) array. lengths (B,)
-    holds each entry's frame count: its loglik is read at frame
-    lengths[b] - 1, and later frames of alpha are meaningless.
     """
-    t_len = logb.shape[0]
-    alpha = np.empty((t_len,) + np.broadcast_shapes(np.shape(log_pi), logb.shape[1:]))
+    alpha = np.empty(logb.shape)
     alpha[0] = log_pi + logb[0]
-    for t in range(1, t_len):
+    for t in range(1, logb.shape[0]):
         alpha[t] = logsumexp(alpha[t - 1][:, None] + log_trans, axis=0) + logb[t]
-    if lengths is None:
-        last = alpha[-1]
-    else:
-        last = np.take_along_axis(alpha, np.reshape(lengths, (1, 1, -1)) - 1, axis=0)[0]
-    loglik = logsumexp(last, axis=0)
-    return (float(loglik) if loglik.ndim == 0 else loglik), alpha
+    return float(logsumexp(alpha[-1], axis=0)), alpha
 
 
 def backward_lattice(log_trans, logb):
@@ -239,8 +231,64 @@ def sample(hmm, t_len, seed):
     return hmm.emissions.sample(path, rng), [int(s) for s in path]
 
 
+def _scaled_forward(log_pi, log_trans, logb, lengths):
+    """Rabiner's scaled forward sweep (Proc. IEEE 1989, section V.A),
+    the batch on the leading axis so that every frame is one batched
+    matmul. Arguments as in posteriors_lattice.
+
+    Returns (loglik (B,), alpha (T, B, N), emit (T, B, N), scale (T, B),
+    trans (B, N, N)). trans holds the transition probabilities and emit
+    the emission lattice shifted by its per-frame, per-entry max before
+    exp (an all -inf frame shifts by 0): every value is at most 1, and
+    -inf is exactly 0. A frame whose reachable states all round to 0
+    that way shifts by its best reachable state instead. alpha[t] is the
+    forward row of frame t divided by scale[t], its sum; a row without
+    mass stays 0. loglik adds log(scale) and the shifts over each
+    entry's first lengths[b] frames.
+    """
+    trans = np.moveaxis(log_trans, -1, 0)
+    trans = np.exp(trans, out=np.empty(trans.shape))
+    shift = np.max(logb, axis=1)
+    shift[shift == LOG_ZERO] = 0.0
+    emit = np.empty(logb.shape[:1] + shift.shape[1:] + logb.shape[1:2])
+    np.subtract(logb.transpose(0, 2, 1), shift[:, :, None], out=emit)
+    np.exp(emit, out=emit)
+    alpha = np.empty_like(emit)
+    scale = np.empty(emit.shape[:2])
+    pi = np.exp(log_pi.T)
+    for t in range(len(emit)):
+        pred = pi if t == 0 else np.matmul(alpha[t - 1][:, None], trans)[:, 0]
+        np.multiply(pred, emit[t], out=alpha[t])
+        np.sum(alpha[t], axis=1, out=scale[t])
+        lost = scale[t] < TINY
+        if lost.any():
+            # The states the forward mass reaches may all lie so far below
+            # the frame's best state that exp rounds them to 0 or to
+            # subnormals. Such a frame shifts by its best reachable state
+            # instead; the others hold no forward mass, and emit 0.
+            reach = np.broadcast_to(pred, alpha[t].shape)[lost]
+            frame = np.where(reach > 0, logb[t].T[lost], LOG_ZERO)
+            top = np.max(frame, axis=1)
+            top[top == LOG_ZERO] = 0.0
+            shift[t, lost] = top
+            emit[t, lost] = np.exp(frame - top[:, None])
+            alpha[t, lost] = reach * emit[t, lost]
+            scale[t, lost] = np.sum(alpha[t, lost], axis=1)
+        np.divide(alpha[t], scale[t][:, None], out=alpha[t], where=scale[t][:, None] > 0)
+    live = np.arange(len(emit))[:, None] < lengths
+    with np.errstate(divide="ignore"):
+        loglik = np.where(live, np.log(scale) + shift, 0.0).sum(axis=0)
+    return loglik, alpha, emit, scale, trans
+
+
+def loglik_lattice(log_pi, log_trans, logb, lengths):
+    """(B,) log likelihoods by the forward sweep of posteriors_lattice:
+    the same arithmetic, without the backward sweep."""
+    return _scaled_forward(log_pi, log_trans, logb, lengths)[0]
+
+
 def posteriors_lattice(log_pi, log_trans, logb, lengths):
-    """Batched E-step: forward-backward over B sequences at once.
+    """Batched E-step: scaled forward-backward over B sequences at once.
 
     log_pi (N, B), log_trans (N, N, B) and logb (T, N, B) hold one model
     and one padded sequence per batch entry (the batch axes of the
@@ -250,26 +298,37 @@ def posteriors_lattice(log_pi, log_trans, logb, lengths):
     frame t (0 at and after lengths[b]) and xi_sum[:, :, b] its
     expected transition counts summed over time.
 
-    No beta lattice is kept: the backward sweep carries one beta row,
-    adds each frame's expected transitions to xi_sum and overwrites
-    alpha[t] with gamma[t] once alpha[t] is no longer needed. Frames at
-    or after an entry's length are masked with np.where: whatever logb
-    holds there never enters a sum. An entry with loglik -inf has
-    meaningless posteriors.
+    The backward rows are scaled by the forward sweep's factors, so
+    gamma is the product of the two rows. A backward row is 1 at an
+    entry's last frame and 0 after it, which masks whatever logb holds
+    there. A frame's backward sweep turns emit into the weights that
+    xi_sum contracts with alpha in one matmul; emit then takes the
+    backward rows and gamma overwrites alpha. An entry with loglik -inf
+    has meaningless posteriors. A reachable state whose log density
+    lies more than about 700 below the best reachable state of its frame
+    counts as impossible there.
     """
-    loglik, alpha = forward_lattice(log_pi, log_trans, logb, lengths)
-    # Zero-likelihood entries divide by 1 instead of 0; callers skip them.
-    norm = np.where(loglik == LOG_ZERO, 0.0, loglik)
-    beta = np.zeros(alpha.shape[1:])
-    xi_sum = np.zeros(alpha.shape[1:2] + alpha.shape[1:])
-    for t in range(logb.shape[0] - 2, -1, -1):
-        live = t + 1 < lengths
-        inner = log_trans + (logb[t + 1] + beta)[None]
-        xi_sum += np.where(live, np.exp(alpha[t][:, None] + inner - norm), 0.0)
-        alpha[t + 1] = np.where(live, np.exp(alpha[t + 1] + beta - norm), 0.0)
-        beta = np.where(live, logsumexp(inner, axis=1), 0.0)
-    alpha[0] = np.exp(alpha[0] + beta - norm)
-    return loglik, alpha, xi_sum
+    loglik, alpha, emit, scale, trans = _scaled_forward(log_pi, log_trans, logb, lengths)
+    emit *= np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)[:, :, None]
+    is_last = np.arange(len(emit))[:, None] == np.asarray(lengths) - 1
+    beta = np.zeros_like(emit[0])
+    beta[is_last[-1]] = 1.0
+
+    def beta_row(t, out):
+        # The backward row of frame t from the weights of frame t + 1.
+        np.matmul(trans, emit[t + 1][:, :, None], out=out[:, :, None])
+        np.copyto(out, 1.0, where=is_last[t][:, None])
+
+    for t in range(len(emit) - 2, -1, -1):
+        emit[t + 1] *= beta
+        beta_row(t, beta)
+    xi_sum = np.matmul(alpha[:-1].transpose(1, 2, 0), emit[1:].transpose(1, 0, 2))
+    xi_sum *= trans
+    for t in range(len(emit) - 1):
+        beta_row(t, emit[t])
+    emit[-1] = is_last[-1][:, None]
+    alpha *= emit
+    return loglik, alpha.transpose(0, 2, 1), xi_sum.transpose(1, 2, 0)
 
 
 def posteriors(hmm, obs):

@@ -3,9 +3,9 @@ segmented training and whole-utterance embedded training.
 
 Every kind of training is EM over a dict of models and a list of
 chains, a chain being the tuple of model keys that one sequence is
-scored on, composed left to right (parallel.compose_models). Every
-occurrence of a key, within and across sequences, is tied to one
-parameter set: its statistics are pooled before one M-step per
+scored on, composed left to right as parallel.compose_models does.
+Every occurrence of a key, within and across sequences, is tied to one
+parameter set whose statistics are pooled before one M-step per
 iteration. baum_welch trains one model on one-block chains (Rabiner,
 Proc. IEEE 1989, section III.C), train_segmented runs baum_welch per
 phoneme on its segments, and train_embedded trains every phoneme of a
@@ -13,40 +13,32 @@ channel on the utterances' block sequences.
 
 Composition rewires the final row of every block except a chain's last
 (exit wiring). Exactly those rows are structural constants and receive
-no statistics; every other row, the final row of a chain's last block
-included, is a tied parameter. So every iteration is an exact EM step,
-the total log likelihood never decreases, and a one-block chain is
-plain Baum-Welch.
+no statistics, so every iteration is an exact EM step, the total log
+likelihood never decreases, and a one-block chain is plain Baum-Welch.
 
-The E-step runs hmm.posteriors_lattice over batches of sequences whose
-composed models have the same state count, so its Python loop steps
-over the frames of the longest sequence, not over every frame of every
-sequence. As in the decoders, emissions come from one table of every
-model's state log densities per batch (parallel._log_density_table),
-read through each chain's state columns. Statistics are added in
-corpus order whatever the batches.
-
-All training is single-threaded with a fixed accumulation order, so
-identical inputs and seed reproduce identical models.
+The E-step is compiled once per run (_compile). Integer maps gather
+each batch of equal-size composed models from the tied parameters and
+send the statistics back in corpus order; emissions come from one table
+of state log densities per batch, as in the decoders. A batch runs the
+scaled forward-backward hmm.posteriors_lattice, whose Python loop steps
+over the frames of its longest sequence. The fixed accumulation order
+makes identical inputs and seed reproduce identical models.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import emissions as em_mod
-from .errors import (
-    DegenerateModelError,
-    EmptyObservationError,
-    IncompatibleDataError,
-)
-from .hmm import Hmm, Topology, forward_lattice, posteriors_lattice, validate
-from .logmath import LOG_ZERO
-from .parallel import _log_density_table, _state_columns, block_ids, compose_models
+from .errors import DegenerateModelError, EmptyObservationError, IncompatibleDataError
+from .hmm import Hmm, Topology, loglik_lattice, posteriors_lattice, validate
+from .logmath import LOG_ZERO, safe_log
+from .parallel import _log_density_table, _state_columns, block_ids
 
 INIT_UNIFORM_PERTURBED = "uniform_perturbed"
 INIT_FROM_GLOBAL_STATS = "from_global_stats"
@@ -85,18 +77,8 @@ class TrainReport:
 
 def derive_seed(seed, *labels):
     """Stable sub-seed from a base seed and string labels."""
-    h = hashlib.sha256(
-        ("|".join([str(seed)] + [str(x) for x in labels])).encode()
-    ).digest()
-    return int.from_bytes(h[:8], "big")
-
-
-def _uniform_topology_rows(n_states, topology):
-    if topology is Topology.ERGODIC:
-        return np.full((n_states, n_states), 1.0 / n_states)
-    trans = 0.5 * (np.eye(n_states) + np.eye(n_states, k=1))
-    trans[-1, -1] = 1.0
-    return trans
+    h = hashlib.sha256("|".join([str(seed)] + [str(x) for x in labels]).encode())
+    return int.from_bytes(h.digest()[:8], "big")
 
 
 def initial_model(template, data, cfg, seed=None):
@@ -121,7 +103,11 @@ def initial_model(template, data, cfg, seed=None):
     n_states, topology = template.n_states, template.topology
     pi = np.full(n_states, 1.0 / n_states) * em_mod.jitter(rng, n_states)
     pi /= pi.sum()
-    trans = _uniform_topology_rows(n_states, topology)
+    if topology is Topology.ERGODIC:
+        trans = np.full((n_states, n_states), 1.0 / n_states)
+    else:
+        trans = 0.5 * (np.eye(n_states) + np.eye(n_states, k=1))
+        trans[-1, -1] = 1.0
     trans = trans * np.where(trans > 0, em_mod.jitter(rng, (n_states, n_states)), 1.0)
     trans /= trans.sum(axis=1, keepdims=True)
     model = Hmm(pi, trans, template.emissions.initial(data, rng), topology)
@@ -154,110 +140,146 @@ def _m_step(model, stats, cfg):
     return Hmm(new_pi, new_trans, new_em, model.topology)
 
 
-def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
-    """Total log likelihood of data[i] (checked and nonempty) on the
-    composed chains[i] for every i, and the tied statistics (pi, trans,
-    emission) per model key in a chain, or None without stats.
+def _compile(models, chains, data, exit_prob, what):
+    """The E-step over data[i] (checked and nonempty) on the composed
+    chains[i], everything that no iteration changes built once.
 
-    Initial-state evidence of a block is the chain's start posterior for
-    its first block and the boundary transitions into it for later ones.
-    Transition evidence covers every row of a block but the final row of
-    a block that is not the chain's last, which composition rewires.
+    Returns e_step(models, stats_needed=True): the total log likelihood
+    and the tied statistics (pi, trans, emission) of every key in a
+    chain, or None without stats. Initial-state evidence of a block is
+    the chain's start posterior for its first block and the boundary
+    transitions into it for later ones. Each iteration fills one flat
+    vector with every key's pi, trans and exit_prob * pi, then
+    1 - exit_prob and 0: the values composition copies. Integer maps
+    gather each state-count batch's log_pi/log_trans stack from its log
+    and send the statistics back (np.add.at, in corpus order).
     """
-    composed = {}
-    for chain in dict.fromkeys(chains):
-        model, offsets = compose_models([(key, models[key]) for key in chain], exit_prob)
-        composed[chain] = (offsets, _state_columns(models, chain), *model.log_params())
-    batches = {}
-    for i, chain in enumerate(chains):
-        batches.setdefault(len(composed[chain][1]), []).append(i)
-    logliks = np.empty(len(data))
-    post = [None] * len(data)
-    for batch in batches.values():
-        entries = [composed[chains[i]] for i in batch]
+    keys = list(dict.fromkeys(key for chain in chains for key in chain))
+    sizes = {key: models[key].n_states for key in keys}
+    base = dict(zip(keys, itertools.accumulate([0] + [n * (n + 2) for n in sizes.values()])))
+    stay, zero = -2, -1  # the flat vector ends with 1 - exit_prob and 0
+    # Where each flat entry's statistics go: exit_prob * pi to its pi,
+    # the constants nowhere (-1).
+    spans = [np.r_[a : a + n * (n + 1), a : a + n] for a, n in zip(base.values(), sizes.values())]
+    home = np.concatenate(spans + [[-1, -1]])
+    distinct = dict.fromkeys(chains)
+    offsets = {chain: np.cumsum([0] + [sizes[key] for key in chain[:-1]]) for chain in distinct}
+    columns = {chain: _state_columns(models, chain) for chain in distinct}
+
+    def params(chain):
+        total = len(columns[chain])
+        pi, trans = np.full(total, zero), np.full((total, total), zero)
+        for k, (key, off) in enumerate(zip(chain, offsets[chain])):
+            n, at = sizes[key], base[key]
+            trans[off : off + n, off : off + n] = at + n + np.arange(n * n).reshape(n, n)
+            if k == 0:
+                pi[:n] = at + np.arange(n)
+            else:
+                trans[off - 1] = zero
+                trans[off - 1, off - 1] = stay
+                trans[off - 1, off : off + n] = at + n * (n + 1) + np.arange(n)
+        return np.concatenate([pi, trans.ravel()])
+
+    counts = [len(columns[chain]) for chain in chains]
+    batches, spot, maps = [], {}, {}
+    voff = 0
+    for k, count in enumerate(dict.fromkeys(counts)):
+        batch = [i for i, c in enumerate(counts) if c == count]
         lengths = np.array([len(data[i]) for i in batch])
-        # Frame t of entry b reads row t of its span of the table. Frames
-        # past its length are -inf: finite padding can overflow exp in
-        # posteriors_lattice, although the result masks those frames.
         frames = np.arange(lengths.max())[:, None]
         rows = np.cumsum(lengths) - lengths + np.minimum(frames, lengths - 1)
+        cols = np.array([columns[chains[i]] for i in batch])
+        index = np.stack([params(chains[i]) for i in batch], axis=-1)
         obs = np.concatenate([data[i] for i in batch])
-        columns = np.stack([e[1] for e in entries], axis=-1)
-        logb = _log_density_table(models, obs)[rows[:, None], columns]
-        np.copyto(logb, LOG_ZERO, where=(frames >= lengths)[:, None])
-        log_pi = np.stack([e[2] for e in entries], axis=-1)
-        log_trans = np.stack([e[3] for e in entries], axis=-1)
-        if not stats_needed:
-            logliks[batch], _ = forward_lattice(log_pi, log_trans, logb, lengths)
-            continue
-        logliks[batch], gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
+        batches.append((batch, lengths, obs, rows[:, :, None], cols, index))
         for b, i in enumerate(batch):
-            post[i] = (gamma[: lengths[b], :, b], xi_sum[:, :, b])
-    n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
-    if n_impossible:
-        raise DegenerateModelError(
-            f"{n_impossible} of {len(data)} {what} have zero likelihood"
-            " under the current models"
-        )
-    total = math.fsum(logliks.tolist())
-    if not stats_needed:
-        return total, None
-    accs = {}
-    for chain, obs, (gamma, xi_sum) in zip(chains, data, post):
-        offsets = composed[chain][0]
-        for k, key in enumerate(chain):
-            n = models[key].n_states
-            if key not in accs:
-                accs[key] = (np.zeros(n), np.zeros((n, n)), models[key].emissions.new_stats())
-            pi_acc, trans_acc, em_stats = accs[key]
-            off = offsets[k]
-            rows = n if k == len(chain) - 1 else n - 1
-            em_mod.accumulate_seq(em_stats, gamma[:, off : off + n], obs)
-            trans_acc[:rows] += xi_sum[off : off + rows, off : off + n]
-            pi_acc += gamma[0, off : off + n] if k == 0 else xi_sum[off - 1, off : off + n]
-    return total, accs
+            # Entry b's statistics are column b of [gamma[0]; xi_sum] in
+            # the batch's part of e_step's values, laid out like index.
+            spot[i], dst = (k, b), home[index[:, b]]
+            maps[i] = (voff + np.flatnonzero(dst >= 0) * len(batch) + b, dst[dst >= 0])
+        voff += index.size
+    src, dst = (np.concatenate([maps[i][j] for i in range(len(data))]) for j in (0, 1))
+    # One-block chains (baum_welch) pass no exit_prob and read no exit entries.
+    exit_value = 0.0 if exit_prob is None else exit_prob
+
+    def e_step(models, stats_needed=True):
+        parts = [(m.pi, m.trans.ravel(), exit_value * m.pi) for m in map(models.get, keys)]
+        flat = safe_log(np.concatenate([a for p in parts for a in p] + [[1.0 - exit_value, 0.0]]))
+        logliks = np.empty(len(data))
+        gammas, values = [], []
+        for batch, lengths, obs, rows, cols, index in batches:
+            n = cols.shape[1]
+            log_params = flat[index]
+            # Gathered batch-major, the layout the kernels step over, and
+            # handed on in the (T, N, B) order they take. A frame past an
+            # entry's length repeats its last frame; the kernels mask it.
+            logb = _log_density_table(models, obs)[rows, cols]
+            args = (log_params[:n], log_params[n:].reshape(n, n, -1), logb.transpose(0, 2, 1))
+            if not stats_needed:
+                logliks[batch] = loglik_lattice(*args, lengths)
+                continue
+            logliks[batch], gamma, xi_sum = posteriors_lattice(*args, lengths)
+            gammas.append(gamma)
+            values += [gamma[0].ravel(), xi_sum.ravel()]
+        n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
+        if n_impossible:
+            msg = f"{n_impossible} of {len(data)} {what} have zero likelihood"
+            raise DegenerateModelError(msg + " under the current models")
+        total = math.fsum(logliks.tolist())
+        if not stats_needed:
+            return total, None
+        acc = np.zeros(len(flat))
+        np.add.at(acc, dst, np.concatenate(values)[src])
+        accs = {}
+        for key, n in sizes.items():
+            pt = acc[base[key] : base[key] + n * (n + 1)]
+            accs[key] = (pt[:n], pt[n:].reshape(n, n), models[key].emissions.new_stats())
+        for i, (chain, obs) in enumerate(zip(chains, data)):
+            gamma = gammas[spot[i][0]][: len(obs), :, spot[i][1]]
+            for key, off in zip(chain, offsets[chain]):
+                em_mod.accumulate_seq(accs[key][2], gamma[:, off : off + sizes[key]], obs)
+        return total, accs
+
+    return e_step
+
+
+def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
+    """_compile's E-step, built for one call."""
+    return _compile(models, chains, data, exit_prob, what)(models, stats_needed)
 
 
 def _em(models, chains, data, exit_prob, cfg, on_iteration, what="sequences"):
     """EM on the tied models (a dict keyed like the chains) until the
     relative log-likelihood gain drops below cfg.rel_tol or
     cfg.max_iters M-steps ran; data[i] is checked by the first model of
-    chains[i] and scored on chains[i].
-
-    on_iteration(it, models, loglik) sees the models each log likelihood
-    was computed with. Returns (models, report): the report's
-    loglik_trajectory holds the total data log likelihood at the start
-    of every iteration plus the final models', and is non-decreasing;
-    keys in no chain keep their parameters and are listed as untouched.
-    """
+    chains[i] and scored on chains[i]. on_iteration(it, models, loglik)
+    sees the models each log likelihood was computed with. The report's
+    non-decreasing loglik_trajectory holds the total log likelihood at
+    the start of every iteration plus the final models'; keys in no
+    chain keep their parameters and are listed as untouched."""
     if not data:
         raise IncompatibleDataError(f"no training {what}")
     if not all(len(obs) for obs in data):
         raise EmptyObservationError("empty observation sequence")
     data = [models[chain[0]].emissions.check(obs) for chain, obs in zip(chains, data)]
     models = {key: m.copy() for key, m in models.items()}
+    e_step = _compile(models, chains, data, exit_prob, what)
     trajectory = []
-    converged = False
-    iterations = 0
-    for it in range(cfg.max_iters):
-        loglik, accs = _e_step(models, chains, data, exit_prob, what)
+    for it in range(cfg.max_iters + 1):
+        # After max_iters M-steps, only the final models' likelihood.
+        loglik, accs = e_step(models, stats_needed=it < cfg.max_iters)
         trajectory.append(loglik)
         if on_iteration is not None:
             on_iteration(it, models, loglik)
-        if it > 0 and abs(loglik - trajectory[-2]) / (abs(loglik) + 1.0) < cfg.rel_tol:
-            converged = True
+        rel_gain = abs(loglik - trajectory[-2]) / (abs(loglik) + 1.0) if it else math.inf
+        converged = it < cfg.max_iters and rel_gain < cfg.rel_tol
+        if converged or accs is None:
             break
         for key, stats in accs.items():
             models[key] = _m_step(models[key], stats, cfg)
-        iterations += 1
-    if not converged:
-        final_ll, _ = _e_step(models, chains, data, exit_prob, what, stats_needed=False)
-        trajectory.append(final_ll)
-        if on_iteration is not None:
-            on_iteration(iterations, models, final_ll)
     used = {key for chain in chains for key in chain}
     untouched = tuple(key for key in models if key not in used)
-    return models, TrainReport(trajectory, iterations, converged, untouched)
+    return models, TrainReport(trajectory, it, converged, untouched)
 
 
 def baum_welch(init, data, cfg, on_iteration=None):
@@ -269,10 +291,7 @@ def baum_welch(init, data, cfg, on_iteration=None):
     """
     data = list(data)
 
-    def hook(it, models, loglik):
-        if on_iteration is not None:
-            on_iteration(it, models[0], loglik)
-
+    hook = on_iteration and (lambda it, models, loglik: on_iteration(it, models[0], loglik))
     # One-block chains have no exit rows, so exit_prob is unused.
     models, report = _em({0: init}, [(0,)] * len(data), data, None, cfg, hook)
     return models[0], report
@@ -297,31 +316,18 @@ def train_segmented(lexicon, channel, segments, cfg, init_models=None):
         raise IncompatibleDataError(f"no training segments for channel {channel!r}")
     if init_models is None:
         init_models = _initial_models(lexicon, channel, data, cfg, "segmented")
-    models = {}
-    reports = []
-    for pid, template in inv.phonemes.items():
-        if pid in data:
-            models[pid], report = baum_welch(init_models[pid], data[pid], cfg)
-            reports.append(report)
-        else:
-            models[pid] = template.copy()
-    length = max(len(r.loglik_trajectory) for r in reports)
-    trajectory = [
-        sum(r.loglik_trajectory[min(i, len(r.loglik_trajectory) - 1)] for r in reports)
-        for i in range(length)
-    ]
+    trained = {pid: baum_welch(init_models[pid], seqs, cfg) for pid, seqs in data.items()}
+    models = {pid: m.copy() for pid, m in inv.phonemes.items()}
+    models.update({pid: model for pid, (model, _) in trained.items()})
+    reports = [report for _, report in trained.values()]
+    runs = [r.loglik_trajectory for r in reports]
+    trajectory = [sum(r[min(i, len(r) - 1)] for r in runs) for i in range(max(map(len, runs)))]
     untouched = tuple(pid for pid in inv.phonemes if pid not in data)
-    return models, TrainReport(
-        trajectory,
-        max(r.iterations_run for r in reports),
-        all(r.converged for r in reports),
-        untouched,
-    )
+    iterations = max(r.iterations_run for r in reports)
+    return models, TrainReport(trajectory, iterations, all(r.converged for r in reports), untouched)
 
 
-def train_embedded(
-    lexicon, channel, utterances, cfg, init_models=None, on_iteration=None
-):
+def train_embedded(lexicon, channel, utterances, cfg, init_models=None, on_iteration=None):
     """Embedded Baum-Welch over composed utterance models for one channel.
 
     utterances is a sequence of (sign id sequence, observation
@@ -338,16 +344,8 @@ def train_embedded(
     data = [obs for _, obs in utterances]
     phonemes = lexicon.inventory(channel).phonemes
     if init_models is None:
-        init_models = _initial_models(
-            lexicon, channel, dict.fromkeys(phonemes, data), cfg, "embedded"
-        )
+        pooled = dict.fromkeys(phonemes, data)
+        init_models = _initial_models(lexicon, channel, pooled, cfg, "embedded")
     chains = [tuple(block_ids(lexicon, channel, signs)) for signs, _ in utterances]
-    return _em(
-        {pid: init_models[pid] for pid in phonemes},
-        chains,
-        data,
-        lexicon.exit_prob,
-        cfg,
-        on_iteration,
-        what="utterances",
-    )
+    models = {pid: init_models[pid] for pid in phonemes}
+    return _em(models, chains, data, lexicon.exit_prob, cfg, on_iteration, "utterances")

@@ -28,7 +28,7 @@ from phmm.errors import (
     NoFiniteHypothesisError,
     ValidationError,
 )
-from phmm.hmm import Hmm, forward_lattice, posteriors_lattice
+from phmm.hmm import Hmm, loglik_lattice, posteriors_lattice
 from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
 from phmm.logmath import LOG_ZERO, logsumexp, safe_log
 from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models, score_hypothesis
@@ -184,7 +184,7 @@ def _single_model_e_step(model, data, stats_needed=True):
     if stats_needed:
         logliks, gamma, xi_sum = posteriors_lattice(lp[:, None], lt[:, :, None], logb, lengths)
     else:
-        logliks, _ = forward_lattice(lp[:, None], lt[:, :, None], logb, lengths)
+        logliks = loglik_lattice(lp[:, None], lt[:, :, None], logb, lengths)
     if np.any(logliks == LOG_ZERO):
         raise DegenerateModelError("sequences have zero likelihood under the model")
     total = math.fsum(logliks.tolist())
@@ -253,7 +253,7 @@ def composed_e_step_oracle(models, chains, data, exit_prob, stats_needed=True):
         log_pi = np.stack([e[2] for e in entries], axis=-1)
         log_trans = np.stack([e[3] for e in entries], axis=-1)
         if not stats_needed:
-            logliks[batch], _ = forward_lattice(log_pi, log_trans, logb, lengths)
+            logliks[batch] = loglik_lattice(log_pi, log_trans, logb, lengths)
             continue
         logliks[batch], gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
         for b, i in enumerate(batch):

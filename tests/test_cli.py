@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +94,29 @@ def test_train_single_iteration(tmp_path, demo_corpus, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert out.count("iterations=1") == 3
+
+
+def test_train_logs_each_iteration(tmp_path, demo_corpus, capsys, caplog):
+    # At INFO the phmm logger reports every channel's EM iterations:
+    # the log-likelihood the printed summary starts and ends with, and
+    # its change. The model file and stdout do not change.
+    args = ["train", "--corpus", demo_corpus, "--lexicon", "demo", "--seed", 3,
+            "--max-iters", 2, "--out"]
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    assert run(args + [quiet]) == 0
+    quiet_out = capsys.readouterr().out
+    caplog.set_level(logging.INFO, logger="phmm")
+    assert run(args + [loud]) == 0
+    out = capsys.readouterr().out
+    assert out == quiet_out.replace(str(quiet), str(loud))
+    assert loud.read_bytes() == quiet.read_bytes()
+    lines = [r.getMessage() for r in caplog.records if " iteration " in r.getMessage()]
+    assert len(lines) == 3 * 3
+    for ch in ("right_hand", "left_hand", "head"):
+        first, last = re.search(rf"channel {ch}: loglik (\S+) -> (\S+) ", out).groups()
+        mine = [line for line in lines if line.startswith(f"channel {ch} ")]
+        assert mine[0] == f"channel {ch} iteration 0: loglik {first}"
+        assert re.fullmatch(rf"channel {ch} iteration 2: loglik {last} change \+\S+", mine[-1])
 
 
 def test_train_writes_valid_model(trained_model):
@@ -336,6 +361,11 @@ def _set_pi(blob, channel, pid, pi):
     blob["inventories"][channel]["phonemes"][pid]["pi"] = pi
 
 
+def _column_probs(blob, channel, pid):
+    emission = blob["inventories"][channel]["phonemes"][pid]["emission"]
+    emission["probs"] = [[[p] for p in row] for row in emission["probs"]]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -346,8 +376,12 @@ def _set_pi(blob, channel, pid, pi):
             lambda blob: _set_pi(blob, "right_hand", "R0", [[1.0], [0.0], [0.0]]),
             "pi has shape (3, 1), expected a vector",
         ),
+        (
+            lambda blob: _column_probs(blob, "right_hand", "R0"),
+            "emission probs has shape (3, 10, 1), expected a 2-d array",
+        ),
     ],
-    ids=["no-signs", "phoneme-without-pi", "bogus-topology", "column-pi"],
+    ids=["no-signs", "phoneme-without-pi", "bogus-topology", "column-pi", "column-probs"],
 )
 def test_decode_malformed_model_is_input_error(
     corrupt, message, tmp_path, trained_model, demo_corpus, capsys

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import random_discrete_hmm, random_gaussian_hmm, random_phoneme
 from oracles import brute_forward, brute_viterbi, posteriors_oracle
 
-from phmm.emissions import DiscreteEmission, log_density_seq
+from phmm.emissions import DiscreteEmission, GaussianEmission, log_density_seq
 from phmm.errors import (
     AllPathsZeroError,
     DimensionMismatchError,
@@ -65,6 +67,26 @@ def test_validate_rejects_emission_state_count():
         emissions=DiscreteEmission(np.full((3, 2), 0.5)),
     )
     with pytest.raises(DimensionMismatchError, match=r"3 states, expected 2 \(pi has shape"):
+        validate(h)
+
+
+@pytest.mark.parametrize(
+    "emissions, message",
+    [
+        (DiscreteEmission([0.5, 0.5]), r"emission probs has shape \(2,\), expected a 2-d"),
+        (
+            DiscreteEmission(np.full((2, 2, 1), 0.5)),
+            r"emission probs has shape \(2, 2, 1\), expected a 2-d",
+        ),
+        (GaussianEmission([0.0, 1.0], [1.0, 1.0]), r"emission means has shape \(2,\)"),
+    ],
+    ids=["discrete-1d", "discrete-3d", "gaussian-1d"],
+)
+def test_validate_rejects_emission_rank(emissions, message):
+    # Used to pass validation (3-d probs, 1-d Gaussian) or end in numpy's
+    # AxisError (1-d probs).
+    h = Hmm(pi=[0.5, 0.5], trans=[[0.5, 0.5], [0.5, 0.5]], emissions=emissions)
+    with pytest.raises(DimensionMismatchError, match=message):
         validate(h)
 
 
@@ -328,3 +350,105 @@ def test_posteriors_lattice_matches_per_frame_oracle():
         assert not gamma[t_len:, :, b].any() and not gamma[:, k:, b].any()
         assert not xi_sum[k:, :, b].any() and not xi_sum[:, k:, b].any()
     assert np.sum(loglik == -np.inf) == 1
+
+
+def _oracle_at_unit_scale(model, logb):
+    """posteriors_oracle of one sequence with every frame's log densities
+    shifted by that frame's forward normalizer (from the log-space
+    forward_lattice), the shifts added back to loglik. Posteriors do not
+    change when a frame's densities move by a constant; unshifted, the
+    oracle's alpha and beta grow with the frame count and their rounding
+    alone exceeds rtol=1e-12 on long or extreme sequences."""
+    lp, lt = model.log_params()
+    _, alpha = forward_lattice(lp, lt, logb)
+    shift = np.diff(logsumexp(alpha, axis=1), prepend=0.0)
+    loglik, gamma, xi_sum = posteriors_oracle(lp, lt, logb - shift[:, None])
+    return loglik + math.fsum(shift), gamma, xi_sum
+
+
+def _assert_matches_unit_scale_oracle(cases, logb, lengths, skip=()):
+    """posteriors_lattice over the (model, logb) cases, one batch entry
+    each and all of one state count, against _oracle_at_unit_scale;
+    entries in skip are only required to be finite."""
+    n = cases[0].n_states
+    log_pi = np.stack([m.log_params()[0] for m in cases], axis=-1)
+    log_trans = np.stack([m.log_params()[1] for m in cases], axis=-1)
+    loglik, gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
+    assert np.isfinite(gamma).all() and np.isfinite(xi_sum).all()
+    for b, model in enumerate(cases):
+        if b in skip:
+            continue
+        t_len = lengths[b]
+        ref_ll, ref_gamma, ref_xi = _oracle_at_unit_scale(model, logb[:t_len, :, b])
+        np.testing.assert_allclose(loglik[b], ref_ll, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gamma[:t_len, :, b], ref_gamma, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(xi_sum[:n, :n, b], ref_xi, rtol=1e-12, atol=0)
+        assert not gamma[t_len:, :, b].any()
+    return loglik
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_scales_a_long_sequence_of_tiny_densities():
+    # 2,000 frames at about 1e-20 each: an unscaled forward product
+    # underflows to 0 within 16 frames.
+    rng = np.random.default_rng(61)
+    model = random_phoneme(rng, 3, ergodic=True)
+    obs = sample(model, 2000, rng)[0]
+    logb = log_density_seq(model.emissions, obs) + np.log(1e-20)
+    assert np.prod(np.exp(logb.max(axis=1))[:16]) == 0.0
+    loglik = _assert_matches_unit_scale_oracle([model], logb[:, :, None], np.array([2000]))
+    assert loglik[0] < -2000 * 46
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_shifts_each_entry_by_its_own_frame_max():
+    # A sharp 120-dimensional Gaussian scores about +700 per frame, so
+    # exp overflows on a two-frame product without the per-frame shift;
+    # its batch-mate is one frame of an ordinary Gaussian near -170,
+    # which one shift for the whole batch would round to zero.
+    rng = np.random.default_rng(62)
+    sharp = random_phoneme(rng, 3, gaussian=True, dim=120)
+    sharp.emissions.means[:] = rng.normal(0.0, 2e-4, size=(3, 120))
+    sharp.emissions.variances[:] = 5e-7
+    plain = random_phoneme(rng, 3, gaussian=True, dim=120)
+    plain.emissions.variances[:] = 1.0
+    long_b = log_density_seq(sharp.emissions, sample(sharp, 40, rng)[0])
+    short_b = log_density_seq(plain.emissions, sample(plain, 1, rng)[0])
+    assert long_b.min() > 600 and long_b.max() < 750 and short_b.max() < -100
+    logb = np.stack([long_b, long_b], axis=-1)
+    logb[0, :, 1] = short_b[0]
+    _assert_matches_unit_scale_oracle([sharp, plain], logb, np.array([40, 1]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_zero_frame_spares_its_batch_mates():
+    # Entry 1 cannot emit frame 4 in any state: its loglik is -inf, with
+    # no NaN anywhere, and entries 0 and 2 are unaffected.
+    rng = np.random.default_rng(63)
+    cases = [random_phoneme(rng, 3, ergodic=True) for _ in range(3)]
+    lengths = np.array([9, 7, 5])
+    logb = np.full((9, 3, 3), -np.inf)
+    for b, model in enumerate(cases):
+        obs = sample(model, lengths[b], rng)[0]
+        logb[: lengths[b], :, b] = log_density_seq(model.emissions, obs)
+    logb[4, :, 1] = -np.inf
+    loglik = _assert_matches_unit_scale_oracle(cases, logb, lengths, skip=(1,))
+    assert loglik[1] == -np.inf
+    assert np.isfinite(loglik[[0, 2]]).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_reshifts_a_frame_only_unreachable_states_fit():
+    # A Bakis chain starts in state 0, whose log density at frame 0 lies
+    # 5,000 below that of state 1. Shifted by the frame's max alone, every
+    # reachable state would round to 0 and the sequence score -inf.
+    model = Hmm(
+        [1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]],
+        GaussianEmission([[0.0], [100.0]], [[1.0], [1.0]]), Topology.LEFT_TO_RIGHT,
+    )
+    other = random_phoneme(np.random.default_rng(64), 2, gaussian=True, dim=1)
+    obs = np.array([[100.0], [99.0], [100.5], [100.0]])
+    logb = np.stack([log_density_seq(m.emissions, obs) for m in (model, other)], axis=-1)
+    assert logb[0, 1, 0] - logb[0, 0, 0] > 4000
+    loglik = _assert_matches_unit_scale_oracle([model, other], logb, np.array([4, 4]))
+    assert np.isfinite(loglik).all()

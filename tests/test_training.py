@@ -11,6 +11,7 @@ from helpers import (
     sample_mobs,
 )
 from oracles import baum_welch_oracle, composed_e_step_oracle, tied_counts_oracle
+from phmm import parallel, training
 from phmm.emissions import DiscreteEmission, GaussianEmission
 from phmm.errors import (
     DegenerateModelError,
@@ -394,9 +395,9 @@ def test_e_step_equals_composed_emission_oracle(case):
 
 def test_e_step_padding_cannot_overflow():
     # A one-frame sequence batched with an 80-frame one under a sharp
-    # Gaussian (log density about +12 per frame): finite padding of the
-    # short one would overflow exp in posteriors_lattice, which pytest
-    # turns into an error.
+    # Gaussian (log density about +12 per frame): the short one's padded
+    # frames must neither overflow exp in posteriors_lattice, which
+    # pytest turns into an error, nor add to its statistics.
     model = Hmm([1.0], [[1.0]], GaussianEmission(np.zeros((1, 2)), np.full((1, 2), 1e-6)))
     data = [np.zeros((1, 2)), np.zeros((80, 2))]
     total, accs = _e_step({0: model}, [(0,), (0,)], data, None, "sequences")
@@ -515,6 +516,32 @@ def test_embedded_training_repeats_exactly(gaussian, ergodic):
         assert np.array_equal(model.trans, other.trans)
         for name, arr in vars(model.emissions).items():
             assert np.array_equal(arr, getattr(other.emissions, name))
+
+
+def test_training_never_composes(monkeypatch):
+    # The E-step gathers its composed parameters from the tied models
+    # through maps built once per run, so compose_models serves decoding
+    # and generation only; composed_e_step_oracle, which still composes,
+    # checks those maps bit for bit.
+    lex = mixed_lexicon(np.random.default_rng(78), policy="between_signs")
+    utts = _mixed_utterances(lex, 9, 79)
+    assert max(len(signs) for signs, _ in utts) == 3
+    data = [obs for _, obs in utts]
+    cfg = TrainConfig(max_iters=3, seed=2)
+    init = initial_model(lex.inventory("c0").phonemes["c0_p0"], data, cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose_models(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "compose_models", counted)
+    monkeypatch.setattr(training, "compose_models", counted, raising=False)
+    train_embedded(lex, "c0", utts, cfg)
+    baum_welch(init, data, cfg)
+    assert calls == []
+    parallel.compose_utterance_model(lex, "c0", utts[2][0])
+    assert len(calls) == 1
 
 
 def test_embedded_rejects_float_symbols():
