@@ -196,6 +196,11 @@ def utterance_from_record(rec):
             "id must be a string, signs an array of strings, channels and paths"
             " JSON objects"
         )
+    for ch, path in (rec.get("paths") or {}).items():
+        if not isinstance(path, list) or any(
+            isinstance(s, bool) or not isinstance(s, int) for s in path
+        ):
+            raise FileFormatError(f"the {ch!r} path must be an array of integers")
     channels = {ch: _obs_from_json(v) for ch, v in rec["channels"].items()}
     return Utterance(
         utt_id=rec["id"],

@@ -10,7 +10,10 @@ across threads; construction and training updates are single-writer.
 The lattice kernels take explicit log parameters and may score a batch
 of models and sequences at once, the batch on the innermost axis:
 viterbi_score_lattice for the decoders, and posteriors_lattice and
-loglik_lattice for training.
+loglik_lattice for training. viterbi_score_lattice runs its max-product
+recursion on the band of the transitions, their finite diagonals, so
+each frame of a left-to-right chain reads only a few N-row slices
+instead of an N x N block per model.
 """
 
 from __future__ import annotations
@@ -137,26 +140,71 @@ def backward_lattice(log_trans, logb):
     return beta
 
 
+def band(log_trans):
+    """The finite diagonals of log_trans (N, N, ...): a tuple of (o, w)
+    pairs, one for each offset o at which some entry log_trans[j - o, j]
+    is finite, in ascending order. w (N, ...) holds w[j] = log_trans[j -
+    o, j], and -inf where row j - o lies off the matrix."""
+    n = log_trans.shape[0]
+    diagonals = []
+    for o in range(1 - n, n):
+        diag = np.diagonal(log_trans, o)
+        if np.any(diag > LOG_ZERO):
+            w = np.full(log_trans.shape[1:], LOG_ZERO)
+            w[max(o, 0) : n + min(o, 0)] = np.moveaxis(diag, -1, 0)
+            diagonals.append((o, w))
+    return tuple(diagonals)
+
+
 def viterbi_score_lattice(log_pi, log_trans, logb, columns=None):
     """Best-path score without backtracking bookkeeping.
 
     log_pi (N, ...) and log_trans (N, N, ...) may carry trailing batch
     axes, one model per batch entry; the result is then an array over
     those axes instead of a float. The batch is the innermost axis so
-    that every step runs over contiguous memory. Without columns, logb
-    is the (T, N) log-density lattice. With columns, an integer array
-    shaped like log_pi, state i of batch entry b emits logb[t, columns[i, b]],
-    so one (T, S) table serves every model built from the same S states.
-    -inf padding in log_pi, log_trans and the gathered logb never wins a
-    max, so a padded model scores exactly as its unpadded self.
+    that every step runs over contiguous memory. log_trans may also be
+    given as its band(); a dense array is converted on entry. Without
+    columns, logb is the (T, N) log-density lattice. With columns, an
+    integer array shaped like log_pi, state i of batch entry b emits
+    logb[t, columns[i, b]], so one (T, S) table serves every model built
+    from the same S states.
+
+    Each frame maxes delta[j - o] + w[j] over the band's offsets o: the
+    same finite sums as delta[i] + log_trans[i, j] over all i, each made
+    by the same addition, and a -inf never wins a max, so the score is
+    bit-identical to the dense recursion. -inf padding in log_pi,
+    log_trans and the gathered logb never wins a max either, so a padded
+    model scores exactly as its unpadded self.
     """
+    diagonals = log_trans if isinstance(log_trans, tuple) else band(np.asarray(log_trans))
 
     def frame(t):
         return logb[t] if columns is None else logb[t][columns]
 
     delta = log_pi + frame(0)
+    n = len(delta)
+    # Without a finite transition every row after the first frame is -inf.
+    diagonals = diagonals or ((0, np.full(delta.shape, LOG_ZERO)),)
+    # Row j - o of delta feeds row j of the next one: source and target
+    # slices of each offset. The first offset writes its target rows and
+    # the rows it misses start at -inf; the others max into them.
+    steps = [
+        (slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n + min(o, 0)), w)
+        for o, w in diagonals
+    ]
+    (src0, dst0, w0), steps = steps[0], steps[1:]
+    gaps = [gap for gap in (slice(0, dst0.start), slice(dst0.stop, n)) if gap.start < gap.stop]
+    row = np.empty_like(delta)
+    cand = np.empty_like(delta)
     for t in range(1, logb.shape[0]):
-        delta = np.max(delta[:, None] + log_trans, axis=0) + frame(t)
+        np.add(delta[src0], w0[dst0], out=row[dst0])
+        for gap in gaps:
+            row[gap] = LOG_ZERO
+        for src, dst, w in steps:
+            np.add(delta[src], w[dst], out=cand[dst])
+            np.maximum(row[dst], cand[dst], out=row[dst])
+        np.add(row, frame(t), out=row)
+        delta, row = row, delta
     best = np.max(delta, axis=0)
     return float(best) if best.ndim == 0 else best
 

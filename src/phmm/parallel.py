@@ -13,21 +13,25 @@ absorbing. These rewired rows are structural constants, not trained
 parameters.
 
 Both decoders score in batches. The exhaustive decoder stacks every
-k-sign candidate's composed model per channel (-inf padded) and runs
-one max-product recursion over the whole stack, reading emissions from
-one table of phoneme-state log densities per channel. The synchronized
+k-sign candidate's composed model per channel (-inf padded) and keeps
+only the stack's finite diagonals (hmm.band): a composed left-to-right
+chain has few of them, the self-loops and the steps forward on the demo
+lexicon. One max-product recursion runs over the whole stack, each frame
+reading only those diagonals and gathering emissions from one table of
+phoneme-state log densities per channel. The synchronized
 decoder stacks the units of an utterance (every sign, and the
 epenthesis filler, in every channel; front-padded with -inf so that
 each final state is the last row) and advances one recursion for all
-units and entry frames a frame at a time. Max and + are exact and -inf
-padding never wins a max, so every score is bit-identical to scoring
-the candidates, units or entry frames one at a time.
+units and entry frames a frame at a time. Max and + are exact, and
+neither -inf padding nor a dropped, all -inf diagonal ever wins a max,
+so every score is bit-identical to scoring the candidates, units or
+entry frames one at a time.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
 bound of the best are rescored with math.fsum. It runs once over the
-exhaustive candidates, whose winner is backtracked on its stack row, and
-at each frame over the synced search's (unit, entry frame) pairs.
+exhaustive candidates, whose winner's composed models are backtracked,
+and at each frame over the synced search's (unit, entry frame) pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .errors import (
     UnknownSignError,
     ValidationError,
 )
-from .hmm import Hmm, Topology, viterbi, viterbi_lattice, viterbi_score_lattice
+from .hmm import Hmm, Topology, band, viterbi, viterbi_lattice, viterbi_score_lattice
 from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
@@ -161,11 +165,44 @@ def _candidate_count(vocab, max_signs):
     return total
 
 
+def _band_offsets(lexicon, channel, k):
+    """The offsets of band() of the channel's k-sign _candidate_stack,
+    read from the lexicon without composing: every phoneme's finite
+    in-block transitions (a non-final block's last row is rewired, so it
+    keeps only its self-loop) and, from the last state of each non-final
+    block, one step to every state j + 1 that the next block's pi enters."""
+    inv = lexicon.inventory(channel)
+    chains = [sign.channels[channel] for sign in lexicon.signs.values()]
+    finals = {pids[-1] for pids in chains}
+    pairs = {(a, b) for pids in chains for a, b in zip(pids, pids[1:])}
+    if k > 1:
+        firsts = {pids[0] for pids in chains}
+        if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
+            pairs |= {(a, inv.epenthesis) for a in finals}
+            pairs |= {(inv.epenthesis, b) for b in firsts}
+        else:
+            pairs |= set(itertools.product(finals, firsts))
+    offsets = set()
+    for pid in finals | {a for a, _ in pairs}:
+        trans = inv.phonemes[pid].trans
+        rows, cols = np.nonzero(trans if pid in finals else trans[:-1])
+        offsets.update((cols - rows).tolist())
+    if pairs:
+        offsets.add(0)  # the rewired self-loop, 1 - exit_prob
+    for _, nxt in pairs:
+        entries = np.nonzero(lexicon.exit_prob * inv.phonemes[nxt].pi)[0]
+        offsets.update((entries + 1).tolist())
+    return offsets
+
+
 def _stack_bytes(lexicon, max_signs):
-    """Bytes (8 per entry) of every (channel, k) _candidate_stack for k =
-    1..max_signs. SearchSpaceTooLargeError as soon as they pass
-    MAX_STACK_BYTES together with viterbi_score_lattice's per-frame
-    temporary, one N x N x B block of the largest stack. The k-sign
+    """Bytes (8 per entry) that decode_exhaustive's cache holds for k =
+    1..max_signs: every (channel, k) _candidate_stack's log_pi, columns
+    and band weights. SearchSpaceTooLargeError as soon as they pass
+    MAX_STACK_BYTES together with the transients of the largest stack:
+    its dense N x N x B log_trans, built before band() compiles it, and
+    the four N x B rows of viterbi_score_lattice's frames (delta, the
+    next row, the sum buffer and the gathered emissions). The k-sign
     stack has the rows of its largest candidate: k of the channel's
     largest sign, plus k - 1 epenthesis fillers if the policy has them."""
     total = temporary = 0
@@ -180,10 +217,11 @@ def _stack_bytes(lexicon, max_signs):
             eps_states = inv.phonemes[inv.epenthesis].n_states
         for k in range(1, max_signs + 1):
             n = k * sign_states + (k - 1) * eps_states
-            total += len(lexicon.signs) ** k * (n + 2) * n * 8
-            temporary = max(temporary, len(lexicon.signs) ** k * n * n * 8)
+            rows = len(lexicon.signs) ** k * n * 8
+            total += (len(_band_offsets(lexicon, ch, k)) + 2) * rows
+            temporary = max(temporary, (n + 4) * rows)
             if total + temporary > MAX_STACK_BYTES:
-                what = "hold {} bytes of candidate stacks and their per-frame temporary"
+                what = "hold {} bytes of candidate stacks and their transients"
                 raise SearchSpaceTooLargeError(total + temporary, MAX_STACK_BYTES, what)
     return total
 
@@ -222,12 +260,14 @@ def _stack(models, columns):
 
 
 def _candidate_stack(lexicon, channel, candidates):
-    """_stack of the B candidates' composed channel models."""
+    """(log_pi, band(log_trans), columns) of the _stack of the B
+    candidates' composed channel models."""
     phonemes = lexicon.inventory(channel).phonemes
     # Composed one at a time: holding all of them at once raised peak RSS.
     models = (compose_utterance_model(lexicon, channel, signs) for signs in candidates)
     columns = [_state_columns(phonemes, block_ids(lexicon, channel, signs)) for signs in candidates]
-    return _stack(models, columns)
+    log_pi, log_trans, columns = _stack(models, columns)
+    return log_pi, band(log_trans), columns
 
 
 def _candidate_scores(lexicon, mobs, max_signs, cache):
@@ -246,8 +286,8 @@ def _candidate_scores(lexicon, mobs, max_signs, cache):
         for ch, table in zip(lexicon.channels, tables):
             if (ch, k) not in cache:
                 cache[ch, k] = _candidate_stack(lexicon, ch, group)
-            log_pi, log_trans, columns = cache[ch, k]
-            by_channel.append(viterbi_score_lattice(log_pi, log_trans, table, columns))
+            log_pi, diagonals, columns = cache[ch, k]
+            by_channel.append(viterbi_score_lattice(log_pi, diagonals, table, columns))
         scores.append(np.stack(by_channel, axis=1))
     return candidates, np.vstack(scores), tables
 
@@ -260,7 +300,8 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     Candidates are scored in one batch per channel and sign count; each
     total is the math.fsum of its channel scores, and ties go to the
     shorter, then lexicographically smaller sequence. The winner keeps
-    its batched scores; its state paths are backtracked on its row.
+    its batched scores; its state paths are backtracked on its composed
+    channel models, the values its stack rows hold.
 
     cache is a dict reused across utterances of one lexicon; cache[channel,
     k] is the -inf-padded _candidate_stack of every k-sign candidate.
@@ -283,15 +324,11 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     if best is None:
         raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
     signs = candidates[rows[0]]
-    # The winner is column b of its (channel, k) stacks, padded at the
-    # front by the rows whose column is -1.
-    k = len(signs)
-    b = rows[0] - sum(len(lexicon.signs) ** j for j in range(1, k))
     paths = {}
     for ch, table in zip(lexicon.channels, tables):
-        log_pi, log_trans, columns = cache[ch, k]
-        lo = np.count_nonzero(columns[:, b] < 0)
-        _, path = viterbi_lattice(log_pi[lo:, b], log_trans[lo:, lo:, b], table[:, columns[lo:, b]])
+        model = compose_utterance_model(lexicon, ch, signs)
+        columns = _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs))
+        _, path = viterbi_lattice(*model.log_params(), table[:, columns])
         paths[ch] = path.tolist()
     return Hypothesis.combine(signs, dict(zip(lexicon.channels, scores[rows[0]].tolist())), paths)
 

@@ -76,6 +76,20 @@ def brute_viterbi(log_pi, log_trans, logb):
     return best_path, best_score
 
 
+def viterbi_score_lattice_oracle(log_pi, log_trans, logb, columns=None):
+    """The dense max-product recursion over the whole (N, N, ...) stack,
+    with the arguments of hmm.viterbi_score_lattice."""
+
+    def frame(t):
+        return logb[t] if columns is None else logb[t][columns]
+
+    delta = log_pi + frame(0)
+    for t in range(1, logb.shape[0]):
+        delta = np.max(delta[:, None] + log_trans, axis=0) + frame(t)
+    best = np.max(delta, axis=0)
+    return float(best) if best.ndim == 0 else best
+
+
 def posteriors_oracle(log_pi, log_trans, logb):
     """One sequence's E-step quantities, frame by frame.
 

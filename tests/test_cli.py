@@ -173,6 +173,21 @@ def test_train_segmented_requires_paths(tmp_path, demo_corpus):
     ) == 3
 
 
+@pytest.mark.parametrize("path", [None, 5], ids=["null", "number"])
+def test_train_segmented_rejects_a_path_that_is_not_an_array(path, tmp_path, demo_corpus, capsys):
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
+    recs[1]["paths"]["head"] = path
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert run(
+        ["train", "--corpus", corpus, "--lexicon", "demo",
+         "--mode", "segmented", "--seed", 1, "--out", tmp_path / "m.json"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert "line 2: the 'head' path must be an array of integers" in err
+    assert "Traceback" not in err
+
+
 def test_train_segmented_end_to_end(tmp_path, capsys):
     # Single-sign utterances never use the epenthesis fillers, so they
     # keep their lexicon-bound models and are flagged untouched.

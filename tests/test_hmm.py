@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_discrete_hmm, random_gaussian_hmm, random_phoneme
-from oracles import brute_forward, brute_viterbi, posteriors_oracle
+from helpers import bits, random_discrete_hmm, random_gaussian_hmm, random_phoneme
+from oracles import (
+    brute_forward,
+    brute_viterbi,
+    posteriors_oracle,
+    viterbi_score_lattice_oracle,
+)
 
 from phmm.emissions import DiscreteEmission, GaussianEmission, log_density_seq
 from phmm.errors import (
@@ -19,6 +24,7 @@ from phmm.hmm import (
     Hmm,
     Topology,
     backward,
+    band,
     forward,
     forward_lattice,
     posteriors,
@@ -27,8 +33,10 @@ from phmm.hmm import (
     validate,
     viterbi,
     viterbi_lattice,
+    viterbi_score_lattice,
 )
 from phmm.logmath import logsumexp
+from phmm.parallel import _stack, compose_models
 
 
 def test_validate_accepts_uniform():
@@ -202,6 +210,66 @@ def test_viterbi_matches_brute_force():
         opath, oscore = brute_viterbi(log_pi, log_trans, logb)
         assert score == pytest.approx(oscore, abs=1e-9)
         assert path == opath
+
+
+def _random_stack(rng, n_models, table_width):
+    """_stack of random composed chains of 1-3 phonemes of 1-3 states,
+    Bakis and ergodic, some with zeroed in-block transitions, their
+    states reading random columns of a table of table_width columns.
+    The last model cannot start anywhere: its log_pi column is all -inf."""
+    models = []
+    columns = []
+    for _ in range(n_models):
+        blocks = []
+        for _ in range(int(rng.integers(1, 4))):
+            block = random_phoneme(rng, int(rng.integers(1, 4)), ergodic=bool(rng.integers(2)))
+            trans = block.trans * (rng.random(block.trans.shape) < 0.7)
+            np.fill_diagonal(trans, 1.0)
+            block.trans = trans / trans.sum(axis=1, keepdims=True)
+            blocks.append((None, block))
+        model = compose_models(blocks)[0]
+        models.append(model)
+        columns.append(rng.integers(0, table_width - 1, size=model.n_states).tolist())
+    models[-1].pi = np.zeros(models[-1].n_states)
+    return _stack(models, columns)
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 7])
+def test_viterbi_score_lattice_band_equals_the_dense_oracle(t_len):
+    rng = np.random.default_rng(70 + t_len)
+    for _ in range(5):
+        log_pi, log_trans, columns = _random_stack(rng, 9, 6)
+        table = rng.normal(-2.0, 1.5, size=(t_len, 6))
+        table[rng.random(table.shape) < 0.1] = -np.inf
+        table[:, -1] = -np.inf
+        assert np.any(np.isinf(log_trans)) and np.any(columns == -1)
+        want = viterbi_score_lattice_oracle(log_pi, log_trans, table, columns)
+        assert want[-1] == -np.inf and np.isfinite(want).any()
+        for trans in (log_trans, band(log_trans)):
+            assert bits(viterbi_score_lattice(log_pi, trans, table, columns)) == bits(want)
+
+
+@pytest.mark.parametrize("log_trans", [np.zeros((2, 2)), np.full((2, 2), -np.inf)])
+def test_viterbi_score_lattice_unbatched_dense_call_returns_a_float(log_trans):
+    args = (np.zeros(2), log_trans, np.zeros((3, 2)))
+    got = viterbi_score_lattice(*args)
+    assert isinstance(got, float)
+    assert bits(got) == bits(viterbi_score_lattice_oracle(*args))
+
+
+def test_band_rebuilds_the_dense_transitions():
+    _, log_trans, _ = _random_stack(np.random.default_rng(75), 9, 6)
+    n = len(log_trans)
+    diagonals = band(log_trans)
+    offsets = [o for o, _ in diagonals]
+    assert offsets == sorted(offsets) and len(offsets) < 2 * n - 1
+    rebuilt = np.full(log_trans.shape, -np.inf)
+    for o, w in diagonals:
+        for j in range(max(o, 0), n + min(o, 0)):
+            rebuilt[j - o, j] = w[j]
+        off_matrix = np.r_[0 : max(o, 0), n + min(o, 0) : n]
+        assert np.all(w[off_matrix] == -np.inf)
+    assert bits(rebuilt) == bits(log_trans)
 
 
 def test_viterbi_all_paths_zero_raises():

@@ -239,8 +239,9 @@ def _no_candidate_stack(*args):
 
 def test_decode_exhaustive_stack_memory_guard(monkeypatch):
     # 6 signs of the demo lexicon pass the candidate guard (299,592
-    # candidates), but their stacks would take about 7.9 GB; 5 signs
-    # (about 0.67 GB) stay within the limit.
+    # candidates), but the dense build of their largest stack alone would
+    # take about 2.3 GB; 5 signs (about 0.09 GB of cached stacks plus
+    # 0.22 GB of transients) stay within the limit.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
@@ -253,15 +254,29 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
 
 
 def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
-    # At 4 signs the demo lexicon's stacks take 48.4 MiB, and every frame
-    # of viterbi_score_lattice adds a 13.8 MiB temporary: 62.2 MiB in all.
+    # At 4 signs the demo lexicon's cached stacks take 9,052,416 bytes:
+    # log_pi, columns and two band diagonals of N x 8^k entries for k =
+    # 1..4 and 3 channels of N = 6k - 3 rows. The 4-sign stack (N = 21)
+    # adds 17,203,200 bytes of transients: its dense N x N x 8^4 log_trans
+    # and the kernel's four N x 8^4 rows.
     from phmm.demo import demo_lexicon
 
-    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", 55 << 20)
+    lex = demo_lexicon()
+    need = 9_052_416 + 17_203_200
+    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
-    mobs = sample_mobs(demo_lexicon(), ["sign0"], 12, seed=1)
-    with pytest.raises(SearchSpaceTooLargeError, match="bytes of candidate stacks"):
-        decode_exhaustive(demo_lexicon(), mobs, max_signs=4)
+    mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
+    with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes"):
+        decode_exhaustive(lex, mobs, max_signs=4)
+    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need)
+    assert parallel._stack_bytes(lex, 4) == 9_052_416
+
+
+def _cached_bytes(cache):
+    return sum(
+        log_pi.nbytes + columns.nbytes + sum(w.nbytes for _, w in diagonals)
+        for log_pi, diagonals, columns in cache.values()
+    )
 
 
 @pytest.mark.parametrize("policy", ["none", "between_signs"])
@@ -270,8 +285,46 @@ def test_stack_bytes_equal_the_cached_stacks(policy):
     mobs = sample_mobs(lex, ["s1", "s0"], 9, seed=45)
     cache = {}
     decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
-    held = sum(arr.nbytes for stack in cache.values() for arr in stack)
-    assert parallel._stack_bytes(lex, 3) == held
+    assert parallel._stack_bytes(lex, 3) == _cached_bytes(cache)
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_band_offsets_equal_the_cached_bands(case):
+    # Ergodic phonemes with zeroed transitions and pi entries: the
+    # offsets read from the lexicon are exactly those band() finds.
+    rng = np.random.default_rng(80 + case)
+    lex = mixed_lexicon(rng, **BATCH_CASES[case])
+    for inv in lex.inventories.values():
+        for model in inv.phonemes.values():
+            if model.topology is Topology.ERGODIC and model.n_states > 1:
+                trans = model.trans * (rng.random(model.trans.shape) < 0.6)
+                np.fill_diagonal(trans, 1.0)
+                model.trans = trans / trans.sum(axis=1, keepdims=True)
+                model.pi = np.eye(model.n_states)[int(rng.integers(model.n_states))]
+    mobs = sample_mobs(lex, ["s1", "s0"], 6, seed=case)
+    cache = {}
+    decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
+    for (ch, k), (_, diagonals, _) in cache.items():
+        assert [o for o, _ in diagonals] == sorted(parallel._band_offsets(lex, ch, k))
+    assert parallel._stack_bytes(lex, 3) == _cached_bytes(cache)
+
+
+def test_band_offsets_skip_rewired_rows_and_follow_pi():
+    # Sign x is phoneme a then b. Only a's last row steps back two states,
+    # and a is never final, so its rewired row drops offset -2; b's pi
+    # enters states 0 and 2, so a's last state steps forward 1 and 3.
+    emit = DiscreteEmission(np.full((3, 2), 0.5))
+    a = Hmm([1.0, 0, 0], [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]], emit.copy())
+    b = Hmm([0.5, 0, 0.5], [[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0, 1.0]], emit.copy())
+    inventories = {"c": PhonemeInventory(phonemes={"a": a, "b": b})}
+    lex = Lexicon(["c"], inventories, {"x": Sign("x", {"c": ["a", "b"]})}, "none")
+    mobs = MultiObservation({"c": np.array([0, 1, 0, 1, 1, 0])})
+    cache = {}
+    decode_exhaustive(lex, mobs, max_signs=2, cache=cache)
+    for k in (1, 2):
+        assert [o for o, _ in cache["c", k][1]] == [0, 1, 3]
+        assert parallel._band_offsets(lex, "c", k) == {0, 1, 3}
+    assert parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
 
 
 def test_decode_exhaustive_no_finite_hypothesis():
