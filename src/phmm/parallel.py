@@ -12,13 +12,16 @@ state j of its successor; the final sub-model's last state stays
 absorbing. These rewired rows are structural constants, not trained
 parameters.
 
-Both decoders score in batches. The exhaustive decoder stacks every
-k-sign candidate's composed model per channel (-inf padded) and keeps
-only the stack's finite diagonals (hmm.band): a composed left-to-right
-chain has few of them, the self-loops and the steps forward on the demo
-lexicon. One max-product recursion runs over the whole stack, each frame
-reading only those diagonals and gathering emissions from one table of
-phoneme-state log densities per channel. The synchronized
+Both decoders score in batches. A candidate's channel model depends
+only on the channel spellings of its signs, so the exhaustive decoder
+stacks, per channel, one composed model (-inf padded) per distinct
+spelling sequence of 1..max_signs signs, with a map from every
+candidate to its column, and keeps only the stack's finite diagonals
+(hmm.band): a composed left-to-right chain has few of them, the
+self-loops and the steps forward on the demo lexicon. One max-product
+recursion runs over each channel's stack, each frame reading only those
+diagonals and gathering emissions from one table of phoneme-state log
+densities per channel. The synchronized
 decoder stacks the units of an utterance (every sign, and the
 epenthesis filler, in every channel; front-padded with -inf so that
 each final state is the last row) and advances one recursion for all
@@ -165,17 +168,18 @@ def _candidate_count(vocab, max_signs):
     return total
 
 
-def _band_offsets(lexicon, channel, k):
-    """The offsets of band() of the channel's k-sign _candidate_stack,
-    read from the lexicon without composing: every phoneme's finite
-    in-block transitions (a non-final block's last row is rewired, so it
-    keeps only its self-loop) and, from the last state of each non-final
-    block, one step to every state j + 1 that the next block's pi enters."""
+def _band_offsets(lexicon, channel, max_signs):
+    """The offsets of band() of the channel's _candidate_stack for 1..
+    max_signs signs, read from the lexicon without composing: every
+    phoneme's finite in-block transitions (a non-final block's last row
+    is rewired, so it keeps only its self-loop) and, from the last state
+    of each non-final block, one step to every state j + 1 that the next
+    block's pi enters."""
     inv = lexicon.inventory(channel)
     chains = [sign.channels[channel] for sign in lexicon.signs.values()]
     finals = {pids[-1] for pids in chains}
     pairs = {(a, b) for pids in chains for a, b in zip(pids, pids[1:])}
-    if k > 1:
+    if max_signs > 1:
         firsts = {pids[0] for pids in chains}
         if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
             pairs |= {(a, inv.epenthesis) for a in finals}
@@ -196,33 +200,35 @@ def _band_offsets(lexicon, channel, k):
 
 
 def _stack_bytes(lexicon, max_signs):
-    """Bytes (8 per entry) that decode_exhaustive's cache holds for k =
-    1..max_signs: every (channel, k) _candidate_stack's log_pi, columns
-    and band weights. SearchSpaceTooLargeError as soon as they pass
-    MAX_STACK_BYTES together with the transients of the largest stack:
-    its dense N x N x B log_trans, built before band() compiles it, and
-    the four N x B rows of viterbi_score_lattice's frames (delta, the
-    next row, the sum buffer and the gathered emissions). The k-sign
-    stack has the rows of its largest candidate: k of the channel's
-    largest sign, plus k - 1 epenthesis fillers if the policy has them."""
+    """Bytes (8 per entry) that decode_exhaustive's cache holds for
+    max_signs: each channel's _candidate_stack, whose log_pi, columns and
+    band weights have a column per distinct spelling sequence (sum over
+    k = 1..max_signs of d^k, d the channel's distinct sign spellings)
+    and the rows of its largest model (max_signs of the channel's
+    largest sign, plus max_signs - 1 epenthesis fillers if the policy
+    has them), and whose map has a column index per candidate.
+    SearchSpaceTooLargeError if they pass MAX_STACK_BYTES together with
+    the transients of the largest stack: its dense N x N x B log_trans,
+    built before band() compiles it, and the four N x B rows of
+    viterbi_score_lattice's frames (delta, the next row, the sum buffer
+    and the gathered emissions)."""
+    signs = range(1, max_signs + 1)
+    n_cand = sum(len(lexicon.signs) ** k for k in signs)
     total = temporary = 0
     for ch in lexicon.channels:
         inv = lexicon.inventory(ch)
-        sign_states = max(
-            sum(inv.phonemes[pid].n_states for pid in sign.channels[ch])
-            for sign in lexicon.signs.values()
-        )
+        spellings = {tuple(sign.channels[ch]) for sign in lexicon.signs.values()}
+        sign_states = max(sum(inv.phonemes[pid].n_states for pid in pids) for pids in spellings)
         eps_states = 0
         if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
             eps_states = inv.phonemes[inv.epenthesis].n_states
-        for k in range(1, max_signs + 1):
-            n = k * sign_states + (k - 1) * eps_states
-            rows = len(lexicon.signs) ** k * n * 8
-            total += (len(_band_offsets(lexicon, ch, k)) + 2) * rows
-            temporary = max(temporary, (n + 4) * rows)
-            if total + temporary > MAX_STACK_BYTES:
-                what = "hold {} bytes of candidate stacks and their transients"
-                raise SearchSpaceTooLargeError(total + temporary, MAX_STACK_BYTES, what)
+        n = max_signs * sign_states + (max_signs - 1) * eps_states
+        entries = n * sum(len(spellings) ** k for k in signs) * 8
+        total += (len(_band_offsets(lexicon, ch, max_signs)) + 2) * entries + n_cand * 8
+        temporary = max(temporary, (n + 4) * entries)
+    if total + temporary > MAX_STACK_BYTES:
+        what = "hold {} bytes of candidate stacks and their transients"
+        raise SearchSpaceTooLargeError(total + temporary, MAX_STACK_BYTES, what)
     return total
 
 
@@ -259,15 +265,41 @@ def _stack(models, columns):
     return log_pi, log_trans, stacked
 
 
-def _candidate_stack(lexicon, channel, candidates):
-    """(log_pi, band(log_trans), columns) of the _stack of the B
-    candidates' composed channel models."""
+def _sequences(items, max_signs):
+    """Every sequence of 1..max_signs items, shorter first, then in the
+    lexicographic order of the list items."""
+    return [seq for k in range(1, max_signs + 1) for seq in itertools.product(items, repeat=k)]
+
+
+def _candidate_stack(lexicon, channel, max_signs):
+    """(log_pi, band(log_trans), columns, index) of the channel's
+    candidates of 1..max_signs signs. A candidate's channel model depends
+    only on the channel spellings of its signs, so the _stack holds one
+    model per distinct spelling sequence, in the order the candidates
+    first show it (shorter first, then lexicographic); index[m] is the
+    stack column of the m-th candidate."""
+    sign_ids = sorted(lexicon.signs)
+    numbers = {}  # each distinct channel spelling -> its number, as first seen
+    spellings = [tuple(lexicon.signs[s].channels[channel]) for s in sign_ids]
+    digits = [numbers.setdefault(pids, len(numbers)) for pids in spellings]
+    # The sequences of each spelling's first sign are the distinct
+    # spelling sequences in first-seen order, so a k-sign candidate's
+    # digits, read in base d, number its column among the d^k after the
+    # shorter ones.
+    d = len(numbers)
+    firsts = [sign_ids[digits.index(j)] for j in range(d)]
+    index = []
+    codes = np.zeros(1, dtype=np.intp)
+    for k in range(1, max_signs + 1):
+        codes = (codes[:, None] * d + digits).ravel()
+        index.append(sum(d**j for j in range(1, k)) + codes)
+    distinct = _sequences(firsts, max_signs)
     phonemes = lexicon.inventory(channel).phonemes
     # Composed one at a time: holding all of them at once raised peak RSS.
-    models = (compose_utterance_model(lexicon, channel, signs) for signs in candidates)
-    columns = [_state_columns(phonemes, block_ids(lexicon, channel, signs)) for signs in candidates]
+    models = (compose_utterance_model(lexicon, channel, signs) for signs in distinct)
+    columns = [_state_columns(phonemes, block_ids(lexicon, channel, signs)) for signs in distinct]
     log_pi, log_trans, columns = _stack(models, columns)
-    return log_pi, band(log_trans), columns
+    return log_pi, band(log_trans), columns, np.concatenate(index)
 
 
 def _candidate_scores(lexicon, mobs, max_signs, cache):
@@ -275,21 +307,15 @@ def _candidate_scores(lexicon, mobs, max_signs, cache):
     lexicographic; their (M, C) best-path scores, one column per lexicon
     channel; and each channel's _log_density_table. Fills cache as
     decode_exhaustive describes."""
-    inv = lexicon.inventory
-    tables = [_log_density_table(inv(ch).phonemes, mobs.channels[ch]) for ch in lexicon.channels]
-    candidates = []
+    if max_signs not in cache:
+        cache[max_signs] = [_candidate_stack(lexicon, ch, max_signs) for ch in lexicon.channels]
+    candidates = _sequences(sorted(lexicon.signs), max_signs)
+    tables = []
     scores = []
-    for k in range(1, max_signs + 1):
-        group = list(itertools.product(sorted(lexicon.signs), repeat=k))
-        candidates += group
-        by_channel = []
-        for ch, table in zip(lexicon.channels, tables):
-            if (ch, k) not in cache:
-                cache[ch, k] = _candidate_stack(lexicon, ch, group)
-            log_pi, diagonals, columns = cache[ch, k]
-            by_channel.append(viterbi_score_lattice(log_pi, diagonals, table, columns))
-        scores.append(np.stack(by_channel, axis=1))
-    return candidates, np.vstack(scores), tables
+    for ch, (log_pi, diagonals, columns, index) in zip(lexicon.channels, cache[max_signs]):
+        tables.append(_log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch]))
+        scores.append(viterbi_score_lattice(log_pi, diagonals, tables[-1], columns)[index])
+    return candidates, np.stack(scores, axis=1), tables
 
 
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
@@ -297,16 +323,19 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
 
     Implements the joint objective exactly: channels align
     independently and the argmax runs over the full enumeration.
-    Candidates are scored in one batch per channel and sign count; each
-    total is the math.fsum of its channel scores, and ties go to the
-    shorter, then lexicographically smaller sequence. The winner keeps
-    its batched scores; its state paths are backtracked on its composed
-    channel models, the values its stack rows hold.
+    Candidates are scored in one batch per channel; each total is the
+    math.fsum of its channel scores, and ties go to the shorter, then
+    lexicographically smaller sequence. The winner keeps its batched
+    scores; its state paths are backtracked on its composed channel
+    models, the values its stack columns hold.
 
-    cache is a dict reused across utterances of one lexicon; cache[channel,
-    k] is the -inf-padded _candidate_stack of every k-sign candidate.
+    cache is a dict reused across utterances of one lexicon;
+    cache[max_signs] holds one _candidate_stack per lexicon channel: the
+    -inf-padded models of the channel's distinct spelling sequences of
+    1..max_signs signs and the map from each candidate to its column.
     SearchSpaceTooLargeError is raised before anything is built when the
-    candidates exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
+    candidates exceed MAX_CANDIDATES or, for stacks not yet cached,
+    their bytes MAX_STACK_BYTES.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
@@ -315,10 +344,11 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     n_cand = _candidate_count(len(lexicon.signs), max_signs)
     if n_cand > MAX_CANDIDATES:
         raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
-    _stack_bytes(lexicon, max_signs)
-    validate_multi_observation(lexicon, mobs)
     if cache is None:
         cache = {}
+    if max_signs not in cache:
+        _stack_bytes(lexicon, max_signs)
+    validate_multi_observation(lexicon, mobs)
     candidates, scores, tables = _candidate_scores(lexicon, mobs, max_signs, cache)
     [(best, rows)] = _best_entries(np.zeros((len(candidates), 1)), scores[:, None])
     if best is None:

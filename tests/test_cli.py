@@ -292,12 +292,22 @@ def test_decode_exhaustive_stack_memory_guard(
     def no_candidate_stack(*args):
         raise AssertionError("a candidate stack was built past the memory guard")
 
+    # The trained model keeps the demo lexicon's spellings and state
+    # counts, and its trained pi enters every state, so its band has
+    # offsets 0 to 3: at 6 signs its stacks need 33,136,128 bytes plus
+    # 53,333,280 of transients, and a limit one byte under that refuses
+    # them before any stack is built.
+    lexicon, _ = load_model(trained_model)
+    assert parallel._band_offsets(lexicon, "head", 6) == {0, 1, 2, 3}
+    assert parallel._stack_bytes(lexicon, 6) == 33_136_128
+    need = 33_136_128 + 53_333_280
+    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_candidate_stack", no_candidate_stack)
     assert run(
         ["decode", "--model", trained_model, "--corpus", demo_corpus,
          "--mode", "exhaustive", "--max-signs", 6, "--out", tmp_path / "hyp.jsonl"]
     ) == 3
-    assert "bytes of candidate stacks" in capsys.readouterr().err
+    assert f"hold {need} bytes of candidate stacks" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["decode", "evaluate"])

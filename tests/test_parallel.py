@@ -239,43 +239,51 @@ def _no_candidate_stack(*args):
 
 def test_decode_exhaustive_stack_memory_guard(monkeypatch):
     # 6 signs of the demo lexicon pass the candidate guard (299,592
-    # candidates), but the dense build of their largest stack alone would
-    # take about 2.3 GB; 5 signs (about 0.09 GB of cached stacks plus
-    # 0.22 GB of transients) stay within the limit.
+    # candidates; 7 signs do not) and, with one stack column per distinct
+    # spelling sequence, the memory guard: 24,487,488 bytes of cached
+    # stacks plus 53,333,280 of transients. One byte less refuses them
+    # before any stack is built.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
     assert parallel._candidate_count(len(lex.signs), 6) <= parallel.MAX_CANDIDATES
-    assert parallel._stack_bytes(lex, 5) <= parallel.MAX_STACK_BYTES
+    assert parallel._candidate_count(len(lex.signs), 7) > parallel.MAX_CANDIDATES
+    need = 24_487_488 + 53_333_280
+    assert need <= parallel.MAX_STACK_BYTES
+    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
-    with pytest.raises(SearchSpaceTooLargeError, match="bytes of candidate stacks"):
+    with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes of candidate stacks"):
         decode_exhaustive(lex, mobs, max_signs=6)
+    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need)
+    assert parallel._stack_bytes(lex, 6) == 24_487_488
 
 
 def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
-    # At 4 signs the demo lexicon's cached stacks take 9,052,416 bytes:
-    # log_pi, columns and two band diagonals of N x 8^k entries for k =
-    # 1..4 and 3 channels of N = 6k - 3 rows. The 4-sign stack (N = 21)
-    # adds 17,203,200 bytes of transients: its dense N x N x 8^4 log_trans
-    # and the kernel's four N x 8^4 rows.
+    # Each demo channel has 4 distinct spellings, so at 4 signs its stack
+    # holds 4 + 16 + 64 + 256 = 340 columns of N = 21 rows. The cache
+    # takes 797,760 bytes: per channel, log_pi, columns and two band
+    # diagonals of N x 340 entries, and a map of 4,680 candidates. The
+    # largest stack adds 1,428,000 bytes of transients: its dense
+    # N x N x 340 log_trans and the kernel's four N x 340 rows.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
-    need = 9_052_416 + 17_203_200
+    need = 797_760 + 1_428_000
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
     with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes"):
         decode_exhaustive(lex, mobs, max_signs=4)
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need)
-    assert parallel._stack_bytes(lex, 4) == 9_052_416
+    assert parallel._stack_bytes(lex, 4) == 797_760
 
 
 def _cached_bytes(cache):
     return sum(
-        log_pi.nbytes + columns.nbytes + sum(w.nbytes for _, w in diagonals)
-        for log_pi, diagonals, columns in cache.values()
+        log_pi.nbytes + columns.nbytes + index.nbytes + sum(w.nbytes for _, w in diagonals)
+        for stacks in cache.values()
+        for log_pi, diagonals, columns, index in stacks
     )
 
 
@@ -291,7 +299,8 @@ def test_stack_bytes_equal_the_cached_stacks(policy):
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
 def test_band_offsets_equal_the_cached_bands(case):
     # Ergodic phonemes with zeroed transitions and pi entries: the
-    # offsets read from the lexicon are exactly those band() finds.
+    # offsets read from the lexicon are exactly those band() finds, with
+    # (3) and without (1) steps across signs.
     rng = np.random.default_rng(80 + case)
     lex = mixed_lexicon(rng, **BATCH_CASES[case])
     for inv in lex.inventories.values():
@@ -302,11 +311,13 @@ def test_band_offsets_equal_the_cached_bands(case):
                 model.trans = trans / trans.sum(axis=1, keepdims=True)
                 model.pi = np.eye(model.n_states)[int(rng.integers(model.n_states))]
     mobs = sample_mobs(lex, ["s1", "s0"], 6, seed=case)
-    cache = {}
-    decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
-    for (ch, k), (_, diagonals, _) in cache.items():
-        assert [o for o, _ in diagonals] == sorted(parallel._band_offsets(lex, ch, k))
-    assert parallel._stack_bytes(lex, 3) == _cached_bytes(cache)
+    for max_signs in (1, 3):
+        cache = {}
+        decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
+        for ch, (_, diagonals, _, _) in zip(lex.channels, cache[max_signs]):
+            offsets = parallel._band_offsets(lex, ch, max_signs)
+            assert [o for o, _ in diagonals] == sorted(offsets)
+        assert parallel._stack_bytes(lex, max_signs) == _cached_bytes(cache)
 
 
 def test_band_offsets_skip_rewired_rows_and_follow_pi():
@@ -320,11 +331,12 @@ def test_band_offsets_skip_rewired_rows_and_follow_pi():
     lex = Lexicon(["c"], inventories, {"x": Sign("x", {"c": ["a", "b"]})}, "none")
     mobs = MultiObservation({"c": np.array([0, 1, 0, 1, 1, 0])})
     cache = {}
-    decode_exhaustive(lex, mobs, max_signs=2, cache=cache)
-    for k in (1, 2):
-        assert [o for o, _ in cache["c", k][1]] == [0, 1, 3]
-        assert parallel._band_offsets(lex, "c", k) == {0, 1, 3}
-    assert parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
+    for max_signs in (1, 2):
+        decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
+        [(_, diagonals, _, _)] = cache[max_signs]
+        assert [o for o, _ in diagonals] == [0, 1, 3]
+        assert parallel._band_offsets(lex, "c", max_signs) == {0, 1, 3}
+    assert parallel._stack_bytes(lex, 1) + parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
 
 
 def test_decode_exhaustive_no_finite_hypothesis():
@@ -527,6 +539,106 @@ def test_decode_exhaustive_cache_reuse_matches_fresh_cache():
         shared = decode_exhaustive(lex, mobs, max_signs=2, cache=cache)
         fresh = decode_exhaustive(lex, mobs, max_signs=2)
         assert shared == fresh
+
+
+def _assert_same_hypothesis(got, want):
+    for field in ("signs", "channel_scores", "total", "state_paths"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field))
+
+
+def _respelled(lex, spellings):
+    """lex with sign s spelled spellings[s][c] in channel c (content
+    phoneme indices of mixed_lexicon)."""
+    for sid, per_channel in spellings.items():
+        channels = {
+            ch: [lex.inventory(ch).content_ids[p] for p in pids]
+            for ch, pids in zip(lex.channels, per_channel)
+        }
+        lex.signs[sid] = Sign(sid, channels)
+    validate_lexicon(lex)
+    return lex
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+def test_decode_exhaustive_maps_candidates_per_channel(policy):
+    # s0 and s1 share their c0 spelling, s1 and s2 their c1 spelling, so
+    # each channel stacks 2 + 4 + 8 distinct models for the 39 candidates
+    # of up to 3 signs, through a different map.
+    lex = mixed_lexicon(np.random.default_rng(61), policy=policy)
+    lex = _respelled(lex, {"s0": ([0], [0, 1]), "s1": ([0], [2]), "s2": ([1, 2], [2])})
+    cache = {}
+    for seed, signs in enumerate((["s1"], ["s0", "s2"], ["s2", "s1", "s0"])):
+        mobs = sample_mobs(lex, signs, 8, seed=60 + seed)
+        got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
+        _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
+    (_, _, columns0, index0), (_, _, columns1, index1) = cache[3]
+    assert columns0.shape[1] == columns1.shape[1] == 14
+    assert index0[:3].tolist() == [0, 0, 1] and index1[:3].tolist() == [0, 1, 1]
+    assert index0[3:12].tolist() == [2, 2, 3, 2, 2, 3, 4, 4, 5]
+    assert len(index0) == len(index1) == 39
+
+
+def test_decode_exhaustive_equal_concatenations_keep_their_columns():
+    # Without epenthesis a = [p, q] then b = [r] and c = [p] then
+    # d = [q, r] compose the same c0 model p q r in distinct columns with
+    # bit-identical scores; c1 spells a as c and b as d, so (a, b) and
+    # (c, d) tie exactly and the oracle's tie rule must hold.
+    lex = mixed_lexicon(np.random.default_rng(63), policy="none")
+    lex.signs.clear()
+    lex = _respelled(
+        lex, {"a": ([0, 1], [0]), "b": ([2], [1]), "c": ([0], [0]), "d": ([1, 2], [1])}
+    )
+    cache = {}
+    for seed, signs in enumerate((["c", "d"], ["a", "b"], ["d", "a", "c"])):
+        mobs = sample_mobs(lex, signs, {"c0": 9, "c1": 6}, seed=70 + seed)
+        got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
+        _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
+        candidates, scores, _ = _candidate_scores(lex, mobs, 3, cache)
+        ab, cd = candidates.index(("a", "b")), candidates.index(("c", "d"))
+        assert bits(scores[ab]) == bits(scores[cd])
+    (_, _, _, index), _ = cache[3]
+    assert index[ab] != index[cd]
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_decode_exhaustive_unequal_lengths_equal_the_oracle(case):
+    lex = mixed_lexicon(np.random.default_rng(90 + case), **BATCH_CASES[case])
+    cache = {}
+    for seed, lengths in enumerate(({"c0": 9, "c1": 3}, {"c0": 2, "c1": 8})):
+        mobs = sample_mobs(lex, ["s2", "s0"], lengths, seed=80 + seed)
+        got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
+        _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
+
+
+def test_decode_exhaustive_cache_serves_every_max_signs():
+    lex = mixed_lexicon(np.random.default_rng(64), policy="between_signs")
+    cache = {}
+    for seed, max_signs in enumerate((3, 2, 3)):
+        mobs = sample_mobs(lex, ["s1", "s2"], {"c0": 8, "c1": 7}, seed=50 + seed)
+        got = decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
+        _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs))
+        if seed == 0:
+            stacks = cache[3]
+    assert sorted(cache) == [2, 3] and cache[3] is stacks
+
+
+def test_stack_bytes_runs_once_per_cache_and_max_signs(monkeypatch):
+    calls = []
+    stack_bytes = parallel._stack_bytes
+
+    def counted(lexicon, max_signs):
+        calls.append(max_signs)
+        return stack_bytes(lexicon, max_signs)
+
+    monkeypatch.setattr(parallel, "_stack_bytes", counted)
+    lex = mixed_lexicon(np.random.default_rng(65))
+    cache = {}
+    for seed in range(12):
+        mobs = sample_mobs(lex, ["s0", "s2"][: 1 + seed % 2], 6, seed=seed)
+        decode_exhaustive(lex, mobs, max_signs=2 + seed % 2, cache=cache)
+    assert calls == [2, 3]
+    decode_exhaustive(lex, mobs, max_signs=3)
+    assert calls == [2, 3, 3]
 
 
 def test_decode_exhaustive_empty_channel_names_it(monkeypatch):
