@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as hmm_mod
+from .emissions import json_numbers
 from .errors import DegenerateSplitError, FileFormatError, ValidationError
 from .lexicon import MultiObservation
 from .parallel import block_ids, compose_utterance_model
@@ -154,7 +155,7 @@ def _obs_from_json(values):
         return np.empty(0, dtype=np.intp)
     try:
         if isinstance(values[0], list):
-            return np.asarray(values, dtype=float)
+            return json_numbers("channels", values)
         # Symbols keep the type they were written with, so a non-integer
         # one is rejected when scored instead of being truncated here.
         return np.asarray(values)

@@ -84,7 +84,7 @@ class _Emission:
 
     @classmethod
     def from_json(cls, data):
-        return cls(*(data[f.name] for f in fields(cls)))
+        return cls(*(json_numbers(f.name, data[f.name]) for f in fields(cls)))
 
 
 @dataclass
@@ -103,14 +103,7 @@ class DiscreteEmission(_Emission):
 
     def validate(self):
         self.check_rank()
-        check_finite("emission probs", self.probs)
-        if np.any(self.probs < 0):
-            raise NegativeEntryError("emission probs", float(self.probs.min()))
-        sums = self.probs.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > STOCH_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise NonStochasticRowError("emission row", i, float(sums[i]))
+        check_stochastic("emission probs", self.probs, "emission row")
 
     def check(self, obs):
         """obs as an integer array of shape (T,) with symbols in the
@@ -254,11 +247,38 @@ def from_json(data):
     return KINDS[kind].from_json(data)
 
 
+def json_numbers(field, value):
+    """value, read from a JSON file, as a float if it is a number and as
+    a float array if it is a rectangular array of numbers. A string, a
+    bool (numpy would read either as a number) or null in it is a
+    FileFormatError naming field; a ragged array is numpy's ValueError."""
+    arr = np.asarray(value)
+    leaves = np.asarray(value, dtype=object).flat
+    if arr.dtype.kind not in "iuf" or any(isinstance(x, bool) for x in leaves):
+        raise FileFormatError(f"field {field} must hold JSON numbers only")
+    return arr.astype(float) if arr.ndim else float(arr)
+
+
 def check_finite(which, arr):
     """Raise NonFiniteEntryError if arr holds a NaN or an infinity."""
     bad = ~np.isfinite(arr)
     if np.any(bad):
         raise NonFiniteEntryError(which, float(arr[bad][0]))
+
+
+def check_stochastic(which, arr, row=None):
+    """Raise a ValidationError subclass unless arr's values are finite
+    and non-negative and sum to 1 within STOCH_TOL: the whole of arr if
+    row is None, else each of its rows, named row[i] in the error."""
+    check_finite(which, arr)
+    if np.any(arr < 0):
+        raise NegativeEntryError(which, float(arr.min()))
+    sums = np.atleast_1d(arr.sum(axis=-1))
+    bad = np.flatnonzero(np.abs(sums - 1.0) > STOCH_TOL)
+    if bad.size:
+        i = int(bad[0])
+        where = (which, None) if row is None else (row, i)
+        raise NonStochasticRowError(*where, float(sums[i]))
 
 
 def validate_emission(em):

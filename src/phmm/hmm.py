@@ -28,13 +28,10 @@ from .errors import (
     AllPathsZeroError,
     DimensionMismatchError,
     EmptyObservationError,
-    NegativeEntryError,
-    NonStochasticRowError,
     TopologyViolationError,
 )
 from .logmath import LOG_ZERO, logsumexp, safe_log
 
-STOCH_TOL = 1e-12
 TINY = np.finfo(float).tiny
 
 
@@ -79,24 +76,12 @@ def validate(hmm):
     """Check all Hmm invariants; raises a ValidationError subclass on failure."""
     if hmm.pi.ndim != 1:
         raise DimensionMismatchError(f"pi has shape {hmm.pi.shape}, expected a vector")
-    em.check_finite("pi", hmm.pi)
-    if np.any(hmm.pi < 0):
-        raise NegativeEntryError("pi", float(hmm.pi.min()))
-    total = hmm.pi.sum()
-    if abs(total - 1.0) > STOCH_TOL:
-        raise NonStochasticRowError("pi", None, float(total))
+    em.check_stochastic("pi", hmm.pi)
     if hmm.trans.shape != (hmm.n_states, hmm.n_states):
         raise DimensionMismatchError(
             f"trans has shape {hmm.trans.shape}, expected {(hmm.n_states, hmm.n_states)}"
         )
-    em.check_finite("trans", hmm.trans)
-    if np.any(hmm.trans < 0):
-        raise NegativeEntryError("trans", float(hmm.trans.min()))
-    sums = hmm.trans.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > STOCH_TOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NonStochasticRowError("trans row", i, float(sums[i]))
+    em.check_stochastic("trans", hmm.trans, "trans row")
     if hmm.topology is Topology.LEFT_TO_RIGHT:
         n = hmm.n_states
         for i in range(n):

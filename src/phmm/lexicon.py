@@ -9,6 +9,7 @@ channel, inserted between signs at composition time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from . import hmm as hmm_mod
@@ -68,7 +69,7 @@ def validate_lexicon(lex):
         raise ValidationError("channel names must be unique")
     if lex.epenthesis_policy not in (EPENTHESIS_NONE, EPENTHESIS_BETWEEN_SIGNS):
         raise ValidationError(f"unknown epenthesis policy {lex.epenthesis_policy!r}")
-    if not 0.0 < lex.exit_prob < 1.0:
+    if not (isinstance(lex.exit_prob, numbers.Real) and 0.0 < lex.exit_prob < 1.0):
         raise ValidationError(f"exit_prob must be in (0, 1), got {lex.exit_prob!r}")
     for ch in lex.channels:
         inv = lex.inventories.get(ch)

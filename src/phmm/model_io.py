@@ -10,8 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from . import __version__, emissions
 from .errors import FileFormatError
 from .hmm import Hmm, Topology
@@ -37,8 +35,8 @@ def _hmm_to_json(model):
 
 def _hmm_from_json(data):
     return Hmm(
-        pi=np.asarray(data["pi"], dtype=float),
-        trans=np.asarray(data["trans"], dtype=float),
+        pi=emissions.json_numbers("pi", data["pi"]),
+        trans=emissions.json_numbers("trans", data["trans"]),
         emissions=emissions.from_json(data["emission"]),
         topology=Topology(data["topology"]),
     )
@@ -100,7 +98,7 @@ def lexicon_from_json(data):
             inventories=inventories,
             signs=signs,
             epenthesis_policy=data.get("epenthesis_policy", "none"),
-            exit_prob=float(data.get("exit_prob", 0.5)),
+            exit_prob=emissions.json_numbers("exit_prob", data.get("exit_prob", 0.5)),
         )
         # Validation reads array shapes and phoneme ids, so a misshapen
         # array or an unhashable id fails in there.

@@ -21,20 +21,20 @@ candidate to its column, and keeps only the stack's finite diagonals
 self-loops and the steps forward on the demo lexicon. One max-product
 recursion runs over each channel's stack, each frame reading only those
 diagonals and gathering emissions from one table of phoneme-state log
-densities per channel. The synchronized
-decoder stacks the units of an utterance (every sign, and the
-epenthesis filler, in every channel; front-padded with -inf so that
-each final state is the last row) and advances one recursion for all
-units and entry frames a frame at a time. Max and + are exact, and
-neither -inf padding nor a dropped, all -inf diagonal ever wins a max,
-so every score is bit-identical to scoring the candidates, units or
-entry frames one at a time.
+densities per channel. The synchronized decoder stacks the units of an
+utterance (every sign, and the epenthesis filler, in every channel;
+front-padded with -inf so that each final state is the last row) and
+advances one recursion for all units and entry frames a frame at a
+time. Max and + are exact, and neither -inf padding nor a dropped, all
+-inf diagonal ever wins a max, so every score is bit-identical to
+scoring the candidates, units or entry frames one at a time.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
 bound of the best are rescored with math.fsum. It runs once over the
-exhaustive candidates, whose winner's composed models are backtracked,
-and at each frame over the synced search's (unit, entry frame) pairs.
+exhaustive candidates, whose winner score_hypothesis scores again bit
+for bit, and at each frame over the synced search's (unit, entry
+frame) pairs.
 """
 
 from __future__ import annotations
@@ -159,15 +159,6 @@ def score_hypothesis(lexicon, signs, mobs):
     return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
-def _candidate_count(vocab, max_signs):
-    total = 0
-    for k in range(1, max_signs + 1):
-        total += vocab**k
-        if total > MAX_CANDIDATES:
-            return total
-    return total
-
-
 def _band_offsets(lexicon, channel, max_signs):
     """The offsets of band() of the channel's _candidate_stack for 1..
     max_signs signs, read from the lexicon without composing: every
@@ -207,13 +198,17 @@ def _stack_bytes(lexicon, max_signs):
     and the rows of its largest model (max_signs of the channel's
     largest sign, plus max_signs - 1 epenthesis fillers if the policy
     has them), and whose map has a column index per candidate.
-    SearchSpaceTooLargeError if they pass MAX_STACK_BYTES together with
-    the transients of the largest stack: its dense N x N x B log_trans,
-    built before band() compiles it, and the four N x B rows of
-    viterbi_score_lattice's frames (delta, the next row, the sum buffer
-    and the gathered emissions)."""
+    SearchSpaceTooLargeError if the candidates pass MAX_CANDIDATES, or
+    the bytes MAX_STACK_BYTES together with the transients of the largest
+    stack: its dense N x N x B log_trans, built before band() compiles
+    it, and the four N x B rows of viterbi_score_lattice's frames (delta,
+    the next row, the sum buffer and the gathered emissions)."""
     signs = range(1, max_signs + 1)
-    n_cand = sum(len(lexicon.signs) ** k for k in signs)
+    n_cand = 0
+    for k in signs:
+        n_cand += len(lexicon.signs) ** k
+        if n_cand > MAX_CANDIDATES:
+            raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
     total = temporary = 0
     for ch in lexicon.channels:
         inv = lexicon.inventory(ch)
@@ -265,10 +260,18 @@ def _stack(models, columns):
     return log_pi, log_trans, stacked
 
 
-def _sequences(items, max_signs):
-    """Every sequence of 1..max_signs items, shorter first, then in the
-    lexicographic order of the list items."""
-    return [seq for k in range(1, max_signs + 1) for seq in itertools.product(items, repeat=k)]
+def _sequence(items, number):
+    """The number-th (from 0) sequence of items, counting shorter ones
+    first, then lexicographically in the order of the list items."""
+    k = 1
+    while number >= len(items) ** k:
+        number -= len(items) ** k
+        k += 1
+    seq = ()
+    for _ in range(k):
+        number, digit = divmod(number, len(items))
+        seq = (items[digit],) + seq
+    return seq
 
 
 def _candidate_stack(lexicon, channel, max_signs):
@@ -282,18 +285,19 @@ def _candidate_stack(lexicon, channel, max_signs):
     numbers = {}  # each distinct channel spelling -> its number, as first seen
     spellings = [tuple(lexicon.signs[s].channels[channel]) for s in sign_ids]
     digits = [numbers.setdefault(pids, len(numbers)) for pids in spellings]
-    # The sequences of each spelling's first sign are the distinct
-    # spelling sequences in first-seen order, so a k-sign candidate's
-    # digits, read in base d, number its column among the d^k after the
-    # shorter ones.
+    # The sequences of each spelling's first sign are the distinct spelling
+    # sequences in first-seen order, so a k-sign candidate's digits, read in
+    # base d, number its column among the d^k after the shorter ones.
     d = len(numbers)
     firsts = [sign_ids[digits.index(j)] for j in range(d)]
     index = []
     codes = np.zeros(1, dtype=np.intp)
+    n_columns = 0
     for k in range(1, max_signs + 1):
         codes = (codes[:, None] * d + digits).ravel()
-        index.append(sum(d**j for j in range(1, k)) + codes)
-    distinct = _sequences(firsts, max_signs)
+        index.append(n_columns + codes)
+        n_columns += d**k
+    distinct = [_sequence(firsts, j) for j in range(n_columns)]
     phonemes = lexicon.inventory(channel).phonemes
     # Composed one at a time: holding all of them at once raised peak RSS.
     models = (compose_utterance_model(lexicon, channel, signs) for signs in distinct)
@@ -303,19 +307,16 @@ def _candidate_stack(lexicon, channel, max_signs):
 
 
 def _candidate_scores(lexicon, mobs, max_signs, cache):
-    """Every sign sequence of 1..max_signs signs, shorter first and then
-    lexicographic; their (M, C) best-path scores, one column per lexicon
-    channel; and each channel's _log_density_table. Fills cache as
-    decode_exhaustive describes."""
+    """(M, C) best-path scores of the M sign sequences of 1..max_signs
+    signs, row m for _sequence(sorted(lexicon.signs), m), one column per
+    lexicon channel. Fills cache as decode_exhaustive describes."""
     if max_signs not in cache:
         cache[max_signs] = [_candidate_stack(lexicon, ch, max_signs) for ch in lexicon.channels]
-    candidates = _sequences(sorted(lexicon.signs), max_signs)
-    tables = []
     scores = []
     for ch, (log_pi, diagonals, columns, index) in zip(lexicon.channels, cache[max_signs]):
-        tables.append(_log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch]))
-        scores.append(viterbi_score_lattice(log_pi, diagonals, tables[-1], columns)[index])
-    return candidates, np.stack(scores, axis=1), tables
+        table = _log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch])
+        scores.append(viterbi_score_lattice(log_pi, diagonals, table, columns)[index])
+    return np.stack(scores, axis=1)
 
 
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
@@ -325,42 +326,31 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     independently and the argmax runs over the full enumeration.
     Candidates are scored in one batch per channel; each total is the
     math.fsum of its channel scores, and ties go to the shorter, then
-    lexicographically smaller sequence. The winner keeps its batched
-    scores; its state paths are backtracked on its composed channel
-    models, the values its stack columns hold.
+    lexicographically smaller sequence. The winner, read from its row
+    number, is returned as score_hypothesis scores it: the same channel
+    scores as its batched row, bit for bit, and its state paths.
 
     cache is a dict reused across utterances of one lexicon;
     cache[max_signs] holds one _candidate_stack per lexicon channel: the
     -inf-padded models of the channel's distinct spelling sequences of
     1..max_signs signs and the map from each candidate to its column.
-    SearchSpaceTooLargeError is raised before anything is built when the
-    candidates exceed MAX_CANDIDATES or, for stacks not yet cached,
-    their bytes MAX_STACK_BYTES.
+    Before a max_signs is cached, and before anything is built,
+    _stack_bytes raises SearchSpaceTooLargeError when the candidates
+    exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
     if not lexicon.signs:
         raise ValidationError("lexicon has no signs")
-    n_cand = _candidate_count(len(lexicon.signs), max_signs)
-    if n_cand > MAX_CANDIDATES:
-        raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
-    if cache is None:
-        cache = {}
+    cache = {} if cache is None else cache
     if max_signs not in cache:
         _stack_bytes(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
-    candidates, scores, tables = _candidate_scores(lexicon, mobs, max_signs, cache)
-    [(best, rows)] = _best_entries(np.zeros((len(candidates), 1)), scores[:, None])
+    scores = _candidate_scores(lexicon, mobs, max_signs, cache)
+    [(best, rows)] = _best_entries(np.zeros((len(scores), 1)), scores[:, None])
     if best is None:
         raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
-    signs = candidates[rows[0]]
-    paths = {}
-    for ch, table in zip(lexicon.channels, tables):
-        model = compose_utterance_model(lexicon, ch, signs)
-        columns = _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs))
-        _, path = viterbi_lattice(*model.log_params(), table[:, columns])
-        paths[ch] = path.tolist()
-    return Hypothesis.combine(signs, dict(zip(lexicon.channels, scores[rows[0]].tolist())), paths)
+    return score_hypothesis(lexicon, _sequence(sorted(lexicon.signs), rows[0]), mobs)
 
 
 def model_count(lexicon):
@@ -515,11 +505,8 @@ class _Token:
 
 
 def _best_token(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a.key() <= b.key() else b
+    """b if a is None, else whichever of a and b has the smaller key, a on a tie."""
+    return b if a is None or b.key() < a.key() else a
 
 
 def decode_synced(lexicon, mobs, beam_width):
@@ -545,19 +532,6 @@ def decode_synced(lexicon, mobs, beam_width):
 
     units = _Unit(lexicon, mobs, unit_keys)
     n_signs = len(sign_ids)
-
-    def entry_tokens(cell):
-        """(best token that may enter a sign, best that may enter the
-        epenthesis) at the frame after `cell`, None if none scores finite."""
-        sign_entry = eps_entry = None
-        for vkey, tok in cell.items():
-            if tok.score == LOG_ZERO:
-                continue
-            if use_eps and vkey != EPS_UNIT:
-                eps_entry = _best_token(eps_entry, tok)
-            else:
-                sign_entry = _best_token(sign_entry, tok)
-        return sign_entry, eps_entry
 
     # sign_entries[t0] / eps_entries[t0]: the best token that may enter a
     # sign / the epenthesis at frame t0, fixed once frame t0 - 1 is pruned;
@@ -588,7 +562,13 @@ def decode_synced(lexicon, mobs, beam_width):
         if len(cell) > beam_width:
             kept = sorted(cell.items(), key=lambda kv: kv[1].key() + (kv[0],))
             cell = dict(kept[:beam_width])
-        sign_entry, eps_entry = entry_tokens(cell)
+        best_sign = None
+        for key, tok in cell.items():
+            if key != EPS_UNIT:
+                best_sign = _best_token(best_sign, tok)
+        # With epenthesis a sign follows the epenthesis token and the
+        # epenthesis the best sign token; else a sign the best sign token.
+        sign_entry, eps_entry = (cell.get(EPS_UNIT), best_sign) if use_eps else (best_sign, None)
         sign_entries.append(sign_entry)
         eps_entries.append(eps_entry)
         if t + 1 < t_len:

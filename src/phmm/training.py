@@ -243,11 +243,6 @@ def _compile(models, chains, data, exit_prob, what):
     return e_step
 
 
-def _e_step(models, chains, data, exit_prob, what, stats_needed=True):
-    """_compile's E-step, built for one call."""
-    return _compile(models, chains, data, exit_prob, what)(models, stats_needed)
-
-
 def _em(models, chains, data, exit_prob, cfg, on_iteration, what="sequences"):
     """EM on the tied models (a dict keyed like the chains) until the
     relative log-likelihood gain drops below cfg.rel_tol or

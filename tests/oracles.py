@@ -244,7 +244,7 @@ def baum_welch_oracle(init, data, cfg):
 
 
 def composed_e_step_oracle(models, chains, data, exit_prob, stats_needed=True):
-    """training._e_step scoring every sequence on its composed model's
+    """The E-step of training._compile scoring every sequence on its composed model's
     stacked emissions: one log_density_seq call per sequence, written
     into a -inf padded (T, N, B) lattice per batch of equal state
     counts. Returns (total log likelihood, {key: (pi, trans, emission

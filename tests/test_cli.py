@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from helpers import mixed_lexicon
 from oracles import cut_segments_oracle
 
 from phmm.cli import _cut_segments, main
-from phmm.corpus import GenConfig, Utterance, generate, read_corpus
+from phmm.corpus import GenConfig, Utterance, generate, read_corpus, write_corpus
 from phmm.demo import demo_lexicon
 from phmm.errors import ValidationError
 from phmm.hmm import sample
@@ -310,6 +311,24 @@ def test_decode_exhaustive_stack_memory_guard(
     assert f"hold {need} bytes of candidate stacks" in capsys.readouterr().err
 
 
+def test_decode_exhaustive_candidate_guard(
+    tmp_path, trained_model, demo_corpus, capsys, monkeypatch
+):
+    # The demo lexicon's 8 signs make 2,396,744 candidates of up to 7
+    # signs, over MAX_CANDIDATES: exit 3 before any stack is built.
+    from phmm import parallel
+
+    def no_candidate_stack(*args):
+        raise AssertionError("a candidate stack was built past the candidate guard")
+
+    monkeypatch.setattr(parallel, "_candidate_stack", no_candidate_stack)
+    assert run(
+        ["decode", "--model", trained_model, "--corpus", demo_corpus,
+         "--mode", "exhaustive", "--max-signs", 7, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    assert "exhaustive decode would enumerate 2396744 candidates" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["decode", "evaluate"])
 def test_synced_missing_channel_is_input_error(
     command, tmp_path, trained_model, demo_corpus, capsys
@@ -421,6 +440,67 @@ def test_decode_malformed_model_is_input_error(
     ) == 3
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def _r0(blob):
+    return blob["inventories"]["right_hand"]["phonemes"]["R0"]
+
+
+def _g0(blob, name, value):
+    blob["inventories"]["c0"]["phonemes"]["c0_p0"]["emission"][name][0][0] = value
+
+
+def _frame(rec, value):
+    rec["channels"]["c0"][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "lexicon, corrupt_model, corrupt_record, field",
+    [
+        ("demo", lambda blob: blob.update(exit_prob="0.5"), None, "exit_prob"),
+        ("demo", lambda blob: _r0(blob).update(pi=[True, 0.0, 0.0]), None, "pi"),
+        ("demo", lambda blob: _r0(blob)["trans"].__setitem__(2, [0.0, 0.0, True]), None, "trans"),
+        (
+            "demo",
+            lambda blob: _r0(blob)["emission"]["probs"].__setitem__(0, [True] + [False] * 9),
+            None,
+            "probs",
+        ),
+        ("gaussian", lambda blob: _g0(blob, "means", "0.5"), None, "means"),
+        ("gaussian", lambda blob: _g0(blob, "means", True), None, "means"),
+        ("gaussian", lambda blob: _g0(blob, "variances", "0.5"), None, "variances"),
+        ("gaussian", lambda blob: _g0(blob, "variances", True), None, "variances"),
+        ("gaussian", None, lambda rec: _frame(rec, "1.5"), "channels"),
+        ("gaussian", None, lambda rec: _frame(rec, True), "channels"),
+    ],
+    ids=[
+        "exit-prob-string", "pi-bool", "trans-bool", "probs-bool", "means-string",
+        "means-bool", "variances-string", "variances-bool", "frame-string", "frame-bool",
+    ],
+)
+def test_decode_string_or_bool_number_is_input_error(
+    lexicon, corrupt_model, corrupt_record, field, tmp_path, capsys
+):
+    # numpy reads "0.5" as 0.5 and true as 1.0; the readers must not.
+    lex = demo_lexicon() if lexicon == "demo" else mixed_lexicon(np.random.default_rng(4), True)
+    model, corpus = tmp_path / "model.json", tmp_path / "corpus.jsonl"
+    save_model(model, lex)
+    write_corpus(corpus, generate(lex, GenConfig(n_utterances=2, seed=4)))
+    if corrupt_model:
+        blob = json.loads(model.read_text())
+        corrupt_model(blob)
+        model.write_text(json.dumps(blob))
+    if corrupt_record:
+        recs = [json.loads(line) for line in corpus.read_text().splitlines()]
+        corrupt_record(recs[1])
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert run(
+        ["decode", "--model", model, "--corpus", corpus,
+         "--max-signs", 1, "--out", tmp_path / "hyp.jsonl"]
+    ) == 3
+    err = capsys.readouterr().err
+    assert f"field {field} must hold JSON numbers only" in err
     assert "Traceback" not in err
 
 

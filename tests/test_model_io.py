@@ -94,6 +94,13 @@ def test_string_for_array_field_is_named(field, edit):
         lexicon_from_json(data)
 
 
+def test_exit_prob_must_be_a_number():
+    data = lexicon_to_json(demo_lexicon())
+    data["exit_prob"] = [0.5]
+    with pytest.raises(ValidationError, match="exit_prob must be in"):
+        lexicon_from_json(data)
+
+
 def test_config_hash_stable_and_order_insensitive():
     a = config_hash({"x": 1, "y": [1, 2]})
     b = config_hash({"y": [1, 2], "x": 1})

@@ -43,6 +43,7 @@ from phmm.parallel import (
     _Token,
     _best_entries,
     _candidate_scores,
+    _sequence,
     _Unit,
     compose_models,
     compose_utterance_model,
@@ -238,21 +239,21 @@ def _no_candidate_stack(*args):
 
 
 def test_decode_exhaustive_stack_memory_guard(monkeypatch):
-    # 6 signs of the demo lexicon pass the candidate guard (299,592
-    # candidates; 7 signs do not) and, with one stack column per distinct
-    # spelling sequence, the memory guard: 24,487,488 bytes of cached
-    # stacks plus 53,333,280 of transients. One byte less refuses them
-    # before any stack is built.
+    # 7 signs of the demo lexicon fail the candidate guard (2,396,744
+    # candidates). 6 signs pass it (299,592) and, with one stack column
+    # per distinct spelling sequence, the memory guard: 24,487,488 bytes
+    # of cached stacks plus 53,333,280 of transients. One byte less
+    # refuses them. Neither refusal builds a stack.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
-    assert parallel._candidate_count(len(lex.signs), 6) <= parallel.MAX_CANDIDATES
-    assert parallel._candidate_count(len(lex.signs), 7) > parallel.MAX_CANDIDATES
+    monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
+    mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
+    with pytest.raises(SearchSpaceTooLargeError, match="enumerate 2396744 candidates"):
+        decode_exhaustive(lex, mobs, max_signs=7)
     need = 24_487_488 + 53_333_280
     assert need <= parallel.MAX_STACK_BYTES
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
-    monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
-    mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
     with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes of candidate stacks"):
         decode_exhaustive(lex, mobs, max_signs=6)
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need)
@@ -476,12 +477,10 @@ def test_batched_exhaustive_scores_equal_score_hypothesis(case):
     lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
     lengths = {"c0": 7, "c1": 1 + case % 4}
     mobs = sample_mobs(lex, ["s1", "s0"], lengths, seed=case)
-    candidates, scores, _ = _candidate_scores(lex, mobs, 2, cache={})
-    assert candidates == [(s,) for s in "s0 s1 s2".split()] + list(
-        itertools.product(["s0", "s1", "s2"], repeat=2)
-    )
+    scores = _candidate_scores(lex, mobs, 2, cache={})
     assert scores.shape == (12, 2)
-    for signs, row in zip(candidates, scores):
+    for m, row in enumerate(scores):
+        signs = _sequence(["s0", "s1", "s2"], m)
         ref = score_hypothesis(lex, signs, mobs)
         assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
 
@@ -493,13 +492,51 @@ def test_batched_exhaustive_scores_keep_impossible_candidates(policy):
         np.random.default_rng(19), vocab=3, separated=True, n_states=3, policy=policy
     )
     mobs = sample_mobs(lex, ["s2", "s0"], 8, seed=11)
-    candidates, scores, _ = _candidate_scores(lex, mobs, 2, cache={})
+    scores = _candidate_scores(lex, mobs, 2, cache={})
     n_dead = 0
-    for signs, row in zip(candidates, scores):
-        ref = score_hypothesis(lex, signs, mobs)
+    for m, row in enumerate(scores):
+        ref = score_hypothesis(lex, _sequence(["s0", "s1", "s2"], m), mobs)
         assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
         n_dead += ref.total == float("-inf")
     assert 0 < n_dead < 12
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 3, 4])
+def test_sequence_numbers_the_enumeration_order(n_items):
+    items = ["w", "x", "y", "z"][:n_items]
+    rows = [seq for k in (1, 2, 3) for seq in itertools.product(items, repeat=k)]
+    assert [_sequence(items, m) for m in range(len(rows))] == rows
+
+
+def test_sequence_and_decode_take_more_signs_than_numpy_dimensions():
+    # numpy 1.24 allows at most 32 array dimensions, so the digits are
+    # not read with np.unravel_index.
+    assert _sequence(["a"], 39) == ("a",) * 40
+    lex = build_lexicon(np.random.default_rng(17), vocab=1)
+    mobs = sample_mobs(lex, ["s0"] * 3, 40, seed=17)
+    got = decode_exhaustive(lex, mobs, max_signs=40)
+    _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=40))
+
+
+def test_batched_scores_of_the_noisy_demo_lexicon_equal_score_hypothesis():
+    # The decode benchmark's model, the demo lexicon with every emission
+    # row mixed 2% toward uniform, on a noisy utterance: each of the 584
+    # candidates of up to 3 signs scores like score_hypothesis, bit for bit.
+    from phmm.corpus import GenConfig, generate
+    from phmm.demo import demo_lexicon
+
+    lex = demo_lexicon()
+    for inv in lex.inventories.values():
+        for model in inv.phonemes.values():
+            probs = model.emissions.probs
+            model.emissions = DiscreteEmission(0.98 * probs + 0.02 / probs.shape[1])
+    cfg = GenConfig(n_utterances=1, seed=3, signs_per_utterance=(2, 3), channel_noise=0.02)
+    [utt] = generate(demo_lexicon(), cfg)
+    scores = _candidate_scores(lex, utt.mobs, 3, cache={})
+    assert scores.shape == (584, 3)
+    for m, row in enumerate(scores):
+        ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), utt.mobs)
+        assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
 
 
 def _tied_lexicon():
@@ -593,8 +630,9 @@ def test_decode_exhaustive_equal_concatenations_keep_their_columns():
         mobs = sample_mobs(lex, signs, {"c0": 9, "c1": 6}, seed=70 + seed)
         got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
         _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
-        candidates, scores, _ = _candidate_scores(lex, mobs, 3, cache)
-        ab, cd = candidates.index(("a", "b")), candidates.index(("c", "d"))
+        scores = _candidate_scores(lex, mobs, 3, cache)
+        ab, cd = 4 + 0 * 4 + 1, 4 + 2 * 4 + 3  # after the 4 one-sign rows
+        assert _sequence("abcd", ab) == ("a", "b") and _sequence("abcd", cd) == ("c", "d")
         assert bits(scores[ab]) == bits(scores[cd])
     (_, _, _, index), _ = cache[3]
     assert index[ab] != index[cd]

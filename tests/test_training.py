@@ -25,7 +25,7 @@ from phmm.lexicon import Lexicon, PhonemeInventory, Sign
 from phmm.parallel import block_ids, compose_models
 from phmm.training import (
     TrainConfig,
-    _e_step,
+    _compile,
     baum_welch,
     derive_seed,
     initial_model,
@@ -352,7 +352,7 @@ def test_tied_statistics_equal_path_enumeration(gaussian):
         blocks = [(key, models[key]) for key in chain]
         composed, _ = compose_models(blocks, 0.3)
         data.append(sample(composed, 3 + i % 3, np.random.default_rng((19, i)))[0])
-    _, accs = _e_step(models, chains, data, 0.3, "sequences")
+    _, accs = _compile(models, chains, data, 0.3, "sequences")(models)
     want = tied_counts_oracle(models, chains, data, 0.3)
     assert list(accs) == list(want) == ["a", "b", "c"]
     for key, (pi, trans, stats) in accs.items():
@@ -379,7 +379,8 @@ def test_e_step_equals_composed_emission_oracle(case):
     ]
     assert any(len(set(chain)) < len(chain) for chain in chains)
     for stats_needed in (True, False):
-        got_ll, got = _e_step(models, chains, data, lex.exit_prob, "sequences", stats_needed)
+        e_step = _compile(models, chains, data, lex.exit_prob, "sequences")
+        got_ll, got = e_step(models, stats_needed)
         want_ll, want = composed_e_step_oracle(models, chains, data, lex.exit_prob, stats_needed)
         assert bits(got_ll) == bits(want_ll)
         if not stats_needed:
@@ -400,7 +401,7 @@ def test_e_step_padding_cannot_overflow():
     # pytest turns into an error, nor add to its statistics.
     model = Hmm([1.0], [[1.0]], GaussianEmission(np.zeros((1, 2)), np.full((1, 2), 1e-6)))
     data = [np.zeros((1, 2)), np.zeros((80, 2))]
-    total, accs = _e_step({0: model}, [(0,), (0,)], data, None, "sequences")
+    total, accs = _compile({0: model}, [(0,), (0,)], data, None, "sequences")({0: model})
     assert total == composed_e_step_oracle({0: model}, [(0,), (0,)], data, None)[0]
     assert accs[0][2].weight[0] == pytest.approx(81.0)
 
