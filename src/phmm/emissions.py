@@ -2,7 +2,8 @@
 
 Only this module knows the emission kind. Each emission class owns its
 invariants (validate), checking and scoring observations (check,
-log_density), fresh statistics (new_stats), sampling a state path's
+log_density), fresh statistics (new_stats), gathering them from a
+training run's posteriors (gatherer), sampling a state path's
 observations and channel noise (sample, add_noise), stacking composed
 blocks (stack), the lexicon's per-channel signature, its JSON form
 (to_json; from_json reads any kind) and data-driven initial parameters
@@ -75,6 +76,29 @@ class _Emission:
                 )
 
     @classmethod
+    def gatherer(cls, emissions, blocks, shapes):
+        """gather(buffers): fresh statistics of every key of emissions
+        (a dict of this class's models, of which only the shapes are
+        read), accumulated from blocks in order, once per E-step.
+
+        Each block (key, k, b, off, obs) is one occurrence of key's
+        model: states off .. off + n of entry b of buffers[k] hold its
+        posteriors over the frames of obs. buffers[k] is a (T, B, N)
+        array of shape shapes[k]. This gatherer accumulates block by
+        block (accumulate_seq); a class may gather faster if its sums
+        come out the same.
+        """
+
+        def gather(buffers):
+            stats = {key: em.new_stats() for key, em in emissions.items()}
+            for key, k, b, off, obs in blocks:
+                gamma = buffers[k][: len(obs), b, off : off + emissions[key].n_states]
+                accumulate_seq(stats[key], gamma, obs)
+            return stats
+
+        return gather
+
+    @classmethod
     def stack(cls, parts):
         """The emissions of blocks composed in order: their rows stacked."""
         return cls(*(np.vstack([getattr(p, f.name) for p in parts]) for f in fields(cls)))
@@ -128,19 +152,27 @@ class DiscreteEmission(_Emission):
         return DiscreteStats(np.zeros_like(self.probs))
 
     def sample(self, path, rng):
-        obs = np.empty(len(path), dtype=np.intp)
-        for t, s in enumerate(path):
-            obs[t] = rng.choice(self.alphabet_size, p=self.probs[s])
-        return obs
+        """The symbols of a state path: one rng.random() draw per frame,
+        each the first symbol whose entry of its state's row_cdf exceeds
+        it, which is what Generator.choice(alphabet, p=row) draws and
+        returns. probs is validated first."""
+        self.validate()
+        u = rng.random(len(path))
+        return np.sum(row_cdf(self.probs)[path] <= u[:, None], axis=1, dtype=np.intp)
 
     def add_noise(self, obs, noise, rng):
         """Each symbol replaced, with probability noise, by a uniformly
-        random other symbol."""
+        random other symbol. A one-symbol alphabet has no other symbol:
+        its symbols stay, after the same hit draws."""
         if noise > 1:
             raise ValidationError(f"noise rate {noise!r} of a discrete channel exceeds 1")
         alphabet = self.alphabet_size
         out = np.array(obs, dtype=np.intp)
         hits = rng.uniform(size=out.shape[0]) < noise
+        if alphabet == 1:
+            return out
+        # One scalar integers() call per hit: an array call would take
+        # its values from halves of shared 64-bit draws, another stream.
         for t in np.where(hits)[0]:
             shift = int(rng.integers(1, alphabet))
             out[t] = (out[t] + shift) % alphabet
@@ -148,6 +180,49 @@ class DiscreteEmission(_Emission):
 
     def signature(self):
         return (self.kind, self.alphabet_size)
+
+    @classmethod
+    def gatherer(cls, emissions, blocks, shapes):
+        """_Emission.gatherer as one ordered scatter: every weight of
+        every block, frame and state gathered from the buffers into one
+        vector in block order, then one np.bincount into every key's
+        counts. Each count cell receives the additions of block-by-block
+        accumulate in the same order, starting from 0, so the counts are
+        the same bits. The integer maps are built here, once."""
+        alphabet = next(iter(emissions.values())).alphabet_size
+        cells = {key: em.n_states * alphabet for key, em in emissions.items()}
+        base = dict(zip(cells, np.cumsum([0, *cells.values()]).tolist()))
+        n_cells = sum(cells.values())
+        spans = [len(obs) * emissions[key].n_states for key, _, _, _, obs in blocks]
+        n_weights = sum(spans)
+        itype = np.int32 if max(n_weights, n_cells, *map(np.prod, shapes)) < 2**31 else np.intp
+        # Weight i comes from src[batch_of[i]] of its buffer and goes to
+        # count dst[i]. The maps are filled in place, block by block.
+        dst = np.empty(n_weights, itype)
+        batch_of = np.empty(n_weights, np.min_scalar_type(len(shapes)))
+        per_batch = np.bincount([k for _, k, _, _, _ in blocks], spans).astype(int)
+        src = [np.empty(n, itype) for n in per_batch]
+        at, fill = 0, [0] * len(shapes)
+        for (key, k, b, off, obs), span in zip(blocks, spans):
+            _, width, n_all = shapes[k]
+            states = np.arange(emissions[key].n_states)
+            frames = np.arange(len(obs))[:, None]
+            dst[at : at + span] = (base[key] + states * alphabet + obs[:, None]).ravel()
+            batch_of[at : at + span] = k
+            src[k][fill[k] : fill[k] + span] = ((frames * width + b) * n_all + off + states).ravel()
+            at, fill[k] = at + span, fill[k] + span
+
+        def gather(buffers):
+            weights = np.empty(n_weights)
+            for k, buf in enumerate(buffers):
+                weights[batch_of == k] = np.ravel(buf)[src[k]]
+            counts = np.bincount(dst, weights, minlength=n_cells)
+            return {
+                key: DiscreteStats(counts[base[key] : base[key] + size].reshape(-1, alphabet))
+                for key, size in cells.items()
+            }
+
+        return gather
 
     def initial(self, data, rng):
         """Every state's row at the symbol frequencies of data (checked
@@ -279,6 +354,15 @@ def check_stochastic(which, arr, row=None):
         i = int(bad[0])
         where = (which, None) if row is None else (row, i)
         raise NonStochasticRowError(*where, float(sums[i]))
+
+
+def row_cdf(arr):
+    """The cumulative sums along arr's last axis, each row divided by
+    its last sum: the table Generator.choice(n, p=row) searches with
+    side="right" for its one random() draw."""
+    cdf = np.cumsum(arr, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def validate_emission(em):

@@ -18,6 +18,7 @@ instead of an N x N block per model.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,8 +73,9 @@ class Hmm:
         return safe_log(self.pi), safe_log(self.trans)
 
 
-def validate(hmm):
-    """Check all Hmm invariants; raises a ValidationError subclass on failure."""
+def _check_chain(hmm):
+    """Raise a ValidationError subclass unless pi is a distribution and
+    trans an (N, N) row-stochastic matrix."""
     if hmm.pi.ndim != 1:
         raise DimensionMismatchError(f"pi has shape {hmm.pi.shape}, expected a vector")
     em.check_stochastic("pi", hmm.pi)
@@ -82,6 +84,11 @@ def validate(hmm):
             f"trans has shape {hmm.trans.shape}, expected {(hmm.n_states, hmm.n_states)}"
         )
     em.check_stochastic("trans", hmm.trans, "trans row")
+
+
+def validate(hmm):
+    """Check all Hmm invariants; raises a ValidationError subclass on failure."""
+    _check_chain(hmm)
     if hmm.topology is Topology.LEFT_TO_RIGHT:
         n = hmm.n_states
         for i in range(n):
@@ -251,17 +258,25 @@ def sample(hmm, t_len, seed):
     """Draw (observations, state path) of length t_len.
 
     seed may be an int or a numpy Generator; a fixed int seed gives
-    identical output on every call.
+    identical output on every call. One rng.random() draw per frame
+    picks the path's state, by the first entry of the row's cumulative
+    distribution (emissions.row_cdf) that exceeds it; the emissions then
+    draw theirs. That is the rule and the draw of Generator.choice(n,
+    p=row), so the output and the generator's state afterwards are
+    those of one choice call per frame. pi and trans are checked first,
+    so a NaN, a negative entry or a row that does not sum to 1 raises a
+    ValidationError subclass.
     """
     if t_len < 1:
         raise EmptyObservationError("t_len must be >= 1")
+    _check_chain(hmm)
     rng = np.random.default_rng(seed)
-    n = hmm.n_states
-    path = np.empty(t_len, dtype=np.intp)
-    path[0] = rng.choice(n, p=hmm.pi)
-    for t in range(1, t_len):
-        path[t] = rng.choice(n, p=hmm.trans[path[t - 1]])
-    return hmm.emissions.sample(path, rng), [int(s) for s in path]
+    draws = rng.random(t_len).tolist()
+    trans_cdf = em.row_cdf(hmm.trans).tolist()
+    path = [bisect_right(em.row_cdf(hmm.pi).tolist(), draws[0])]
+    for u in draws[1:]:
+        path.append(bisect_right(trans_cdf[path[-1]], u))
+    return hmm.emissions.sample(np.array(path, dtype=np.intp), rng), path
 
 
 def _scaled_forward(log_pi, log_trans, logb, lengths):

@@ -152,7 +152,10 @@ def _compile(models, chains, data, exit_prob, what):
     vector with every key's pi, trans and exit_prob * pi, then
     1 - exit_prob and 0: the values composition copies. Integer maps
     gather each state-count batch's log_pi/log_trans stack from its log
-    and send the statistics back (np.add.at, in corpus order).
+    and send the statistics back (np.add.at, in corpus order). The
+    emission class's gatherer, asked once here for the run's layout of
+    (utterance, block, frame, state), collects the emission statistics
+    from the batches' posteriors in the same corpus order.
     """
     keys = list(dict.fromkeys(key for chain in chains for key in chain))
     sizes = {key: models[key].n_states for key in keys}
@@ -181,7 +184,7 @@ def _compile(models, chains, data, exit_prob, what):
         return np.concatenate([pi, trans.ravel()])
 
     counts = [len(columns[chain]) for chain in chains]
-    batches, spot, maps = [], {}, {}
+    batches, spot, maps, shapes = [], {}, {}, []
     voff = 0
     for k, count in enumerate(dict.fromkeys(counts)):
         batch = [i for i, c in enumerate(counts) if c == count]
@@ -192,6 +195,7 @@ def _compile(models, chains, data, exit_prob, what):
         index = np.stack([params(chains[i]) for i in batch], axis=-1)
         obs = np.concatenate([data[i] for i in batch])
         batches.append((batch, lengths, obs, rows[:, :, None], cols, index))
+        shapes.append((len(frames), len(batch), count))
         for b, i in enumerate(batch):
             # Entry b's statistics are column b of [gamma[0]; xi_sum] in
             # the batch's part of e_step's values, laid out like index.
@@ -199,6 +203,13 @@ def _compile(models, chains, data, exit_prob, what):
             maps[i] = (voff + np.flatnonzero(dst >= 0) * len(batch) + b, dst[dst >= 0])
         voff += index.size
     src, dst = (np.concatenate([maps[i][j] for i in range(len(data))]) for j in (0, 1))
+    blocks = [
+        (key, *spot[i], off, obs)
+        for i, (chain, obs) in enumerate(zip(chains, data))
+        for key, off in zip(chain, offsets[chain])
+    ]
+    emissions = {key: models[key].emissions for key in keys}
+    gather = type(emissions[keys[0]]).gatherer(emissions, blocks, shapes)
     # One-block chains (baum_welch) pass no exit_prob and read no exit entries.
     exit_value = 0.0 if exit_prob is None else exit_prob
 
@@ -219,7 +230,7 @@ def _compile(models, chains, data, exit_prob, what):
                 logliks[batch] = loglik_lattice(*args, lengths)
                 continue
             logliks[batch], gamma, xi_sum = posteriors_lattice(*args, lengths)
-            gammas.append(gamma)
+            gammas.append(gamma.transpose(0, 2, 1))
             values += [gamma[0].ravel(), xi_sum.ravel()]
         n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
         if n_impossible:
@@ -230,14 +241,11 @@ def _compile(models, chains, data, exit_prob, what):
             return total, None
         acc = np.zeros(len(flat))
         np.add.at(acc, dst, np.concatenate(values)[src])
+        em_stats = gather(gammas)
         accs = {}
         for key, n in sizes.items():
             pt = acc[base[key] : base[key] + n * (n + 1)]
-            accs[key] = (pt[:n], pt[n:].reshape(n, n), models[key].emissions.new_stats())
-        for i, (chain, obs) in enumerate(zip(chains, data)):
-            gamma = gammas[spot[i][0]][: len(obs), :, spot[i][1]]
-            for key, off in zip(chain, offsets[chain]):
-                em_mod.accumulate_seq(accs[key][2], gamma[:, off : off + sizes[key]], obs)
+            accs[key] = (pt[:n], pt[n:].reshape(n, n), em_stats[key])
         return total, accs
 
     return e_step

@@ -649,3 +649,35 @@ def brute_edit_distance(ref, hyp):
         return min(sub, ins, dele)
 
     return rec(0, 0)
+
+
+def sample_oracle(hmm, t_len, seed):
+    """hmm.sample with one Generator.choice call per frame: the path's
+    states first, then one symbol per frame (a Gaussian model draws its
+    standard normals instead)."""
+    rng = np.random.default_rng(seed)
+    n = hmm.n_states
+    path = np.empty(t_len, dtype=np.intp)
+    path[0] = rng.choice(n, p=hmm.pi)
+    for t in range(1, t_len):
+        path[t] = rng.choice(n, p=hmm.trans[path[t - 1]])
+    em = hmm.emissions
+    if isinstance(em, DiscreteEmission):
+        obs = np.empty(t_len, dtype=np.intp)
+        for t, s in enumerate(path):
+            obs[t] = rng.choice(em.alphabet_size, p=em.probs[s])
+    else:
+        obs = em.means[path] + np.sqrt(em.variances[path]) * rng.standard_normal((t_len, em.dim))
+    return obs, [int(s) for s in path]
+
+
+def per_block_emission_stats(emissions, blocks, buffers):
+    """The statistics an emission gatherer returns, one accumulate_seq
+    per block in order: each block (key, k, b, off, obs) reads states
+    off .. off + n of entry b of the (T, B, N) buffers[k] over the
+    frames of obs."""
+    stats = {key: em.new_stats() for key, em in emissions.items()}
+    for key, k, b, off, obs in blocks:
+        n = emissions[key].n_states
+        accumulate_seq(stats[key], buffers[k][: len(obs), b, off : off + n], obs)
+    return stats

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import mixed_lexicon
+from helpers import build_lexicon, mixed_lexicon
 from oracles import cut_segments_oracle
 
 from phmm.cli import _cut_segments, main
@@ -66,6 +66,20 @@ def test_generate_usage_errors(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         run(["generate", "--lexicon", "demo", "--out", tmp_path / "x.jsonl"])
+
+
+def test_generate_noise_on_one_symbol_channel(tmp_path):
+    # Noise hits on a one-symbol channel leave its symbols as they are.
+    lexicon = build_lexicon(np.random.default_rng(0), channels=("c0",), alphabet=1)
+    save_model(tmp_path / "model.json", lexicon)
+    out = tmp_path / "corpus.jsonl"
+    assert run(
+        ["generate", "--lexicon", tmp_path / "model.json", "--n", 5, "--seed", 1,
+         "--noise", 0.5, "--out", out]
+    ) == 0
+    corpus = read_corpus(out)
+    assert len(corpus) == 5
+    assert all(u.mobs.channels["c0"].tolist() == [0] * len(u.paths["c0"]) for u in corpus)
 
 
 def test_missing_lexicon_file_is_input_error(tmp_path):

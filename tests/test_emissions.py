@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_stochastic
-from oracles import accumulate, log_density, maximize_oracle
+from oracles import accumulate, log_density, maximize_oracle, per_block_emission_stats
 from phmm.emissions import (
     DiscreteEmission,
     GaussianEmission,
@@ -227,3 +227,79 @@ def test_maximize_equals_per_state_oracle(gaussian):
                 for name, arr in vars(want).items():
                     assert np.array_equal(getattr(got, name), arr), name
     assert 0 < raised < 300
+
+
+def test_add_noise_one_symbol_alphabet_keeps_symbols():
+    # A one-symbol alphabet has no other symbol to switch to: the symbols
+    # stay, and the generator moves past the hit draws only, as in a run
+    # that drew no hits.
+    em = DiscreteEmission(np.ones((2, 1)))
+    obs = np.zeros(40, dtype=np.intp)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    out = em.add_noise(obs, 0.5, rng)
+    assert out.dtype == np.intp
+    assert out.tolist() == obs.tolist()
+    assert (ref.uniform(size=40) < 0.5).any()
+    assert rng.random() == ref.random()
+
+
+def _gather_layout(rng, chains, sizes, gaussian):
+    """Emission models, blocks, shapes and random (T, B, N) buffers for
+    the given chains of model keys, batched by total state count in
+    corpus order as training._compile lays them out."""
+    alphabet, dim = 3, 2
+    if gaussian:
+        emissions = {
+            key: GaussianEmission(np.zeros((n, dim)), np.ones((n, dim)))
+            for key, n in sizes.items()
+        }
+    else:
+        emissions = {
+            key: DiscreteEmission(np.full((n, alphabet), 1 / alphabet)) for key, n in sizes.items()
+        }
+    totals = [sum(sizes[key] for key in chain) for chain in chains]
+    order = list(dict.fromkeys(totals))
+    lengths = [int(rng.integers(1, 9)) for _ in chains]
+    blocks, members = [], [[] for _ in order]
+    for chain, total, t_len in zip(chains, totals, lengths):
+        k = order.index(total)
+        members[k].append(t_len)
+        obs = rng.normal(size=(t_len, dim)) if gaussian else rng.integers(0, alphabet, t_len)
+        off = 0
+        for key in chain:
+            blocks.append((key, k, len(members[k]) - 1, off, obs))
+            off += sizes[key]
+    shapes = [(max(ts), len(ts), total) for ts, total in zip(members, order)]
+    # Half the buffers are strided views, as training hands them on.
+    buffers = [
+        rng.random(shape) if k % 2 else rng.random(shape[::-1]).transpose(2, 1, 0)
+        for k, shape in enumerate(shapes)
+    ]
+    return emissions, blocks, shapes, buffers
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize(
+    "chains",
+    [
+        # Repeated keys within a chain, epenthesis-like fillers between
+        # blocks, and batches that share keys, interleaved in corpus order.
+        [("a",), ("a", "e", "a"), ("b", "e", "b"), ("a", "a"), ("b",), ("a", "e", "b"),
+         ("b", "e", "a"), ("a",), ("b", "b", "b")],
+        # One-block chains, as baum_welch runs them: one batch.
+        [("a",)] * 7,
+    ],
+    ids=["composed", "one-block"],
+)
+def test_gatherer_equals_per_block_accumulate(chains, gaussian):
+    rng = np.random.default_rng(17 + gaussian)
+    sizes = {"a": 2, "b": 1, "e": 3}
+    emissions, blocks, shapes, buffers = _gather_layout(rng, chains, sizes, gaussian)
+    cls = GaussianEmission if gaussian else DiscreteEmission
+    got = cls.gatherer(emissions, blocks, shapes)(buffers)
+    want = per_block_emission_stats(emissions, blocks, buffers)
+    assert list(got) == list(want)
+    for key, stats in got.items():
+        for name, arr in vars(stats).items():
+            assert arr.shape == getattr(want[key], name).shape
+            assert arr.tobytes() == getattr(want[key], name).tobytes()

@@ -8,6 +8,7 @@ from oracles import (
     brute_forward,
     brute_viterbi,
     posteriors_oracle,
+    sample_oracle,
     viterbi_score_lattice_oracle,
 )
 
@@ -19,6 +20,7 @@ from phmm.errors import (
     NonFiniteEntryError,
     NonStochasticRowError,
     TopologyViolationError,
+    ValidationError,
 )
 from phmm.hmm import (
     Hmm,
@@ -352,6 +354,62 @@ def test_sample_initial_state_frequencies():
         hits += path[0] == 0
     sigma = np.sqrt(0.3 * 0.7 / n)
     assert abs(hits / n - 0.3) <= 3 * sigma
+
+
+def _with_zeros(rng, rows):
+    """rows with random entries set to 0 (never a whole row), renormalized."""
+    rows = np.where(rng.random(rows.shape) < 0.3, 0.0, rows)
+    empty = rows.sum(axis=-1) == 0
+    rows[empty] = 1.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("ergodic", [False, True])
+def test_sample_matches_choice_oracle(gaussian, ergodic):
+    # The inverse-CDF sampler against one Generator.choice per frame:
+    # the same path, the same observations and dtype, and the same
+    # generator state afterwards.
+    rng = np.random.default_rng(61 + 2 * gaussian + ergodic)
+    for trial in range(150):
+        alphabet = int(rng.integers(1, 6))
+        model = random_phoneme(rng, int(rng.integers(1, 6)), gaussian, ergodic, alphabet)
+        if ergodic:
+            model.pi, model.trans = _with_zeros(rng, model.pi), _with_zeros(rng, model.trans)
+        if not gaussian:
+            model.emissions = DiscreteEmission(_with_zeros(rng, model.emissions.probs))
+        t_len = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
+        if trial % 2:
+            got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            obs, path = sample(model, t_len, got_rng)
+            want_obs, want_path = sample_oracle(model, t_len, want_rng)
+            assert got_rng.random() == want_rng.random()
+        else:
+            obs, path = sample(model, t_len, trial)
+            want_obs, want_path = sample_oracle(model, t_len, trial)
+        assert path == want_path
+        assert all(type(s) is int for s in path)
+        assert obs.dtype == want_obs.dtype
+        assert obs.shape == want_obs.shape
+        assert bits(obs) == bits(want_obs)
+
+
+@pytest.mark.parametrize("field", ["pi", "trans", "probs"])
+@pytest.mark.parametrize("row", [[np.nan, 0.5], [-0.25, 1.25], [0.3, 0.5]])
+def test_sample_refuses_non_stochastic_rows(field, row):
+    h = Hmm(
+        pi=[0.5, 0.5],
+        trans=[[0.5, 0.5], [0.5, 0.5]],
+        emissions=DiscreteEmission(np.full((2, 2), 0.5)),
+    )
+    if field == "pi":
+        h.pi = np.array(row)
+    elif field == "trans":
+        h.trans[1] = row
+    else:
+        h.emissions.probs[1] = row
+    with pytest.raises(ValidationError):
+        sample(h, 5, 3)
 
 
 def test_posteriors_rows_sum_to_one():
