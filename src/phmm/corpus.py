@@ -156,6 +156,9 @@ def _obs_from_json(values):
     try:
         if isinstance(values[0], list):
             return json_numbers("channels", values)
+        # numpy reads true as 1 and [2, true] as the integers [2, 1].
+        if bool in map(type, values):
+            raise FileFormatError("field channels must hold JSON numbers only")
         # Symbols keep the type they were written with, so a non-integer
         # one is rejected when scored instead of being truncated here.
         return np.asarray(values)

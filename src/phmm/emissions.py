@@ -283,6 +283,16 @@ class GaussianEmission(_Emission):
         )
 
     def sample(self, path, rng):
+        """The observations of a state path. Means must be finite and
+        variances finite and positive, or a ValidationError subclass is
+        raised before anything is drawn; unlike validate, this allows
+        variances below VAR_FLOOR."""
+        check_finite("emission means", self.means)
+        check_finite("emission variances", self.variances)
+        if np.any(self.variances <= 0):
+            raise ValidationError(
+                f"emission variance {float(self.variances.min())!r} is not positive"
+            )
         return self.means[path] + np.sqrt(self.variances[path]) * rng.standard_normal(
             (len(path), self.dim)
         )

@@ -8,12 +8,15 @@ an exact 0. A model is immutable during inference and safe to share
 across threads; construction and training updates are single-writer.
 
 The lattice kernels take explicit log parameters and may score a batch
-of models and sequences at once, the batch on the innermost axis:
-viterbi_score_lattice for the decoders, and posteriors_lattice and
-loglik_lattice for training. viterbi_score_lattice runs its max-product
-recursion on the band of the transitions, their finite diagonals, so
-each frame of a left-to-right chain reads only a few N-row slices
-instead of an N x N block per model.
+of models and sequences at once, the batch on the innermost axis, each
+entry read at its own last frame when lengths are given:
+viterbi_score_lattice and viterbi_lattice (scores, and scores with
+backtracked paths) for the decoders, and posteriors_lattice and
+loglik_lattice for training. viterbi is viterbi_lattice without batch
+axes. viterbi_score_lattice runs its max-product recursion on the band
+of the transitions, their finite diagonals, so each frame of a
+left-to-right chain reads only a few N-row slices instead of an N x N
+block per model.
 """
 
 from __future__ import annotations
@@ -148,7 +151,17 @@ def band(log_trans):
     return tuple(diagonals)
 
 
-def viterbi_score_lattice(log_pi, log_trans, logb, columns=None):
+def _last_frames(t_len, lengths):
+    """{t: mask} of the frames at which batch entries end: the mask, over
+    the batch axes, holds the entries whose last frame is t. Without
+    lengths every entry ends at frame t_len - 1."""
+    if lengths is None:
+        return {t_len - 1: True}
+    lengths = np.asarray(lengths)
+    return {n - 1: lengths == n for n in set(lengths.ravel().tolist())}
+
+
+def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None):
     """Best-path score without backtracking bookkeeping.
 
     log_pi (N, ...) and log_trans (N, N, ...) may carry trailing batch
@@ -159,7 +172,10 @@ def viterbi_score_lattice(log_pi, log_trans, logb, columns=None):
     columns, logb is the (T, N) log-density lattice. With columns, an
     integer array shaped like log_pi, state i of batch entry b emits
     logb[t, columns[i, b]], so one (T, S) table serves every model built
-    from the same S states.
+    from the same S states. lengths, an integer array broadcast against
+    the batch axes, holds each entry's frame count (T if None): entry b
+    is scored at frame lengths[b] - 1, and the frames after it do not
+    change its score.
 
     Each frame maxes delta[j - o] + w[j] over the band's offsets o: the
     same finite sums as delta[i] + log_trans[i, j] over all i, each made
@@ -173,8 +189,10 @@ def viterbi_score_lattice(log_pi, log_trans, logb, columns=None):
     def frame(t):
         return logb[t] if columns is None else logb[t][columns]
 
+    last = _last_frames(logb.shape[0], lengths)
     delta = log_pi + frame(0)
     n = len(delta)
+    best = np.full(delta.shape[1:], LOG_ZERO)
     # Without a finite transition every row after the first frame is -inf.
     diagonals = diagonals or ((0, np.full(delta.shape, LOG_ZERO)),)
     # Row j - o of delta feeds row j of the next one: source and target
@@ -188,38 +206,64 @@ def viterbi_score_lattice(log_pi, log_trans, logb, columns=None):
     gaps = [gap for gap in (slice(0, dst0.start), slice(dst0.stop, n)) if gap.start < gap.stop]
     row = np.empty_like(delta)
     cand = np.empty_like(delta)
-    for t in range(1, logb.shape[0]):
-        np.add(delta[src0], w0[dst0], out=row[dst0])
-        for gap in gaps:
-            row[gap] = LOG_ZERO
-        for src, dst, w in steps:
-            np.add(delta[src], w[dst], out=cand[dst])
-            np.maximum(row[dst], cand[dst], out=row[dst])
-        np.add(row, frame(t), out=row)
-        delta, row = row, delta
-    best = np.max(delta, axis=0)
+    for t in range(max(last) + 1):
+        if t:
+            np.add(delta[src0], w0[dst0], out=row[dst0])
+            for gap in gaps:
+                row[gap] = LOG_ZERO
+            for src, dst, w in steps:
+                np.add(delta[src], w[dst], out=cand[dst])
+                np.maximum(row[dst], cand[dst], out=row[dst])
+            np.add(row, frame(t), out=row)
+            delta, row = row, delta
+        if t in last:
+            np.copyto(best, np.max(delta, axis=0), where=last[t])
     return float(best) if best.ndim == 0 else best
 
 
-def viterbi_lattice(log_pi, log_trans, logb):
+def viterbi_lattice(log_pi, log_trans, logb, lengths=None):
     """Max-product recursion with deterministic backtracking.
 
+    log_pi (N, ...), log_trans (N, N, ...) and logb (T, N, ...) may carry
+    trailing batch axes, one model and one lattice per entry; lengths is
+    as in viterbi_score_lattice. Returns (score, path): score over the
+    batch axes (a float without them) and path (T', ...) of state
+    indices, T' the longest length. Entry b's score and path are read
+    at its last frame lengths[b] - 1; path[t, b] for t >= lengths[b] is
+    meaningless, and so is the path of an entry that scores -inf.
+
     Ties are broken toward the lowest predecessor state index at every
-    backtrack step (np.argmax returns the first maximizer).
+    backtrack step (np.argmax returns the first maximizer). np.max
+    returns that maximizer's value, so each frame's row is bit-identical
+    to cand[psi[t], arange(N)], and -inf padding rows never win.
     """
-    t_len, n = logb.shape
+    last = _last_frames(logb.shape[0], lengths)
+    t_len = max(last) + 1
     delta = log_pi + logb[0]
-    psi = np.empty((t_len, n), dtype=np.intp)
-    for t in range(1, t_len):
-        cand = delta[:, None] + log_trans
-        psi[t] = np.argmax(cand, axis=0)
-        delta = cand[psi[t], np.arange(n)] + logb[t]
-    score = float(np.max(delta))
-    path = np.empty(t_len, dtype=np.intp)
-    path[-1] = int(np.argmax(delta))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = psi[t, path[t]]
-    return score, path
+    psi = np.empty((t_len,) + delta.shape, dtype=np.intp)
+    final = np.empty_like(delta)
+    for t in range(t_len):
+        if t:
+            cand = delta[:, None] + log_trans
+            np.argmax(cand, axis=0, out=psi[t])
+            delta = np.add(np.max(cand, axis=0), logb[t])
+        if t in last:
+            np.copyto(final, delta, where=last[t])
+    # The backtrack runs over the batch axes flattened to one.
+    batch = final.shape[1:]
+    flat = psi.reshape(t_len, len(final), -1)
+    entries = np.arange(flat.shape[2])
+    end = np.argmax(final, axis=0).reshape(-1)
+    state = end.copy()
+    path = np.empty((t_len, len(entries)), dtype=np.intp)
+    for t in range(t_len - 1, -1, -1):
+        if t in last:
+            np.copyto(state, end, where=np.broadcast_to(last[t], batch).reshape(-1))
+        path[t] = state
+        if t:
+            state = flat[t, state, entries]
+    score = np.max(final, axis=0)
+    return (float(score) if score.ndim == 0 else score), path.reshape((t_len,) + batch)
 
 
 def forward(hmm, obs):
@@ -251,7 +295,7 @@ def viterbi(hmm, obs):
     score, path = viterbi_lattice(log_pi, log_trans, logb)
     if score == LOG_ZERO:
         raise AllPathsZeroError()
-    return [int(s) for s in path], score
+    return path.tolist(), score
 
 
 def sample(hmm, t_len, seed):
@@ -265,7 +309,8 @@ def sample(hmm, t_len, seed):
     p=row), so the output and the generator's state afterwards are
     those of one choice call per frame. pi and trans are checked first,
     so a NaN, a negative entry or a row that does not sum to 1 raises a
-    ValidationError subclass.
+    ValidationError subclass; the emissions check theirs before they
+    draw.
     """
     if t_len < 1:
         raise EmptyObservationError("t_len must be >= 1")

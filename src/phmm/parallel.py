@@ -12,22 +12,27 @@ state j of its successor; the final sub-model's last state stays
 absorbing. These rewired rows are structural constants, not trained
 parameters.
 
-Both decoders score in batches. A candidate's channel model depends
-only on the channel spellings of its signs, so the exhaustive decoder
-stacks, per channel, one composed model (-inf padded) per distinct
-spelling sequence of 1..max_signs signs, with a map from every
-candidate to its column, and keeps only the stack's finite diagonals
-(hmm.band): a composed left-to-right chain has few of them, the
-self-loops and the steps forward on the demo lexicon. One max-product
-recursion runs over each channel's stack, each frame reading only those
-diagonals and gathering emissions from one table of phoneme-state log
-densities per channel. The synchronized decoder stacks the units of an
-utterance (every sign, and the epenthesis filler, in every channel;
-front-padded with -inf so that each final state is the last row) and
-advances one recursion for all units and entry frames a frame at a
-time. Max and + are exact, and neither -inf padding nor a dropped, all
--inf diagonal ever wins a max, so every score is bit-identical to
-scoring the candidates, units or entry frames one at a time.
+Both decoders score in batches, all channels at once. A candidate's
+channel model depends only on the channel spellings of its signs, so
+the exhaustive decoder stacks, for every channel, one composed model
+(-inf padded) per distinct spelling sequence of 1..max_signs signs into
+one stack, with a map from every candidate and channel to its column,
+and keeps only the stack's finite diagonals (hmm.band): a composed
+left-to-right chain has few of them, the self-loops and the steps
+forward on the demo lexicon. One max-product recursion per utterance
+runs over that stack (over each of its cache-sized column blocks when
+it is wide), each frame reading only those diagonals and
+gathering emissions from the channels' tables of phoneme-state log
+densities, side by side; each channel is scored at its own last frame.
+The synchronized decoder stacks the units of an utterance (every sign,
+and the epenthesis filler, in every channel; front-padded with -inf so
+that each final state is the last row) and advances one recursion for
+all units and entry frames a frame at a time. Max and + are exact, and
+neither -inf padding nor a dropped, all -inf diagonal ever wins a max,
+so every score is bit-identical to scoring the candidates, units or
+entry frames one at a time. A winner's state paths come from one
+batched backtrack: of its channels (score_hypothesis), or of every
+(segment, channel) pair of the synced winner.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
@@ -47,7 +52,6 @@ import numpy as np
 
 from . import emissions as em_mod
 from .errors import (
-    AllPathsZeroError,
     EmptySequenceError,
     NoFiniteHypothesisError,
     SearchSpaceTooLargeError,
@@ -55,12 +59,18 @@ from .errors import (
     UnknownSignError,
     ValidationError,
 )
-from .hmm import Hmm, Topology, band, viterbi, viterbi_lattice, viterbi_score_lattice
+from .hmm import Hmm, Topology, viterbi_lattice, viterbi_score_lattice
 from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
 MAX_CANDIDATES = 1_000_000
 MAX_STACK_BYTES = 1 << 30
+# Entries (rows x columns) of one exhaustive kernel call at most. A
+# frame's rows of 2^15 entries take 256 KB each, so the four the kernel
+# steps over stay in a 2 MB L2 cache. On a 2-vCPU Xeon the kernel took
+# 30 ms per utterance over 4,092 columns of 27 rows (5 signs of the
+# demo lexicon) in one call, and 19-21 ms in blocks of 341-1,364 columns.
+_BLOCK_ENTRIES = 1 << 15
 
 EPS_UNIT = "<eps>"
 
@@ -141,27 +151,36 @@ def score_hypothesis(lexicon, signs, mobs):
     """Score one sign sequence: independent per-channel Viterbi alignments.
 
     Every lexicon channel needs a nonempty observation sequence
-    (ValidationError otherwise). Each channel is aligned on its own
-    composed model; the total is the sum of per-channel log scores. A
-    channel with no feasible path contributes -inf and is left without a
-    state path.
+    (ValidationError otherwise); the lengths may differ. Each channel is
+    aligned on its own composed model, all of them _stacked and
+    backtracked in one viterbi_lattice call, each at its own last frame;
+    the total is the sum of per-channel log scores. A channel with no
+    feasible path contributes -inf and is left without a state path.
     """
     validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
+    table, lengths = _density_table(lexicon, mobs)
+    models = [compose_utterance_model(lexicon, ch, signs) for ch in lexicon.channels]
+    columns = [
+        _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs), base)
+        for ch, base in zip(lexicon.channels, _table_bases(lexicon))
+    ]
+    log_pi, log_trans, columns = _stack(models, columns)
+    scores, paths = viterbi_lattice(log_pi, log_trans, table[:, columns], lengths)
     channel_scores = {}
     state_paths = {}
-    for ch in lexicon.channels:
-        model = compose_utterance_model(lexicon, ch, signs)
-        try:
-            state_paths[ch], channel_scores[ch] = viterbi(model, mobs.channels[ch])
-        except AllPathsZeroError:
-            channel_scores[ch], state_paths[ch] = LOG_ZERO, None
+    for c, (ch, model) in enumerate(zip(lexicon.channels, models)):
+        channel_scores[ch] = float(scores[c])
+        pad = len(log_pi) - model.n_states
+        finite = scores[c] > LOG_ZERO
+        state_paths[ch] = (paths[: lengths[c], c] - pad).tolist() if finite else None
     return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
 def _band_offsets(lexicon, channel, max_signs):
-    """The offsets of band() of the channel's _candidate_stack for 1..
-    max_signs signs, read from the lexicon without composing: every
+    """The offsets of band() of the channel's models in the
+    _candidate_stack of 1..max_signs signs, read from the lexicon
+    without composing: every
     phoneme's finite in-block transitions (a non-final block's last row
     is rewired, so it keeps only its self-loop) and, from the last state
     of each non-final block, one step to every state j + 1 that the next
@@ -192,16 +211,16 @@ def _band_offsets(lexicon, channel, max_signs):
 
 def _stack_bytes(lexicon, max_signs):
     """Bytes (8 per entry) that decode_exhaustive's cache holds for
-    max_signs: each channel's _candidate_stack, whose log_pi, columns and
-    band weights have a column per distinct spelling sequence (sum over
-    k = 1..max_signs of d^k, d the channel's distinct sign spellings)
-    and the rows of its largest model (max_signs of the channel's
-    largest sign, plus max_signs - 1 epenthesis fillers if the policy
-    has them), and whose map has a column index per candidate.
-    SearchSpaceTooLargeError if the candidates pass MAX_CANDIDATES, or
-    the bytes MAX_STACK_BYTES together with the transients of the largest
-    stack: its dense N x N x B log_trans, built before band() compiles
-    it, and the four N x B rows of viterbi_score_lattice's frames (delta,
+    max_signs: the joint _candidate_stack, whose log_pi, columns and band
+    weights (one per offset of any channel's _band_offsets) have a
+    column per distinct spelling sequence of each channel (sum over k =
+    1..max_signs of d^k, d the channel's distinct sign spellings) and
+    the rows of the largest model of any channel (max_signs of the
+    channel's largest sign, plus max_signs - 1 epenthesis fillers if the
+    policy has them), and whose map has a column index per candidate
+    and channel. SearchSpaceTooLargeError if the candidates pass
+    MAX_CANDIDATES, or the bytes MAX_STACK_BYTES together with the four
+    rows of viterbi_score_lattice's frames on the widest block (delta,
     the next row, the sum buffer and the gathered emissions)."""
     signs = range(1, max_signs + 1)
     n_cand = 0
@@ -209,7 +228,8 @@ def _stack_bytes(lexicon, max_signs):
         n_cand += len(lexicon.signs) ** k
         if n_cand > MAX_CANDIDATES:
             raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
-    total = temporary = 0
+    n = n_columns = 0
+    offsets = set()
     for ch in lexicon.channels:
         inv = lexicon.inventory(ch)
         spellings = {tuple(sign.channels[ch]) for sign in lexicon.signs.values()}
@@ -217,22 +237,51 @@ def _stack_bytes(lexicon, max_signs):
         eps_states = 0
         if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
             eps_states = inv.phonemes[inv.epenthesis].n_states
-        n = max_signs * sign_states + (max_signs - 1) * eps_states
-        entries = n * sum(len(spellings) ** k for k in signs) * 8
-        total += (len(_band_offsets(lexicon, ch, max_signs)) + 2) * entries + n_cand * 8
-        temporary = max(temporary, (n + 4) * entries)
-    if total + temporary > MAX_STACK_BYTES:
+        n = max(n, max_signs * sign_states + (max_signs - 1) * eps_states)
+        n_columns += sum(len(spellings) ** k for k in signs)
+        offsets |= _band_offsets(lexicon, ch, max_signs)
+    total = (len(offsets) + 2) * n * n_columns * 8 + len(lexicon.channels) * n_cand * 8
+    rows = 4 * n * min(n_columns, max(1, _BLOCK_ENTRIES // n)) * 8
+    if total + rows > MAX_STACK_BYTES:
         what = "hold {} bytes of candidate stacks and their transients"
-        raise SearchSpaceTooLargeError(total + temporary, MAX_STACK_BYTES, what)
+        raise SearchSpaceTooLargeError(total + rows, MAX_STACK_BYTES, what)
     return total
 
 
 def _log_density_table(phonemes, obs):
     """(T, S + 1) log densities of all S states of the phoneme models
-    (a dict) in order, then a -inf column."""
-    parts = [em_mod.log_density_seq(m.emissions, obs) for m in phonemes.values()]
-    parts.append(np.full((len(obs), 1), LOG_ZERO))
-    return np.hstack(parts)
+    (a dict) in order, then a -inf column: one log_density_seq call on
+    their stacked emissions."""
+    emissions = [m.emissions for m in phonemes.values()]
+    stacked = type(emissions[0]).stack(emissions)
+    return np.hstack([em_mod.log_density_seq(stacked, obs), np.full((len(obs), 1), LOG_ZERO)])
+
+
+def _table_bases(lexicon):
+    """The first column of each lexicon channel's _log_density_table in
+    _density_table, then the table's width."""
+    widths = [
+        sum(m.n_states for m in lexicon.inventory(ch).phonemes.values()) + 1
+        for ch in lexicon.channels
+    ]
+    return list(itertools.accumulate([0] + widths))
+
+
+def _density_table(lexicon, mobs):
+    """(table (T, W), lengths (C,)): the lexicon channels'
+    _log_density_tables side by side from the _table_bases columns, each
+    padded with -inf rows to the longest channel's T frames; lengths[c]
+    is channel c's frame count."""
+    parts = [
+        _log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch])
+        for ch in lexicon.channels
+    ]
+    lengths = np.array([len(part) for part in parts])
+    bases = _table_bases(lexicon)
+    table = np.full((lengths.max(), bases[-1]), LOG_ZERO)
+    for base, part in zip(bases, parts):
+        table[: len(part), base : base + part.shape[1]] = part
+    return table, lengths
 
 
 def _state_columns(phonemes, pids, base=0):
@@ -243,21 +292,34 @@ def _state_columns(phonemes, pids, base=0):
     return [base + offsets[p] + i for p in pids for i in range(phonemes[p].n_states)]
 
 
-def _stack(models, columns):
-    """(log_pi (N, B), log_trans (N, N, B), columns (N, B)) of B models,
-    an iterable, and the list of their state-to-column lists, batch
-    innermost. A model of n < N states fills the last n rows, so every
-    final state is row N - 1; the rows above it are -inf and read column
-    -1, the -inf column of a _log_density_table."""
-    n = max(len(cols) for cols in columns)
-    log_pi = np.full((n, len(columns)), LOG_ZERO)
-    log_trans = np.full((n, n, len(columns)), LOG_ZERO)
+def _stack(models, columns, offsets=None, n=None):
+    """(log_pi (N, B), log_trans, columns (N, B)) of B models, an
+    iterable, and the list of their state-to-column lists, batch
+    innermost; N is n, by default the most states of any model. A model
+    of fewer states fills the last rows, so every final state is row
+    N - 1; the rows above it are -inf and read column -1, the -inf
+    column of a _log_density_table. log_trans is (N, N, B), or with
+    offsets its band() at those offsets (which must hold every offset of
+    a finite transition), written straight from each model's diagonals.
+    The probabilities are stacked first and each stacked array takes
+    one log, in place."""
+    n = n or max(len(cols) for cols in columns)
+    pi = np.zeros((n, len(columns)))
+    trans = np.zeros(((n, n) if offsets is None else (len(offsets), n)) + (len(columns),))
     stacked = np.full((n, len(columns)), -1, dtype=np.intp)
     for b, (model, cols) in enumerate(zip(models, columns)):
         lo = n - len(cols)
-        log_pi[lo:, b], log_trans[lo:, lo:, b] = model.log_params()
+        pi[lo:, b] = model.pi
         stacked[lo:, b] = cols
-    return log_pi, log_trans, stacked
+        if offsets is None:
+            trans[lo:, lo:, b] = model.trans
+        else:
+            for w, o in zip(trans, offsets):
+                w[lo + max(o, 0) : n + min(o, 0), b] = np.diagonal(model.trans, o)
+    with np.errstate(divide="ignore"):
+        np.log(pi, out=pi)
+        np.log(trans, out=trans)
+    return pi, (trans if offsets is None else tuple(zip(offsets, trans))), stacked
 
 
 def _sequence(items, number):
@@ -274,13 +336,13 @@ def _sequence(items, number):
     return seq
 
 
-def _candidate_stack(lexicon, channel, max_signs):
-    """(log_pi, band(log_trans), columns, index) of the channel's
-    candidates of 1..max_signs signs. A candidate's channel model depends
-    only on the channel spellings of its signs, so the _stack holds one
-    model per distinct spelling sequence, in the order the candidates
-    first show it (shorter first, then lexicographic); index[m] is the
-    stack column of the m-th candidate."""
+def _spellings(lexicon, channel, max_signs):
+    """(distinct, index) for the channel's candidates of 1..max_signs
+    signs. A candidate's channel model depends only on the channel
+    spellings of its signs: distinct lists one sign sequence per
+    distinct spelling sequence, in the order the candidates first show
+    it (shorter first, then lexicographic), and index[m] is the number
+    in distinct of the m-th candidate's."""
     sign_ids = sorted(lexicon.signs)
     numbers = {}  # each distinct channel spelling -> its number, as first seen
     spellings = [tuple(lexicon.signs[s].channels[channel]) for s in sign_ids]
@@ -297,26 +359,59 @@ def _candidate_stack(lexicon, channel, max_signs):
         codes = (codes[:, None] * d + digits).ravel()
         index.append(n_columns + codes)
         n_columns += d**k
-    distinct = [_sequence(firsts, j) for j in range(n_columns)]
-    phonemes = lexicon.inventory(channel).phonemes
+    return [_sequence(firsts, j) for j in range(n_columns)], np.concatenate(index)
+
+
+def _candidate_stack(lexicon, max_signs):
+    """(blocks, index) of the candidates of 1..max_signs signs: one
+    stack over all lexicon channels of each channel's models of its
+    _spellings, channel by channel, its columns reading the
+    _density_table and its band written at the union of the channels'
+    _band_offsets. The stack is cut into blocks of consecutive columns,
+    each a contiguous (log_pi, band(log_trans), columns) _stack of the
+    same N rows and at most _BLOCK_ENTRIES entries per row array.
+    index[m, c] is the stack column of the m-th candidate's channel c
+    model."""
+    jobs = []
+    columns = []
+    index = []
+    for ch, base in zip(lexicon.channels, _table_bases(lexicon)):
+        distinct, numbers = _spellings(lexicon, ch, max_signs)
+        index.append(len(jobs) + numbers)
+        phonemes = lexicon.inventory(ch).phonemes
+        jobs.extend((ch, signs) for signs in distinct)
+        columns.extend(
+            _state_columns(phonemes, block_ids(lexicon, ch, signs), base) for signs in distinct
+        )
+    offsets = set().union(*(_band_offsets(lexicon, ch, max_signs) for ch in lexicon.channels))
     # Composed one at a time: holding all of them at once raised peak RSS.
-    models = (compose_utterance_model(lexicon, channel, signs) for signs in distinct)
-    columns = [_state_columns(phonemes, block_ids(lexicon, channel, signs)) for signs in distinct]
-    log_pi, log_trans, columns = _stack(models, columns)
-    return log_pi, band(log_trans), columns, np.concatenate(index)
+    models = (compose_utterance_model(lexicon, ch, signs) for ch, signs in jobs)
+    n = max(len(cols) for cols in columns)
+    step = max(1, _BLOCK_ENTRIES // n)
+    blocks = [
+        _stack(itertools.islice(models, step), columns[b : b + step], sorted(offsets), n)
+        for b in range(0, len(columns), step)
+    ]
+    return blocks, np.stack(index, axis=1)
 
 
 def _candidate_scores(lexicon, mobs, max_signs, cache):
     """(M, C) best-path scores of the M sign sequences of 1..max_signs
     signs, row m for _sequence(sorted(lexicon.signs), m), one column per
-    lexicon channel. Fills cache as decode_exhaustive describes."""
+    lexicon channel, each channel scored at its own last frame, in one
+    viterbi_score_lattice call per block of the _candidate_stack. Fills
+    cache as decode_exhaustive describes."""
     if max_signs not in cache:
-        cache[max_signs] = [_candidate_stack(lexicon, ch, max_signs) for ch in lexicon.channels]
+        cache[max_signs] = _candidate_stack(lexicon, max_signs)
+    blocks, index = cache[max_signs]
+    table, lengths = _density_table(lexicon, mobs)
+    bases = _table_bases(lexicon)
     scores = []
-    for ch, (log_pi, diagonals, columns, index) in zip(lexicon.channels, cache[max_signs]):
-        table = _log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch])
-        scores.append(viterbi_score_lattice(log_pi, diagonals, table, columns)[index])
-    return np.stack(scores, axis=1)
+    for log_pi, diagonals, columns in blocks:
+        # The final row of every stack column reads one of its channel's states.
+        channel = np.searchsorted(bases, columns[-1], side="right") - 1
+        scores.append(viterbi_score_lattice(log_pi, diagonals, table, columns, lengths[channel]))
+    return np.concatenate(scores)[index]
 
 
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
@@ -331,9 +426,10 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     scores as its batched row, bit for bit, and its state paths.
 
     cache is a dict reused across utterances of one lexicon;
-    cache[max_signs] holds one _candidate_stack per lexicon channel: the
-    -inf-padded models of the channel's distinct spelling sequences of
-    1..max_signs signs and the map from each candidate to its column.
+    cache[max_signs] holds the _candidate_stack: the -inf-padded models
+    of every channel's distinct spelling sequences of 1..max_signs signs,
+    stacked together in column blocks, and the map from each candidate
+    and channel to its column. Channels may differ in length.
     Before a max_signs is cached, and before anything is built,
     _stack_bytes raises SearchSpaceTooLargeError when the candidates
     exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
@@ -390,11 +486,7 @@ class _Unit:
     def __init__(self, lexicon, mobs, keys):
         self.keys = list(keys)
         self.channels = list(lexicon.channels)
-        tables = [
-            _log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch])
-            for ch in self.channels
-        ]
-        bases = list(itertools.accumulate([0] + [table.shape[1] for table in tables]))
+        bases = _table_bases(lexicon)
         models = []
         columns = []
         for key in self.keys:
@@ -415,7 +507,7 @@ class _Unit:
         # probability; the complement leaves through the boundary.
         self.log_trans[self.final, self.final] = safe_log(1.0 - lexicon.exit_prob)
         self.log_exit = float(safe_log(lexicon.exit_prob))
-        self.logb = np.hstack(tables)[:, columns.reshape((n,) + shape)]
+        self.logb = _density_table(lexicon, mobs)[0][:, columns.reshape((n,) + shape)]
         t_len = self.logb.shape[0]
         # delta[:, t0] is the recursion of every unit entered at frame t0;
         # final_iso[t0] prices the final state as absorbing, for last().
@@ -447,11 +539,6 @@ class _Unit:
         segment_scores call."""
         best_nf = self.delta[: self.final].max(axis=0) if self.final else LOG_ZERO
         return np.maximum(best_nf, self.final_iso)
-
-    def unit(self, k, c):
-        """(log_pi, log_trans, logb (T, n)) of unit (k, c), padding cut off."""
-        lo = self.final + 1 - self.sizes[k, c]
-        return self.log_pi[lo:, k, c], self.log_trans[lo:, lo:, k, c], self.logb[:, lo:, k, c]
 
 
 _EPS = float(np.finfo(float).eps)
@@ -610,33 +697,38 @@ def decode(lexicon, mobs, mode, max_signs, beam_width, cache):
 def _rebuild_hypothesis(units, token):
     """Recover per-channel scores and state paths for the winning token.
 
-    units is the utterance's _Unit stack. Each segment (key, t0, t1) is
-    one Viterbi backtrack over frames t0..t1 of its unit. The last
-    segment is unanchored and prices the final state as absorbing; every
-    other segment must end in the final state and pays the boundary exit
-    log probability.
+    units is the utterance's _Unit stack. Each segment (key, t0, t1) of
+    each channel is one Viterbi backtrack over frames t0..t1 of its
+    unit, every (segment, channel) pair in one batched viterbi_lattice
+    call. The last segment is unanchored and prices the final state as
+    absorbing; every other segment must end in the final state and pays
+    the boundary exit log probability.
     """
     index = {key: k for k, key in enumerate(units.keys)}
+    keys = np.array([index[key] for key, _, _ in token.segments])
+    starts = np.array([t0 for _, t0, _ in token.segments])
+    lengths = np.array([t1 + 1 - t0 for _, t0, t1 in token.segments])
+    final = units.final
+    log_trans = units.log_trans[:, :, keys]
+    log_trans[final, final, -1] = 0.0
+    # frames[u, s] is frame u of segment s, clipped to the utterance.
+    frames = np.minimum(np.arange(lengths.max())[:, None] + starts, len(units.logb) - 1)
+    logb = units.logb[frames, :, keys].transpose(0, 2, 1, 3)
+    anchored = np.arange(len(keys) - 1)
+    logb[lengths[anchored] - 1, :final, anchored] = LOG_ZERO
+    scores, paths = viterbi_lattice(units.log_pi[:, keys], log_trans, logb, lengths[:, None])
+    sizes = units.sizes[keys]
     channel_scores = {}
     state_paths = {}
     for c, ch in enumerate(units.channels):
         total_c = 0.0
         path = []
         offset = 0
-        for k, (key, t0, t1) in enumerate(token.segments):
-            log_pi, log_trans, logb = units.unit(index[key], c)
-            final = len(log_pi) - 1
-            log_trans = log_trans.copy()
-            logb = logb[t0 : t1 + 1].copy()
-            is_last = k == len(token.segments) - 1
-            if is_last:
-                log_trans[final, final] = 0.0
-            else:
-                logb[-1, :final] = LOG_ZERO
-            seg_score, seg_path = viterbi_lattice(log_pi, log_trans, logb)
-            total_c += seg_score if is_last else seg_score + units.log_exit
-            path.extend(offset + int(s) for s in seg_path)
-            offset += final + 1
+        for s, length in enumerate(lengths.tolist()):
+            seg_score = float(scores[s, c])
+            total_c += seg_score if s == len(keys) - 1 else seg_score + units.log_exit
+            path.extend((paths[:length, s, c] + (offset + sizes[s, c] - final - 1)).tolist())
+            offset += int(sizes[s, c])
         channel_scores[ch] = total_c
         state_paths[ch] = path
     return Hypothesis.combine(token.signs, channel_scores, state_paths)

@@ -90,6 +90,26 @@ def viterbi_score_lattice_oracle(log_pi, log_trans, logb, columns=None):
     return float(best) if best.ndim == 0 else best
 
 
+def viterbi_lattice_oracle(log_pi, log_trans, logb):
+    """One model's (score, path) by the dense max-product recursion and
+    backtrack, one frame at a time: log_pi (N,), log_trans (N, N), logb
+    (T, N). Ties go to the lowest predecessor (np.argmax's first
+    maximizer). This is the recursion hmm.viterbi_lattice batches."""
+    t_len, n = logb.shape
+    delta = log_pi + logb[0]
+    psi = np.empty((t_len, n), dtype=np.intp)
+    for t in range(1, t_len):
+        cand = delta[:, None] + log_trans
+        psi[t] = np.argmax(cand, axis=0)
+        delta = cand[psi[t], np.arange(n)] + logb[t]
+    score = float(np.max(delta))
+    path = np.empty(t_len, dtype=np.intp)
+    path[-1] = int(np.argmax(delta))
+    for t in range(t_len - 1, 0, -1):
+        path[t - 1] = psi[t, path[t]]
+    return score, path
+
+
 def posteriors_oracle(log_pi, log_trans, logb):
     """One sequence's E-step quantities, frame by frame.
 

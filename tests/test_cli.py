@@ -309,13 +309,13 @@ def test_decode_exhaustive_stack_memory_guard(
 
     # The trained model keeps the demo lexicon's spellings and state
     # counts, and its trained pi enters every state, so its band has
-    # offsets 0 to 3: at 6 signs its stacks need 33,136,128 bytes plus
-    # 53,333,280 of transients, and a limit one byte under that refuses
-    # them before any stack is built.
+    # offsets 0 to 3: at 6 signs its stack needs 33,136,128 bytes plus
+    # 1,047,552 of transients, and a limit one byte under that refuses it
+    # before any stack is built.
     lexicon, _ = load_model(trained_model)
     assert parallel._band_offsets(lexicon, "head", 6) == {0, 1, 2, 3}
     assert parallel._stack_bytes(lexicon, 6) == 33_136_128
-    need = 33_136_128 + 53_333_280
+    need = 33_136_128 + 1_047_552
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_candidate_stack", no_candidate_stack)
     assert run(
@@ -487,10 +487,13 @@ def _frame(rec, value):
         ("gaussian", lambda blob: _g0(blob, "variances", True), None, "variances"),
         ("gaussian", None, lambda rec: _frame(rec, "1.5"), "channels"),
         ("gaussian", None, lambda rec: _frame(rec, True), "channels"),
+        ("demo", None, lambda rec: rec["channels"]["head"].__setitem__(1, True), "channels"),
+        ("demo", None, lambda rec: rec["channels"]["head"].__setitem__(0, False), "channels"),
     ],
     ids=[
         "exit-prob-string", "pi-bool", "trans-bool", "probs-bool", "means-string",
         "means-bool", "variances-string", "variances-bool", "frame-string", "frame-bool",
+        "symbol-bool", "first-symbol-bool",
     ],
 )
 def test_decode_string_or_bool_number_is_input_error(

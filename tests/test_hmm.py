@@ -9,6 +9,7 @@ from oracles import (
     brute_viterbi,
     posteriors_oracle,
     sample_oracle,
+    viterbi_lattice_oracle,
     viterbi_score_lattice_oracle,
 )
 
@@ -249,6 +250,104 @@ def test_viterbi_score_lattice_band_equals_the_dense_oracle(t_len):
         assert want[-1] == -np.inf and np.isfinite(want).any()
         for trans in (log_trans, band(log_trans)):
             assert bits(viterbi_score_lattice(log_pi, trans, table, columns)) == bits(want)
+
+
+def _random_lattice(rng, t_len, tied):
+    """A _random_stack of 9 models, its (T, N, 9) gathered emissions with
+    -inf cells, and mixed lengths in 1..t_len. tied gives every finite
+    transition and initial log probability one value and the emissions
+    a few integer values, so that many paths tie exactly."""
+    log_pi, log_trans, columns = _random_stack(rng, 9, 6)
+    table = rng.normal(-2.0, 1.5, size=(t_len, 6))
+    if tied:
+        log_pi = np.where(np.isfinite(log_pi), -1.0, -np.inf)
+        log_trans = np.where(np.isfinite(log_trans), -1.0, -np.inf)
+        table = rng.integers(-2, 1, size=table.shape).astype(float)
+    table[rng.random(table.shape) < 0.1] = -np.inf
+    table[:, -1] = -np.inf
+    lengths = rng.integers(1, t_len + 1, size=9)
+    return log_pi, log_trans, columns, table, lengths
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 7])
+def test_viterbi_score_lattice_lengths_score_each_entry_at_its_last_frame(t_len):
+    rng = np.random.default_rng(80 + t_len)
+    for trial in range(6):
+        log_pi, log_trans, columns, table, lengths = _random_lattice(rng, t_len, trial % 2)
+        want = [
+            viterbi_score_lattice_oracle(log_pi[:, b], log_trans[:, :, b], table[:k], columns[:, b])
+            for b, k in enumerate(lengths.tolist())
+        ]
+        for trans in (log_trans, band(log_trans)):
+            got = viterbi_score_lattice(log_pi, trans, table, columns, lengths)
+            assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 7])
+def test_viterbi_lattice_batch_equals_the_per_entry_oracle(t_len):
+    # Padded stacks with -inf cells, exact ties and mixed lengths: every
+    # entry's score and path are the oracle's on the entry alone, bit
+    # for bit, and a finite entry's path is the unpadded model's too.
+    rng = np.random.default_rng(90 + t_len)
+    n_finite = n_tied = 0
+    for trial in range(8):
+        log_pi, log_trans, columns, table, lengths = _random_lattice(rng, t_len, trial % 2)
+        n = len(log_pi)
+        logb = table[:, columns]
+        score, path = viterbi_lattice(log_pi, log_trans, logb, lengths)
+        assert path.shape == (lengths.max(), 9)
+        # The same entries on two batch axes, lengths broadcast by row.
+        rows = np.repeat(lengths[::3], 3)
+        score2, path2 = viterbi_lattice(
+            log_pi.reshape(n, 3, 3),
+            log_trans.reshape(n, n, 3, 3),
+            logb.reshape(t_len, n, 3, 3),
+            lengths[::3, None],
+        )
+        for b, length in enumerate(lengths.tolist()):
+            args = (log_pi[:, b], log_trans[:, :, b], logb[:length, :, b])
+            want_score, want_path = viterbi_lattice_oracle(*args)
+            assert bits(score[b]) == bits(want_score)
+            assert path[:length, b].tolist() == want_path.tolist()
+            one_score, one_path = viterbi_lattice(*args)
+            assert bits(one_score) == bits(want_score) and np.array_equal(one_path, want_path)
+            want2 = viterbi_lattice_oracle(*args[:2], logb[: rows[b], :, b])
+            assert bits(score2.ravel()[b]) == bits(want2[0])
+            assert path2[: rows[b]].reshape(rows[b], 9)[:, b].tolist() == want2[1].tolist()
+            lo = int(np.sum(columns[:, b] == -1))
+            if want_score > -np.inf:
+                cut = viterbi_lattice_oracle(
+                    log_pi[lo:, b], log_trans[lo:, lo:, b], logb[:length, lo:, b]
+                )
+                assert bits(cut[0]) == bits(want_score)
+                assert (want_path - lo).tolist() == cut[1].tolist()
+                n_finite += 1
+                n_tied += bool(trial % 2)
+    assert n_finite >= 10 and n_tied >= 5
+
+
+@pytest.mark.parametrize(
+    "means, variances",
+    [
+        ([[np.nan, 0.0]], [[1.0, 1.0]]),
+        ([[np.inf, 0.0]], [[1.0, 1.0]]),
+        ([[0.0, 0.0]], [[-1.0, 1.0]]),
+        ([[0.0, 0.0]], [[0.0, 1.0]]),
+        ([[0.0, 0.0]], [[np.nan, 1.0]]),
+        ([[0.0, 0.0]], [[np.inf, 1.0]]),
+    ],
+)
+def test_sample_refuses_non_finite_means_and_non_positive_variances(means, variances):
+    h = Hmm([1.0], [[1.0]], GaussianEmission(np.array(means), np.array(variances)))
+    with pytest.raises(ValidationError):
+        sample(h, 4, 3)
+
+
+def test_sample_allows_variances_below_the_training_floor():
+    h = Hmm([1.0], [[1.0]], GaussianEmission(np.array([[0.0, 5.0]]), np.array([[1e-9, 1.0]])))
+    obs, path = sample(h, 4, 3)
+    assert path == [0, 0, 0, 0] and np.all(np.isfinite(obs))
+    assert np.all(np.abs(obs[:, 0]) < 1e-3)
 
 
 @pytest.mark.parametrize("log_trans", [np.zeros((2, 2)), np.full((2, 2), -np.inf)])

@@ -24,6 +24,7 @@ from oracles import (
 from phmm import parallel
 from phmm.emissions import DiscreteEmission, GaussianEmission, log_density_seq
 from phmm.errors import (
+    AllPathsZeroError,
     EmptyObservationError,
     EmptySequenceError,
     NoFiniteHypothesisError,
@@ -34,7 +35,7 @@ from phmm.errors import (
     ValidationError,
     VariantMismatchError,
 )
-from phmm.hmm import Hmm, Topology, forward, validate, viterbi
+from phmm.hmm import Hmm, Topology, band, forward, validate, viterbi
 from phmm.lexicon import Lexicon, MultiObservation, PhonemeInventory, Sign, validate_lexicon
 from phmm.parallel import (
     EPS_UNIT,
@@ -169,6 +170,30 @@ def test_score_hypothesis_matches_isolated_viterbi_and_fsum():
     assert hyp.total == math.fsum(expected.values())
 
 
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_score_hypothesis_unequal_lengths_equal_per_channel_viterbi(case):
+    # One batched backtrack, each channel read at its own last frame:
+    # every channel's score and path are hmm.viterbi's on its own
+    # composed model, and a channel without a feasible path has none.
+    lex = mixed_lexicon(np.random.default_rng(110 + case), **BATCH_CASES[case])
+    n_finite = 0
+    for seed, lengths in enumerate(({"c0": 9, "c1": 3}, {"c0": 1, "c1": 7}, {"c0": 6, "c1": 6})):
+        mobs = sample_mobs(lex, ["s2", "s0"], lengths, seed=120 + seed)
+        for signs in (["s0"], ["s2", "s0"], ["s1", "s1", "s2"]):
+            hyp = score_hypothesis(lex, signs, mobs)
+            for ch in lex.channels:
+                model = compose_utterance_model(lex, ch, signs)
+                try:
+                    path, score = viterbi(model, mobs.channels[ch])
+                except AllPathsZeroError:
+                    path, score = None, float("-inf")
+                assert repr(hyp.channel_scores[ch]) == repr(score)
+                assert hyp.state_paths[ch] == path
+                n_finite += path is not None
+            assert hyp.total == math.fsum(hyp.channel_scores.values())
+    assert n_finite >= 6
+
+
 def test_score_hypothesis_channel_permutation_invariant():
     rng = np.random.default_rng(8)
     lex = build_lexicon(rng, vocab=2)
@@ -242,8 +267,10 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
     # 7 signs of the demo lexicon fail the candidate guard (2,396,744
     # candidates). 6 signs pass it (299,592) and, with one stack column
     # per distinct spelling sequence, the memory guard: 24,487,488 bytes
-    # of cached stacks plus 53,333,280 of transients. One byte less
-    # refuses them. Neither refusal builds a stack.
+    # of cached stack (N = 33 rows by 3 x 5,460 columns) plus 1,047,552
+    # of transients: the kernel's four rows of N by 992 columns, its
+    # widest block. One byte less refuses them. Neither refusal builds a
+    # stack.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
@@ -251,7 +278,7 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
     with pytest.raises(SearchSpaceTooLargeError, match="enumerate 2396744 candidates"):
         decode_exhaustive(lex, mobs, max_signs=7)
-    need = 24_487_488 + 53_333_280
+    need = 24_487_488 + 1_047_552
     assert need <= parallel.MAX_STACK_BYTES
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes of candidate stacks"):
@@ -261,16 +288,18 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
 
 
 def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
-    # Each demo channel has 4 distinct spellings, so at 4 signs its stack
-    # holds 4 + 16 + 64 + 256 = 340 columns of N = 21 rows. The cache
-    # takes 797,760 bytes: per channel, log_pi, columns and two band
-    # diagonals of N x 340 entries, and a map of 4,680 candidates. The
-    # largest stack adds 1,428,000 bytes of transients: its dense
-    # N x N x 340 log_trans and the kernel's four N x 340 rows.
+    # Each demo channel has 4 distinct spellings, so at 4 signs the joint
+    # stack holds 3 x (4 + 16 + 64 + 256) = 1,020 columns of N = 21 rows.
+    # The cache takes 797,760 bytes: log_pi, columns and two band
+    # diagonals of N x 1,020 entries, and a map of 4,680 candidates by 3
+    # channels. The kernel adds 685,440 bytes of transients: its four
+    # N x 1,020 rows (one block: 1,020 columns of 21 rows are within
+    # _BLOCK_ENTRIES). The band is written without a dense N x N x B
+    # log_trans, so nothing else is counted.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
-    need = 797_760 + 1_428_000
+    need = 797_760 + 685_440
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
@@ -282,10 +311,21 @@ def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
 
 def _cached_bytes(cache):
     return sum(
-        log_pi.nbytes + columns.nbytes + index.nbytes + sum(w.nbytes for _, w in diagonals)
-        for stacks in cache.values()
-        for log_pi, diagonals, columns, index in stacks
+        index.nbytes
+        + sum(
+            log_pi.nbytes + columns.nbytes + sum(w.nbytes for _, w in diagonals)
+            for log_pi, diagonals, columns in blocks
+        )
+        for blocks, index in cache.values()
     )
+
+
+def _joined(blocks):
+    """(log_pi, band, columns) of a _candidate_stack's blocks side by side."""
+    offsets = [o for o, _ in blocks[0][1]]
+    assert all([o for o, _ in diagonals] == offsets for _, diagonals, _ in blocks)
+    diagonals = [(o, np.hstack([b[1][k][1] for b in blocks])) for k, o in enumerate(offsets)]
+    return np.hstack([b[0] for b in blocks]), diagonals, np.hstack([b[2] for b in blocks])
 
 
 @pytest.mark.parametrize("policy", ["none", "between_signs"])
@@ -297,11 +337,15 @@ def test_stack_bytes_equal_the_cached_stacks(policy):
     assert parallel._stack_bytes(lex, 3) == _cached_bytes(cache)
 
 
-@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
-def test_band_offsets_equal_the_cached_bands(case):
-    # Ergodic phonemes with zeroed transitions and pi entries: the
-    # offsets read from the lexicon are exactly those band() finds, with
-    # (3) and without (1) steps across signs.
+def _check_cached_bands(case):
+    """The cached stack of BATCH_CASES[case], at 1 and 3 signs, against
+    the lexicon's band offsets, a dense _stack of the same models and
+    score_hypothesis, bit for bit, whatever parallel._BLOCK_ENTRIES is.
+
+    Ergodic phonemes with zeroed transitions and pi entries: the offsets
+    read from the lexicon are exactly those band() finds, with (3) and
+    without (1) steps across signs. The band, written straight from each
+    model's diagonals, is bit-identical to band() of the dense stack."""
     rng = np.random.default_rng(80 + case)
     lex = mixed_lexicon(rng, **BATCH_CASES[case])
     for inv in lex.inventories.values():
@@ -312,13 +356,54 @@ def test_band_offsets_equal_the_cached_bands(case):
                 model.trans = trans / trans.sum(axis=1, keepdims=True)
                 model.pi = np.eye(model.n_states)[int(rng.integers(model.n_states))]
     mobs = sample_mobs(lex, ["s1", "s0"], 6, seed=case)
+    bases = parallel._table_bases(lex)
     for max_signs in (1, 3):
         cache = {}
         decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
-        for ch, (_, diagonals, _, _) in zip(lex.channels, cache[max_signs]):
+        blocks, index = cache[max_signs]
+        log_pi, diagonals, columns = _joined(blocks)
+        width = max(1, parallel._BLOCK_ENTRIES // len(log_pi))
+        assert [b[0].shape[1] for b in blocks[:-1]] == [width] * (len(blocks) - 1)
+        assert len(blocks) == -(-log_pi.shape[1] // width)
+        for block_pi, block_band, block_columns in blocks:
+            arrays = [block_pi, block_columns] + [w for _, w in block_band]
+            assert all(a.flags.c_contiguous for a in arrays)
+        scores = _candidate_scores(lex, mobs, max_signs, cache)
+        for m, row in enumerate(scores):
+            ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), mobs)
+            assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
+        models, dense_columns, union = [], [], set()
+        for c, ch in enumerate(lex.channels):
+            phonemes = lex.inventory(ch).phonemes
+            own = np.unique(index[:, c])
             offsets = parallel._band_offsets(lex, ch, max_signs)
-            assert [o for o, _ in diagonals] == sorted(offsets)
+            finite = {o for o, w in diagonals if np.isfinite(w[:, own]).any()}
+            assert finite == offsets
+            union |= offsets
+            for signs in parallel._spellings(lex, ch, max_signs)[0]:
+                models.append(compose_utterance_model(lex, ch, signs))
+                ids = parallel.block_ids(lex, ch, signs)
+                dense_columns.append(parallel._state_columns(phonemes, ids, bases[c]))
+        want_pi, want_trans, want_columns = parallel._stack(models, dense_columns)
+        assert [o for o, _ in diagonals] == sorted(union)
+        assert [(o, bits(w)) for o, w in diagonals] == [
+            (o, bits(w)) for o, w in band(want_trans)
+        ]
+        assert bits(log_pi) == bits(want_pi) and np.array_equal(columns, want_columns)
         assert parallel._stack_bytes(lex, max_signs) == _cached_bytes(cache)
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_band_offsets_equal_the_cached_bands(case):
+    _check_cached_bands(case)
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES)))
+def test_column_blocks_equal_one_stack(case, monkeypatch):
+    # At most 40 entries per row array: blocks of a few columns, each
+    # scored by its own kernel call, hold and score the same stack.
+    monkeypatch.setattr(parallel, "_BLOCK_ENTRIES", 40)
+    _check_cached_bands(case)
 
 
 def test_band_offsets_skip_rewired_rows_and_follow_pi():
@@ -334,7 +419,7 @@ def test_band_offsets_skip_rewired_rows_and_follow_pi():
     cache = {}
     for max_signs in (1, 2):
         decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
-        [(_, diagonals, _, _)] = cache[max_signs]
+        [(_, diagonals, _)], _ = cache[max_signs]
         assert [o for o, _ in diagonals] == [0, 1, 3]
         assert parallel._band_offsets(lex, "c", max_signs) == {0, 1, 3}
     assert parallel._stack_bytes(lex, 1) + parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
@@ -608,11 +693,10 @@ def test_decode_exhaustive_maps_candidates_per_channel(policy):
         mobs = sample_mobs(lex, signs, 8, seed=60 + seed)
         got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
         _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
-    (_, _, columns0, index0), (_, _, columns1, index1) = cache[3]
-    assert columns0.shape[1] == columns1.shape[1] == 14
-    assert index0[:3].tolist() == [0, 0, 1] and index1[:3].tolist() == [0, 1, 1]
-    assert index0[3:12].tolist() == [2, 2, 3, 2, 2, 3, 4, 4, 5]
-    assert len(index0) == len(index1) == 39
+    blocks, index = cache[3]
+    assert _joined(blocks)[2].shape[1] == 14 + 14 and index.shape == (39, 2)
+    assert index[:3, 0].tolist() == [0, 0, 1] and index[:3, 1].tolist() == [14, 15, 15]
+    assert index[3:12, 0].tolist() == [2, 2, 3, 2, 2, 3, 4, 4, 5]
 
 
 def test_decode_exhaustive_equal_concatenations_keep_their_columns():
@@ -634,8 +718,8 @@ def test_decode_exhaustive_equal_concatenations_keep_their_columns():
         ab, cd = 4 + 0 * 4 + 1, 4 + 2 * 4 + 3  # after the 4 one-sign rows
         assert _sequence("abcd", ab) == ("a", "b") and _sequence("abcd", cd) == ("c", "d")
         assert bits(scores[ab]) == bits(scores[cd])
-    (_, _, _, index), _ = cache[3]
-    assert index[ab] != index[cd]
+    index = cache[3][1]
+    assert index[ab, 0] != index[cd, 0]
 
 
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
@@ -767,7 +851,10 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
         for k, key in enumerate(keys):
             for c, ch in enumerate(lex.channels):
                 unit = synced_unit(lex, ch, key, mobs.channels[ch])
-                log_pi, log_trans, logb = stack.unit(k, c)
+                lo = stack.final + 1 - stack.sizes[k, c]
+                log_pi = stack.log_pi[lo:, k, c]
+                log_trans = stack.log_trans[lo:, lo:, k, c]
+                logb = stack.logb[:, lo:, k, c]
                 assert bits(log_pi) == bits(unit.log_pi)
                 assert bits(log_trans) == bits(unit.log_trans)
                 assert bits(logb) == bits(unit.logb)
