@@ -354,11 +354,16 @@ def check_finite(which, arr):
 def check_stochastic(which, arr, row=None):
     """Raise a ValidationError subclass unless arr's values are finite
     and non-negative and sum to 1 within STOCH_TOL: the whole of arr if
-    row is None, else each of its rows, named row[i] in the error."""
+    row is None, else each of its rows, named row[i] in the error.
+    Valid input passes one cheap test first; NaN and inf fail it, and
+    whatever fails it gets the detailed checks that name the fault."""
+    sums = arr.sum(axis=-1)
+    if arr.min(initial=np.inf) >= 0 and abs(sums - 1.0).max(initial=0.0) <= STOCH_TOL:
+        return
     check_finite(which, arr)
     if np.any(arr < 0):
         raise NegativeEntryError(which, float(arr.min()))
-    sums = np.atleast_1d(arr.sum(axis=-1))
+    sums = np.atleast_1d(sums)
     bad = np.flatnonzero(np.abs(sums - 1.0) > STOCH_TOL)
     if bad.size:
         i = int(bad[0])

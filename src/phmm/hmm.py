@@ -13,10 +13,12 @@ entry read at its own last frame when lengths are given:
 viterbi_score_lattice and viterbi_lattice (scores, and scores with
 backtracked paths) for the decoders, and posteriors_lattice and
 loglik_lattice for training. viterbi is viterbi_lattice without batch
-axes. viterbi_score_lattice runs its max-product recursion on the band
-of the transitions, their finite diagonals, so each frame of a
-left-to-right chain reads only a few N-row slices instead of an N x N
-block per model.
+axes. Both max-product kernels run one frame loop on the band of the
+transitions, their finite diagonals, so each frame of a left-to-right
+chain reads only a few N-row slices instead of an N x N block per
+model. The loop may keep Rabiner's back-pointers psi as it goes (Proc.
+IEEE 1989, section III.B), one small code per frame, row and entry,
+and backtrack then follows only the entries a caller asks for.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,16 +164,144 @@ def _last_frames(t_len, lengths):
     return {n - 1: lengths == n for n in set(lengths.ravel().tolist())}
 
 
-def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None):
-    """Best-path score without backtracking bookkeeping.
+class Pointers(NamedTuple):
+    """The back-pointers of one max-product pass, read by backtrack.
+
+    offsets holds the band's offsets from the highest down. psi (T' - 1,
+    N, ...) holds, at [t - 1, j, b], how row j of batch entry b was
+    reached at frame t >= 1: code c >= 1 from row j - offsets[c - 1],
+    and code 0 when no predecessor is finite. end (...) holds each
+    entry's best row at its last frame and lengths (E,) each entry's
+    frame count, the batch axes flattened to E."""
+
+    psi: np.ndarray
+    offsets: np.ndarray
+    end: np.ndarray
+    lengths: np.ndarray
+
+
+def _max_product(log_pi, log_trans, logb, columns, lengths, pointers):
+    """The banded max-product frame loop of viterbi_score_lattice and
+    viterbi_lattice, arguments as in viterbi_score_lattice. Returns the
+    scores over the batch axes and, with pointers, the Pointers.
+
+    Each frame maxes delta[j - o] + w[j] over the band's offsets o,
+    scanned from the highest, the lowest predecessor row, down. A
+    pointer is replaced only on a strict improvement, so ties go to the
+    lowest predecessor, and an entry's end row is the lowest among ties
+    (np.argmax's first maximizer): the dense argmax recursion's choices.
+    """
+    diagonals = log_trans if isinstance(log_trans, tuple) else band(np.asarray(log_trans))
+
+    def frame(t):
+        return logb[t] if columns is None else logb[t][columns]
+
+    last = _last_frames(logb.shape[0], lengths)
+    t_len = max(last) + 1
+    delta = log_pi + frame(0)
+    n = len(delta)
+    best = np.full(delta.shape[1:], LOG_ZERO)
+    # Without a finite transition every row after the first frame is -inf.
+    diagonals = diagonals or ((0, np.full(delta.shape, LOG_ZERO)),)
+    offsets = np.array([o for o, _ in diagonals][::-1])
+    code = np.min_scalar_type(len(offsets)).type
+    row = np.empty_like(delta)
+    cand = np.empty_like(delta)
+    better = np.empty(delta.shape, dtype=bool)
+    if pointers:
+        psi = np.empty((t_len - 1,) + delta.shape, dtype=code)
+        # One-byte codes take the first compare as bools, without a cast.
+        flags = psi.view(bool) if psi.itemsize == 1 else psi
+        end = np.zeros(delta.shape[1:], dtype=np.intp)
+
+    def operands(prev, nxt):
+        # Row j - o of prev feeds row j of nxt. The first offset writes
+        # its target rows and the rows it misses start at -inf; each
+        # other offset, with its pointer code, maxes into them. The views
+        # are made once for either buffer as prev: on small batches
+        # making them each frame cost as much as the arithmetic.
+        src = [slice(max(-o, 0), n - max(o, 0)) for o in offsets]
+        dst = [slice(max(o, 0), n + min(o, 0)) for o in offsets]
+        w0 = diagonals[-1][1]
+        head = (prev[src[0]], w0[dst[0]], nxt[dst[0]])
+        gaps = [nxt[: dst[0].start], nxt[dst[0].stop :]]
+        tail = [
+            (prev[s], w[d], cand[d], nxt[d], better[d], d, code(c))
+            for c, (s, d, (_, w)) in enumerate(zip(src[1:], dst[1:], diagonals[-2::-1]), 2)
+        ]
+        return head, [gap for gap in gaps if gap.size], tail, nxt
+
+    plans = (operands(delta, row), operands(row, delta))
+    for t in range(t_len):
+        if t:
+            (prev, w, out), gaps, tail, delta = plans[(t - 1) % 2]
+            np.add(prev, w, out=out)
+            for gap in gaps:
+                gap.fill(LOG_ZERO)
+            if pointers:
+                # Code 1 where the first offset reaches a finite row, else 0.
+                np.greater(delta, LOG_ZERO, out=flags[t - 1])
+            for prev, w, out, rows, gain, d, c in tail:
+                np.add(prev, w, out=out)
+                if pointers:
+                    # putmask: several times faster than copyto with where.
+                    np.greater(out, rows, out=gain)
+                    np.putmask(psi[t - 1, d], gain, c)
+                np.maximum(rows, out, out=rows)
+            np.add(delta, frame(t), out=delta)
+        if t in last:
+            np.copyto(best, np.max(delta, axis=0), where=last[t])
+            if pointers:
+                np.copyto(end, np.argmax(delta, axis=0), where=last[t])
+    score = float(best) if best.ndim == 0 else best
+    if not pointers:
+        return score
+    counts = np.broadcast_to(t_len if lengths is None else lengths, best.shape).reshape(-1)
+    return score, Pointers(psi, offsets, end, counts)
+
+
+def backtrack(pointers, entries=None):
+    """(T'', E') state paths of the entries, flat indices into the batch
+    axes of a max-product pass (all of them if None), from its Pointers:
+    column e holds entry entries[e]'s path over its first lengths frames
+    and T'' is the longest of those lengths; the frames after an entry's
+    own hold 0, and the path of an entry that scores -inf is
+    meaningless. Only the asked entries' pointers are read, and each
+    path is followed in Python: a step costs far less than a numpy call
+    on the few entries a decoder backtracks."""
+    psi, offsets, end, lengths = pointers
+    entries = np.arange(end.size) if entries is None else np.asarray(entries, dtype=np.intp)
+    lengths = lengths[entries].tolist()
+    flat = psi.reshape(len(psi), psi.shape[1], end.size)
+    # codes[e][t - 1][j]: entry e's pointer code of row j at frame t.
+    # Code 0 stays in its row. A backtrack meets it only in row 0: a
+    # finite pointer leads to a row with a finite predecessor, and an
+    # entry that scores -inf ends in row 0, np.argmax over -inf. The
+    # dense argmax goes to row 0 there too.
+    codes = flat[:, :, entries].transpose(2, 0, 1).tolist()
+    steps = [0] + offsets.tolist()
+    ends = end.reshape(-1)[entries].tolist()
+    path = np.zeros((max(lengths), len(entries)), dtype=np.intp)
+    for e, (state, length, back) in enumerate(zip(ends, lengths, codes)):
+        states = [state]
+        for t in range(length - 2, -1, -1):
+            state -= steps[back[t][state]]
+            states.append(state)
+        path[:length, e] = states[::-1]
+    return path
+
+
+def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None, pointers=False):
+    """Best-path scores of a batch of models, by the banded max-product
+    recursion; with pointers, also its Pointers for backtrack.
 
     log_pi (N, ...) and log_trans (N, N, ...) may carry trailing batch
     axes, one model per batch entry; the result is then an array over
     those axes instead of a float. The batch is the innermost axis so
     that every step runs over contiguous memory. log_trans may also be
     given as its band(); a dense array is converted on entry. Without
-    columns, logb is the (T, N) log-density lattice. With columns, an
-    integer array shaped like log_pi, state i of batch entry b emits
+    columns, logb is the (T, N, ...) log-density lattice. With columns,
+    an integer array shaped like log_pi, state i of batch entry b emits
     logb[t, columns[i, b]], so one (T, S) table serves every model built
     from the same S states. lengths, an integer array broadcast against
     the batch axes, holds each entry's frame count (T if None): entry b
@@ -182,88 +313,35 @@ def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None):
     by the same addition, and a -inf never wins a max, so the score is
     bit-identical to the dense recursion. -inf padding in log_pi,
     log_trans and the gathered logb never wins a max either, so a padded
-    model scores exactly as its unpadded self.
+    model scores exactly as its unpadded self. The pointers take one
+    byte per frame, row and entry while the band has under 256 offsets,
+    and widen past that.
     """
-    diagonals = log_trans if isinstance(log_trans, tuple) else band(np.asarray(log_trans))
-
-    def frame(t):
-        return logb[t] if columns is None else logb[t][columns]
-
-    last = _last_frames(logb.shape[0], lengths)
-    delta = log_pi + frame(0)
-    n = len(delta)
-    best = np.full(delta.shape[1:], LOG_ZERO)
-    # Without a finite transition every row after the first frame is -inf.
-    diagonals = diagonals or ((0, np.full(delta.shape, LOG_ZERO)),)
-    # Row j - o of delta feeds row j of the next one: source and target
-    # slices of each offset. The first offset writes its target rows and
-    # the rows it misses start at -inf; the others max into them.
-    steps = [
-        (slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n + min(o, 0)), w)
-        for o, w in diagonals
-    ]
-    (src0, dst0, w0), steps = steps[0], steps[1:]
-    gaps = [gap for gap in (slice(0, dst0.start), slice(dst0.stop, n)) if gap.start < gap.stop]
-    row = np.empty_like(delta)
-    cand = np.empty_like(delta)
-    for t in range(max(last) + 1):
-        if t:
-            np.add(delta[src0], w0[dst0], out=row[dst0])
-            for gap in gaps:
-                row[gap] = LOG_ZERO
-            for src, dst, w in steps:
-                np.add(delta[src], w[dst], out=cand[dst])
-                np.maximum(row[dst], cand[dst], out=row[dst])
-            np.add(row, frame(t), out=row)
-            delta, row = row, delta
-        if t in last:
-            np.copyto(best, np.max(delta, axis=0), where=last[t])
-    return float(best) if best.ndim == 0 else best
+    return _max_product(log_pi, log_trans, logb, columns, lengths, pointers)
 
 
 def viterbi_lattice(log_pi, log_trans, logb, lengths=None):
-    """Max-product recursion with deterministic backtracking.
+    """Best scores and state paths: viterbi_score_lattice with pointers,
+    then a backtrack of every entry.
 
-    log_pi (N, ...), log_trans (N, N, ...) and logb (T, N, ...) may carry
-    trailing batch axes, one model and one lattice per entry; lengths is
-    as in viterbi_score_lattice. Returns (score, path): score over the
-    batch axes (a float without them) and path (T', ...) of state
-    indices, T' the longest length. Entry b's score and path are read
-    at its last frame lengths[b] - 1; path[t, b] for t >= lengths[b] is
-    meaningless, and so is the path of an entry that scores -inf.
+    log_pi (N, ...), log_trans (N, N, ..., or its band()) and logb (T,
+    N, ...) may carry trailing batch axes, one model and one lattice per
+    entry; lengths is as in viterbi_score_lattice. Returns (score, path):
+    score over the batch axes (a float without them) and path (T', ...)
+    of state indices, T' the longest length. Entry b's score and path
+    are read at its last frame lengths[b] - 1; path[t, b] is 0 for t >=
+    lengths[b].
 
-    Ties are broken toward the lowest predecessor state index at every
-    backtrack step (np.argmax returns the first maximizer). np.max
-    returns that maximizer's value, so each frame's row is bit-identical
-    to cand[psi[t], arange(N)], and -inf padding rows never win.
+    Ties go to the lowest predecessor state index at every backtrack
+    step and to the lowest end state, the first maximizers np.argmax
+    gives, and a row without a finite predecessor steps back to row 0,
+    as np.argmax over -inf does. So every path is the dense
+    recursion's, bit for bit, that of an entry scoring -inf included,
+    and -inf padding rows never win.
     """
-    last = _last_frames(logb.shape[0], lengths)
-    t_len = max(last) + 1
-    delta = log_pi + logb[0]
-    psi = np.empty((t_len,) + delta.shape, dtype=np.intp)
-    final = np.empty_like(delta)
-    for t in range(t_len):
-        if t:
-            cand = delta[:, None] + log_trans
-            np.argmax(cand, axis=0, out=psi[t])
-            delta = np.add(np.max(cand, axis=0), logb[t])
-        if t in last:
-            np.copyto(final, delta, where=last[t])
-    # The backtrack runs over the batch axes flattened to one.
-    batch = final.shape[1:]
-    flat = psi.reshape(t_len, len(final), -1)
-    entries = np.arange(flat.shape[2])
-    end = np.argmax(final, axis=0).reshape(-1)
-    state = end.copy()
-    path = np.empty((t_len, len(entries)), dtype=np.intp)
-    for t in range(t_len - 1, -1, -1):
-        if t in last:
-            np.copyto(state, end, where=np.broadcast_to(last[t], batch).reshape(-1))
-        path[t] = state
-        if t:
-            state = flat[t, state, entries]
-    score = np.max(final, axis=0)
-    return (float(score) if score.ndim == 0 else score), path.reshape((t_len,) + batch)
+    score, pointers = _max_product(log_pi, log_trans, logb, None, lengths, True)
+    path = backtrack(pointers)
+    return score, path.reshape(path.shape[:1] + np.shape(score))
 
 
 def forward(hmm, obs):

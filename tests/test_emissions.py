@@ -9,7 +9,9 @@ from oracles import accumulate, log_density, maximize_oracle, per_block_emission
 from phmm.emissions import (
     DiscreteEmission,
     GaussianEmission,
+    STOCH_TOL,
     accumulate_seq,
+    check_stochastic,
     log_density_seq,
     maximize,
     validate_emission,
@@ -18,6 +20,7 @@ from phmm.emissions import (
 from phmm.errors import (
     DimensionMismatchError,
     EmptyStateError,
+    NegativeEntryError,
     NonFiniteEntryError,
     NonStochasticRowError,
     VariantMismatchError,
@@ -303,3 +306,56 @@ def test_gatherer_equals_per_block_accumulate(chains, gaussian):
         for name, arr in vars(stats).items():
             assert arr.shape == getattr(want[key], name).shape
             assert arr.tobytes() == getattr(want[key], name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "which, arr, row, error, message",
+    [
+        ("pi", [0.5, np.nan], None, NonFiniteEntryError, "non-finite entry nan in pi"),
+        ("pi", [np.inf, 0.0], None, NonFiniteEntryError, "non-finite entry inf in pi"),
+        ("pi", [-np.inf, 1.0], None, NonFiniteEntryError, "non-finite entry -inf in pi"),
+        (
+            "trans",
+            [[1.0, 0.0], [np.nan, 1.0]],
+            "trans row",
+            NonFiniteEntryError,
+            "non-finite entry nan in trans",
+        ),
+        (
+            "trans",
+            [[0.5, 0.5], [1.5, -0.5]],
+            "trans row",
+            NegativeEntryError,
+            "negative entry -0.5 in trans",
+        ),
+        (
+            "trans",
+            [[0.5, 0.5], [0.5, 0.6]],
+            "trans row",
+            NonStochasticRowError,
+            "trans row[1] sums to 1.1, expected 1",
+        ),
+        (
+            "probs",
+            [[0.5, 0.5], [0.5, 0.5 + 1e-9]],
+            "emission row",
+            NonStochasticRowError,
+            "emission row[1] sums to 1.000000001, expected 1",
+        ),
+        ("pi", [0.3, 0.3], None, NonStochasticRowError, "pi sums to 0.6, expected 1"),
+        ("pi", [], None, NonStochasticRowError, "pi sums to 0.0, expected 1"),
+    ],
+)
+def test_check_stochastic_first_test_keeps_the_detailed_errors(which, arr, row, error, message):
+    # Whatever fails the one cheap first test (NaN, inf, a negative
+    # entry, an off-sum row) still raises the detailed check's error.
+    with pytest.raises(error) as info:
+        check_stochastic(which, np.array(arr, dtype=float), row)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_check_stochastic_accepts_rows_within_the_tolerance():
+    rows = np.array([[0.5, 0.5 + STOCH_TOL / 2], [1.0, 0.0], [0.25, 0.75 - STOCH_TOL / 2]])
+    check_stochastic("trans", rows, "trans row")
+    check_stochastic("pi", np.array([1.0]))
+    check_stochastic("trans", np.zeros((0, 0)), "trans row")

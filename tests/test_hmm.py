@@ -26,6 +26,7 @@ from phmm.errors import (
 from phmm.hmm import (
     Hmm,
     Topology,
+    backtrack,
     backward,
     band,
     forward,
@@ -38,7 +39,7 @@ from phmm.hmm import (
     viterbi_lattice,
     viterbi_score_lattice,
 )
-from phmm.logmath import logsumexp
+from phmm.logmath import logsumexp, safe_log
 from phmm.parallel import _stack, compose_models
 
 
@@ -324,6 +325,100 @@ def test_viterbi_lattice_batch_equals_the_per_entry_oracle(t_len):
                 n_finite += 1
                 n_tied += bool(trial % 2)
     assert n_finite >= 10 and n_tied >= 5
+
+
+def _ergodic_lattice(rng, n, batch, t_len, tied):
+    """Random ergodic log parameters of batch models of n states, their
+    (T, n, batch) emissions and unequal lengths in 1..t_len. Every
+    transition is finite, so the band has all 2n - 1 offsets, the
+    negative ones included; a few -inf cells of pi and logb leave some
+    rows without a finite predecessor. tied draws every value from a few
+    integers, so that predecessors and end rows tie exactly."""
+    if tied:
+        log_pi = rng.integers(-2, 0, size=(n, batch)).astype(float)
+        log_trans = rng.integers(-2, 0, size=(n, n, batch)).astype(float)
+        logb = rng.integers(-2, 1, size=(t_len, n, batch)).astype(float)
+    else:
+        log_pi = np.log(rng.dirichlet(np.ones(n), size=batch).T)
+        log_trans = np.log(rng.dirichlet(np.ones(n), size=(n, batch)).transpose(0, 2, 1))
+        logb = rng.normal(-2.0, 1.0, size=(t_len, n, batch))
+    log_pi[rng.random(log_pi.shape) < 0.2] = -np.inf
+    logb[rng.random(logb.shape) < 0.1] = -np.inf
+    lengths = rng.integers(1, t_len + 1, size=batch)
+    lengths[0] = t_len
+    return log_pi, log_trans, logb, lengths
+
+
+def _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path):
+    for b, length in enumerate(lengths.tolist()):
+        want_score, want_path = viterbi_lattice_oracle(
+            log_pi[:, b], log_trans[:, :, b], logb[:length, :, b]
+        )
+        assert bits(score[b]) == bits(want_score)
+        assert path[:length, b].tolist() == want_path.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("tied", [False, True])
+def test_viterbi_lattice_ergodic_band_equals_the_oracle(n, tied):
+    # Ergodic bands: 2n - 1 offsets, from -(n - 1) up. Scores and paths
+    # are the dense oracle's bit for bit, whether the kernel is given
+    # the dense transitions or their band, and a backtrack of a few
+    # entries, asked in any order, gives their paths alone.
+    rng = np.random.default_rng(200 + 10 * n + tied)
+    for _ in range(6):
+        log_pi, log_trans, logb, lengths = _ergodic_lattice(rng, n, 7, 9, tied)
+        diagonals = band(log_trans)
+        assert [o for o, _ in diagonals] == list(range(1 - n, n))
+        for trans in (log_trans, diagonals):
+            score, path = viterbi_lattice(log_pi, trans, logb, lengths)
+            _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
+        got, pointers = viterbi_score_lattice(
+            log_pi, diagonals, logb, None, lengths, pointers=True
+        )
+        assert bits(got) == bits(score)
+        asked = [5, 0, 3]
+        paths = backtrack(pointers, asked)
+        assert paths.shape == (lengths[asked].max(), 3)
+        for i, b in enumerate(asked):
+            assert paths[: lengths[b], i].tolist() == path[: lengths[b], b].tolist()
+
+
+def test_viterbi_lattice_ties_go_to_the_lowest_row():
+    # No state enters state 0, and states 1 and 2 tie at every frame: the
+    # first offset scanned (row 0) is never finite, the end rows 1 and 2
+    # tie, and so does every predecessor pair, so the path stays in 1.
+    log_pi = np.array([-np.inf, 0.0, 0.0])
+    log_trans = safe_log(np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+    logb = np.zeros((4, 3))
+    score, path = viterbi_lattice(log_pi, log_trans, logb)
+    assert path.tolist() == [1, 1, 1, 1]
+    want = viterbi_lattice_oracle(log_pi, log_trans, logb)
+    assert bits(score) == bits(want[0]) and path.tolist() == want[1].tolist()
+    # An entry that scores -inf: its last frame emits nothing, so its end
+    # row is 0, np.argmax over -inf, and the backtrack then follows the
+    # dense argmax's pointers, a tie at frame 2 and the only finite
+    # predecessor, row 1, at frame 1.
+    log_pi = np.array([-np.inf, 0.0])
+    log_trans = np.log(np.full((2, 2), 0.5))
+    logb = np.array([[0.0, 0.0], [0.0, 0.0], [-np.inf, -np.inf]])
+    score, path = viterbi_lattice(log_pi, log_trans, logb)
+    want = viterbi_lattice_oracle(log_pi, log_trans, logb)
+    assert score == want[0] == -np.inf
+    assert path.tolist() == want[1].tolist() == [1, 0, 0]
+
+
+@pytest.mark.parametrize("n, dtype", [(128, np.uint8), (130, np.uint16)])
+def test_viterbi_lattice_pointer_codes_widen_past_a_byte(n, dtype):
+    # 2n - 1 offsets and a code for "no finite predecessor": 255 offsets
+    # fit one byte, 259 do not.
+    rng = np.random.default_rng(n)
+    log_pi, log_trans, logb, lengths = _ergodic_lattice(rng, n, 2, 5, tied=False)
+    _, pointers = viterbi_score_lattice(log_pi, log_trans, logb, None, lengths, pointers=True)
+    assert pointers.psi.dtype == dtype and len(pointers.offsets) == 2 * n - 1
+    assert dtype is np.uint8 or pointers.psi.max() > 255
+    score, path = viterbi_lattice(log_pi, log_trans, logb, lengths)
+    _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
 
 
 @pytest.mark.parametrize(
