@@ -16,9 +16,10 @@ loglik_lattice for training. viterbi is viterbi_lattice without batch
 axes. Both max-product kernels run one frame loop on the band of the
 transitions, their finite diagonals, so each frame of a left-to-right
 chain reads only a few N-row slices instead of an N x N block per
-model. The loop may keep Rabiner's back-pointers psi as it goes (Proc.
-IEEE 1989, section III.B), one small code per frame, row and entry,
-and backtrack then follows only the entries a caller asks for.
+model. viterbi_lattice's loop also keeps Rabiner's back-pointers psi
+(Proc. IEEE 1989, section III.B), one small code per frame, row and
+entry; viterbi_score_lattice keeps none, so the decoders' scoring
+passes pay nothing for paths they never read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -164,26 +164,16 @@ def _last_frames(t_len, lengths):
     return {n - 1: lengths == n for n in set(lengths.ravel().tolist())}
 
 
-class Pointers(NamedTuple):
-    """The back-pointers of one max-product pass, read by backtrack.
-
-    offsets holds the band's offsets from the highest down. psi (T' - 1,
-    N, ...) holds, at [t - 1, j, b], how row j of batch entry b was
-    reached at frame t >= 1: code c >= 1 from row j - offsets[c - 1],
-    and code 0 when no predecessor is finite. end (...) holds each
-    entry's best row at its last frame and lengths (E,) each entry's
-    frame count, the batch axes flattened to E."""
-
-    psi: np.ndarray
-    offsets: np.ndarray
-    end: np.ndarray
-    lengths: np.ndarray
-
-
 def _max_product(log_pi, log_trans, logb, columns, lengths, pointers):
     """The banded max-product frame loop of viterbi_score_lattice and
     viterbi_lattice, arguments as in viterbi_score_lattice. Returns the
-    scores over the batch axes and, with pointers, the Pointers.
+    scores over the batch axes and, with pointers, (psi, offsets, end)
+    for _backtrack. offsets holds the band's offsets from the highest
+    down. psi (T' - 1, N, ...) holds, at [t - 1, j, b], how row j of
+    batch entry b was reached at frame t >= 1: code c >= 1 from row j -
+    offsets[c - 1], and code 0 when no predecessor is finite; a code
+    takes one byte while the band has under 256 offsets, and widens past
+    that. end (...) holds each entry's best row at its last frame.
 
     Each frame maxes delta[j - o] + w[j] over the band's offsets o,
     scanned from the highest, the lowest predecessor row, down. A
@@ -254,35 +244,26 @@ def _max_product(log_pi, log_trans, logb, columns, lengths, pointers):
             if pointers:
                 np.copyto(end, np.argmax(delta, axis=0), where=last[t])
     score = float(best) if best.ndim == 0 else best
-    if not pointers:
-        return score
-    counts = np.broadcast_to(t_len if lengths is None else lengths, best.shape).reshape(-1)
-    return score, Pointers(psi, offsets, end, counts)
+    return (score, psi, offsets, end) if pointers else score
 
 
-def backtrack(pointers, entries=None):
-    """(T'', E') state paths of the entries, flat indices into the batch
-    axes of a max-product pass (all of them if None), from its Pointers:
-    column e holds entry entries[e]'s path over its first lengths frames
-    and T'' is the longest of those lengths; the frames after an entry's
-    own hold 0, and the path of an entry that scores -inf is
-    meaningless. Only the asked entries' pointers are read, and each
+def _backtrack(psi, offsets, end, lengths):
+    """(T', E) state paths of the E entries of a max-product pass, its
+    batch axes flattened, from the psi, offsets and end of _max_product;
+    lengths (E,) holds each entry's frame count. Column e holds entry
+    e's path over its first lengths[e] frames and 0 after them. Each
     path is followed in Python: a step costs far less than a numpy call
     on the few entries a decoder backtracks."""
-    psi, offsets, end, lengths = pointers
-    entries = np.arange(end.size) if entries is None else np.asarray(entries, dtype=np.intp)
-    lengths = lengths[entries].tolist()
-    flat = psi.reshape(len(psi), psi.shape[1], end.size)
+    lengths = lengths.tolist()
     # codes[e][t - 1][j]: entry e's pointer code of row j at frame t.
     # Code 0 stays in its row. A backtrack meets it only in row 0: a
     # finite pointer leads to a row with a finite predecessor, and an
     # entry that scores -inf ends in row 0, np.argmax over -inf. The
     # dense argmax goes to row 0 there too.
-    codes = flat[:, :, entries].transpose(2, 0, 1).tolist()
+    codes = psi.reshape(len(psi), psi.shape[1], end.size).transpose(2, 0, 1).tolist()
     steps = [0] + offsets.tolist()
-    ends = end.reshape(-1)[entries].tolist()
-    path = np.zeros((max(lengths), len(entries)), dtype=np.intp)
-    for e, (state, length, back) in enumerate(zip(ends, lengths, codes)):
+    path = np.zeros((max(lengths), len(lengths)), dtype=np.intp)
+    for e, (state, length, back) in enumerate(zip(end.reshape(-1).tolist(), lengths, codes)):
         states = [state]
         for t in range(length - 2, -1, -1):
             state -= steps[back[t][state]]
@@ -291,9 +272,9 @@ def backtrack(pointers, entries=None):
     return path
 
 
-def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None, pointers=False):
+def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None):
     """Best-path scores of a batch of models, by the banded max-product
-    recursion; with pointers, also its Pointers for backtrack.
+    recursion without backtracking bookkeeping.
 
     log_pi (N, ...) and log_trans (N, N, ...) may carry trailing batch
     axes, one model per batch entry; the result is then an array over
@@ -313,16 +294,15 @@ def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None, p
     by the same addition, and a -inf never wins a max, so the score is
     bit-identical to the dense recursion. -inf padding in log_pi,
     log_trans and the gathered logb never wins a max either, so a padded
-    model scores exactly as its unpadded self. The pointers take one
-    byte per frame, row and entry while the band has under 256 offsets,
-    and widen past that.
+    model scores exactly as its unpadded self.
     """
-    return _max_product(log_pi, log_trans, logb, columns, lengths, pointers)
+    return _max_product(log_pi, log_trans, logb, columns, lengths, False)
 
 
 def viterbi_lattice(log_pi, log_trans, logb, lengths=None):
-    """Best scores and state paths: viterbi_score_lattice with pointers,
-    then a backtrack of every entry.
+    """Best scores and state paths: the frame loop of
+    viterbi_score_lattice keeping a back-pointer per frame, row and
+    entry, then a backtrack of every entry.
 
     log_pi (N, ...), log_trans (N, N, ..., or its band()) and logb (T,
     N, ...) may carry trailing batch axes, one model and one lattice per
@@ -335,13 +315,14 @@ def viterbi_lattice(log_pi, log_trans, logb, lengths=None):
     Ties go to the lowest predecessor state index at every backtrack
     step and to the lowest end state, the first maximizers np.argmax
     gives, and a row without a finite predecessor steps back to row 0,
-    as np.argmax over -inf does. So every path is the dense
+    as np.argmax over -inf does. So every score and path is the dense
     recursion's, bit for bit, that of an entry scoring -inf included,
     and -inf padding rows never win.
     """
-    score, pointers = _max_product(log_pi, log_trans, logb, None, lengths, True)
-    path = backtrack(pointers)
-    return score, path.reshape(path.shape[:1] + np.shape(score))
+    score, psi, offsets, end = _max_product(log_pi, log_trans, logb, None, lengths, True)
+    counts = np.broadcast_to(len(psi) + 1 if lengths is None else lengths, end.shape)
+    path = _backtrack(psi, offsets, end, counts.reshape(-1))
+    return score, path.reshape(path.shape[:1] + end.shape)
 
 
 def forward(hmm, obs):

@@ -30,11 +30,12 @@ that each final state is the last row) and advances one recursion for
 all units and entry frames a frame at a time. Max and + are exact, and
 neither -inf padding nor a dropped, all -inf diagonal ever wins a max,
 so every score is bit-identical to scoring the candidates, units or
-entry frames one at a time. The exhaustive recursion keeps its
-back-pointers, so its winner's state paths are backtracked from its
-own stack columns, with the scores of its own row: the winner is never
-composed or scored again. The synced winner's state paths come from one
-batched backtrack of every (segment, channel) pair.
+entry frames one at a time. A winner's state paths come from one
+batched, banded viterbi_lattice call over its channels' stack columns:
+score_hypothesis composes them, decode_exhaustive slices them out of
+its cached stack and reads the density table it scored with, and
+_rebuild_hypothesis backtracks every (segment, channel) pair of the
+synced winner.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
@@ -62,7 +63,7 @@ from .errors import (
     UnknownSignError,
     ValidationError,
 )
-from .hmm import Hmm, Topology, backtrack, viterbi_lattice, viterbi_score_lattice
+from .hmm import Hmm, Topology, viterbi_lattice, viterbi_score_lattice
 from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
@@ -150,18 +151,22 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _hypothesis(lexicon, signs, scores, paths, lengths, pads):
-    """The Hypothesis of signs from each lexicon channel c's score
-    scores[c] and its path paths[c] through the rows of a stack, over at
-    least lengths[c] frames, in which pads[c] -inf rows lie above the
-    channel's model: its state path is the first lengths[c] rows less
-    pads[c], and a channel that scores -inf is left without one."""
+def _align(lexicon, signs, table, lengths, log_pi, log_trans, columns):
+    """The Hypothesis of signs from one viterbi_lattice call on the
+    stack (log_pi, log_trans, columns) of its channels' models, column c
+    for lexicon channel c, reading the _density_table (table, lengths):
+    each channel scored and backtracked at its own last frame. A
+    column's -inf padding rows read column -1 and lie above its model,
+    so they are taken off its state path; a channel that scores -inf is
+    left without one."""
+    scores, paths = viterbi_lattice(log_pi, log_trans, table[:, columns], lengths)
+    pads = np.sum(columns == -1, axis=0)
     channel_scores = {}
     state_paths = {}
     for c, ch in enumerate(lexicon.channels):
         channel_scores[ch] = float(scores[c])
         finite = scores[c] > LOG_ZERO
-        state_paths[ch] = (paths[c][: lengths[c]] - pads[c]).tolist() if finite else None
+        state_paths[ch] = (paths[: lengths[c], c] - pads[c]).tolist() if finite else None
     return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
@@ -174,8 +179,8 @@ def score_hypothesis(lexicon, signs, mobs):
     backtracked in one viterbi_lattice call, each at its own last frame;
     the total is the sum of per-channel log scores. A channel with no
     feasible path contributes -inf and is left without a state path.
-    decode_exhaustive builds its winner through the same _hypothesis
-    from its own scoring pass, without composing a model.
+    decode_exhaustive aligns its winner through the same _align, on
+    stack columns sliced from its cache instead of composed models.
     """
     validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
@@ -185,10 +190,7 @@ def score_hypothesis(lexicon, signs, mobs):
         _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs), base)
         for ch, base in zip(lexicon.channels, _table_bases(lexicon))
     ]
-    log_pi, log_trans, columns = _stack(models, columns)
-    scores, paths = viterbi_lattice(log_pi, log_trans, table[:, columns], lengths)
-    pads = [len(log_pi) - model.n_states for model in models]
-    return _hypothesis(lexicon, signs, scores, paths.T, lengths, pads)
+    return _align(lexicon, signs, table, lengths, *_stack(models, columns))
 
 
 def _band_offsets(lexicon, channel, max_signs):
@@ -235,13 +237,7 @@ def _stack_bytes(lexicon, max_signs):
     and channel. SearchSpaceTooLargeError if the candidates pass
     MAX_CANDIDATES, or the bytes MAX_STACK_BYTES together with the four
     rows of viterbi_score_lattice's frames on the widest block (delta,
-    the next row, the sum buffer and the gathered emissions).
-
-    The back-pointers grow with each utterance's frames, so
-    _pointer_bytes checks them per utterance. On the demo lexicon, with
-    a back-pointer byte per frame, row and column, they pass the limit
-    from an utterance of 283,991 frames at 3 signs (15 rows by 252
-    columns), 9,670 at 5 (27 by 4,092) and 1,941 at 6 (33 by 16,380)."""
+    the next row, the sum buffer and the gathered emissions)."""
     signs = range(1, max_signs + 1)
     n_cand = 0
     for k in signs:
@@ -415,55 +411,38 @@ def _candidate_stack(lexicon, max_signs):
     return blocks, np.stack(index, axis=1)
 
 
-def _pointer_bytes(blocks, index, t_len):
-    """Bytes that decode_exhaustive holds while it scores, with
-    back-pointers, an utterance whose longest channel has t_len frames:
-    the cached stack (blocks and index, as _stack_bytes counts them),
-    the kernel's four rows of the widest block and its back-pointers,
-    one per frame after the first, row and stack column in the smallest
-    unsigned dtype that holds the offset count (1 byte below 256
-    offsets), with a one-byte mask per entry of the widest block.
-    SearchSpaceTooLargeError if they pass MAX_STACK_BYTES; _stack_bytes
-    gives the frame counts from which this binds on the demo lexicon."""
-    n, width = blocks[0][0].shape
-    n_columns = sum(log_pi.shape[1] for log_pi, _, _ in blocks)
-    cached = index.nbytes + sum(
-        log_pi.nbytes + columns.nbytes + sum(w.nbytes for _, w in diagonals)
-        for log_pi, diagonals, columns in blocks
-    )
-    itemsize = np.min_scalar_type(len(blocks[0][1])).itemsize
-    total = cached + 4 * n * width * 8 + (t_len - 1) * n * n_columns * itemsize + n * width
-    if total > MAX_STACK_BYTES:
-        what = "hold {} bytes of candidate stacks, transients and back-pointers"
-        raise SearchSpaceTooLargeError(total, MAX_STACK_BYTES, what)
-    return total
-
-
-def _candidate_scores(lexicon, mobs, max_signs, cache):
-    """(scores, pointers): the (M, C) best-path scores of the M sign
-    sequences of 1..max_signs signs, row m for
-    _sequence(sorted(lexicon.signs), m), one column per lexicon channel,
-    each channel scored at its own last frame, and the Pointers of each
-    block of the _candidate_stack, from one viterbi_score_lattice call
-    per block. _pointer_bytes checks the bytes first. Fills cache as
-    decode_exhaustive describes."""
+def _candidate_scores(lexicon, table, lengths, max_signs, cache):
+    """(M, C) best-path scores of the M sign sequences of 1..max_signs
+    signs, row m for _sequence(sorted(lexicon.signs), m), one column per
+    lexicon channel, each channel scored at its own last frame of the
+    _density_table (table, lengths), in one viterbi_score_lattice call
+    per block of the _candidate_stack. Fills cache as decode_exhaustive
+    describes."""
     if max_signs not in cache:
         cache[max_signs] = _candidate_stack(lexicon, max_signs)
     blocks, index = cache[max_signs]
-    _pointer_bytes(blocks, index, max(len(mobs.channels[ch]) for ch in lexicon.channels))
-    table, lengths = _density_table(lexicon, mobs)
     bases = _table_bases(lexicon)
     scores = []
-    pointers = []
     for log_pi, diagonals, columns in blocks:
         # The final row of every stack column reads one of its channel's states.
         channel = np.searchsorted(bases, columns[-1], side="right") - 1
-        score, trace = viterbi_score_lattice(
-            log_pi, diagonals, table, columns, lengths[channel], pointers=True
-        )
-        scores.append(score)
-        pointers.append(trace)
-    return np.concatenate(scores)[index], pointers
+        scores.append(viterbi_score_lattice(log_pi, diagonals, table, columns, lengths[channel]))
+    return np.concatenate(scores)[index]
+
+
+def _stack_columns(blocks, picks):
+    """The (log_pi, band(log_trans), columns) _stack of the stack
+    columns picks, numbered across the blocks of a _candidate_stack,
+    one column each in the order of picks."""
+    width = blocks[0][0].shape[1]
+    at = [(blocks[b], j) for b, j in zip(*np.divmod(picks, width))]
+    log_pi = np.stack([block[0][:, j] for block, j in at], axis=1)
+    diagonals = tuple(
+        (o, np.stack([block[1][k][1][:, j] for block, j in at], axis=1))
+        for k, (o, _) in enumerate(blocks[0][1])
+    )
+    columns = np.stack([block[2][:, j] for block, j in at], axis=1)
+    return log_pi, diagonals, columns
 
 
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
@@ -471,16 +450,16 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
 
     Implements the joint objective exactly: channels align
     independently and the argmax runs over the full enumeration. Every
-    candidate and channel is scored in one viterbi_score_lattice call
-    per column block of the stack, which keeps its back-pointers; each
-    total is the math.fsum of its channel scores, and ties go to the
-    shorter, then lexicographically smaller sequence. The winner, read
-    from its row number, is built by _hypothesis from that pass alone:
-    its row's channel scores, and state paths backtracked from its
-    channels' stack columns, which may lie in different blocks. So an
-    utterance builds one density table, runs one frame loop per block
-    and composes no model, and its winner equals score_hypothesis on
-    the winner's signs bit for bit.
+    candidate and channel is scored, without back-pointers, in one
+    viterbi_score_lattice call per column block of the stack; each total
+    is the math.fsum of its channel scores, and ties go to the shorter,
+    then lexicographically smaller sequence. The winner, read from its
+    row number, is aligned by _align on its channels' stack columns,
+    sliced out of the cached blocks they lie in, against the same
+    density table. So an utterance builds one density table and
+    composes no model, the back-pointers cover the winner's channels
+    alone, and the winner equals score_hypothesis on its signs bit for
+    bit.
 
     cache is a dict reused across utterances of one lexicon;
     cache[max_signs] holds the _candidate_stack: the -inf-padded models
@@ -489,9 +468,7 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     and channel to its column. Channels may differ in length.
     Before a max_signs is cached, and before anything is built,
     _stack_bytes raises SearchSpaceTooLargeError when the candidates
-    exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES; before the
-    kernel runs, _pointer_bytes raises it when the stacks and the
-    utterance's back-pointers together pass MAX_STACK_BYTES.
+    exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
@@ -501,24 +478,14 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     if max_signs not in cache:
         _stack_bytes(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
-    scores, pointers = _candidate_scores(lexicon, mobs, max_signs, cache)
+    table, lengths = _density_table(lexicon, mobs)
+    scores = _candidate_scores(lexicon, table, lengths, max_signs, cache)
     [(best, rows)] = _best_entries(np.zeros((len(scores), 1)), scores[:, None])
     if best is None:
         raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
     blocks, index = cache[max_signs]
-    # The winner's channel columns may lie in different blocks; each
-    # block backtracks only its own.
-    block, column = np.divmod(index[rows[0]], blocks[0][0].shape[1])
-    paths = {}
-    for b in set(block.tolist()):
-        mine = np.flatnonzero(block == b)
-        paths.update(zip(mine.tolist(), backtrack(pointers[b], column[mine]).T))
-    paths = [paths[c] for c in range(len(column))]
-    # A column's padding rows read the -inf column -1.
-    pads = [np.sum(blocks[b][2][:, j] == -1) for b, j in zip(block, column)]
-    lengths = [len(mobs.channels[ch]) for ch in lexicon.channels]
     signs = _sequence(sorted(lexicon.signs), rows[0])
-    return _hypothesis(lexicon, signs, scores[rows[0]], paths, lengths, pads)
+    return _align(lexicon, signs, table, lengths, *_stack_columns(blocks, index[rows[0]]))
 
 
 def model_count(lexicon):

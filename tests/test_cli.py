@@ -325,34 +325,6 @@ def test_decode_exhaustive_stack_memory_guard(
     assert f"hold {need} bytes of candidate stacks" in capsys.readouterr().err
 
 
-def test_decode_exhaustive_pointer_memory_guard(
-    tmp_path, trained_model, demo_corpus, capsys, monkeypatch
-):
-    # A limit that holds the 3-sign stack (15 rows by 252 columns), the
-    # kernel's rows and its mask, but no back-pointer frame: the stack is
-    # built, then the first utterance is refused before any lattice runs
-    # with exit 3 and no traceback.
-    from phmm import parallel
-
-    def no_lattice(*args, **kwargs):
-        raise AssertionError("a lattice ran past the back-pointer guard")
-
-    lexicon, _ = load_model(trained_model)
-    held = parallel._stack_bytes(lexicon, 3) + 4 * 15 * 252 * 8 + 15 * 252
-    first = read_corpus(demo_corpus)[0]
-    frames = max(len(obs) for obs in first.mobs.channels.values())
-    need = held + (frames - 1) * 15 * 252
-    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", held)
-    monkeypatch.setattr(parallel, "viterbi_score_lattice", no_lattice)
-    assert run(
-        ["decode", "--model", trained_model, "--corpus", demo_corpus,
-         "--mode", "exhaustive", "--max-signs", 3, "--out", tmp_path / "hyp.jsonl"]
-    ) == 3
-    err = capsys.readouterr().err
-    assert f"hold {need} bytes of candidate stacks, transients and back-pointers" in err
-    assert "Traceback" not in err
-
-
 def test_decode_exhaustive_candidate_guard(
     tmp_path, trained_model, demo_corpus, capsys, monkeypatch
 ):

@@ -26,7 +26,7 @@ from phmm.errors import (
 from phmm.hmm import (
     Hmm,
     Topology,
-    backtrack,
+    _max_product,
     backward,
     band,
     forward,
@@ -363,8 +363,8 @@ def _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path):
 def test_viterbi_lattice_ergodic_band_equals_the_oracle(n, tied):
     # Ergodic bands: 2n - 1 offsets, from -(n - 1) up. Scores and paths
     # are the dense oracle's bit for bit, whether the kernel is given
-    # the dense transitions or their band, and a backtrack of a few
-    # entries, asked in any order, gives their paths alone.
+    # the dense transitions or their band, and the scores are those of
+    # viterbi_score_lattice, which keeps no back-pointers.
     rng = np.random.default_rng(200 + 10 * n + tied)
     for _ in range(6):
         log_pi, log_trans, logb, lengths = _ergodic_lattice(rng, n, 7, 9, tied)
@@ -373,15 +373,7 @@ def test_viterbi_lattice_ergodic_band_equals_the_oracle(n, tied):
         for trans in (log_trans, diagonals):
             score, path = viterbi_lattice(log_pi, trans, logb, lengths)
             _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
-        got, pointers = viterbi_score_lattice(
-            log_pi, diagonals, logb, None, lengths, pointers=True
-        )
-        assert bits(got) == bits(score)
-        asked = [5, 0, 3]
-        paths = backtrack(pointers, asked)
-        assert paths.shape == (lengths[asked].max(), 3)
-        for i, b in enumerate(asked):
-            assert paths[: lengths[b], i].tolist() == path[: lengths[b], b].tolist()
+        assert bits(viterbi_score_lattice(log_pi, diagonals, logb, None, lengths)) == bits(score)
 
 
 def test_viterbi_lattice_ties_go_to_the_lowest_row():
@@ -414,9 +406,9 @@ def test_viterbi_lattice_pointer_codes_widen_past_a_byte(n, dtype):
     # fit one byte, 259 do not.
     rng = np.random.default_rng(n)
     log_pi, log_trans, logb, lengths = _ergodic_lattice(rng, n, 2, 5, tied=False)
-    _, pointers = viterbi_score_lattice(log_pi, log_trans, logb, None, lengths, pointers=True)
-    assert pointers.psi.dtype == dtype and len(pointers.offsets) == 2 * n - 1
-    assert dtype is np.uint8 or pointers.psi.max() > 255
+    _, psi, offsets, _ = _max_product(log_pi, log_trans, logb, None, lengths, True)
+    assert psi.dtype == dtype and len(offsets) == 2 * n - 1
+    assert dtype is np.uint8 or psi.max() > 255
     score, path = viterbi_lattice(log_pi, log_trans, logb, lengths)
     _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
 

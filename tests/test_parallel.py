@@ -44,6 +44,7 @@ from phmm.parallel import (
     _Token,
     _best_entries,
     _candidate_scores,
+    _density_table,
     _sequence,
     _Unit,
     compose_models,
@@ -309,46 +310,15 @@ def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
     assert parallel._stack_bytes(lex, 4) == 797_760
 
 
-def _no_lattice(*args, **kwargs):
-    raise AssertionError("a lattice ran past the back-pointer guard")
-
-
 def _not_called(*args, **kwargs):
-    raise AssertionError("a warm exhaustive decode composed or scored its winner again")
-
-
-def test_decode_exhaustive_pointer_memory_guard(monkeypatch):
-    # At 3 signs the demo lexicon's stack is 15 rows by 252 columns with
-    # 2 offsets, so the back-pointers take one byte per frame after the
-    # first, row and column: 3,780 bytes a frame. At one frame the
-    # utterance holds the cached stack (134,976 bytes), the kernel's
-    # four rows (120,960) and its one-byte mask (3,780). With the limit
-    # one byte under a 40-frame utterance's need, 39 frames decode and a
-    # channel of 40 frames is refused before any lattice runs.
-    from phmm.demo import demo_lexicon
-
-    lex = demo_lexicon()
-    cache = {}
-    decode_exhaustive(lex, sample_mobs(lex, ["sign0"], 12, seed=1), 3, cache)
-    blocks, index = cache[3]
-    assert parallel._pointer_bytes(blocks, index, 1) == 134_976 + 120_960 + 3_780
-    need = parallel._pointer_bytes(blocks, index, 40)
-    assert need == 134_976 + 120_960 + 3_780 + 39 * 3_780
-    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
-    decode_exhaustive(lex, sample_mobs(lex, ["sign1", "sign2"], 39, seed=2), 3, cache)
-    monkeypatch.setattr(parallel, "viterbi_score_lattice", _no_lattice)
-    lengths = {ch: 40 if c == 1 else 12 for c, ch in enumerate(lex.channels)}
-    mobs = sample_mobs(lex, ["sign1", "sign2"], lengths, seed=3)
-    what = f"hold {need} bytes of candidate stacks, transients and back-pointers"
-    with pytest.raises(SearchSpaceTooLargeError, match=what):
-        decode_exhaustive(lex, mobs, 3, cache)
+    raise AssertionError("a warm exhaustive decode composed a model or called score_hypothesis")
 
 
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
 def test_decode_exhaustive_backtracks_across_blocks(case, monkeypatch):
     # Blocks of a few columns put each channel's stack columns, and so
-    # the winner's, in different blocks; the winner backtracked from
-    # them equals score_hypothesis on its signs.
+    # the winner's, in different blocks; the winner aligned on the
+    # columns sliced out of them equals score_hypothesis on its signs.
     monkeypatch.setattr(parallel, "_BLOCK_ENTRIES", 20)
     lex = mixed_lexicon(np.random.default_rng(130 + case), **BATCH_CASES[case])
     cache = {}
@@ -362,9 +332,11 @@ def test_decode_exhaustive_backtracks_across_blocks(case, monkeypatch):
         assert len(blocks) > 2 and len({col // width for col in index[m].tolist()}) == 2
 
 
-def test_warm_decode_exhaustive_scores_once_and_composes_nothing(monkeypatch):
-    # A warm utterance builds one density table and runs one frame loop
-    # per block; its winner is neither composed nor scored again.
+def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
+    # A warm utterance builds one density table, scores every block
+    # without back-pointers and aligns its winner in one viterbi_lattice
+    # call on its sliced stack columns; no model is composed and
+    # score_hypothesis is not called.
     lex = mixed_lexicon(np.random.default_rng(150), policy="between_signs")
     cache = {}
     monkeypatch.setattr(parallel, "_BLOCK_ENTRIES", 40)
@@ -381,12 +353,14 @@ def test_warm_decode_exhaustive_scores_once_and_composes_nothing(monkeypatch):
 
     counted("_density_table", parallel._density_table)
     counted("viterbi_score_lattice", parallel.viterbi_score_lattice)
-    for name in ("compose_models", "score_hypothesis", "viterbi_lattice"):
+    counted("viterbi_lattice", parallel.viterbi_lattice)
+    for name in ("compose_models", "score_hypothesis"):
         monkeypatch.setattr(parallel, name, _not_called)
     got = decode_exhaustive(lex, mobs, 3, cache)
     n_blocks = len(cache[3][0])
     assert n_blocks > 1
-    assert calls == ["_density_table"] + ["viterbi_score_lattice"] * n_blocks
+    want = ["_density_table"] + ["viterbi_score_lattice"] * n_blocks + ["viterbi_lattice"]
+    assert calls == want
     monkeypatch.undo()
     _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, 3))
 
@@ -450,7 +424,7 @@ def _check_cached_bands(case):
         for block_pi, block_band, block_columns in blocks:
             arrays = [block_pi, block_columns] + [w for _, w in block_band]
             assert all(a.flags.c_contiguous for a in arrays)
-        scores = _candidate_scores(lex, mobs, max_signs, cache)[0]
+        scores = _candidate_scores(lex, *_density_table(lex, mobs), max_signs, cache)
         for m, row in enumerate(scores):
             ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), mobs)
             assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
@@ -644,7 +618,7 @@ def test_batched_exhaustive_scores_equal_score_hypothesis(case):
     lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
     lengths = {"c0": 7, "c1": 1 + case % 4}
     mobs = sample_mobs(lex, ["s1", "s0"], lengths, seed=case)
-    scores = _candidate_scores(lex, mobs, 2, cache={})[0]
+    scores = _candidate_scores(lex, *_density_table(lex, mobs), 2, cache={})
     assert scores.shape == (12, 2)
     for m, row in enumerate(scores):
         signs = _sequence(["s0", "s1", "s2"], m)
@@ -659,7 +633,7 @@ def test_batched_exhaustive_scores_keep_impossible_candidates(policy):
         np.random.default_rng(19), vocab=3, separated=True, n_states=3, policy=policy
     )
     mobs = sample_mobs(lex, ["s2", "s0"], 8, seed=11)
-    scores = _candidate_scores(lex, mobs, 2, cache={})[0]
+    scores = _candidate_scores(lex, *_density_table(lex, mobs), 2, cache={})
     n_dead = 0
     for m, row in enumerate(scores):
         ref = score_hypothesis(lex, _sequence(["s0", "s1", "s2"], m), mobs)
@@ -699,7 +673,7 @@ def test_batched_scores_of_the_noisy_demo_lexicon_equal_score_hypothesis():
             model.emissions = DiscreteEmission(0.98 * probs + 0.02 / probs.shape[1])
     cfg = GenConfig(n_utterances=1, seed=3, signs_per_utterance=(2, 3), channel_noise=0.02)
     [utt] = generate(demo_lexicon(), cfg)
-    scores = _candidate_scores(lex, utt.mobs, 3, cache={})[0]
+    scores = _candidate_scores(lex, *_density_table(lex, utt.mobs), 3, cache={})
     assert scores.shape == (584, 3)
     for m, row in enumerate(scores):
         ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), utt.mobs)
@@ -796,7 +770,7 @@ def test_decode_exhaustive_equal_concatenations_keep_their_columns():
         mobs = sample_mobs(lex, signs, {"c0": 9, "c1": 6}, seed=70 + seed)
         got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
         _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
-        scores = _candidate_scores(lex, mobs, 3, cache)[0]
+        scores = _candidate_scores(lex, *_density_table(lex, mobs), 3, cache)
         ab, cd = 4 + 0 * 4 + 1, 4 + 2 * 4 + 3  # after the 4 one-sign rows
         assert _sequence("abcd", ab) == ("a", "b") and _sequence("abcd", cd) == ("c", "d")
         assert bits(scores[ab]) == bits(scores[cd])
