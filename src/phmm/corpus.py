@@ -182,7 +182,7 @@ def utterance_from_record(rec):
     if not isinstance(rec, dict):
         raise FileFormatError("a corpus record must be a JSON object")
     version = rec.get("corpus_version")
-    if version != CORPUS_VERSION:
+    if type(version) is not int or version != CORPUS_VERSION:
         raise FileFormatError(
             f"unsupported corpus_version {version!r} (supported: {CORPUS_VERSION})"
         )

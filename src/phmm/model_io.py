@@ -2,7 +2,8 @@
 with full model parameters, and a provenance block.
 
 One JSON document per file, full-precision decimal numbers, versioned
-with format_version. Loading a file with a higher version fails loudly.
+with format_version. Loading a file whose version is not an integer
+from 1 to FORMAT_VERSION (a bool is not) fails loudly.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def lexicon_from_json(data):
     if not isinstance(data, dict):
         raise FileFormatError("a model file must hold a JSON object")
     version = data.get("format_version")
-    if not isinstance(version, int) or version > FORMAT_VERSION:
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise FileFormatError(
             f"unsupported format_version {version!r} (supported: {FORMAT_VERSION})"
         )

@@ -26,16 +26,17 @@ gathering emissions from the channels' tables of phoneme-state log
 densities, side by side; each channel is scored at its own last frame.
 The synchronized decoder stacks the units of an utterance (every sign,
 and the epenthesis filler, in every channel; front-padded with -inf so
-that each final state is the last row) and advances one recursion for
-all units and entry frames a frame at a time. Max and + are exact, and
-neither -inf padding nor a dropped, all -inf diagonal ever wins a max,
-so every score is bit-identical to scoring the candidates, units or
-entry frames one at a time. A winner's state paths come from one
-batched, banded viterbi_lattice call over its channels' stack columns:
-score_hypothesis composes them, decode_exhaustive slices them out of
-its cached stack and reads the density table it scored with, and
-_rebuild_hypothesis backtracks every (segment, channel) pair of the
-synced winner.
+that each final state is the last row) on a band too, and advances one
+recursion for all units and entry frames a frame at a time. Every stack
+is written as a band, so no dense transition stack is built. Max and +
+are exact, and neither -inf padding nor a dropped, all -inf diagonal
+ever wins a max, so every score is bit-identical to scoring the
+candidates, units or entry frames one at a time. A winner's state paths
+come from one batched, banded viterbi_lattice call over its channels'
+stack columns: score_hypothesis composes them, decode_exhaustive slices
+them out of its cached stack and reads the density table it scored
+with, and _rebuild_hypothesis takes every (segment, channel) pair of
+the synced winner from the unit band.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
@@ -151,15 +152,15 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _align(lexicon, signs, table, lengths, log_pi, log_trans, columns):
+def _align(lexicon, signs, table, lengths, log_pi, diagonals, columns):
     """The Hypothesis of signs from one viterbi_lattice call on the
-    stack (log_pi, log_trans, columns) of its channels' models, column c
+    _stack (log_pi, band, columns) of its channels' models, column c
     for lexicon channel c, reading the _density_table (table, lengths):
     each channel scored and backtracked at its own last frame. A
     column's -inf padding rows read column -1 and lie above its model,
     so they are taken off its state path; a channel that scores -inf is
     left without one."""
-    scores, paths = viterbi_lattice(log_pi, log_trans, table[:, columns], lengths)
+    scores, paths = viterbi_lattice(log_pi, diagonals, table[:, columns], lengths)
     pads = np.sum(columns == -1, axis=0)
     channel_scores = {}
     state_paths = {}
@@ -309,33 +310,33 @@ def _state_columns(phonemes, pids, base=0):
 
 
 def _stack(models, columns, offsets=None, n=None):
-    """(log_pi (N, B), log_trans, columns (N, B)) of B models, an
-    iterable, and the list of their state-to-column lists, batch
-    innermost; N is n, by default the most states of any model. A model
-    of fewer states fills the last rows, so every final state is row
-    N - 1; the rows above it are -inf and read column -1, the -inf
-    column of a _log_density_table. log_trans is (N, N, B), or with
-    offsets its band() at those offsets (which must hold every offset of
-    a finite transition), written straight from each model's diagonals.
-    The probabilities are stacked first and each stacked array takes
-    one log, in place."""
+    """(log_pi (N, B), band, columns (N, B)) of B models, an iterable,
+    and the list of their state-to-column lists, batch innermost; N is
+    n, by default the most states of any model. A model of fewer states
+    fills the last rows, so every final state is row N - 1; the rows
+    above it are -inf and read column -1, the -inf column of a
+    _log_density_table. band is hmm.band of the log transitions at
+    offsets, ascending, which must hold every offset of a finite
+    transition (by default 0 and the offsets of the models, a list),
+    written straight from each model's diagonals. Each stacked array
+    takes one log, in place."""
     n = n or max(len(cols) for cols in columns)
+    if offsets is None:  # 0 and every o of a nonzero trans[j - o, j]
+        found = [np.subtract(*m.trans.nonzero()[::-1]).tolist() for m in models]
+        offsets = sorted({0}.union(*found))
     pi = np.zeros((n, len(columns)))
-    trans = np.zeros(((n, n) if offsets is None else (len(offsets), n)) + (len(columns),))
+    trans = np.zeros((len(offsets), n, len(columns)))
     stacked = np.full((n, len(columns)), -1, dtype=np.intp)
     for b, (model, cols) in enumerate(zip(models, columns)):
         lo = n - len(cols)
         pi[lo:, b] = model.pi
         stacked[lo:, b] = cols
-        if offsets is None:
-            trans[lo:, lo:, b] = model.trans
-        else:
-            for w, o in zip(trans, offsets):
-                w[lo + max(o, 0) : n + min(o, 0), b] = np.diagonal(model.trans, o)
+        for w, o in zip(trans, offsets):
+            w[lo + max(o, 0) : n + min(o, 0), b] = model.trans.diagonal(o)
     with np.errstate(divide="ignore"):
         np.log(pi, out=pi)
         np.log(trans, out=trans)
-    return pi, (trans if offsets is None else tuple(zip(offsets, trans))), stacked
+    return pi, tuple(zip(offsets, trans)), stacked
 
 
 def _sequence(items, number):
@@ -513,45 +514,49 @@ def model_count(lexicon):
 class _Unit:
     """The unit models of one utterance, stacked for segment-level
     dynamic programming: one per (unit key, channel), the composed model
-    of a sign's phonemes in that channel (or of the epenthesis filler).
-
-    Each model is front-padded with -inf to N states so that its final
-    state is always row N - 1; the (K keys, C channels) batch axes are
-    innermost. State i of unit (k, c) emits logb[t, i, k, c], gathered
-    through a state-to-column index from the per-channel tables of
-    _log_density_table; padded states read a -inf column.
+    (once per phoneme sequence) of a sign's phonemes in that channel or
+    of the epenthesis filler. Each is front-padded with -inf to N states
+    so that its final state is always row N - 1; the (K keys, C
+    channels) batch axes are innermost, and band (offset 0 always among
+    them) holds the transitions. State i of unit (k, c) emits logb[t, i,
+    k, c], gathered through a state-to-column index from the per-channel
+    tables of _log_density_table; padded states read a -inf column.
     """
 
     def __init__(self, lexicon, mobs, keys):
         self.keys = list(keys)
         self.channels = list(lexicon.channels)
         bases = _table_bases(lexicon)
-        models = []
-        columns = []
+        models, columns, index, seen = [], [], [], {}
         for key in self.keys:
             for ch, base in zip(self.channels, bases):
                 inv = lexicon.inventory(ch)
                 pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[ch]
-                blocks = [(pid, inv.phonemes[pid]) for pid in pids]
-                models.append(compose_models(blocks, lexicon.exit_prob)[0])
-                columns.append(_state_columns(inv.phonemes, pids, base))
-        shape = (len(self.keys), len(self.channels))
-        self.sizes = np.reshape([len(cols) for cols in columns], shape)
-        log_pi, log_trans, columns = _stack(models, columns)
+                index.append(seen.setdefault((ch, tuple(pids)), len(seen)))
+                if index[-1] == len(models):  # a new phoneme sequence
+                    blocks = [(pid, inv.phonemes[pid]) for pid in pids]
+                    models.append(compose_models(blocks, lexicon.exit_prob)[0])
+                    columns.append(_state_columns(inv.phonemes, pids, base))
+        index = np.reshape(index, (len(self.keys), len(self.channels)))
+        log_pi, diagonals, columns = _stack(models, columns)
+        self.sizes = np.count_nonzero(columns >= 0, axis=0)[index]
         n = len(log_pi)
-        self.log_pi = log_pi.reshape((n,) + shape)
-        self.log_trans = log_trans.reshape((n, n) + shape)
+        self.log_pi = log_pi[:, index]
+        self.band = tuple((o, w[:, index]) for o, w in diagonals)
         self.final = n - 1
         # Mid-utterance pricing: a unit's final state dwells with 1 - exit
         # probability; the complement leaves through the boundary.
-        self.log_trans[self.final, self.final] = safe_log(1.0 - lexicon.exit_prob)
+        dict(self.band)[0][self.final] = safe_log(1.0 - lexicon.exit_prob)
         self.log_exit = float(safe_log(lexicon.exit_prob))
-        self.logb = _density_table(lexicon, mobs)[0][:, columns.reshape((n,) + shape)]
-        t_len = self.logb.shape[0]
-        # delta[:, t0] is the recursion of every unit entered at frame t0;
-        # final_iso[t0] prices the final state as absorbing, for last().
-        self.delta = np.empty((n, t_len) + shape)
-        self.final_iso = np.empty((t_len,) + shape)
+        self.logb = _density_table(lexicon, mobs)[0][:, columns[:, index]]
+        # delta[:, t0] is the recursion of every unit entered at frame t0,
+        # spare a scratch; final_iso[t0] prices the final state as absorbing.
+        self.delta, self.spare = np.empty((2, n) + self.logb.shape[:1] + index.shape)
+        self.final_iso = np.empty(self.logb.shape[:1] + index.shape)
+        self.steps = [
+            (slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n + min(o, 0)), w[:, None])
+            for o, w in sorted(self.band, key=lambda ow: ow[0] != 0)
+        ]
 
     def segment_scores(self, t):
         """Advance every unit and entry frame by frame t; called for
@@ -559,18 +564,23 @@ class _Unit:
 
         Returns the (t + 1, K, C) exit scores of frame t: [t0, k, c] is
         the best score of a path entering unit (k, c) at frame t0 and
-        leaving it between t and t+1, boundary log included.
+        leaving it between t and t+1, boundary log included. Each row j
+        maxes delta[j - o] + w[j] over the band's offsets o.
         """
-        delta, final_iso, logb = self.delta, self.final_iso, self.logb[t]
-        final = self.final
-        if t:
-            cand = delta[:, None, :t] + self.log_trans[:, :, None]
-            arrivals = cand[:final, final].max(axis=0) if final else LOG_ZERO
-            np.add(cand.max(axis=0), logb[:, None], out=delta[:, :t])
-            np.add(np.maximum(arrivals, final_iso[:t]), logb[final], out=final_iso[:t])
-        delta[:, t] = self.log_pi + logb
-        final_iso[t] = delta[final, t]
-        return delta[final, : t + 1] + self.log_exit
+        logb, final = self.logb[t], self.final
+        prev, delta, final_iso = self.delta[:, :t], self.spare[:, :t], self.final_iso[:t]
+        (_, _, w), *rest = self.steps
+        np.add(prev, w, out=delta)  # offset 0 writes every row
+        for src, dst, w in rest:
+            cand, rows = prev[src] + w[dst], delta[dst]
+            np.maximum(rows, cand, out=rows)
+            if dst.stop > final:  # o > 0: final_iso's arrivals
+                np.maximum(final_iso, cand[-1], out=final_iso)
+        np.add(delta, logb[:, None], out=prev)
+        np.add(final_iso, logb[final], out=final_iso)
+        self.delta[:, t] = self.log_pi + logb
+        self.final_iso[t] = self.delta[final, t]
+        return self.delta[final, : t + 1] + self.log_exit
 
     def last(self):
         """(T, K, C) best unanchored scores up to the last frame by entry
@@ -643,16 +653,32 @@ def decode_synced(lexicon, mobs, beam_width):
     crosses each sign (and epenthesis) boundary at the same frame. With
     an unbounded beam this is exact for the synchronized search space;
     pruning keeps the best beam_width boundary tokens per frame.
+
+    A lexicon without signs is a ValidationError. So is a sign's last
+    phoneme, or the epenthesis filler under its policy, that can move
+    from its final state to another of its states: a unit's final state
+    may only dwell or leave through the boundary.
     """
     if beam_width < 1:
         raise ValidationError("beam_width must be >= 1")
+    if not lexicon.signs:
+        raise ValidationError("lexicon has no signs")
+    use_eps = lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS
+    for ch in lexicon.channels:
+        inv = lexicon.inventory(ch)
+        finals = {sign.channels[ch][-1] for sign in lexicon.signs.values()}
+        for pid in sorted(finals | ({inv.epenthesis} if use_eps else set())):
+            if inv.phonemes[pid].trans[-1, :-1].any():
+                raise ValidationError(
+                    f"phoneme {pid!r} of channel {ch!r} ends a synced unit, but its final"
+                    " state is not absorbing"
+                )
     validate_multi_observation(lexicon, mobs)
     lengths = {ch: len(mobs.channels[ch]) for ch in lexicon.channels}
     t_len = lengths[lexicon.channels[0]]
     if any(ln != t_len for ln in lengths.values()):
         raise UnequalChannelLengthsError(f"channel lengths differ: {lengths}")
 
-    use_eps = lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS
     sign_ids = sorted(lexicon.signs)
     unit_keys = list(sign_ids) + ([EPS_UNIT] if use_eps else [])
 
@@ -748,8 +774,8 @@ def _rebuild_hypothesis(units, token):
     starts = np.array([t0 for _, t0, _ in token.segments])
     lengths = np.array([t1 + 1 - t0 for _, t0, t1 in token.segments])
     final = units.final
-    log_trans = units.log_trans[:, :, keys]
-    log_trans[final, final, -1] = 0.0
+    diagonals = tuple((o, w[:, keys]) for o, w in units.band)
+    dict(diagonals)[0][final, -1] = 0.0
     # frames[u, s] is frame u of segment s, clipped to the utterance.
     frames = np.minimum(np.arange(lengths.max())[:, None] + starts, len(units.logb) - 1)
     # Contiguous: the kernel's per-frame add on a strided lattice cost
@@ -757,7 +783,7 @@ def _rebuild_hypothesis(units, token):
     logb = np.ascontiguousarray(units.logb[frames, :, keys].transpose(0, 2, 1, 3))
     anchored = np.arange(len(keys) - 1)
     logb[lengths[anchored] - 1, :final, anchored] = LOG_ZERO
-    scores, paths = viterbi_lattice(units.log_pi[:, keys], log_trans, logb, lengths[:, None])
+    scores, paths = viterbi_lattice(units.log_pi[:, keys], diagonals, logb, lengths[:, None])
     sizes = units.sizes[keys]
     channel_scores = {}
     state_paths = {}

@@ -110,6 +110,25 @@ def viterbi_lattice_oracle(log_pi, log_trans, logb):
     return score, path
 
 
+def dense_stack(models, columns):
+    """(log_pi (N, B), log_trans (N, N, B), columns (N, B)) of B models
+    and their state-to-column lists: parallel._stack with the dense
+    transitions that its band is judged against. Each model fills the
+    last rows; the rows above it are -inf and read column -1. The
+    probabilities are stacked first and each stack takes one log."""
+    n = max(len(cols) for cols in columns)
+    pi = np.zeros((n, len(columns)))
+    trans = np.zeros((n, n, len(columns)))
+    stacked = np.full((n, len(columns)), -1, dtype=np.intp)
+    for b, (model, cols) in enumerate(zip(models, columns)):
+        lo = n - len(cols)
+        pi[lo:, b] = model.pi
+        trans[lo:, lo:, b] = model.trans
+        stacked[lo:, b] = cols
+    with np.errstate(divide="ignore"):
+        return np.log(pi), np.log(trans), stacked
+
+
 def posteriors_oracle(log_pi, log_trans, logb):
     """One sequence's E-step quantities, frame by frame.
 

@@ -358,6 +358,48 @@ def test_synced_missing_channel_is_input_error(
     assert "'head'" in capsys.readouterr().err
 
 
+def _synced_run(command, model, corpus, tmp_path):
+    args = [command, "--model", model, "--corpus", corpus, "--mode", "synced"]
+    return run(args + (["--out", tmp_path / "hyp.jsonl"] if command == "decode" else []))
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_synced_lexicon_without_signs_is_input_error(
+    command, policy, tmp_path, trained_model, demo_corpus, capsys
+):
+    blob = json.loads(trained_model.read_text())
+    blob["signs"] = {}
+    blob["epenthesis_policy"] = policy
+    model = tmp_path / "no_signs.json"
+    model.write_text(json.dumps(blob))
+    assert _synced_run(command, model, demo_corpus, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "lexicon has no signs" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_synced_final_state_that_can_leave_is_input_error(
+    command, tmp_path, trained_model, demo_corpus, capsys
+):
+    # H0 ends signs in the head channel; its final state now moves back.
+    blob = json.loads(trained_model.read_text())
+    h0 = blob["inventories"]["head"]["phonemes"]["H0"]
+    h0["topology"] = "ergodic"
+    h0["trans"][-1] = [0.25, 0.0, 0.75]
+    model = tmp_path / "leaving.json"
+    model.write_text(json.dumps(blob))
+    assert _synced_run(command, model, demo_corpus, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "phoneme 'H0' of channel 'head'" in err
+    assert "Traceback" not in err
+    assert run(
+        ["decode", "--model", model, "--corpus", demo_corpus, "--mode", "exhaustive",
+         "--max-signs", 1, "--out", tmp_path / "exhaustive.jsonl"]
+    ) == 0
+
+
 def test_decode_rejects_float_symbols(tmp_path, trained_model, demo_corpus, capsys):
     recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
     recs[1]["channels"]["head"] = [x + 0.5 for x in recs[1]["channels"]["head"]]

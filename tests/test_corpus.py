@@ -196,6 +196,13 @@ def test_unsupported_corpus_version():
         utterance_from_record({"corpus_version": 99, "id": "x", "signs": [], "channels": {}})
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_corpus_version_must_be_the_supported_integer(version):
+    rec = {"corpus_version": version, "id": "x", "signs": [], "channels": {}}
+    with pytest.raises(FileFormatError, match="unsupported corpus_version"):
+        utterance_from_record(rec)
+
+
 def _gaussian_lexicon():
     from phmm.emissions import GaussianEmission
 

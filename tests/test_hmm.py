@@ -7,6 +7,7 @@ from helpers import bits, random_discrete_hmm, random_gaussian_hmm, random_phone
 from oracles import (
     brute_forward,
     brute_viterbi,
+    dense_stack,
     posteriors_oracle,
     sample_oracle,
     viterbi_lattice_oracle,
@@ -40,7 +41,7 @@ from phmm.hmm import (
     viterbi_score_lattice,
 )
 from phmm.logmath import logsumexp, safe_log
-from phmm.parallel import _stack, compose_models
+from phmm.parallel import compose_models
 
 
 def test_validate_accepts_uniform():
@@ -217,7 +218,7 @@ def test_viterbi_matches_brute_force():
 
 
 def _random_stack(rng, n_models, table_width):
-    """_stack of random composed chains of 1-3 phonemes of 1-3 states,
+    """dense_stack of random composed chains of 1-3 phonemes of 1-3 states,
     Bakis and ergodic, some with zeroed in-block transitions, their
     states reading random columns of a table of table_width columns.
     The last model cannot start anywhere: its log_pi column is all -inf."""
@@ -235,7 +236,7 @@ def _random_stack(rng, n_models, table_width):
         models.append(model)
         columns.append(rng.integers(0, table_width - 1, size=model.n_states).tolist())
     models[-1].pi = np.zeros(models[-1].n_states)
-    return _stack(models, columns)
+    return dense_stack(models, columns)
 
 
 @pytest.mark.parametrize("t_len", [1, 2, 7])

@@ -69,6 +69,14 @@ def test_higher_version_rejected():
         lexicon_from_json(data)
 
 
+@pytest.mark.parametrize("version", [True, 0, -3])
+def test_only_supported_integer_versions_load(version):
+    data = lexicon_to_json(demo_lexicon())
+    data["format_version"] = version
+    with pytest.raises(FileFormatError, match="unsupported format_version"):
+        lexicon_from_json(data)
+
+
 def test_invalid_model_rejected_on_load():
     lex = demo_lexicon()
     data = lexicon_to_json(lex)

@@ -14,6 +14,7 @@ from helpers import (
 )
 from oracles import (
     decode_exhaustive_oracle,
+    dense_stack,
     decode_synced_oracle,
     segment_scores_oracle,
     segment_viterbi_oracle,
@@ -395,7 +396,7 @@ def test_stack_bytes_equal_the_cached_stacks(policy):
 
 def _check_cached_bands(case):
     """The cached stack of BATCH_CASES[case], at 1 and 3 signs, against
-    the lexicon's band offsets, a dense _stack of the same models and
+    the lexicon's band offsets, a dense_stack of the same models and
     score_hypothesis, bit for bit, whatever parallel._BLOCK_ENTRIES is.
 
     Ergodic phonemes with zeroed transitions and pi entries: the offsets
@@ -440,13 +441,36 @@ def _check_cached_bands(case):
                 models.append(compose_utterance_model(lex, ch, signs))
                 ids = parallel.block_ids(lex, ch, signs)
                 dense_columns.append(parallel._state_columns(phonemes, ids, bases[c]))
-        want_pi, want_trans, want_columns = parallel._stack(models, dense_columns)
+        want_pi, want_trans, want_columns = dense_stack(models, dense_columns)
         assert [o for o, _ in diagonals] == sorted(union)
         assert [(o, bits(w)) for o, w in diagonals] == [
             (o, bits(w)) for o, w in band(want_trans)
         ]
         assert bits(log_pi) == bits(want_pi) and np.array_equal(columns, want_columns)
         assert parallel._stack_bytes(lex, max_signs) == _cached_bytes(cache)
+
+
+def test_stack_band_equals_band_of_the_dense_stack():
+    # By default _stack reads the offsets from its models' nonzero
+    # transitions: those band() finds, 0 added, each diagonal bit-identical.
+    rng = np.random.default_rng(81)
+    for trial in range(10):
+        models, columns = [], []
+        for _ in range(6):
+            blocks = []
+            for _ in range(int(rng.integers(1, 4))):
+                block = random_phoneme(rng, int(rng.integers(1, 4)), ergodic=bool(rng.integers(2)))
+                block.trans = block.trans * (rng.random(block.trans.shape) < 0.6)
+                blocks.append((None, block))
+            models.append(compose_models(blocks)[0])
+            columns.append(list(range(models[-1].n_states)))
+        log_pi, diagonals, stacked = parallel._stack(models, columns)
+        want_pi, want_trans, want_columns = dense_stack(models, columns)
+        want = dict(band(want_trans))
+        assert [o for o, _ in diagonals] == sorted(set(want) | {0})
+        for o, w in diagonals:
+            assert bits(w) == bits(want.get(o, np.full_like(w, -np.inf)))
+        assert bits(log_pi) == bits(want_pi) and np.array_equal(stacked, want_columns)
 
 
 @pytest.mark.parametrize("case", range(len(BATCH_CASES)))
@@ -567,6 +591,90 @@ def test_decode_synced_leq_exhaustive_total():
         ex = decode_exhaustive(lex, mobs, max_signs=2)
         sy = decode_synced(lex, mobs, beam_width=10**9)
         assert sy.total <= ex.total + 1e-9
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+def test_decode_synced_never_beats_its_signs_aligned_channel_by_channel(policy):
+    # With absorbing final states, every synced alignment is one path
+    # per channel through the composed models of its signs.
+    for trial in range(20):
+        rng = np.random.default_rng(900 + trial)
+        lex = mixed_lexicon(rng, gaussian=bool(trial % 2), ergodic=True, policy=policy)
+        _absorbing_finals(lex)
+        mobs = sample_mobs(lex, ["s0", "s2"], 8, seed=trial)
+        sy = decode_synced(lex, mobs, beam_width=1000)
+        assert sy.total <= score_hypothesis(lex, sy.signs, mobs).total + 1e-9
+
+
+def _leaving_phoneme():
+    """2 ergodic states over 2 symbols: the final state moves back half
+    of the time."""
+    probs = np.array([[0.6, 0.4], [0.3, 0.7]])
+    return Hmm([1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]], DiscreteEmission(probs), Topology.ERGODIC)
+
+
+def _channel_lexicon(phonemes, signs, policy="none"):
+    """One channel "c" of the phonemes (epenthesis "e"); signs maps each
+    sign id to its phoneme ids."""
+    inventory = PhonemeInventory(phonemes=phonemes, epenthesis="e")
+    signs = {sid: Sign(sid, {"c": pids}) for sid, pids in signs.items()}
+    lex = Lexicon(["c"], {"c": inventory}, signs, policy)
+    validate_lexicon(lex)
+    return lex
+
+
+def test_decode_synced_rejects_a_sign_whose_final_state_can_leave():
+    # The synced unit reprices only the final self-loop and keeps the
+    # rest of the final row, which composition zeroes: here it totalled
+    # -3.036 against the -5.116 of decode_exhaustive and score_hypothesis.
+    lex = _channel_lexicon({"p": _leaving_phoneme(), "e": _leaving_phoneme()}, {"s": ["p"]})
+    mobs = MultiObservation({"c": np.ones(5, dtype=int)})
+    assert decode_exhaustive(lex, mobs, max_signs=1).total == pytest.approx(-5.116, abs=1e-3)
+    assert score_hypothesis(lex, ["s"], mobs).total == pytest.approx(-5.116, abs=1e-3)
+    with pytest.raises(ValidationError, match="phoneme 'p' of channel 'c'"):
+        decode_synced(lex, mobs, beam_width=10)
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+def test_decode_synced_checks_the_epenthesis_under_its_policy(policy):
+    # A leaving final state inside a sign is rewired by composition, so
+    # only a sign's last phoneme and the epenthesis filler in use count.
+    bakis = random_phoneme(np.random.default_rng(61), 2, alphabet=2)
+    phonemes = {"p": _leaving_phoneme(), "q": bakis, "e": _leaving_phoneme()}
+    lex = _channel_lexicon(phonemes, {"s": ["p", "q"], "t": ["q"]}, policy)
+    mobs = sample_mobs(lex, ["s", "t"], 8, seed=62)
+    if policy == "between_signs":
+        with pytest.raises(ValidationError, match="phoneme 'e' of channel 'c'"):
+            decode_synced(lex, mobs, beam_width=10)
+        return
+    for beam_width in (1, 10):
+        got = _synced_result(lex, mobs, beam_width, decode_synced)
+        assert got == _synced_result(lex, mobs, beam_width, decode_synced_oracle)
+    assert decode_synced(lex, mobs, 10).total <= decode_exhaustive(lex, mobs, 2).total
+
+
+@pytest.mark.parametrize("policy", ["none", "between_signs"])
+def test_decode_synced_rejects_a_lexicon_without_signs(policy):
+    bakis = random_phoneme(np.random.default_rng(63), 2, alphabet=2)
+    lex = _channel_lexicon({"p": bakis, "e": bakis.copy()}, {}, policy)
+    with pytest.raises(ValidationError, match="lexicon has no signs"):
+        decode_synced(lex, MultiObservation({"c": np.ones(4, dtype=int)}), beam_width=10)
+
+
+def test_decoding_converts_no_dense_transitions_to_a_band(monkeypatch):
+    # Every stack the decoders build, and the synced units, are written
+    # as bands: hmm.band, the dense conversion, is never needed.
+    lex = mixed_lexicon(np.random.default_rng(64), policy="between_signs")
+    mobs = sample_mobs(lex, ["s1", "s0", "s2"], 12, seed=65)
+
+    def no_band(log_trans):
+        raise AssertionError("a dense transition stack was converted")
+
+    monkeypatch.setattr("phmm.hmm.band", no_band)
+    hyp = decode_synced(lex, mobs, beam_width=1000)
+    assert len(hyp.signs) > 1  # a rebuild of several segments
+    score_hypothesis(lex, hyp.signs, mobs)
+    decode_exhaustive(lex, mobs, max_signs=2)
 
 
 def test_decode_synced_paths_are_valid_in_composed_model():
@@ -885,6 +993,16 @@ def _stack_lexicon(rng, gaussian):
     return Lexicon(["c0", "c1"], inventories, signs, "between_signs", exit_prob=0.3)
 
 
+def _dense_band(diagonals, n):
+    """The (N, N, ...) log transitions whose band is diagonals, -inf off
+    them: log_trans[j - o, j] = w[j]."""
+    log_trans = np.full((n,) + diagonals[0][1].shape, -np.inf)
+    for o, w in diagonals:
+        for j in range(max(o, 0), n + min(o, 0)):
+            log_trans[j - o, j] = w[j]
+    return log_trans
+
+
 @pytest.mark.parametrize("t_len", [1, 2, 9])
 def test_segment_scores_equal_per_entry_frame_oracle(t_len):
     # One mixed-size stack against every unit, entry frame and exit frame.
@@ -900,6 +1018,9 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
         keys = sorted(lex.signs) + [EPS_UNIT]
         stack = _Unit(lex, mobs, keys)
         assert stack.log_pi.shape == (7, len(keys), 2)
+        offsets = [o for o, _ in stack.band]
+        assert 0 in offsets and offsets == sorted(offsets)
+        dense = _dense_band(stack.band, 7)
         columns = [stack.segment_scores(t) for t in range(t_len)]
         last = stack.last()
         assert last.shape == (t_len, len(keys), 2)
@@ -909,7 +1030,7 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
                 unit = synced_unit(lex, ch, key, mobs.channels[ch])
                 lo = stack.final + 1 - stack.sizes[k, c]
                 log_pi = stack.log_pi[lo:, k, c]
-                log_trans = stack.log_trans[lo:, lo:, k, c]
+                log_trans = dense[lo:, lo:, k, c]
                 logb = stack.logb[:, lo:, k, c]
                 assert bits(log_pi) == bits(unit.log_pi)
                 assert bits(log_trans) == bits(unit.log_trans)
@@ -965,18 +1086,19 @@ def test_score_hypothesis_empty_channel_names_it():
         score_hypothesis(lex, ["s1"], mobs)
 
 
+def _uniform_phoneme(n_states):
+    return Hmm(
+        np.full(n_states, 1.0 / n_states),
+        np.full((n_states, n_states), 1.0 / n_states),
+        DiscreteEmission(np.full((n_states, 2), 0.5)),
+        Topology.ERGODIC,
+    )
+
+
 def _uniform_lexicon():
     """Two channels of uniform ergodic phonemes (1-3 states, epenthesis
     between signs): every state path of a unit scores the same."""
-
-    def uniform(n_states):
-        return Hmm(
-            np.full(n_states, 1.0 / n_states),
-            np.full((n_states, n_states), 1.0 / n_states),
-            DiscreteEmission(np.full((n_states, 2), 0.5)),
-            Topology.ERGODIC,
-        )
-
+    uniform = _uniform_phoneme
     inventories = {
         ch: PhonemeInventory(
             phonemes={"p1": uniform(1), "p2": uniform(2), "p3": uniform(3), "e": uniform(2)},
@@ -1038,7 +1160,30 @@ SYNCED_CASES = [
     for g in (False, True)
     for e in (False, True)
     for p in ("none", "between_signs")
-] + ["three channels", "uniform"]
+] + ["three channels", "tied"]
+
+
+def _absorbing_finals(lex):
+    """Make every phoneme's final state absorbing, as decode_synced
+    requires of the units' last phonemes. A non-final block's last row
+    is rewired by composition, so nothing else changes."""
+    for inv in lex.inventories.values():
+        for model in inv.phonemes.values():
+            trans = model.trans.copy()
+            trans[-1] = np.eye(model.n_states)[-1]
+            model.trans = trans
+
+
+def _all_tied_lexicon():
+    """_uniform_lexicon with 1-state phonemes and an exit probability of
+    0.5: every emission and every transition but the last segment's
+    absorbing final self-loop costs log 0.5, so that many sign sequences
+    and segmentations tie exactly."""
+    lex = _uniform_lexicon()
+    for inv in lex.inventories.values():
+        inv.phonemes = {pid: _uniform_phoneme(1) for pid in inv.phonemes}
+    lex.exit_prob = 0.5
+    return lex
 
 
 def _synced_result(lex, mobs, beam_width, decoder):
@@ -1055,12 +1200,13 @@ def test_decode_synced_equals_per_unit_oracle(case):
     # signs, channel scores, total and state paths identical as repr.
     rng = np.random.default_rng(70 + case)
     spec = SYNCED_CASES[case]
-    if spec == "uniform":
-        lex = _uniform_lexicon()
+    if spec == "tied":
+        lex = _all_tied_lexicon()
     elif spec == "three channels":
         lex = build_lexicon(rng, vocab=4, policy="between_signs", phonemes_per_sign=2)
     else:
         lex = mixed_lexicon(rng, **spec)
+        _absorbing_finals(lex)
     found = 0
     for trial in range(12):
         t_len = (1, 2, 5, 9)[trial % 4]
