@@ -2,8 +2,8 @@
 with full model parameters, and a provenance block.
 
 One JSON document per file, full-precision decimal numbers, versioned
-with format_version. Loading a file whose version is not an integer
-from 1 to FORMAT_VERSION (a bool is not) fails loudly.
+with format_version. Loading a file fails loudly unless its version is
+an int (not a bool) from 1 to FORMAT_VERSION.
 """
 
 from __future__ import annotations

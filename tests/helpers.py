@@ -165,6 +165,29 @@ def random_phoneme(rng, n_states, gaussian=False, ergodic=False, alphabet=4, dim
     return Hmm(pi, trans, emissions, topology)
 
 
+def random_chains(rng, n_models, table_width):
+    """(models, columns): random composed chains of 1-3 phonemes of 1-3
+    states, Bakis and ergodic, some with zeroed in-block transitions,
+    and for each a list of random columns, one per state, of a table of
+    table_width columns (the last column is never read)."""
+    from phmm.parallel import compose_models
+
+    models = []
+    columns = []
+    for _ in range(n_models):
+        blocks = []
+        for _ in range(int(rng.integers(1, 4))):
+            block = random_phoneme(rng, int(rng.integers(1, 4)), ergodic=bool(rng.integers(2)))
+            trans = block.trans * (rng.random(block.trans.shape) < 0.7)
+            np.fill_diagonal(trans, 1.0)
+            block.trans = trans / trans.sum(axis=1, keepdims=True)
+            blocks.append((None, block))
+        model = compose_models(blocks)[0]
+        models.append(model)
+        columns.append(rng.integers(0, table_width - 1, size=model.n_states).tolist())
+    return models, columns
+
+
 # Every kind of mixed_lexicon: discrete or Gaussian, Bakis or ergodic,
 # with and without epenthesis.
 BATCH_CASES = [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bits, random_discrete_hmm, random_gaussian_hmm, random_phoneme
+from helpers import bits, random_chains, random_discrete_hmm, random_gaussian_hmm, random_phoneme
 from oracles import (
     brute_forward,
     brute_viterbi,
@@ -41,7 +41,6 @@ from phmm.hmm import (
     viterbi_score_lattice,
 )
 from phmm.logmath import logsumexp, safe_log
-from phmm.parallel import compose_models
 
 
 def test_validate_accepts_uniform():
@@ -218,23 +217,9 @@ def test_viterbi_matches_brute_force():
 
 
 def _random_stack(rng, n_models, table_width):
-    """dense_stack of random composed chains of 1-3 phonemes of 1-3 states,
-    Bakis and ergodic, some with zeroed in-block transitions, their
-    states reading random columns of a table of table_width columns.
-    The last model cannot start anywhere: its log_pi column is all -inf."""
-    models = []
-    columns = []
-    for _ in range(n_models):
-        blocks = []
-        for _ in range(int(rng.integers(1, 4))):
-            block = random_phoneme(rng, int(rng.integers(1, 4)), ergodic=bool(rng.integers(2)))
-            trans = block.trans * (rng.random(block.trans.shape) < 0.7)
-            np.fill_diagonal(trans, 1.0)
-            block.trans = trans / trans.sum(axis=1, keepdims=True)
-            blocks.append((None, block))
-        model = compose_models(blocks)[0]
-        models.append(model)
-        columns.append(rng.integers(0, table_width - 1, size=model.n_states).tolist())
+    """dense_stack of random_chains. The last model cannot start
+    anywhere: its log_pi column is all -inf."""
+    models, columns = random_chains(rng, n_models, table_width)
     models[-1].pi = np.zeros(models[-1].n_states)
     return dense_stack(models, columns)
 
