@@ -3,9 +3,11 @@
 Forward, backward and Viterbi run in log space via the conventions in
 logmath. The training E-step (posteriors_lattice, loglik_lattice) runs
 Rabiner's scaled forward-backward on probabilities instead: one scale
-factor per frame takes the place of the logs, and a -inf log value is
-an exact 0. A model is immutable during inference and safe to share
-across threads; construction and training updates are single-writer.
+factor per frame takes the place of the logs, a -inf log value is an
+exact 0, and one forward and one backward frame loop fill the alpha
+and beta lattices whose product is gamma. A model is immutable during
+inference and safe to share across threads; construction and training
+updates are single-writer.
 
 The lattice kernels take explicit log parameters and may score a batch
 of models and sequences at once, the batch on the innermost axis, each
@@ -396,7 +398,8 @@ def _scaled_forward(log_pi, log_trans, logb, lengths):
     that way shifts by its best reachable state instead. alpha[t] is the
     forward row of frame t divided by scale[t], its sum; a row without
     mass stays 0. loglik adds log(scale) and the shifts over each
-    entry's first lengths[b] frames.
+    entry's first lengths[b] frames. Only a frame with a sum below TINY
+    builds that mask, reshifts and divides where scale > 0.
     """
     trans = np.moveaxis(log_trans, -1, 0)
     trans = np.exp(trans, out=np.empty(trans.shape))
@@ -408,24 +411,27 @@ def _scaled_forward(log_pi, log_trans, logb, lengths):
     alpha = np.empty_like(emit)
     scale = np.empty(emit.shape[:2])
     pi = np.exp(log_pi.T)
+    step = np.empty(emit.shape[1:2] + (1,) + emit.shape[2:])
     for t in range(len(emit)):
-        pred = pi if t == 0 else np.matmul(alpha[t - 1][:, None], trans)[:, 0]
+        pred = pi if t == 0 else np.matmul(alpha[t - 1][:, None], trans, out=step)[:, 0]
         np.multiply(pred, emit[t], out=alpha[t])
-        np.sum(alpha[t], axis=1, out=scale[t])
+        np.add.reduce(alpha[t], axis=1, out=scale[t])
+        if np.minimum.reduce(scale[t]) >= TINY:
+            alpha[t] /= scale[t][:, None]
+            continue
+        # The states the forward mass reaches may all lie so far below
+        # the frame's best state that exp rounds them to 0 or to
+        # subnormals. Such a frame shifts by its best reachable state
+        # instead; the others hold no forward mass, and emit 0.
         lost = scale[t] < TINY
-        if lost.any():
-            # The states the forward mass reaches may all lie so far below
-            # the frame's best state that exp rounds them to 0 or to
-            # subnormals. Such a frame shifts by its best reachable state
-            # instead; the others hold no forward mass, and emit 0.
-            reach = np.broadcast_to(pred, alpha[t].shape)[lost]
-            frame = np.where(reach > 0, logb[t].T[lost], LOG_ZERO)
-            top = np.max(frame, axis=1)
-            top[top == LOG_ZERO] = 0.0
-            shift[t, lost] = top
-            emit[t, lost] = np.exp(frame - top[:, None])
-            alpha[t, lost] = reach * emit[t, lost]
-            scale[t, lost] = np.sum(alpha[t, lost], axis=1)
+        reach = np.broadcast_to(pred, alpha[t].shape)[lost]
+        frame = np.where(reach > 0, logb[t].T[lost], LOG_ZERO)
+        top = np.max(frame, axis=1)
+        top[top == LOG_ZERO] = 0.0
+        shift[t, lost] = top
+        emit[t, lost] = np.exp(frame - top[:, None])
+        alpha[t, lost] = reach * emit[t, lost]
+        scale[t, lost] = np.sum(alpha[t, lost], axis=1)
         np.divide(alpha[t], scale[t][:, None], out=alpha[t], where=scale[t][:, None] > 0)
     live = np.arange(len(emit))[:, None] < lengths
     with np.errstate(divide="ignore"):
@@ -450,36 +456,29 @@ def posteriors_lattice(log_pi, log_trans, logb, lengths):
     frame t (0 at and after lengths[b]) and xi_sum[:, :, b] its
     expected transition counts summed over time.
 
-    The backward rows are scaled by the forward sweep's factors, so
-    gamma is the product of the two rows. A backward row is 1 at an
-    entry's last frame and 0 after it, which masks whatever logb holds
-    there. A frame's backward sweep turns emit into the weights that
-    xi_sum contracts with alpha in one matmul; emit then takes the
-    backward rows and gamma overwrites alpha. An entry with loglik -inf
-    has meaningless posteriors. A reachable state whose log density
+    The backward rows are scaled by the forward sweep's factors and kept
+    in a (T, B, N) lattice, so gamma is alpha times beta. A backward row
+    is 1 at an entry's last frame and 0 after it, which masks whatever
+    logb holds there. The backward sweep turns emit into the weights
+    that xi_sum contracts with alpha in one matmul. An entry with loglik
+    -inf has meaningless posteriors. A reachable state whose log density
     lies more than about 700 below the best reachable state of its frame
     counts as impossible there.
     """
     loglik, alpha, emit, scale, trans = _scaled_forward(log_pi, log_trans, logb, lengths)
     emit *= np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)[:, :, None]
-    is_last = np.arange(len(emit))[:, None] == np.asarray(lengths) - 1
-    beta = np.zeros_like(emit[0])
-    beta[is_last[-1]] = 1.0
-
-    def beta_row(t, out):
-        # The backward row of frame t from the weights of frame t + 1.
-        np.matmul(trans, emit[t + 1][:, :, None], out=out[:, :, None])
-        np.copyto(out, 1.0, where=is_last[t][:, None])
-
+    lengths = np.asarray(lengths)
+    beta = np.empty_like(emit)
+    beta[-1] = (lengths == len(emit))[:, None]
+    ends = set((lengths - 1).tolist())
     for t in range(len(emit) - 2, -1, -1):
-        emit[t + 1] *= beta
-        beta_row(t, beta)
+        emit[t + 1] *= beta[t + 1]
+        np.matmul(trans, emit[t + 1][:, :, None], out=beta[t][:, :, None])
+        if t in ends:
+            np.copyto(beta[t], 1.0, where=(lengths == t + 1)[:, None])
     xi_sum = np.matmul(alpha[:-1].transpose(1, 2, 0), emit[1:].transpose(1, 0, 2))
     xi_sum *= trans
-    for t in range(len(emit) - 1):
-        beta_row(t, emit[t])
-    emit[-1] = is_last[-1][:, None]
-    alpha *= emit
+    alpha *= beta
     return loglik, alpha.transpose(0, 2, 1), xi_sum.transpose(1, 2, 0)
 
 

@@ -514,13 +514,16 @@ def model_count(lexicon):
 class _Unit:
     """The unit models of one utterance, stacked for segment-level
     dynamic programming: one per (unit key, channel), the composed model
-    (once per phoneme sequence) of a sign's phonemes in that channel or
-    of the epenthesis filler. Each is front-padded with -inf to N states
-    so that its final state is always row N - 1; the (K keys, C
-    channels) batch axes are innermost, and band (offset 0 always among
-    them) holds the transitions. State i of unit (k, c) emits logb[t, i,
-    k, c], gathered through a state-to-column index from the per-channel
-    tables of _log_density_table; padded states read a -inf column.
+    of a sign's phonemes in that channel or of the epenthesis filler.
+    Units of one channel and phoneme sequence are identical, so the
+    stack holds one column per distinct (channel, sequence), D in all,
+    and index (K keys, C channels) holds each unit's column. Each is
+    front-padded with -inf to N states so that its final state is
+    always row N - 1; the batch axis is innermost, and band (offset 0
+    always among them) holds the transitions. State i of column d emits
+    logb[t, i, d], gathered through a state-to-column index from the
+    per-channel tables of _log_density_table; padded states read a -inf
+    column.
     """
 
     def __init__(self, lexicon, mobs, keys):
@@ -537,22 +540,22 @@ class _Unit:
                     blocks = [(pid, inv.phonemes[pid]) for pid in pids]
                     models.append(compose_models(blocks, lexicon.exit_prob)[0])
                     columns.append(_state_columns(inv.phonemes, pids, base))
-        index = np.reshape(index, (len(self.keys), len(self.channels)))
-        log_pi, diagonals, columns = _stack(models, columns)
-        self.sizes = np.count_nonzero(columns >= 0, axis=0)[index]
-        n = len(log_pi)
-        self.log_pi = log_pi[:, index]
-        self.band = tuple((o, w[:, index]) for o, w in diagonals)
+        self.index = np.reshape(index, (len(self.keys), len(self.channels)))
+        self.log_pi, self.band, columns = _stack(models, columns)
+        self.sizes = np.count_nonzero(columns >= 0, axis=0)
+        n = len(self.log_pi)
         self.final = n - 1
         # Mid-utterance pricing: a unit's final state dwells with 1 - exit
         # probability; the complement leaves through the boundary.
         dict(self.band)[0][self.final] = safe_log(1.0 - lexicon.exit_prob)
         self.log_exit = float(safe_log(lexicon.exit_prob))
-        self.logb = _density_table(lexicon, mobs)[0][:, columns[:, index]]
-        # delta[:, t0] is the recursion of every unit entered at frame t0,
-        # spare a scratch; final_iso[t0] prices the final state as absorbing.
-        self.delta, self.spare = np.empty((2, n) + self.logb.shape[:1] + index.shape)
-        self.final_iso = np.empty(self.logb.shape[:1] + index.shape)
+        self.logb = _density_table(lexicon, mobs)[0][:, columns]
+        t_len, width = len(self.logb), len(models)
+        # delta[:, t0] is the recursion of every column entered at frame
+        # t0, spare a scratch; final_iso[t0] prices the final state as
+        # absorbing.
+        self.delta, self.spare = np.empty((2, n, t_len, width))
+        self.final_iso = np.empty((t_len, width))
         self.steps = [
             (slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n + min(o, 0)), w[:, None])
             for o, w in sorted(self.band, key=lambda ow: ow[0] != 0)
@@ -580,14 +583,14 @@ class _Unit:
         np.add(final_iso, logb[final], out=final_iso)
         self.delta[:, t] = self.log_pi + logb
         self.final_iso[t] = self.delta[final, t]
-        return self.delta[final, : t + 1] + self.log_exit
+        return (self.delta[final, : t + 1] + self.log_exit)[:, self.index]
 
     def last(self):
         """(T, K, C) best unanchored scores up to the last frame by entry
         frame, with the final state absorbing; read after the last
         segment_scores call."""
         best_nf = self.delta[: self.final].max(axis=0) if self.final else LOG_ZERO
-        return np.maximum(best_nf, self.final_iso)
+        return np.maximum(best_nf, self.final_iso)[:, self.index]
 
 
 _EPS = float(np.finfo(float).eps)
@@ -770,21 +773,22 @@ def _rebuild_hypothesis(units, token):
     the boundary exit log probability.
     """
     index = {key: k for k, key in enumerate(units.keys)}
-    keys = np.array([index[key] for key, _, _ in token.segments])
+    # cols[s, c]: the stack column of segment s's unit in channel c.
+    cols = units.index[[index[key] for key, _, _ in token.segments]]
     starts = np.array([t0 for _, t0, _ in token.segments])
     lengths = np.array([t1 + 1 - t0 for _, t0, t1 in token.segments])
     final = units.final
-    diagonals = tuple((o, w[:, keys]) for o, w in units.band)
+    diagonals = tuple((o, w[:, cols]) for o, w in units.band)
     dict(diagonals)[0][final, -1] = 0.0
     # frames[u, s] is frame u of segment s, clipped to the utterance.
     frames = np.minimum(np.arange(lengths.max())[:, None] + starts, len(units.logb) - 1)
     # Contiguous: the kernel's per-frame add on a strided lattice cost
     # as much as the rest of its frame on these small batches.
-    logb = np.ascontiguousarray(units.logb[frames, :, keys].transpose(0, 2, 1, 3))
-    anchored = np.arange(len(keys) - 1)
+    logb = np.ascontiguousarray(units.logb[frames[:, :, None], :, cols].transpose(0, 3, 1, 2))
+    anchored = np.arange(len(cols) - 1)
     logb[lengths[anchored] - 1, :final, anchored] = LOG_ZERO
-    scores, paths = viterbi_lattice(units.log_pi[:, keys], diagonals, logb, lengths[:, None])
-    sizes = units.sizes[keys]
+    scores, paths = viterbi_lattice(units.log_pi[:, cols], diagonals, logb, lengths[:, None])
+    sizes = units.sizes[cols]
     channel_scores = {}
     state_paths = {}
     for c, ch in enumerate(units.channels):
@@ -793,7 +797,7 @@ def _rebuild_hypothesis(units, token):
         offset = 0
         for s, length in enumerate(lengths.tolist()):
             seg_score = float(scores[s, c])
-            total_c += seg_score if s == len(keys) - 1 else seg_score + units.log_exit
+            total_c += seg_score if s == len(cols) - 1 else seg_score + units.log_exit
             path.extend((paths[:length, s, c] + (offset + sizes[s, c] - final - 1)).tolist())
             offset += int(sizes[s, c])
         channel_scores[ch] = total_c

@@ -55,12 +55,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if not self.smoothing >= 0:
-            raise ValueError(f"smoothing must be >= 0, got {self.smoothing!r}")
-        if self.smoothing == math.inf:
-            raise ValueError("smoothing must be finite, got inf")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not 0 <= self.smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and >= 0, got {self.smoothing!r}")
         if self.init_strategy not in (INIT_UNIFORM_PERTURBED, INIT_FROM_GLOBAL_STATS):
             raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
         if self.seed < 0:

@@ -28,7 +28,7 @@ from phmm.errors import (
     NoFiniteHypothesisError,
     ValidationError,
 )
-from phmm.hmm import Hmm, loglik_lattice, posteriors_lattice
+from phmm.hmm import TINY, Hmm, loglik_lattice, posteriors_lattice
 from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
 from phmm.logmath import LOG_ZERO, logsumexp, safe_log
 from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models, score_hypothesis
@@ -157,6 +157,76 @@ def posteriors_oracle(log_pi, log_trans, logb):
             alpha[t][:, None] + log_trans + (logb[t + 1] + beta[t + 1])[None, :] - loglik
         )
     return loglik, gamma, xi_sum
+
+
+def two_loop_scaled_forward(log_pi, log_trans, logb, lengths):
+    """The forward sweep of the two-loop kernel: hmm._scaled_forward
+    building the lost-frame mask and dividing where scale > 0 on every
+    frame. The reference the kernel must match bit for bit; arguments
+    and returns as there.
+    """
+    trans = np.moveaxis(log_trans, -1, 0)
+    trans = np.exp(trans, out=np.empty(trans.shape))
+    shift = np.max(logb, axis=1)
+    shift[shift == LOG_ZERO] = 0.0
+    emit = np.empty(logb.shape[:1] + shift.shape[1:] + logb.shape[1:2])
+    np.subtract(logb.transpose(0, 2, 1), shift[:, :, None], out=emit)
+    np.exp(emit, out=emit)
+    alpha = np.empty_like(emit)
+    scale = np.empty(emit.shape[:2])
+    pi = np.exp(log_pi.T)
+    for t in range(len(emit)):
+        pred = pi if t == 0 else np.matmul(alpha[t - 1][:, None], trans)[:, 0]
+        np.multiply(pred, emit[t], out=alpha[t])
+        np.sum(alpha[t], axis=1, out=scale[t])
+        lost = scale[t] < TINY
+        if lost.any():
+            # The states the forward mass reaches may all lie so far below
+            # the frame's best state that exp rounds them to 0 or to
+            # subnormals. Such a frame shifts by its best reachable state
+            # instead; the others hold no forward mass, and emit 0.
+            reach = np.broadcast_to(pred, alpha[t].shape)[lost]
+            frame = np.where(reach > 0, logb[t].T[lost], LOG_ZERO)
+            top = np.max(frame, axis=1)
+            top[top == LOG_ZERO] = 0.0
+            shift[t, lost] = top
+            emit[t, lost] = np.exp(frame - top[:, None])
+            alpha[t, lost] = reach * emit[t, lost]
+            scale[t, lost] = np.sum(alpha[t, lost], axis=1)
+        np.divide(alpha[t], scale[t][:, None], out=alpha[t], where=scale[t][:, None] > 0)
+    live = np.arange(len(emit))[:, None] < lengths
+    with np.errstate(divide="ignore"):
+        loglik = np.where(live, np.log(scale) + shift, 0.0).sum(axis=0)
+    return loglik, alpha, emit, scale, trans
+
+
+def two_loop_posteriors_lattice(log_pi, log_trans, logb, lengths):
+    """The two-loop kernel: hmm.posteriors_lattice with a backward sweep
+    that keeps no rows, so beta_row recomputes every row in a second
+    loop. The reference the kernel must match bit for bit; arguments
+    and returns as there.
+    """
+    loglik, alpha, emit, scale, trans = two_loop_scaled_forward(log_pi, log_trans, logb, lengths)
+    emit *= np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)[:, :, None]
+    is_last = np.arange(len(emit))[:, None] == np.asarray(lengths) - 1
+    beta = np.zeros_like(emit[0])
+    beta[is_last[-1]] = 1.0
+
+    def beta_row(t, out):
+        # The backward row of frame t from the weights of frame t + 1.
+        np.matmul(trans, emit[t + 1][:, :, None], out=out[:, :, None])
+        np.copyto(out, 1.0, where=is_last[t][:, None])
+
+    for t in range(len(emit) - 2, -1, -1):
+        emit[t + 1] *= beta
+        beta_row(t, beta)
+    xi_sum = np.matmul(alpha[:-1].transpose(1, 2, 0), emit[1:].transpose(1, 0, 2))
+    xi_sum *= trans
+    for t in range(len(emit) - 1):
+        beta_row(t, emit[t])
+    emit[-1] = is_last[-1][:, None]
+    alpha *= emit
+    return loglik, alpha.transpose(0, 2, 1), xi_sum.transpose(1, 2, 0)
 
 
 def log_density(em, state, x):
@@ -461,6 +531,44 @@ def segment_scores_oracle(unit, t0):
         best_nf = np.max(non_final) if non_final.size else LOG_ZERO
         last = float(max(best_nf, final_iso))
     return exit_scores, last
+
+
+def per_unit_segment_scores(units):
+    """Every frame's exits and the last() of parallel._Unit's recursion
+    run as it was before the stack shared a column between the units of
+    one channel and phoneme sequence: one column per (key, channel), the
+    stack's distinct columns spread through units.index, stepped by the
+    same code. Returns (exits, last), exits[t] the (t + 1, K, C) exit
+    scores of frame t, for every frame of units.logb."""
+    index = units.index
+    log_pi = units.log_pi[:, index]
+    band = tuple((o, w[:, index]) for o, w in units.band)
+    logb_all = units.logb[:, :, index]
+    n, final = len(log_pi), units.final
+    delta_all, spare = np.empty((2, n) + logb_all.shape[:1] + index.shape)
+    final_iso_all = np.empty(logb_all.shape[:1] + index.shape)
+    steps = [
+        (slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n + min(o, 0)), w[:, None])
+        for o, w in sorted(band, key=lambda ow: ow[0] != 0)
+    ]
+    exits = []
+    for t in range(len(logb_all)):
+        logb = logb_all[t]
+        prev, delta, final_iso = delta_all[:, :t], spare[:, :t], final_iso_all[:t]
+        (_, _, w), *rest = steps
+        np.add(prev, w, out=delta)
+        for src, dst, w in rest:
+            cand, rows = prev[src] + w[dst], delta[dst]
+            np.maximum(rows, cand, out=rows)
+            if dst.stop > final:
+                np.maximum(final_iso, cand[-1], out=final_iso)
+        np.add(delta, logb[:, None], out=prev)
+        np.add(final_iso, logb[final], out=final_iso)
+        delta_all[:, t] = log_pi + logb
+        final_iso_all[t] = delta_all[final, t]
+        exits.append(delta_all[final, : t + 1] + units.log_exit)
+    best_nf = delta_all[:final].max(axis=0) if final else LOG_ZERO
+    return exits, np.maximum(best_nf, final_iso_all)
 
 
 def segment_viterbi_oracle(unit, t0, t1, is_last):

@@ -239,6 +239,7 @@ def test_train_segmented_end_to_end(tmp_path, capsys):
     [
         ("train", "--rel-tol", "0", 2),
         ("train", "--rel-tol", "nan", 2),
+        ("train", "--rel-tol", "inf", 2),
         ("train", "--smoothing", "-1", 2),
         ("train", "--smoothing", "inf", 2),
         ("train", "--seed", "-1", 2),

@@ -10,6 +10,8 @@ from oracles import (
     dense_stack,
     posteriors_oracle,
     sample_oracle,
+    two_loop_posteriors_lattice,
+    two_loop_scaled_forward,
     viterbi_lattice_oracle,
     viterbi_score_lattice_oracle,
 )
@@ -32,6 +34,7 @@ from phmm.hmm import (
     band,
     forward,
     forward_lattice,
+    loglik_lattice,
     posteriors,
     posteriors_lattice,
     sample,
@@ -617,8 +620,9 @@ def _posterior_cases(rng):
     yield mute, np.array([1, 3, 0])
 
 
-def test_posteriors_lattice_matches_per_frame_oracle():
-    rng = np.random.default_rng(60)
+def _padded_posterior_batch(rng):
+    """The _posterior_cases in one batch padded to the largest state count
+    and length, and the cases: (log_pi, log_trans, logb, lengths, cases)."""
     cases = list(_posterior_cases(rng))
     n = max(m.n_states for m, _ in cases)
     lengths = np.array([len(obs) for _, obs in cases])
@@ -630,6 +634,11 @@ def test_posteriors_lattice_matches_per_frame_oracle():
         k = model.n_states
         log_pi[:k, b], log_trans[:k, :k, b] = model.log_params()
         logb[: lengths[b], :k, b] = log_density_seq(model.emissions, obs)
+    return log_pi, log_trans, logb, lengths, cases
+
+
+def test_posteriors_lattice_matches_per_frame_oracle():
+    log_pi, log_trans, logb, lengths, cases = _padded_posterior_batch(np.random.default_rng(60))
     loglik, gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
     assert loglik.shape == (len(cases),)
     for b, (model, obs) in enumerate(cases):
@@ -664,14 +673,19 @@ def _oracle_at_unit_scale(model, logb):
     return loglik + math.fsum(shift), gamma, xi_sum
 
 
+def _stacked_params(models):
+    """(log_pi (N, B), log_trans (N, N, B)) of models of one state count."""
+    log_pi = np.stack([m.log_params()[0] for m in models], axis=-1)
+    log_trans = np.stack([m.log_params()[1] for m in models], axis=-1)
+    return log_pi, log_trans
+
+
 def _assert_matches_unit_scale_oracle(cases, logb, lengths, skip=()):
     """posteriors_lattice over the (model, logb) cases, one batch entry
     each and all of one state count, against _oracle_at_unit_scale;
     entries in skip are only required to be finite."""
     n = cases[0].n_states
-    log_pi = np.stack([m.log_params()[0] for m in cases], axis=-1)
-    log_trans = np.stack([m.log_params()[1] for m in cases], axis=-1)
-    loglik, gamma, xi_sum = posteriors_lattice(log_pi, log_trans, logb, lengths)
+    loglik, gamma, xi_sum = posteriors_lattice(*_stacked_params(cases), logb, lengths)
     assert np.isfinite(gamma).all() and np.isfinite(xi_sum).all()
     for b, model in enumerate(cases):
         if b in skip:
@@ -685,16 +699,22 @@ def _assert_matches_unit_scale_oracle(cases, logb, lengths, skip=()):
     return loglik
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_posteriors_lattice_scales_a_long_sequence_of_tiny_densities():
-    # 2,000 frames at about 1e-20 each: an unscaled forward product
-    # underflows to 0 within 16 frames.
+def _tiny_density_case():
+    """([model], logb, lengths): 2,000 frames at about 1e-20 each."""
     rng = np.random.default_rng(61)
     model = random_phoneme(rng, 3, ergodic=True)
     obs = sample(model, 2000, rng)[0]
     logb = log_density_seq(model.emissions, obs) + np.log(1e-20)
+    return [model], logb[:, :, None], np.array([2000])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_scales_a_long_sequence_of_tiny_densities():
+    # 2,000 frames at about 1e-20 each: an unscaled forward product
+    # underflows to 0 within 16 frames.
+    models, logb, lengths = _tiny_density_case()
     assert np.prod(np.exp(logb.max(axis=1))[:16]) == 0.0
-    loglik = _assert_matches_unit_scale_oracle([model], logb[:, :, None], np.array([2000]))
+    loglik = _assert_matches_unit_scale_oracle(models, logb, lengths)
     assert loglik[0] < -2000 * 46
 
 
@@ -718,10 +738,9 @@ def test_posteriors_lattice_shifts_each_entry_by_its_own_frame_max():
     _assert_matches_unit_scale_oracle([sharp, plain], logb, np.array([40, 1]))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_posteriors_lattice_zero_frame_spares_its_batch_mates():
-    # Entry 1 cannot emit frame 4 in any state: its loglik is -inf, with
-    # no NaN anywhere, and entries 0 and 2 are unaffected.
+def _zero_frame_case():
+    """(models, logb, lengths): three ergodic entries of 9, 7 and 5
+    frames, entry 1 unable to emit its frame 4 in any state."""
     rng = np.random.default_rng(63)
     cases = [random_phoneme(rng, 3, ergodic=True) for _ in range(3)]
     lengths = np.array([9, 7, 5])
@@ -730,16 +749,21 @@ def test_posteriors_lattice_zero_frame_spares_its_batch_mates():
         obs = sample(model, lengths[b], rng)[0]
         logb[: lengths[b], :, b] = log_density_seq(model.emissions, obs)
     logb[4, :, 1] = -np.inf
-    loglik = _assert_matches_unit_scale_oracle(cases, logb, lengths, skip=(1,))
+    return cases, logb, lengths
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_zero_frame_spares_its_batch_mates():
+    # Entry 1 cannot emit frame 4 in any state: its loglik is -inf, with
+    # no NaN anywhere, and entries 0 and 2 are unaffected.
+    loglik = _assert_matches_unit_scale_oracle(*_zero_frame_case(), skip=(1,))
     assert loglik[1] == -np.inf
     assert np.isfinite(loglik[[0, 2]]).all()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_posteriors_lattice_reshifts_a_frame_only_unreachable_states_fit():
-    # A Bakis chain starts in state 0, whose log density at frame 0 lies
-    # 5,000 below that of state 1. Shifted by the frame's max alone, every
-    # reachable state would round to 0 and the sequence score -inf.
+def _reshift_case():
+    """(models, logb, lengths): a Bakis chain whose only reachable state
+    at frame 0 lies 5,000 below its best state, and a batch-mate."""
     model = Hmm(
         [1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]],
         GaussianEmission([[0.0], [100.0]], [[1.0], [1.0]]), Topology.LEFT_TO_RIGHT,
@@ -747,6 +771,66 @@ def test_posteriors_lattice_reshifts_a_frame_only_unreachable_states_fit():
     other = random_phoneme(np.random.default_rng(64), 2, gaussian=True, dim=1)
     obs = np.array([[100.0], [99.0], [100.5], [100.0]])
     logb = np.stack([log_density_seq(m.emissions, obs) for m in (model, other)], axis=-1)
+    return [model, other], logb, np.array([4, 4])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_posteriors_lattice_reshifts_a_frame_only_unreachable_states_fit():
+    # A Bakis chain starts in state 0, whose log density at frame 0 lies
+    # 5,000 below that of state 1. Shifted by the frame's max alone, every
+    # reachable state would round to 0 and the sequence score -inf.
+    models, logb, lengths = _reshift_case()
     assert logb[0, 1, 0] - logb[0, 0, 0] > 4000
-    loglik = _assert_matches_unit_scale_oracle([model, other], logb, np.array([4, 4]))
+    loglik = _assert_matches_unit_scale_oracle(models, logb, lengths)
     assert np.isfinite(loglik).all()
+
+
+def _shared_parameters_case(rng):
+    # One model for every entry: the parameters' batch axes are 1.
+    model = random_phoneme(rng, 3, ergodic=True)
+    lengths = np.array([6, 3, 5, 1])
+    logb = np.stack([log_density_seq(model.emissions, sample(model, 6, rng)[0]) for _ in lengths], -1)
+    log_pi, log_trans = model.log_params()
+    return log_pi[:, None], log_trans[:, :, None], logb, lengths
+
+
+def _one_entry_case(rng):
+    model = random_phoneme(rng, 4, gaussian=True)
+    logb = log_density_seq(model.emissions, sample(model, 7, rng)[0])
+    return (*_stacked_params([model]), logb[:, :, None], np.array([7]))
+
+
+def _entry_ending_at_every_frame_case(rng):
+    # Entries of 8 down to 1 frames; padded frames hold finite densities.
+    models = [random_phoneme(rng, 3, ergodic=bool(b % 2)) for b in range(8)]
+    logb = np.stack([log_density_seq(m.emissions, sample(m, 8, rng)[0]) for m in models], -1)
+    return (*_stacked_params(models), logb, np.arange(8, 0, -1))
+
+
+def _stacked_case(case):
+    models, logb, lengths = case
+    return (*_stacked_params(models), logb, lengths)
+
+
+KERNEL_CASES = {
+    "posterior_cases": lambda rng: _padded_posterior_batch(rng)[:4],
+    "reshift": lambda rng: _stacked_case(_reshift_case()),
+    "zero_frame": lambda rng: _stacked_case(_zero_frame_case()),
+    "tiny_densities": lambda rng: _stacked_case(_tiny_density_case()),
+    "shared_parameters": _shared_parameters_case,
+    "one_entry": _one_entry_case,
+    "entry_ending_at_every_frame": _entry_ending_at_every_frame_case,
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_scaled_kernel_is_bit_identical_to_the_two_loop_kernel(case):
+    # The one-sweep kernel reorders no arithmetic: every output of the
+    # two-loop kernel it replaced, bit for bit.
+    args = KERNEL_CASES[case](np.random.default_rng(66))
+    got = posteriors_lattice(*args)
+    want = two_loop_posteriors_lattice(*args)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w) and bits(g) == bits(w)
+    assert bits(loglik_lattice(*args)) == bits(two_loop_scaled_forward(*args)[0])
+    assert bits(got[0]) == bits(loglik_lattice(*args))

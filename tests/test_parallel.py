@@ -17,6 +17,7 @@ from oracles import (
     decode_exhaustive_oracle,
     dense_stack,
     decode_synced_oracle,
+    per_unit_segment_scores,
     segment_scores_oracle,
     segment_viterbi_oracle,
     split_forward_oracle,
@@ -1007,7 +1008,9 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
         mobs = MultiObservation(data)
         keys = sorted(lex.signs) + [EPS_UNIT]
         stack = _Unit(lex, mobs, keys)
-        assert stack.log_pi.shape == (7, len(keys), 2)
+        # Every spelling of a channel differs: one column per unit.
+        assert stack.log_pi.shape == (7, len(keys) * 2)
+        assert sorted(stack.index.ravel().tolist()) == list(range(len(keys) * 2))
         offsets = [o for o, _ in stack.band]
         assert 0 in offsets and offsets == sorted(offsets)
         dense = _dense_band(stack.band, 7)
@@ -1018,10 +1021,11 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
         for k, key in enumerate(keys):
             for c, ch in enumerate(lex.channels):
                 unit = synced_unit(lex, ch, key, mobs.channels[ch])
-                lo = stack.final + 1 - stack.sizes[k, c]
-                log_pi = stack.log_pi[lo:, k, c]
-                log_trans = dense[lo:, lo:, k, c]
-                logb = stack.logb[:, lo:, k, c]
+                d = stack.index[k, c]
+                lo = stack.final + 1 - stack.sizes[d]
+                log_pi = stack.log_pi[lo:, d]
+                log_trans = dense[lo:, lo:, d]
+                logb = stack.logb[:, lo:, d]
                 assert bits(log_pi) == bits(unit.log_pi)
                 assert bits(log_trans) == bits(unit.log_trans)
                 assert bits(logb) == bits(unit.logb)
@@ -1033,6 +1037,50 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
                         assert bits(columns[t][t0, k, c]) == bits(ref_exit[t])
                     assert bits(last[t0, k, c]) == bits(ref_last)
         assert (n_inf > 0) == (not gaussian)
+
+
+def _shared_spelling_lexicon(rng):
+    """A mixed_lexicon (epenthesis between signs) in which s1 spells
+    channel c0 as s0 does and s2 spells c1 as s0 does."""
+    lex = mixed_lexicon(rng, policy="between_signs")
+    lex.signs["s1"].channels["c0"] = list(lex.signs["s0"].channels["c0"])
+    lex.signs["s2"].channels["c1"] = list(lex.signs["s0"].channels["c1"])
+    return lex
+
+
+@pytest.mark.parametrize("case", range(len(BATCH_CASES) + 1))
+def test_segment_scores_on_distinct_columns_equal_per_unit_stack(case):
+    # The recursion runs once per distinct (channel, spelling) column and
+    # indexes its exits out: bit for bit the stack of one column per
+    # (key, channel).
+    rng = np.random.default_rng(140 + case)
+    if case < len(BATCH_CASES):
+        lex = mixed_lexicon(rng, **BATCH_CASES[case])
+    else:
+        lex = _shared_spelling_lexicon(rng)
+    keys = sorted(lex.signs) + ([EPS_UNIT] if lex.epenthesis_policy == "between_signs" else [])
+    mobs = sample_mobs(lex, ["s0", "s1"], 7, seed=case)
+    units = _Unit(lex, mobs, keys)
+    assert units.index.shape == (len(keys), 2)
+    distinct = {
+        (ch, key if key == EPS_UNIT else tuple(lex.signs[key].channels[ch]))
+        for key in keys
+        for ch in lex.channels
+    }
+    assert units.index.max() + 1 == len(units.sizes) == len(distinct)
+    if case == len(BATCH_CASES):
+        assert len(distinct) <= len(keys) * 2 - 2
+    for k, key in enumerate(keys):
+        for c, ch in enumerate(lex.channels):
+            # Each unit's column is its own composed model's.
+            unit, d = synced_unit(lex, ch, key, mobs.channels[ch]), units.index[k, c]
+            assert bits(units.log_pi[units.final + 1 - unit.n :, d]) == bits(unit.log_pi)
+            assert bits(units.logb[:, units.final + 1 - unit.n :, d]) == bits(unit.logb)
+    exits, last = per_unit_segment_scores(units)
+    for t in range(7):
+        got = units.segment_scores(t)
+        assert got.shape == (t + 1, len(keys), 2) and bits(got) == bits(exits[t])
+    assert units.last().shape == last.shape and bits(units.last()) == bits(last)
 
 
 def test_best_entries_returns_fsum_winner_on_near_tie():

@@ -154,7 +154,8 @@ def test_variant_mismatch_raises():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("rel_tol", 0.0), ("rel_tol", np.nan), ("smoothing", -1.0), ("smoothing", np.nan),
+    [("rel_tol", 0.0), ("rel_tol", np.nan), ("rel_tol", np.inf), ("smoothing", -1.0),
+     ("smoothing", np.nan),
      ("smoothing", np.inf), ("max_iters", 0), ("seed", -1),
      ("init_strategy", "uniform-perturbed")],
 )
