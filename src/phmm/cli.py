@@ -9,6 +9,7 @@ input, 4 training/numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,7 +21,7 @@ from . import __version__
 from .corpus import GenConfig, generate, read_corpus, write_corpus
 from .demo import demo_lexicon
 from .errors import DegenerateModelError, PhmmError, ValidationError
-from .lexicon import Lexicon, PhonemeInventory, validate_lexicon
+from .lexicon import validate_lexicon
 from .metrics import evaluate, report_to_dict
 from .model_io import config_hash, load_model, save_model
 from .parallel import DECODE_FAILURES, block_ids, decode, model_count
@@ -122,18 +123,12 @@ def cmd_train(args):
             for it, loglik in enumerate(reports[ch].loglik_trajectory):
                 hook(it, trained[ch], loglik)
 
-    out_lex = Lexicon(
-        channels=list(lexicon.channels),
+    out_lex = dataclasses.replace(
+        lexicon,
         inventories={
-            ch: PhonemeInventory(
-                phonemes=trained[ch],
-                epenthesis=lexicon.inventory(ch).epenthesis,
-            )
+            ch: dataclasses.replace(lexicon.inventory(ch), phonemes=trained[ch])
             for ch in lexicon.channels
         },
-        signs=lexicon.signs,
-        epenthesis_policy=lexicon.epenthesis_policy,
-        exit_prob=lexicon.exit_prob,
     )
     validate_lexicon(out_lex)
     run_config = {

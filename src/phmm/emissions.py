@@ -143,7 +143,7 @@ class DiscreteEmission(_Emission):
             raise DimensionMismatchError(
                 f"symbol out of range for alphabet size {self.alphabet_size}"
             )
-        return seq
+        return seq if seq.size else seq.astype(int)
 
     def log_density(self, seq):
         return safe_log(self.probs[:, seq]).T

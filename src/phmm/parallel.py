@@ -19,7 +19,10 @@ the exhaustive decoder stacks, for every channel, one composed model
 one stack, with a map from every candidate and channel to its column,
 and keeps only the stack's finite diagonals (hmm.band): a composed
 left-to-right chain has few of them, the self-loops and the steps
-forward on the demo lexicon. One max-product recursion per utterance
+forward on the demo lexicon. _stack_layout alone gives the stack's rows,
+columns and offsets, to the memory guard and to the builder; it reads
+the offsets off composed one-sign chains and sign junctions, so they
+follow compose_models. One max-product recursion per utterance
 runs over that stack (over each of its cache-sized column blocks when
 it is wide), each frame reading only those diagonals and
 gathering emissions from the channels' tables of phoneme-state log
@@ -194,71 +197,53 @@ def score_hypothesis(lexicon, signs, mobs):
     return _align(lexicon, signs, table, lengths, *_stack(models, columns))
 
 
-def _band_offsets(lexicon, channel, max_signs):
-    """The offsets of band() of the channel's models in the
-    _candidate_stack of 1..max_signs signs, read from the lexicon
-    without composing: every
-    phoneme's finite in-block transitions (a non-final block's last row
-    is rewired, so it keeps only its self-loop) and, from the last state
-    of each non-final block, one step to every state j + 1 that the next
-    block's pi enters."""
-    inv = lexicon.inventory(channel)
-    chains = [sign.channels[channel] for sign in lexicon.signs.values()]
-    finals = {pids[-1] for pids in chains}
-    pairs = {(a, b) for pids in chains for a, b in zip(pids, pids[1:])}
-    if max_signs > 1:
-        firsts = {pids[0] for pids in chains}
-        if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
-            pairs |= {(a, inv.epenthesis) for a in finals}
-            pairs |= {(inv.epenthesis, b) for b in firsts}
-        else:
-            pairs |= set(itertools.product(finals, firsts))
-    offsets = set()
-    for pid in finals | {a for a, _ in pairs}:
-        trans = inv.phonemes[pid].trans
-        rows, cols = np.nonzero(trans if pid in finals else trans[:-1])
-        offsets.update((cols - rows).tolist())
-    if pairs:
-        offsets.add(0)  # the rewired self-loop, 1 - exit_prob
-    for _, nxt in pairs:
-        entries = np.nonzero(lexicon.exit_prob * inv.phonemes[nxt].pi)[0]
-        offsets.update((entries + 1).tolist())
-    return offsets
+def _stack_layout(lexicon, max_signs):
+    """(n, width, offsets) of the _candidate_stack of 1..max_signs signs:
+    n rows, those of the largest model of any channel (max_signs of the
+    channel's largest sign, plus max_signs - 1 epenthesis fillers if the
+    policy has them); width columns, one per distinct spelling sequence
+    of each channel (sum over k = 1..max_signs of d^k, d the channel's
+    distinct sign spellings); and the band's offsets, the _offsets of
+    every channel's composed chains of one sign and, past one sign, of
+    one junction chain per distinct last phoneme of a spelling and
+    spelling (the last phoneme, the epenthesis filler if the policy has
+    it, then the spelling). Every block, rewired final row and step
+    across signs of a longer model is in one of these chains."""
+    n = width = 0
+    chains = []
+    eps = lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS
+    for ch in lexicon.channels:
+        inv = lexicon.inventory(ch)
+        spellings = {tuple(sign.channels[ch]) for sign in lexicon.signs.values()}
+        joint = (inv.epenthesis,) if eps else ()
+        sign_states = max(sum(inv.phonemes[pid].n_states for pid in pids) for pids in spellings)
+        eps_states = sum(inv.phonemes[pid].n_states for pid in joint)
+        n = max(n, max_signs * sign_states + (max_signs - 1) * eps_states)
+        width += sum(len(spellings) ** k for k in range(1, max_signs + 1))
+        lasts = {pids[-1] for pids in spellings} if max_signs > 1 else ()
+        seqs = spellings | {(last,) + joint + pids for last in lasts for pids in spellings}
+        chains.extend([(pid, inv.phonemes[pid]) for pid in seq] for seq in seqs)
+    models = (compose_models(blocks, lexicon.exit_prob)[0] for blocks in chains)
+    return n, width, _offsets(models)
 
 
 def _stack_bytes(lexicon, max_signs):
     """Bytes (8 per entry) that decode_exhaustive's cache holds for
     max_signs: the joint _candidate_stack, whose log_pi, columns and band
-    weights (one per offset of any channel's _band_offsets) have a
-    column per distinct spelling sequence of each channel (sum over k =
-    1..max_signs of d^k, d the channel's distinct sign spellings) and
-    the rows of the largest model of any channel (max_signs of the
-    channel's largest sign, plus max_signs - 1 epenthesis fillers if the
-    policy has them), and whose map has a column index per candidate
-    and channel. SearchSpaceTooLargeError if the candidates pass
-    MAX_CANDIDATES, or the bytes MAX_STACK_BYTES together with the four
-    rows of viterbi_score_lattice's frames on the widest block (delta,
-    the next row, the sum buffer and the gathered emissions)."""
-    signs = range(1, max_signs + 1)
+    weights (one per offset) are n by width arrays of its _stack_layout,
+    and whose map has a column index per candidate and channel.
+    SearchSpaceTooLargeError if the candidates pass MAX_CANDIDATES, or
+    the bytes MAX_STACK_BYTES together with the four rows of
+    viterbi_score_lattice's frames on the widest block (delta, the next
+    row, the sum buffer and the gathered emissions)."""
     n_cand = 0
-    for k in signs:
+    for k in range(1, max_signs + 1):
         n_cand += len(lexicon.signs) ** k
         if n_cand > MAX_CANDIDATES:
             raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
-    n = n_columns = 0
-    offsets = set()
-    for ch in lexicon.channels:
-        inv = lexicon.inventory(ch)
-        spellings = {tuple(sign.channels[ch]) for sign in lexicon.signs.values()}
-        sign_states = max(sum(inv.phonemes[pid].n_states for pid in pids) for pids in spellings)
-        eps_states = 0
-        if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
-            eps_states = inv.phonemes[inv.epenthesis].n_states
-        n = max(n, max_signs * sign_states + (max_signs - 1) * eps_states)
-        n_columns += sum(len(spellings) ** k for k in signs)
-        offsets |= _band_offsets(lexicon, ch, max_signs)
-    total = (len(offsets) + 2) * n * n_columns * 8 + len(lexicon.channels) * n_cand * 8
-    rows = 4 * n * min(n_columns, max(1, _BLOCK_ENTRIES // n)) * 8
+    n, width, offsets = _stack_layout(lexicon, max_signs)
+    total = (len(offsets) + 2) * n * width * 8 + len(lexicon.channels) * n_cand * 8
+    rows = 4 * n * min(width, max(1, _BLOCK_ENTRIES // n)) * 8
     if total + rows > MAX_STACK_BYTES:
         what = "hold {} bytes of candidate stacks and their transients"
         raise SearchSpaceTooLargeError(total + rows, MAX_STACK_BYTES, what)
@@ -309,6 +294,12 @@ def _state_columns(phonemes, pids, base=0):
     return [base + offsets[p] + i for p in pids for i in range(phonemes[p].n_states)]
 
 
+def _offsets(models):
+    """0 and every o of a nonzero trans[j - o, j] of the models, ascending."""
+    found = [np.subtract(*m.trans.nonzero()[::-1]).tolist() for m in models]
+    return sorted({0}.union(*found))
+
+
 def _stack(models, columns, offsets=None, n=None):
     """(log_pi (N, B), band, columns (N, B)) of B models, an iterable,
     and the list of their state-to-column lists, batch innermost; N is
@@ -317,13 +308,12 @@ def _stack(models, columns, offsets=None, n=None):
     above it are -inf and read column -1, the -inf column of a
     _log_density_table. band is hmm.band of the log transitions at
     offsets, ascending, which must hold every offset of a finite
-    transition (by default 0 and the offsets of the models, a list),
+    transition (by default the _offsets of the models, then a list),
     written straight from each model's diagonals. Each stacked array
     takes one log, in place."""
     n = n or max(len(cols) for cols in columns)
-    if offsets is None:  # 0 and every o of a nonzero trans[j - o, j]
-        found = [np.subtract(*m.trans.nonzero()[::-1]).tolist() for m in models]
-        offsets = sorted({0}.union(*found))
+    if offsets is None:
+        offsets = _offsets(models)
     pi = np.zeros((n, len(columns)))
     trans = np.zeros((len(offsets), n, len(columns)))
     stacked = np.full((n, len(columns)), -1, dtype=np.intp)
@@ -383,10 +373,10 @@ def _candidate_stack(lexicon, max_signs):
     """(blocks, index) of the candidates of 1..max_signs signs: one
     stack over all lexicon channels of each channel's models of its
     _spellings, channel by channel, its columns reading the
-    _density_table and its band written at the union of the channels'
-    _band_offsets. The stack is cut into blocks of consecutive columns,
+    _density_table, its N rows and band offsets those of the
+    _stack_layout. The stack is cut into blocks of consecutive columns,
     each a contiguous (log_pi, band(log_trans), columns) _stack of the
-    same N rows and at most _BLOCK_ENTRIES entries per row array.
+    N rows and at most _BLOCK_ENTRIES entries per row array.
     index[m, c] is the stack column of the m-th candidate's channel c
     model."""
     jobs = []
@@ -400,13 +390,12 @@ def _candidate_stack(lexicon, max_signs):
         columns.extend(
             _state_columns(phonemes, block_ids(lexicon, ch, signs), base) for signs in distinct
         )
-    offsets = set().union(*(_band_offsets(lexicon, ch, max_signs) for ch in lexicon.channels))
+    n, _, offsets = _stack_layout(lexicon, max_signs)
     # Composed one at a time: holding all of them at once raised peak RSS.
     models = (compose_utterance_model(lexicon, ch, signs) for ch, signs in jobs)
-    n = max(len(cols) for cols in columns)
     step = max(1, _BLOCK_ENTRIES // n)
     blocks = [
-        _stack(itertools.islice(models, step), columns[b : b + step], sorted(offsets), n)
+        _stack(itertools.islice(models, step), columns[b : b + step], offsets, n)
         for b in range(0, len(columns), step)
     ]
     return blocks, np.stack(index, axis=1)

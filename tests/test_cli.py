@@ -314,7 +314,7 @@ def test_decode_exhaustive_stack_memory_guard(
     # 1,047,552 of transients, and a limit one byte under that refuses it
     # before any stack is built.
     lexicon, _ = load_model(trained_model)
-    assert parallel._band_offsets(lexicon, "head", 6) == {0, 1, 2, 3}
+    assert parallel._stack_layout(lexicon, 6)[2] == [0, 1, 2, 3]
     assert parallel._stack_bytes(lexicon, 6) == 33_136_128
     need = 33_136_128 + 1_047_552
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)

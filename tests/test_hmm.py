@@ -160,9 +160,13 @@ def test_forward_matches_brute_force_enumeration():
 
 
 def test_forward_empty_sequence_rejected():
+    # An empty list or float array is an empty symbol sequence too: each
+    # of the four single-sequence calls rejects all three.
     h = random_discrete_hmm(np.random.default_rng(0))
-    with pytest.raises(EmptyObservationError):
-        forward(h, np.array([], dtype=int))
+    for fn in (forward, backward, viterbi, posteriors):
+        for obs in ([], np.array([]), np.array([], dtype=int)):
+            with pytest.raises(EmptyObservationError):
+                fn(h, obs)
 
 
 def test_backward_last_row_zero_and_consistency():

@@ -397,14 +397,16 @@ def test_stack_bytes_equal_the_cached_stacks(policy):
 
 
 def _check_cached_bands(case):
-    """The cached stack of BATCH_CASES[case], at 1 and 3 signs, against
-    the lexicon's band offsets, a dense_stack of the same models and
+    """The cached stack of BATCH_CASES[case], at 1, 2 and 3 signs,
+    against its _stack_layout, a dense_stack of the same models and
     score_hypothesis, bit for bit, whatever parallel._BLOCK_ENTRIES is.
 
-    Ergodic phonemes with zeroed transitions and pi entries: the offsets
-    read from the lexicon are exactly those band() finds, with (3) and
-    without (1) steps across signs. The band, written straight from each
-    model's diagonals, is bit-identical to band() of the dense stack."""
+    Ergodic phonemes with zeroed transitions and pi entries: the layout's
+    offsets, read from one-sign and junction chains, are exactly those
+    band() finds, with (2, 3) and without (1) steps across signs. At 2
+    signs the junction chains are the two-sign models. The band, written
+    straight from each model's diagonals, is bit-identical to band() of
+    the dense stack."""
     rng = np.random.default_rng(80 + case)
     lex = mixed_lexicon(rng, **BATCH_CASES[case])
     for inv in lex.inventories.values():
@@ -416,11 +418,13 @@ def _check_cached_bands(case):
                 model.pi = np.eye(model.n_states)[int(rng.integers(model.n_states))]
     mobs = sample_mobs(lex, ["s1", "s0"], 6, seed=case)
     bases = parallel._table_bases(lex)
-    for max_signs in (1, 3):
+    for max_signs in (1, 2, 3):
         cache = {}
         decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
         blocks, index = cache[max_signs]
         log_pi, diagonals, columns = _joined(blocks)
+        layout = parallel._stack_layout(lex, max_signs)
+        assert layout[:2] == log_pi.shape
         width = max(1, parallel._BLOCK_ENTRIES // len(log_pi))
         assert [b[0].shape[1] for b in blocks[:-1]] == [width] * (len(blocks) - 1)
         assert len(blocks) == -(-log_pi.shape[1] // width)
@@ -435,16 +439,13 @@ def _check_cached_bands(case):
         for c, ch in enumerate(lex.channels):
             phonemes = lex.inventory(ch).phonemes
             own = np.unique(index[:, c])
-            offsets = parallel._band_offsets(lex, ch, max_signs)
-            finite = {o for o, w in diagonals if np.isfinite(w[:, own]).any()}
-            assert finite == offsets
-            union |= offsets
+            union |= {o for o, w in diagonals if np.isfinite(w[:, own]).any()}
             for signs in parallel._spellings(lex, ch, max_signs)[0]:
                 models.append(compose_utterance_model(lex, ch, signs))
                 ids = parallel.block_ids(lex, ch, signs)
                 dense_columns.append(parallel._state_columns(phonemes, ids, bases[c]))
         want_pi, want_trans, want_columns = dense_stack(models, dense_columns)
-        assert [o for o, _ in diagonals] == sorted(union)
+        assert [o for o, _ in diagonals] == layout[2] == sorted(union)
         assert [(o, bits(w)) for o, w in diagonals] == [
             (o, bits(w)) for o, w in band(want_trans)
         ]
@@ -492,8 +493,36 @@ def test_band_offsets_skip_rewired_rows_and_follow_pi():
         decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
         [(_, diagonals, _)], _ = cache[max_signs]
         assert [o for o, _ in diagonals] == [0, 1, 3]
-        assert parallel._band_offsets(lex, "c", max_signs) == {0, 1, 3}
+        assert parallel._stack_layout(lex, max_signs)[2] == [0, 1, 3]
     assert parallel._stack_bytes(lex, 1) + parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
+
+
+def test_stack_band_follows_compose_models(monkeypatch):
+    # A wiring whose non-final blocks exit into their successor's second
+    # state steps forward 2 where pi, one-hot on the first state, says 1:
+    # the cached band still holds every step that wiring composes.
+    compose = parallel.compose_models
+
+    def exit_into_second_state(blocks, exit_prob=0.5):
+        model, offsets = compose(blocks, exit_prob)
+        for off in offsets[1:]:
+            model.trans[off - 1, off:] = 0.0
+            model.trans[off - 1, off + 1] = exit_prob
+        return model, offsets
+
+    monkeypatch.setattr(parallel, "compose_models", exit_into_second_state)
+    emit = DiscreteEmission(np.array([[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]))
+    bakis = [[0.5, 0.5, 0], [0, 0.5, 0.5], [0, 0, 1.0]]
+    a, b = (Hmm([1.0, 0, 0], bakis, emit.copy()) for _ in range(2))
+    inventories = {"c": PhonemeInventory(phonemes={"a": a, "b": b})}
+    signs = {"x": Sign("x", {"c": ["a"]}), "y": Sign("y", {"c": ["b", "a"]})}
+    lex = Lexicon(["c"], inventories, signs, "none")
+    mobs = MultiObservation({"c": np.array([0, 1, 0, 1, 1, 0, 1, 1])})
+    scores = _candidate_scores(lex, *_density_table(lex, mobs), 2, {})
+    assert np.isfinite(scores).all()
+    for m, row in enumerate(scores):
+        ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), mobs)
+        assert bits(row) == bits([ref.channel_scores["c"]])
 
 
 def test_decode_exhaustive_no_finite_hypothesis():
