@@ -261,9 +261,11 @@ class GaussianEmission(_Emission):
             )
 
     def check(self, obs):
-        """obs as a finite float array of shape (T, dim); a
-        ValidationError subclass otherwise."""
+        """obs as a finite float array of shape (T, dim), an empty
+        sequence as (0, dim); a ValidationError subclass otherwise."""
         seq = np.asarray(obs, dtype=float)
+        if seq.shape == (0,):
+            seq = seq.reshape(0, self.dim)
         if seq.ndim != 2 or seq.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"expected (T, {self.dim}) observation array, got {seq.shape}"

@@ -29,8 +29,9 @@ gathering emissions from the channels' tables of phoneme-state log
 densities, side by side; each channel is scored at its own last frame.
 The synchronized decoder stacks the units of an utterance (every sign,
 and the epenthesis filler, in every channel; front-padded with -inf so
-that each final state is the last row) on a band too, and advances one
-recursion for all units and entry frames a frame at a time. Every stack
+that each final state is the last row) on a band too, cached per
+lexicon like the exhaustive stack, and advances one recursion for all
+units and entry frames a frame at a time. Every stack
 is written as a band, so no dense transition stack is built. Max and +
 are exact, and neither -inf padding nor a dropped, all -inf diagonal
 ever wins a max, so every score is bit-identical to scoring the
@@ -43,11 +44,14 @@ the synced winner from the unit band.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
-bound of the best are rescored with math.fsum. It runs once over the
+bound of the best, read off those sums and a bound on positive log
+densities, are rescored with math.fsum. It runs once over the
 exhaustive candidates and at each frame over the synced search's
-(unit, entry frame) pairs. score_hypothesis scores any one sign
-sequence on its own composed models; on the exhaustive winner's signs
-it gives the winner's scores and paths bit for bit.
+(unit, entry frame) pairs; of that frame's tokens, only the best sign
+token and the epenthesis token are built, the two read again.
+score_hypothesis scores any one sign sequence on its own composed
+models; on the exhaustive winner's signs it gives the winner's scores
+and paths bit for bit.
 """
 
 from __future__ import annotations
@@ -470,7 +474,8 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     validate_multi_observation(lexicon, mobs)
     table, lengths = _density_table(lexicon, mobs)
     scores = _candidate_scores(lexicon, table, lengths, max_signs, cache)
-    [(best, rows)] = _best_entries(np.zeros((len(scores), 1)), scores[:, None])
+    positive = _positive_bound(table, len(lexicon.channels))[-1]
+    [(best, rows)] = _best_entries(np.zeros((len(scores), 1)), scores[:, None], positive)
     if best is None:
         raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
     blocks, index = cache[max_signs]
@@ -500,6 +505,28 @@ def model_count(lexicon):
 # ---------------------------------------------------------------------------
 
 
+def _unit_layout(lexicon, keys):
+    """(index, log_pi, band, columns) of the _Unit stack of keys: the
+    lexicon's part, built once per decode_synced cache; band has the
+    final self-loop repriced to 1 - exit_prob."""
+    bases = _table_bases(lexicon)
+    models, columns, index, seen = [], [], [], {}
+    for key in keys:
+        for ch, base in zip(lexicon.channels, bases):
+            inv = lexicon.inventory(ch)
+            pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[ch]
+            index.append(seen.setdefault((ch, tuple(pids)), len(seen)))
+            if index[-1] == len(models):  # a new phoneme sequence
+                blocks = [(pid, inv.phonemes[pid]) for pid in pids]
+                models.append(compose_models(blocks, lexicon.exit_prob)[0])
+                columns.append(_state_columns(inv.phonemes, pids, base))
+    log_pi, band, columns = _stack(models, columns)
+    # Mid-utterance pricing: a unit's final state dwells with 1 - exit
+    # probability; the complement leaves through the boundary.
+    dict(band)[0][-1] = safe_log(1.0 - lexicon.exit_prob)
+    return np.reshape(index, (len(keys), len(lexicon.channels))), log_pi, band, columns
+
+
 class _Unit:
     """The unit models of one utterance, stacked for segment-level
     dynamic programming: one per (unit key, channel), the composed model
@@ -512,34 +539,19 @@ class _Unit:
     always among them) holds the transitions. State i of column d emits
     logb[t, i, d], gathered through a state-to-column index from the
     per-channel tables of _log_density_table; padded states read a -inf
-    column.
+    column. layout is the _unit_layout of keys.
     """
 
-    def __init__(self, lexicon, mobs, keys):
+    def __init__(self, lexicon, mobs, keys, layout):
         self.keys = list(keys)
         self.channels = list(lexicon.channels)
-        bases = _table_bases(lexicon)
-        models, columns, index, seen = [], [], [], {}
-        for key in self.keys:
-            for ch, base in zip(self.channels, bases):
-                inv = lexicon.inventory(ch)
-                pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[ch]
-                index.append(seen.setdefault((ch, tuple(pids)), len(seen)))
-                if index[-1] == len(models):  # a new phoneme sequence
-                    blocks = [(pid, inv.phonemes[pid]) for pid in pids]
-                    models.append(compose_models(blocks, lexicon.exit_prob)[0])
-                    columns.append(_state_columns(inv.phonemes, pids, base))
-        self.index = np.reshape(index, (len(self.keys), len(self.channels)))
-        self.log_pi, self.band, columns = _stack(models, columns)
+        self.index, self.log_pi, self.band, columns = layout
         self.sizes = np.count_nonzero(columns >= 0, axis=0)
         n = len(self.log_pi)
         self.final = n - 1
-        # Mid-utterance pricing: a unit's final state dwells with 1 - exit
-        # probability; the complement leaves through the boundary.
-        dict(self.band)[0][self.final] = safe_log(1.0 - lexicon.exit_prob)
         self.log_exit = float(safe_log(lexicon.exit_prob))
         self.logb = _density_table(lexicon, mobs)[0][:, columns]
-        t_len, width = len(self.logb), len(models)
+        t_len, _, width = self.logb.shape
         # delta[:, t0] is the recursion of every column entered at frame
         # t0, spare a scratch; final_iso[t0] prices the final state as
         # absorbing.
@@ -585,28 +597,44 @@ class _Unit:
 _EPS = float(np.finfo(float).eps)
 
 
-def _best_entries(entry_scores, parts):
+def _positive_bound(table, n_channels):
+    """(T,) bounds on the positive values of n_channels channel scores
+    up to each frame: only log densities (table (T, ...)) exceed 0, so
+    n_channels times the running sum of each frame's largest, if > 0."""
+    return n_channels * np.cumsum(np.maximum(table.reshape(len(table), -1).max(axis=1), 0.0))
+
+
+def _best_entries(entry_scores, parts, positive):
     """Exact maxima of entry_scores[i, k] + math.fsum(parts[i, k]) over
     rows i, one per column k.
 
     entry_scores (M, K) holds -inf where column k has no entry at row i;
-    parts (M, K, C). Returns one (best, rows) pair per column: the best
-    score and the rows reaching it in ascending order, or (None, []) if
-    every row scores -inf.
+    parts (M, K, C); positive bounds, on every row, the sum of the
+    positive values among its entry and parts (a _positive_bound).
+    Returns one (best, rows) pair per column: the best score and the
+    rows reaching it in ascending order, or (None, []) if every row
+    scores -inf.
 
-    numpy's left-to-right sums rank the rows; only rows that can reach
-    the exact maximum are rescored with math.fsum. With X = |entry| +
-    sum |parts|, a row's numpy sum is within C * eps * X of its real
-    sum and its fsum score within 2 * eps * X, so a row reaching the
-    exact maximum is within 2 * (C + 2) * eps * X_max of the column's
-    largest numpy sum, X_max being the column's largest finite X. Rows
-    within 2 * tol, tol = (C + 4) * eps * X_max, are kept; the margin
-    covers rounding the cut itself.
+    numpy's sums a, left to right from the entry, rank the rows; only
+    rows that can reach the exact maximum are rescored with math.fsum.
+    With X = |entry| + sum |parts|, a row's a is within C * eps * X of
+    its real sum s and its fsum score within 2 * eps * X, so a row
+    reaching the exact maximum is within 2 * (C + 2) * eps * X_max of
+    the column's largest a, X_max being the column's largest finite X.
+    Rows within 2 * tol, tol = (C + 4) * eps * B, are kept; the margin
+    covers rounding the cut itself. B bounds every X_max from the sums
+    alone: X = 2 * (the row's positive values) - s <= 2 * positive - a
+    + C * eps * X, so X <= (2 * positive - a) / (1 - C * eps) <= B =
+    2 * (2 * positive - min a), min a taken over every finite row and
+    no higher than 0. The factor 2 also covers rounding positive, the
+    sums and B, each by a relative error far below 1 / 4.
     """
-    approx = entry_scores + parts.sum(axis=-1)
+    approx = entry_scores + parts[..., 0]
+    for c in range(1, parts.shape[-1]):
+        approx += parts[..., c]
     finite = approx > LOG_ZERO
-    size = np.abs(entry_scores) + np.abs(parts).sum(axis=-1)
-    tol = (parts.shape[-1] + 4) * _EPS * size.max(axis=0, where=finite, initial=0.0)
+    bound = 2 * (2 * positive - np.min(approx, where=finite, initial=0.0))
+    tol = (parts.shape[-1] + 4) * _EPS * bound
     keep = finite & (approx >= approx.max(axis=0) - 2 * tol)
     cols, rows = np.nonzero(keep.T)
     entries = entry_scores[rows, cols].tolist()
@@ -632,19 +660,59 @@ class _Token:
         return (-self.score, len(self.signs), self.signs)
 
 
-def _best_token(a, b):
-    """b if a is None, else whichever of a and b has the smaller key, a on a tie."""
-    return b if a is None or b.key() < a.key() else a
+def _unit_token(key, winner, entries, t):
+    """The smallest key() token leaving unit key at frame t, winner its
+    (score, entry frames t0) and entries[t0] its entry tokens; the
+    earliest t0 on a tie."""
+    score, t0s = winner
+    sign = () if key == EPS_UNIT else (key,)
+    tokens = [
+        _Token(score, entries[t0].signs + sign, entries[t0].segments + ((key, t0, t),))
+        for t0 in t0s
+    ]
+    return min(tokens, key=_Token.key)
 
 
-def decode_synced(lexicon, mobs, beam_width):
+def _best_sign(sign_ids, winners, entries, t):
+    """The best sign token leaving at frame t, or None; key() ranks by
+    score first, so only units reaching the top score are tokenized."""
+    scores = [score for score, _ in winners[: len(sign_ids)] if score is not None]
+    if not scores:
+        return None
+    top = max(scores)
+    tied = [_unit_token(key, w, entries, t) for key, w in zip(sign_ids, winners) if w[0] == top]
+    return min(tied, key=_Token.key)
+
+
+def _signs_above(eps, sign_ids, winners, entries, t):
+    """How many sign tokens leaving at frame t rank above the epenthesis
+    token eps by (key(), unit key); only signs tying its score exactly
+    are tokenized."""
+    rank = (eps.key(), EPS_UNIT)
+    return sum(
+        w[0] > eps.score or (_unit_token(key, w, entries, t).key(), key) < rank
+        for key, w in zip(sign_ids, winners)
+        if w[0] is not None and w[0] >= eps.score
+    )
+
+
+def decode_synced(lexicon, mobs, beam_width, cache=None):
     """Sign-boundary-synchronized joint Viterbi decode.
 
     Every lexicon channel needs a nonempty observation sequence
     (ValidationError otherwise), all of the same length; every channel
     crosses each sign (and epenthesis) boundary at the same frame. With
     an unbounded beam this is exact for the synchronized search space;
-    pruning keeps the best beam_width boundary tokens per frame.
+    pruning keeps the best beam_width of a frame's tokens, one per unit,
+    by (key(), unit key). Only two are read again: the best sign token
+    and the epenthesis token. So a frame builds those alone, and a sign
+    unit's token only where it ties their score, and prunes by rank:
+    the epenthesis token survives if fewer than beam_width sign tokens
+    rank above it, the best sign token unless beam_width is 1 and the
+    epenthesis token ranks first.
+
+    cache is a dict reused across utterances of one lexicon, which
+    decode_exhaustive may share: cache["synced"] holds the _unit_layout.
 
     A lexicon without signs is a ValidationError. So is a sign's last
     phoneme, or the epenthesis filler under its policy, that can move
@@ -673,9 +741,12 @@ def decode_synced(lexicon, mobs, beam_width):
 
     sign_ids = sorted(lexicon.signs)
     unit_keys = list(sign_ids) + ([EPS_UNIT] if use_eps else [])
-
-    units = _Unit(lexicon, mobs, unit_keys)
+    cache = {} if cache is None else cache
+    if "synced" not in cache:
+        cache["synced"] = _unit_layout(lexicon, unit_keys)
+    units = _Unit(lexicon, mobs, unit_keys, cache["synced"])
     n_signs = len(sign_ids)
+    positive = _positive_bound(units.logb, len(lexicon.channels))
 
     # sign_entries[t0] / eps_entries[t0]: the best token that may enter a
     # sign / the epenthesis at frame t0, fixed once frame t0 - 1 is pruned;
@@ -685,34 +756,21 @@ def decode_synced(lexicon, mobs, beam_width):
     entry_scores = np.full((t_len, len(unit_keys)), LOG_ZERO)
     entry_scores[0, :n_signs] = 0.0
     for t in range(t_len):
-        cell = {}
-        winners = _best_entries(entry_scores[: t + 1], units.segment_scores(t))
-        for key, (best_score, t0s) in zip(unit_keys, winners):
-            is_sign = key != EPS_UNIT
-            entries = sign_entries if is_sign else eps_entries
-            # The token key orders by score first, so only entry frames
-            # reaching the best score can win; ties go to the smaller key.
-            best = None
-            for t0 in t0s:
-                entry = entries[t0]
-                tok = _Token(
-                    best_score,
-                    entry.signs + ((key,) if is_sign else ()),
-                    entry.segments + ((key, t0, t),),
-                )
-                best = _best_token(best, tok)
-            if best is not None:
-                cell[key] = best
-        if len(cell) > beam_width:
-            kept = sorted(cell.items(), key=lambda kv: kv[1].key() + (kv[0],))
-            cell = dict(kept[:beam_width])
-        best_sign = None
-        for key, tok in cell.items():
-            if key != EPS_UNIT:
-                best_sign = _best_token(best_sign, tok)
+        winners = _best_entries(entry_scores[: t + 1], units.segment_scores(t), positive[t])
+        best_sign = _best_sign(sign_ids, winners, sign_entries, t)
+        eps = None
+        if use_eps and winners[-1][0] is not None:
+            eps = _unit_token(EPS_UNIT, winners[-1], eps_entries, t)
+            above = 0
+            if beam_width <= n_signs:  # else the beam cannot bind
+                above = _signs_above(eps, sign_ids, winners, sign_entries, t)
+            if above >= beam_width:
+                eps = None
+            elif beam_width == 1:
+                best_sign = None
         # With epenthesis a sign follows the epenthesis token and the
         # epenthesis the best sign token; else a sign the best sign token.
-        sign_entry, eps_entry = (cell.get(EPS_UNIT), best_sign) if use_eps else (best_sign, None)
+        sign_entry, eps_entry = (eps, best_sign) if use_eps else (best_sign, None)
         sign_entries.append(sign_entry)
         eps_entries.append(eps_entry)
         if t + 1 < t_len:
@@ -721,13 +779,8 @@ def decode_synced(lexicon, mobs, beam_width):
             if eps_entry is not None:
                 entry_scores[t + 1, n_signs:] = eps_entry.score
 
-    best = None
-    tails = _best_entries(entry_scores[:, :n_signs], units.last()[:, :n_signs])
-    for key, (score, t0s) in zip(sign_ids, tails):
-        for t0 in t0s:
-            entry = sign_entries[t0]
-            tok = _Token(score, entry.signs + (key,), entry.segments + ((key, t0, t_len - 1),))
-            best = _best_token(best, tok)
+    tails = _best_entries(entry_scores[:, :n_signs], units.last()[:, :n_signs], positive[-1])
+    best = _best_sign(sign_ids, tails, sign_entries, t_len - 1)
     if best is None:
         raise NoFiniteHypothesisError("no synchronized hypothesis has finite score")
     return _rebuild_hypothesis(units, best)
@@ -740,14 +793,15 @@ DECODE_FAILURES = (NoFiniteHypothesisError, UnequalChannelLengthsError)
 
 def decode(lexicon, mobs, mode, max_signs, beam_width, cache):
     """Decode one utterance with decode_exhaustive (mode "exhaustive",
-    max_signs and cache) or decode_synced (mode "synced", beam_width).
+    max_signs) or decode_synced (mode "synced", beam_width), either
+    with cache.
 
     Raises one of DECODE_FAILURES when the utterance has no hypothesis.
     """
     if mode == "exhaustive":
         return decode_exhaustive(lexicon, mobs, max_signs, cache=cache)
     if mode == "synced":
-        return decode_synced(lexicon, mobs, beam_width)
+        return decode_synced(lexicon, mobs, beam_width, cache=cache)
     raise ValueError(f"unknown decode mode {mode!r}")
 
 

@@ -160,13 +160,20 @@ def test_forward_matches_brute_force_enumeration():
 
 
 def test_forward_empty_sequence_rejected():
-    # An empty list or float array is an empty symbol sequence too: each
-    # of the four single-sequence calls rejects all three.
-    h = random_discrete_hmm(np.random.default_rng(0))
-    for fn in (forward, backward, viterbi, posteriors):
-        for obs in ([], np.array([]), np.array([], dtype=int)):
-            with pytest.raises(EmptyObservationError):
-                fn(h, obs)
+    # An empty list or array is an empty sequence of either emission
+    # kind, a Gaussian (0, dim) array too: each of the four
+    # single-sequence calls rejects them all.
+    rng = np.random.default_rng(0)
+    empties = ([], np.array([]), np.array([], dtype=int))
+    cases = [
+        (random_discrete_hmm(rng), empties),
+        (random_gaussian_hmm(rng, dim=2), empties + (np.zeros((0, 2)),)),
+    ]
+    for h, inputs in cases:
+        for fn in (forward, backward, viterbi, posteriors):
+            for obs in inputs:
+                with pytest.raises(EmptyObservationError):
+                    fn(h, obs)
 
 
 def test_backward_last_row_zero_and_consistency():

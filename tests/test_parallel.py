@@ -49,7 +49,10 @@ from phmm.parallel import (
     _candidate_scores,
     _density_table,
     _sequence,
+    _signs_above,
     _Unit,
+    _unit_layout,
+    _unit_token,
     compose_models,
     compose_utterance_model,
     decode_exhaustive,
@@ -947,6 +950,34 @@ def test_stack_bytes_runs_once_per_cache_and_max_signs(monkeypatch):
     assert calls == [2, 3, 3]
 
 
+def test_decode_synced_cache_builds_one_unit_layout(monkeypatch):
+    # One cache serves a corpus in both modes through decode: the synced
+    # hypotheses equal uncached decodes repr for repr, and the unit
+    # layout is built once, under a key apart from the exhaustive stack.
+    calls = []
+    unit_layout = parallel._unit_layout
+
+    def counted(lexicon, keys):
+        calls.append(list(keys))
+        return unit_layout(lexicon, keys)
+
+    monkeypatch.setattr(parallel, "_unit_layout", counted)
+    lex = build_lexicon(np.random.default_rng(67), vocab=3, policy="between_signs")
+    corpus = [
+        sample_mobs(lex, [["s0"], ["s2", "s1"], ["s1", "s0", "s2"]][seed % 3], 9, seed=seed)
+        for seed in range(6)
+    ]
+    cache = {}
+    cached = []
+    for mobs in corpus:
+        cached.append(parallel.decode(lex, mobs, "synced", 2, 1000, cache))
+        parallel.decode(lex, mobs, "exhaustive", 2, 1000, cache)
+    assert calls == [["s0", "s1", "s2", EPS_UNIT]] and set(cache) == {2, "synced"}
+    for mobs, got in zip(corpus, cached):
+        _assert_same_hypothesis(got, decode_synced(lex, mobs, beam_width=1000))
+    assert len(calls) == 1 + len(corpus)
+
+
 def test_decode_exhaustive_empty_channel_names_it(monkeypatch):
     lex = build_lexicon(np.random.default_rng(21), vocab=2)
     mobs = sample_mobs(lex, ["s0"], 5, seed=12)
@@ -1036,7 +1067,7 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
             data = {ch: np.r_[0, rng.integers(0, 4, size=t_len - 1)] for ch in lex.channels}
         mobs = MultiObservation(data)
         keys = sorted(lex.signs) + [EPS_UNIT]
-        stack = _Unit(lex, mobs, keys)
+        stack = _Unit(lex, mobs, keys, _unit_layout(lex, keys))
         # Every spelling of a channel differs: one column per unit.
         assert stack.log_pi.shape == (7, len(keys) * 2)
         assert sorted(stack.index.ravel().tolist()) == list(range(len(keys) * 2))
@@ -1089,7 +1120,7 @@ def test_segment_scores_on_distinct_columns_equal_per_unit_stack(case):
         lex = _shared_spelling_lexicon(rng)
     keys = sorted(lex.signs) + ([EPS_UNIT] if lex.epenthesis_policy == "between_signs" else [])
     mobs = sample_mobs(lex, ["s0", "s1"], 7, seed=case)
-    units = _Unit(lex, mobs, keys)
+    units = _Unit(lex, mobs, keys, _unit_layout(lex, keys))
     assert units.index.shape == (len(keys), 2)
     distinct = {
         (ch, key if key == EPS_UNIT else tuple(lex.signs[key].channels[ch]))
@@ -1118,9 +1149,22 @@ def test_best_entries_returns_fsum_winner_on_near_tie():
     parts = np.array([[[1e16, 1.0, -1e16]], [[0.5, 0.0, 0.0]]])
     entries = np.zeros((2, 1))
     assert parts[0].sum(axis=-1)[0] < parts[1].sum(axis=-1)[0]
-    assert _best_entries(entries, parts) == [(1.0, [0])]
+    assert _best_entries(entries, parts, 1e16 + 1.0) == [(1.0, [0])]
     # The entry score takes part in the rescoring: row 1 now wins.
-    assert _best_entries(np.array([[-0.75], [0.0]]), parts) == [(0.5, [1])]
+    assert _best_entries(np.array([[-0.75], [0.0]]), parts, 1e16 + 1.0) == [(0.5, [1])]
+
+
+def test_best_entries_near_tie_with_positive_values():
+    # Gaussian log densities can exceed 0. Every value here does, so no
+    # sum is below 0 and only the bound on positive values (no row's sum
+    # past 6) keeps row 0, which sums below row 1 left to right (as
+    # _best_entries sums) and above it in math.fsum, in the rescoring.
+    entries = np.array([[0.2], [2.9]])
+    parts = np.array([[[1.0, 2.6, 1.9]], [[0.4, 1.2, 1.2]]])
+    approx = entries + parts[..., 0] + parts[..., 1] + parts[..., 2]
+    assert approx[0, 0] < approx[1, 0]
+    assert 0.2 + math.fsum([1.0, 2.6, 1.9]) > 2.9 + math.fsum([0.4, 1.2, 1.2])
+    assert _best_entries(entries, parts, 6.0) == [(0.2 + math.fsum([1.0, 2.6, 1.9]), [0])]
 
 
 def test_best_entries_exact_ties_and_dead_rows():
@@ -1133,8 +1177,68 @@ def test_best_entries_exact_ties_and_dead_rows():
         ]
     )
     entries = np.array([[0.0, 0.0, inf], [0.0, -0.5, 0.0], [0.0, 0.0, 0.0]])
-    assert _best_entries(entries, parts) == [(-3.0, [0, 1, 2]), (-4.0, [1]), (-1.0, [1])]
-    assert _best_entries(np.full((3, 3), inf), parts) == [(None, [])] * 3
+    assert _best_entries(entries, parts, 0.0) == [(-3.0, [0, 1, 2]), (-4.0, [1]), (-1.0, [1])]
+    assert _best_entries(np.full((3, 3), inf), parts, 0.0) == [(None, [])] * 3
+
+
+def test_signs_above_equals_ranking_every_token():
+    # The beam's rank test, which tokenizes only the signs tying the
+    # epenthesis token's score, against ranking every sign token of the
+    # frame by (key(), unit key) as the per-unit oracle does: on exact
+    # ties, entry tokens of different lengths and sign ids on both sides
+    # of EPS_UNIT ("0" < "1" < "<eps>" < "z").
+    sign_ids = ["0", "1", "z"]
+    entries = [_Token(0.0, (), ()), _Token(-1.0, ("1",), ()), _Token(-1.0, ("0",), ())]
+    choices = [(None, [])] + [(s, t0s) for s in (-2.0, -1.5, -1.0) for t0s in ([0], [1, 2], [2])]
+    eps_tokens = [_Token(-1.5, signs, ()) for signs in (("0",), ("1",), ("0", "z"))]
+    tied_above = tied_below = 0
+    for winners in itertools.product(choices, repeat=3):
+        tokens = [
+            (_unit_token(key, w, entries, 3).key(), key)
+            for key, w in zip(sign_ids, winners)
+            if w[0] is not None
+        ]
+        for eps in eps_tokens:
+            above = sum(token < (eps.key(), EPS_UNIT) for token in tokens)
+            assert _signs_above(eps, sign_ids, winners, entries, 3) == above
+            ties = [token < (eps.key(), EPS_UNIT) for token in tokens if token[0][0] == 1.5]
+            tied_above += sum(ties)
+            tied_below += len(ties) - sum(ties)
+    assert tied_above > 0 and tied_below > 0
+
+
+def test_decode_synced_beam_one_drops_the_best_sign_behind_epenthesis():
+    # At beam 1 an epenthesis token that ranks first takes the one place,
+    # so no epenthesis is entered at the next frame. On this 13-frame
+    # utterance, keeping the best sign token there too changes the winner.
+    rng = np.random.default_rng(10_091)
+    lex = mixed_lexicon(rng, gaussian=True, ergodic=True, policy="between_signs")
+    _absorbing_finals(lex)
+    mobs = sample_mobs(lex, ["s0", "s1", "s1"], 13, seed=91)
+    for beam_width in range(1, 6):
+        got = _synced_result(lex, mobs, beam_width, decode_synced)
+        assert got == _synced_result(lex, mobs, beam_width, decode_synced_oracle)
+
+
+def test_decode_synced_ties_go_to_the_earliest_entry_frame():
+    # On 0 0 2 1, s0 [0], eps [1], s1 [2, 3] and s0 [0, 1], eps [2],
+    # s1 [3] both score 2^-7 exactly, so s1's token at the last frame
+    # ties between entry frames 2 and 3. The earliest wins, in the
+    # decoder as in the per-unit oracle.
+    def phoneme(probs):
+        return Hmm([1.0], [[1.0]], DiscreteEmission(np.array([probs])), Topology.ERGODIC)
+
+    phonemes = {"a": [0.5, 0.0, 0.5], "b": [0.0, 0.5, 0.5], "e": [0.25, 0.25, 0.5]}
+    inventory = PhonemeInventory({pid: phoneme(p) for pid, p in phonemes.items()}, "e")
+    signs = {"s0": Sign("s0", {"c0": ["a"]}), "s1": Sign("s1", {"c0": ["b"]})}
+    lex = Lexicon(["c0"], {"c0": inventory}, signs, "between_signs", exit_prob=0.5)
+    mobs = MultiObservation({"c0": np.array([0, 0, 2, 1])})
+    hyp = decode_synced(lex, mobs, beam_width=1000)
+    assert hyp.signs == ("s0", "s1") and hyp.state_paths == {"c0": [0, 1, 2, 2]}
+    assert hyp.total == pytest.approx(7 * math.log(0.5))
+    for beam_width in (1, 2, 3, 1000):
+        got = _synced_result(lex, mobs, beam_width, decode_synced)
+        assert got == _synced_result(lex, mobs, beam_width, decode_synced_oracle)
 
 
 def test_score_hypothesis_missing_channel_names_it():
@@ -1214,7 +1318,7 @@ def test_rebuild_hypothesis_equals_segment_viterbi_oracle(case):
             expected[ch] = (total, path)
         if any(total == float("-inf") for total, _ in expected.values()):
             continue  # the decoder never rebuilds a token that scores -inf
-        hyp = _rebuild_hypothesis(_Unit(lex, mobs, keys), token)
+        hyp = _rebuild_hypothesis(_Unit(lex, mobs, keys, _unit_layout(lex, keys)), token)
         for ch in lex.channels:
             assert repr(hyp.channel_scores[ch]) == repr(expected[ch][0])
             assert hyp.state_paths[ch] == expected[ch][1]
@@ -1274,13 +1378,15 @@ def test_decode_synced_equals_per_unit_oracle(case):
     else:
         lex = mixed_lexicon(rng, **spec)
         _absorbing_finals(lex)
+    # Every beam width from 1 to one past the unit count, and unbounded.
+    n_units = len(lex.signs) + (lex.epenthesis_policy == "between_signs")
     found = 0
     for trial in range(12):
         t_len = (1, 2, 5, 9)[trial % 4]
         n_signs = int(rng.integers(1, 4))
         signs = [sorted(lex.signs)[int(i)] for i in rng.integers(0, len(lex.signs), n_signs)]
         mobs = sample_mobs(lex, signs, t_len, seed=100 * case + trial)
-        for beam_width in (1, 2, 1000):
+        for beam_width in [*range(1, n_units + 2), 1000]:
             got = _synced_result(lex, mobs, beam_width, decode_synced)
             assert got == _synced_result(lex, mobs, beam_width, decode_synced_oracle)
             found += got is not None
