@@ -18,10 +18,9 @@ loglik_lattice for training. viterbi is viterbi_lattice without batch
 axes. Both max-product kernels run one frame loop on the band of the
 transitions, their finite diagonals, so each frame of a left-to-right
 chain reads only a few N-row slices instead of an N x N block per
-model. viterbi_lattice's loop also keeps Rabiner's back-pointers psi
-(Proc. IEEE 1989, section III.B), one small code per frame, row and
-entry; viterbi_score_lattice keeps none, so the decoders' scoring
-passes pay nothing for paths they never read.
+model. viterbi_lattice's loop also keeps its delta rows, from which
+its backtrack re-adds the sums that pick Rabiner's back-pointers psi
+(Proc. IEEE 1989, section III.B); viterbi_score_lattice keeps none.
 """
 
 from __future__ import annotations
@@ -166,22 +165,13 @@ def _last_frames(t_len, lengths):
     return {n - 1: lengths == n for n in set(lengths.ravel().tolist())}
 
 
-def _max_product(log_pi, log_trans, logb, columns, lengths, pointers):
+def _max_product(log_pi, log_trans, logb, columns, lengths, keep):
     """The banded max-product frame loop of viterbi_score_lattice and
     viterbi_lattice, arguments as in viterbi_score_lattice. Returns the
-    scores over the batch axes and, with pointers, (psi, offsets, end)
-    for _backtrack. offsets holds the band's offsets from the highest
-    down. psi (T' - 1, N, ...) holds, at [t - 1, j, b], how row j of
-    batch entry b was reached at frame t >= 1: code c >= 1 from row j -
-    offsets[c - 1], and code 0 when no predecessor is finite; a code
-    takes one byte while the band has under 256 offsets, and widens past
-    that. end (...) holds each entry's best row at its last frame.
-
-    Each frame maxes delta[j - o] + w[j] over the band's offsets o,
-    scanned from the highest, the lowest predecessor row, down. A
-    pointer is replaced only on a strict improvement, so ties go to the
-    lowest predecessor, and an entry's end row is the lowest among ties
-    (np.argmax's first maximizer): the dense argmax recursion's choices.
+    scores over the batch axes and, with keep, also the (T', N, ...)
+    rows of every frame's delta and the scan for _backtrack: the band
+    from its highest offset down, so the lowest predecessor row comes
+    first. Each frame maxes delta[j - o] + w[j] over the scan's offsets.
     """
     diagonals = log_trans if isinstance(log_trans, tuple) else band(np.asarray(log_trans))
 
@@ -194,33 +184,23 @@ def _max_product(log_pi, log_trans, logb, columns, lengths, pointers):
     n = len(delta)
     best = np.full(delta.shape[1:], LOG_ZERO)
     # Without a finite transition every row after the first frame is -inf.
-    diagonals = diagonals or ((0, np.full(delta.shape, LOG_ZERO)),)
-    offsets = np.array([o for o, _ in diagonals][::-1])
-    code = np.min_scalar_type(len(offsets)).type
+    scan = (diagonals or ((0, np.full(delta.shape, LOG_ZERO)),))[::-1]
     row = np.empty_like(delta)
     cand = np.empty_like(delta)
-    better = np.empty(delta.shape, dtype=bool)
-    if pointers:
-        psi = np.empty((t_len - 1,) + delta.shape, dtype=code)
-        # One-byte codes take the first compare as bools, without a cast.
-        flags = psi.view(bool) if psi.itemsize == 1 else psi
-        end = np.zeros(delta.shape[1:], dtype=np.intp)
+    if keep:
+        rows = np.empty((t_len,) + delta.shape)
 
     def operands(prev, nxt):
         # Row j - o of prev feeds row j of nxt. The first offset writes
         # its target rows and the rows it misses start at -inf; each
-        # other offset, with its pointer code, maxes into them. The views
-        # are made once for either buffer as prev: on small batches
-        # making them each frame cost as much as the arithmetic.
-        src = [slice(max(-o, 0), n - max(o, 0)) for o in offsets]
-        dst = [slice(max(o, 0), n + min(o, 0)) for o in offsets]
-        w0 = diagonals[-1][1]
-        head = (prev[src[0]], w0[dst[0]], nxt[dst[0]])
+        # other offset maxes into them. The views are made once for
+        # either buffer as prev: on small batches making them each frame
+        # cost as much as the arithmetic.
+        src = [slice(max(-o, 0), n - max(o, 0)) for o, _ in scan]
+        dst = [slice(max(o, 0), n + min(o, 0)) for o, _ in scan]
+        head = (prev[src[0]], scan[0][1][dst[0]], nxt[dst[0]])
         gaps = [nxt[: dst[0].start], nxt[dst[0].stop :]]
-        tail = [
-            (prev[s], w[d], cand[d], nxt[d], better[d], d, code(c))
-            for c, (s, d, (_, w)) in enumerate(zip(src[1:], dst[1:], diagonals[-2::-1]), 2)
-        ]
+        tail = [(prev[s], w[d], cand[d], nxt[d]) for s, d, (_, w) in zip(src, dst, scan)][1:]
         return head, [gap for gap in gaps if gap.size], tail, nxt
 
     plans = (operands(delta, row), operands(row, delta))
@@ -230,48 +210,58 @@ def _max_product(log_pi, log_trans, logb, columns, lengths, pointers):
             np.add(prev, w, out=out)
             for gap in gaps:
                 gap.fill(LOG_ZERO)
-            if pointers:
-                # Code 1 where the first offset reaches a finite row, else 0.
-                np.greater(delta, LOG_ZERO, out=flags[t - 1])
-            for prev, w, out, rows, gain, d, c in tail:
+            for prev, w, out, into in tail:
                 np.add(prev, w, out=out)
-                if pointers:
-                    # putmask: several times faster than copyto with where.
-                    np.greater(out, rows, out=gain)
-                    np.putmask(psi[t - 1, d], gain, c)
-                np.maximum(rows, out, out=rows)
+                np.maximum(into, out, out=into)
             np.add(delta, frame(t), out=delta)
+        if keep:
+            rows[t] = delta
         if t in last:
             np.copyto(best, np.max(delta, axis=0), where=last[t])
-            if pointers:
-                np.copyto(end, np.argmax(delta, axis=0), where=last[t])
     score = float(best) if best.ndim == 0 else best
-    return (score, psi, offsets, end) if pointers else score
+    return (score, rows, scan) if keep else score
 
 
-def _backtrack(psi, offsets, end, lengths):
+def _backtrack(rows, scan, lengths):
     """(T', E) state paths of the E entries of a max-product pass, its
-    batch axes flattened, from the psi, offsets and end of _max_product;
+    batch axes flattened, from the rows and scan of _max_product;
     lengths (E,) holds each entry's frame count. Column e holds entry
-    e's path over its first lengths[e] frames and 0 after them. Each
-    path is followed in Python: a step costs far less than a numpy call
-    on the few entries a decoder backtracks."""
-    lengths = lengths.tolist()
-    # codes[e][t - 1][j]: entry e's pointer code of row j at frame t.
-    # Code 0 stays in its row. A backtrack meets it only in row 0: a
-    # finite pointer leads to a row with a finite predecessor, and an
-    # entry that scores -inf ends in row 0, np.argmax over -inf. The
-    # dense argmax goes to row 0 there too.
-    codes = psi.reshape(len(psi), psi.shape[1], end.size).transpose(2, 0, 1).tolist()
-    steps = [0] + offsets.tolist()
-    path = np.zeros((max(lengths), len(lengths)), dtype=np.intp)
-    for e, (state, length, back) in enumerate(zip(end.reshape(-1).tolist(), lengths, codes)):
+    e's path over its first lengths[e] frames and 0 after them.
+
+    An entry ends at the first maximizer of its last row, as np.argmax.
+    A step back from row j re-adds prev[j - o] + w[j] in scan order and
+    moves to the first strict gain over -inf: Python's + is numpy's IEEE
+    add, so the sums and ties are the loop's, and ties go to the lowest
+    row, as in the dense argmax. A row without a finite predecessor
+    stays; a backtrack meets one only in row 0 (a finite sum leads to a
+    row with one, and an entry scoring -inf ends in row 0), where the
+    dense argmax goes too. A step in Python costs far less than a numpy
+    call on the few entries a decoder backtracks.
+    """
+    t_len, n = rows.shape[:2]
+    flat = rows.reshape(t_len, n, -1)
+    # weights[e][k][j]: entry e's w[j] at the scan's k-th offset.
+    weights = np.empty((len(scan),) + rows.shape[1:])
+    for k, (_, w) in enumerate(scan):
+        weights[k] = w
+    weights = weights.reshape(len(scan), n, -1).transpose(2, 0, 1).tolist()
+    offsets = [o for o, _ in scan]
+    paths = []
+    for e, (length, w) in enumerate(zip(lengths.tolist(), weights)):
+        *deltas, last = flat[:length, :, e].tolist()
+        state = last.index(max(last))
+        # preds[j]: (i, w[j]) for each row i = j - o on the matrix, in scan order.
+        taps = list(zip(offsets, w))
+        preds = [[(j - o, into[j]) for o, into in taps if 0 <= j - o < n] for j in range(n)]
         states = [state]
-        for t in range(length - 2, -1, -1):
-            state -= steps[back[t][state]]
+        for prev in reversed(deltas):
+            j, gain = state, LOG_ZERO
+            for i, into in preds[j]:
+                if prev[i] + into > gain:
+                    gain, state = prev[i] + into, i
             states.append(state)
-        path[:length, e] = states[::-1]
-    return path
+        paths.append(states[::-1] + [0] * (t_len - length))
+    return np.array(paths, dtype=np.intp).T
 
 
 def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None):
@@ -303,8 +293,8 @@ def viterbi_score_lattice(log_pi, log_trans, logb, columns=None, lengths=None):
 
 def viterbi_lattice(log_pi, log_trans, logb, lengths=None):
     """Best scores and state paths: the frame loop of
-    viterbi_score_lattice keeping a back-pointer per frame, row and
-    entry, then a backtrack of every entry.
+    viterbi_score_lattice keeping its delta rows, then a backtrack of
+    every entry that re-adds the band's sums into each row it visits.
 
     log_pi (N, ...), log_trans (N, N, ..., or its band()) and logb (T,
     N, ...) may carry trailing batch axes, one model and one lattice per
@@ -316,15 +306,15 @@ def viterbi_lattice(log_pi, log_trans, logb, lengths=None):
 
     Ties go to the lowest predecessor state index at every backtrack
     step and to the lowest end state, the first maximizers np.argmax
-    gives, and a row without a finite predecessor steps back to row 0,
-    as np.argmax over -inf does. So every score and path is the dense
-    recursion's, bit for bit, that of an entry scoring -inf included,
-    and -inf padding rows never win.
+    gives. So every score and path is the dense recursion's, bit for
+    bit, that of an entry scoring -inf included, and -inf padding rows
+    never win.
     """
-    score, psi, offsets, end = _max_product(log_pi, log_trans, logb, None, lengths, True)
-    counts = np.broadcast_to(len(psi) + 1 if lengths is None else lengths, end.shape)
-    path = _backtrack(psi, offsets, end, counts.reshape(-1))
-    return score, path.reshape(path.shape[:1] + end.shape)
+    score, rows, scan = _max_product(log_pi, log_trans, logb, None, lengths, True)
+    batch = rows.shape[2:]
+    counts = np.broadcast_to(len(rows) if lengths is None else lengths, batch)
+    path = _backtrack(rows, scan, counts.reshape(-1))
+    return score, path.reshape(path.shape[:1] + batch)
 
 
 def forward(hmm, obs):

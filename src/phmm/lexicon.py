@@ -71,6 +71,9 @@ def validate_lexicon(lex):
         raise ValidationError(f"unknown epenthesis policy {lex.epenthesis_policy!r}")
     if not (isinstance(lex.exit_prob, numbers.Real) and 0.0 < lex.exit_prob < 1.0):
         raise ValidationError(f"exit_prob must be in (0, 1), got {lex.exit_prob!r}")
+    for ch in lex.inventories:
+        if ch not in lex.channels:
+            raise ValidationError(f"inventory of {ch!r}, not a lexicon channel")
     for ch in lex.channels:
         inv = lex.inventories.get(ch)
         if inv is None or not inv.phonemes:
@@ -94,6 +97,9 @@ def validate_lexicon(lex):
     for sid, sign in lex.signs.items():
         if sign.sign_id != sid:
             raise ValidationError(f"sign key {sid!r} does not match id {sign.sign_id!r}")
+        for ch in sign.channels:
+            if ch not in lex.channels:
+                raise ValidationError(f"sign {sid!r} spells {ch!r}, not a lexicon channel")
         for ch in lex.channels:
             seq = sign.channels.get(ch)
             if not seq:

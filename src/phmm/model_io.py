@@ -98,8 +98,8 @@ def lexicon_from_json(data):
             channels=list(_array("channels", data["channels"])),
             inventories=inventories,
             signs=signs,
-            epenthesis_policy=data.get("epenthesis_policy", "none"),
-            exit_prob=emissions.json_numbers("exit_prob", data.get("exit_prob", 0.5)),
+            epenthesis_policy=data["epenthesis_policy"],
+            exit_prob=emissions.json_numbers("exit_prob", data["exit_prob"]),
         )
         # Validation reads array shapes and phoneme ids, so a misshapen
         # array or an unhashable id fails in there.

@@ -444,14 +444,14 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
 
     Implements the joint objective exactly: channels align
     independently and the argmax runs over the full enumeration. Every
-    candidate and channel is scored, without back-pointers, in one
+    candidate and channel is scored, keeping no past rows, in one
     viterbi_score_lattice call per column block of the stack; each total
     is the math.fsum of its channel scores, and ties go to the shorter,
     then lexicographically smaller sequence. The winner, read from its
     row number, is aligned by _align on its channels' stack columns,
     sliced out of the cached blocks they lie in, against the same
     density table. So an utterance builds one density table and
-    composes no model, the back-pointers cover the winner's channels
+    composes no model, the kept rows cover the winner's channels
     alone, and the winner equals score_hypothesis on its signs bit for
     bit.
 

@@ -481,8 +481,28 @@ def _column_probs(blob, channel, pid):
             lambda blob: _column_probs(blob, "right_hand", "R0"),
             "emission probs has shape (3, 10, 1), expected a 2-d array",
         ),
+        # Neither field has a default: a file without one would decode
+        # with different hypotheses, not fail.
+        (
+            lambda blob: blob.pop("epenthesis_policy"),
+            "model file lacks field 'epenthesis_policy'",
+        ),
+        (lambda blob: blob.pop("exit_prob"), "model file lacks field 'exit_prob'"),
+        # The inventories and signs still hold head; decoding on the other
+        # channels alone would change the hypotheses.
+        (
+            lambda blob: blob["channels"].remove("head"),
+            "inventory of 'head', not a lexicon channel",
+        ),
+        (
+            lambda blob: blob["signs"]["sign0"].update(face=["H0"]),
+            "sign 'sign0' spells 'face', not a lexicon channel",
+        ),
     ],
-    ids=["no-signs", "phoneme-without-pi", "bogus-topology", "column-pi", "column-probs"],
+    ids=[
+        "no-signs", "phoneme-without-pi", "bogus-topology", "column-pi", "column-probs",
+        "no-epenthesis-policy", "no-exit-prob", "channel-dropped", "sign-spells-stray-channel",
+    ],
 )
 def test_decode_malformed_model_is_input_error(
     corrupt, message, tmp_path, trained_model, demo_corpus, capsys

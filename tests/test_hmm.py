@@ -29,7 +29,6 @@ from phmm.errors import (
 from phmm.hmm import (
     Hmm,
     Topology,
-    _max_product,
     backward,
     band,
     forward,
@@ -364,7 +363,7 @@ def test_viterbi_lattice_ergodic_band_equals_the_oracle(n, tied):
     # Ergodic bands: 2n - 1 offsets, from -(n - 1) up. Scores and paths
     # are the dense oracle's bit for bit, whether the kernel is given
     # the dense transitions or their band, and the scores are those of
-    # viterbi_score_lattice, which keeps no back-pointers.
+    # viterbi_score_lattice, which keeps no rows.
     rng = np.random.default_rng(200 + 10 * n + tied)
     for _ in range(6):
         log_pi, log_trans, logb, lengths = _ergodic_lattice(rng, n, 7, 9, tied)
@@ -378,8 +377,9 @@ def test_viterbi_lattice_ergodic_band_equals_the_oracle(n, tied):
 
 def test_viterbi_lattice_ties_go_to_the_lowest_row():
     # No state enters state 0, and states 1 and 2 tie at every frame: the
-    # first offset scanned (row 0) is never finite, the end rows 1 and 2
-    # tie, and so does every predecessor pair, so the path stays in 1.
+    # first offset scanned (2, from row 0) is never finite, the end rows 1
+    # and 2 tie, and so does every predecessor pair, at offsets 0 and -1
+    # into row 1 and at 1 and 0 into row 2, so the path stays in 1.
     log_pi = np.array([-np.inf, 0.0, 0.0])
     log_trans = safe_log(np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]))
     logb = np.zeros((4, 3))
@@ -400,15 +400,12 @@ def test_viterbi_lattice_ties_go_to_the_lowest_row():
     assert path.tolist() == want[1].tolist() == [1, 0, 0]
 
 
-@pytest.mark.parametrize("n, dtype", [(128, np.uint8), (130, np.uint16)])
-def test_viterbi_lattice_pointer_codes_widen_past_a_byte(n, dtype):
-    # 2n - 1 offsets and a code for "no finite predecessor": 255 offsets
-    # fit one byte, 259 do not.
+@pytest.mark.parametrize("n", [128, 130])
+def test_viterbi_lattice_wide_ergodic_band_equals_the_oracle(n):
+    # The widest bands in the suite: 2n - 1 = 255 and 259 offsets.
     rng = np.random.default_rng(n)
     log_pi, log_trans, logb, lengths = _ergodic_lattice(rng, n, 2, 5, tied=False)
-    _, psi, offsets, _ = _max_product(log_pi, log_trans, logb, None, lengths, True)
-    assert psi.dtype == dtype and len(offsets) == 2 * n - 1
-    assert dtype is np.uint8 or psi.max() > 255
+    assert len(band(log_trans)) == 2 * n - 1
     score, path = viterbi_lattice(log_pi, log_trans, logb, lengths)
     _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
 

@@ -340,7 +340,7 @@ def test_decode_exhaustive_backtracks_across_blocks(case, monkeypatch):
 
 def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
     # A warm utterance builds one density table, scores every block
-    # without back-pointers and aligns its winner in one viterbi_lattice
+    # keeping no past rows and aligns its winner in one viterbi_lattice
     # call on its sliced stack columns; no model is composed and
     # score_hypothesis is not called.
     lex = mixed_lexicon(np.random.default_rng(150), policy="between_signs")
