@@ -2,15 +2,15 @@
 
 Only this module knows the emission kind. Each emission class owns its
 invariants (validate), checking and scoring observations (check,
-log_density), fresh statistics (new_stats), gathering them from a
+table), fresh statistics (new_stats), gathering them from a
 training run's posteriors (gatherer), sampling a state path's
 observations and channel noise (sample, add_noise), stacking composed
 blocks (stack), the lexicon's per-channel signature, its JSON form
 (to_json; from_json reads any kind) and data-driven initial parameters
 (initial). Each statistics class owns its accumulate and M-step
 (maximize). Gaussian covariance is diagonal only; variances are floored
-at VAR_FLOOR by the M-step. log_density_seq is read-only and safe to
-call concurrently; statistics accumulators are single-writer.
+at VAR_FLOOR by the M-step. Tables are read-only and safe to call
+concurrently; statistics accumulators are single-writer.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     VariantMismatchError,
 )
-from .logmath import safe_log
+from .logmath import LOG_ZERO, safe_log
 
 VAR_FLOOR = 1e-6
 STOCH_TOL = 1e-12
@@ -145,8 +145,13 @@ class DiscreteEmission(_Emission):
             )
         return seq if seq.size else seq.astype(int)
 
-    def log_density(self, seq):
-        return safe_log(self.probs[:, seq]).T
+    def table(self):
+        """lookup(obs): the (T, S + 1) log densities of obs, checked, under
+        the S states, then a -inf column: one row gather from the log of
+        every symbol under every state, taken here once."""
+        logs = np.full((self.alphabet_size, self.n_states + 1), LOG_ZERO)
+        logs[:, :-1] = safe_log(self.probs).T
+        return lambda obs: logs[self.check(obs)]
 
     def new_stats(self):
         return DiscreteStats(np.zeros_like(self.probs))
@@ -273,11 +278,16 @@ class GaussianEmission(_Emission):
         check_finite("observations", seq)
         return seq
 
-    def log_density(self, seq):
-        diff = seq[:, None, :] - self.means[None, :, :]
-        quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
+    def table(self):
+        """lookup(obs) as DiscreteEmission.table; the constants taken once."""
         const = self.dim * LOG_TWO_PI + np.sum(np.log(self.variances), axis=1)
-        return -0.5 * (quad + const[None, :])
+
+        def lookup(obs):
+            diff = self.check(obs)[:, None, :] - self.means[None, :, :]
+            quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
+            return np.hstack([-0.5 * (quad + const[None, :]), np.full((len(quad), 1), LOG_ZERO)])
+
+        return lookup
 
     def new_stats(self):
         return GaussianStats(
@@ -392,7 +402,14 @@ def validate_emission(em):
 def log_density_seq(em, obs):
     """(T, n_states) matrix of log densities for a whole observation
     sequence, checked with em.check first."""
-    return em.log_density(em.check(obs))
+    return em.table()(obs)[:, :-1]
+
+
+def density_table(parts):
+    """The table of the stack of parts, emission models of one kind, in
+    order: its lookup(obs) raises a ValidationError subclass for obs the
+    stack cannot score."""
+    return type(parts[0]).stack(parts).table()
 
 
 @dataclass

@@ -24,14 +24,16 @@ columns and offsets, to the memory guard and to the builder; it reads
 the offsets off composed one-sign chains and sign junctions, so they
 follow compose_models. One max-product recursion per utterance
 runs over that stack (over each of its cache-sized column blocks when
-it is wide), each frame reading only those diagonals and
-gathering emissions from the channels' tables of phoneme-state log
-densities, side by side; each channel is scored at its own last frame.
+it is wide), each frame reading only those diagonals and gathering
+emissions from the utterance's phoneme-state log densities, looked up
+channel by channel (one row gather if discrete) in the
+emissions.density_tables that the cache keeps with the stacks, side by
+side; each channel is scored at its own last frame.
 The synchronized decoder stacks the units of an utterance (every sign,
 and the epenthesis filler, in every channel; front-padded with -inf so
 that each final state is the last row) on a band too, cached per
-lexicon like the exhaustive stack, and advances one recursion for all
-units and entry frames a frame at a time. Every stack
+lexicon like the exhaustive stack and the tables, and advances one
+recursion for all units and entry frames a frame at a time. Every stack
 is written as a band, so no dense transition stack is built. Max and +
 are exact, and neither -inf padding nor a dropped, all -inf diagonal
 ever wins a max, so every score is bit-identical to scoring the
@@ -254,17 +256,8 @@ def _stack_bytes(lexicon, max_signs):
     return total
 
 
-def _log_density_table(phonemes, obs):
-    """(T, S + 1) log densities of all S states of the phoneme models
-    (a dict) in order, then a -inf column: one log_density_seq call on
-    their stacked emissions."""
-    emissions = [m.emissions for m in phonemes.values()]
-    stacked = type(emissions[0]).stack(emissions)
-    return np.hstack([em_mod.log_density_seq(stacked, obs), np.full((len(obs), 1), LOG_ZERO)])
-
-
 def _table_bases(lexicon):
-    """The first column of each lexicon channel's _log_density_table in
+    """The first column of each lexicon channel's table in
     _density_table, then the table's width."""
     widths = [
         sum(m.n_states for m in lexicon.inventory(ch).phonemes.values()) + 1
@@ -273,17 +266,20 @@ def _table_bases(lexicon):
     return list(itertools.accumulate([0] + widths))
 
 
-def _density_table(lexicon, mobs):
-    """(table (T, W), lengths (C,)): the lexicon channels'
-    _log_density_tables side by side from the _table_bases columns, each
-    padded with -inf rows to the longest channel's T frames; lengths[c]
-    is channel c's frame count."""
-    parts = [
-        _log_density_table(lexicon.inventory(ch).phonemes, mobs.channels[ch])
-        for ch in lexicon.channels
-    ]
+def _density_table(lexicon, mobs, cache=None):
+    """(table (T, W), lengths (C,)): the emissions.density_table of each
+    lexicon channel's phoneme models, in order, looking up mobs, side by
+    side from the _table_bases columns, padded with -inf rows to the
+    longest channel's T frames; lengths[c] is channel c's frame count.
+    cache["tables"] keeps the density tables and bases, built once."""
+    cache = {} if cache is None else cache
+    if "tables" not in cache:
+        inventories = [lexicon.inventory(ch).phonemes.values() for ch in lexicon.channels]
+        tables = [em_mod.density_table([m.emissions for m in inv]) for inv in inventories]
+        cache["tables"] = tables, _table_bases(lexicon)
+    tables, bases = cache["tables"]
+    parts = [table(mobs.channels[ch]) for ch, table in zip(lexicon.channels, tables)]
     lengths = np.array([len(part) for part in parts])
-    bases = _table_bases(lexicon)
     table = np.full((lengths.max(), bases[-1]), LOG_ZERO)
     for base, part in zip(bases, parts):
         table[: len(part), base : base + part.shape[1]] = part
@@ -291,8 +287,8 @@ def _density_table(lexicon, mobs):
 
 
 def _state_columns(phonemes, pids, base=0):
-    """base plus the column in the phoneme models' _log_density_table of
-    each state of the model composed from phonemes pids."""
+    """base plus the column in the phoneme models' density table of each
+    state of the model composed from phonemes pids."""
     sizes = [m.n_states for m in phonemes.values()]
     offsets = dict(zip(phonemes, itertools.accumulate([0] + sizes)))
     return [base + offsets[p] + i for p in pids for i in range(phonemes[p].n_states)]
@@ -310,7 +306,7 @@ def _stack(models, columns, offsets=None, n=None):
     n, by default the most states of any model. A model of fewer states
     fills the last rows, so every final state is row N - 1; the rows
     above it are -inf and read column -1, the -inf column of a
-    _log_density_table. band is hmm.band of the log transitions at
+    density table. band is hmm.band of the log transitions at
     offsets, ascending, which must hold every offset of a finite
     transition (by default the _offsets of the models, then a list),
     written straight from each model's diagonals. Each stacked array
@@ -380,9 +376,9 @@ def _candidate_stack(lexicon, max_signs):
     _density_table, its N rows and band offsets those of the
     _stack_layout. The stack is cut into blocks of consecutive columns,
     each a contiguous (log_pi, band(log_trans), columns) _stack of the
-    N rows and at most _BLOCK_ENTRIES entries per row array.
-    index[m, c] is the stack column of the m-th candidate's channel c
-    model."""
+    N rows and at most _BLOCK_ENTRIES entries per row array, followed
+    by the number of its columns in each lexicon channel. index[m, c]
+    is the stack column of the m-th candidate's channel c model."""
     jobs = []
     columns = []
     index = []
@@ -395,11 +391,15 @@ def _candidate_stack(lexicon, max_signs):
             _state_columns(phonemes, block_ids(lexicon, ch, signs), base) for signs in distinct
         )
     n, _, offsets = _stack_layout(lexicon, max_signs)
+    owners = [lexicon.channels.index(ch) for ch, _ in jobs]  # each stack column's channel
     # Composed one at a time: holding all of them at once raised peak RSS.
     models = (compose_utterance_model(lexicon, ch, signs) for ch, signs in jobs)
     step = max(1, _BLOCK_ENTRIES // n)
     blocks = [
-        _stack(itertools.islice(models, step), columns[b : b + step], offsets, n)
+        (
+            *_stack(itertools.islice(models, step), columns[b : b + step], offsets, n),
+            np.bincount(owners[b : b + step], minlength=len(lexicon.channels)),
+        )
         for b in range(0, len(columns), step)
     ]
     return blocks, np.stack(index, axis=1)
@@ -415,12 +415,10 @@ def _candidate_scores(lexicon, table, lengths, max_signs, cache):
     if max_signs not in cache:
         cache[max_signs] = _candidate_stack(lexicon, max_signs)
     blocks, index = cache[max_signs]
-    bases = _table_bases(lexicon)
-    scores = []
-    for log_pi, diagonals, columns in blocks:
-        # The final row of every stack column reads one of its channel's states.
-        channel = np.searchsorted(bases, columns[-1], side="right") - 1
-        scores.append(viterbi_score_lattice(log_pi, diagonals, table, columns, lengths[channel]))
+    scores = [
+        viterbi_score_lattice(log_pi, diagonals, table, columns, np.repeat(lengths, counts))
+        for log_pi, diagonals, columns, counts in blocks
+    ]
     return np.concatenate(scores)[index]
 
 
@@ -428,15 +426,15 @@ def _stack_columns(blocks, picks):
     """The (log_pi, band(log_trans), columns) _stack of the stack
     columns picks, numbered across the blocks of a _candidate_stack,
     one column each in the order of picks."""
-    width = blocks[0][0].shape[1]
-    at = [(blocks[b], j) for b, j in zip(*np.divmod(picks, width))]
-    log_pi = np.stack([block[0][:, j] for block, j in at], axis=1)
-    diagonals = tuple(
-        (o, np.stack([block[1][k][1][:, j] for block, j in at], axis=1))
-        for k, (o, _) in enumerate(blocks[0][1])
-    )
-    columns = np.stack([block[2][:, j] for block, j in at], axis=1)
-    return log_pi, diagonals, columns
+    (n, width), offsets = blocks[0][0].shape, [o for o, _ in blocks[0][1]]
+    rows = np.empty((1 + len(offsets), n, len(picks)))  # log_pi, then the weights
+    columns = np.empty((n, len(picks)), dtype=np.intp)
+    for c, (b, j) in enumerate(zip(*np.divmod(picks, width))):
+        log_pi, band, block_columns, _ = blocks[b]
+        columns[:, c] = block_columns[:, j]
+        for row, block_row in zip(rows, [log_pi] + [w for _, w in band]):
+            row[:, c] = block_row[:, j]
+    return rows[0], tuple(zip(offsets, rows[1:])), columns
 
 
 def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
@@ -450,16 +448,17 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     then lexicographically smaller sequence. The winner, read from its
     row number, is aligned by _align on its channels' stack columns,
     sliced out of the cached blocks they lie in, against the same
-    density table. So an utterance builds one density table and
-    composes no model, the kept rows cover the winner's channels
-    alone, and the winner equals score_hypothesis on its signs bit for
-    bit.
+    density table. So an utterance gathers one density table from the
+    cached channel tables and composes no model, the kept rows cover
+    the winner's channels alone, and the winner equals score_hypothesis
+    on its signs bit for bit.
 
     cache is a dict reused across utterances of one lexicon;
     cache[max_signs] holds the _candidate_stack: the -inf-padded models
     of every channel's distinct spelling sequences of 1..max_signs signs,
     stacked together in column blocks, and the map from each candidate
-    and channel to its column. Channels may differ in length.
+    and channel to its column; cache["tables"] as _density_table keeps
+    it. Channels may differ in length.
     Before a max_signs is cached, and before anything is built,
     _stack_bytes raises SearchSpaceTooLargeError when the candidates
     exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
@@ -472,7 +471,7 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     if max_signs not in cache:
         _stack_bytes(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
-    table, lengths = _density_table(lexicon, mobs)
+    table, lengths = _density_table(lexicon, mobs, cache)
     scores = _candidate_scores(lexicon, table, lengths, max_signs, cache)
     positive = _positive_bound(table, len(lexicon.channels))[-1]
     [(best, rows)] = _best_entries(np.zeros((len(scores), 1)), scores[:, None], positive)
@@ -538,11 +537,11 @@ class _Unit:
     always row N - 1; the batch axis is innermost, and band (offset 0
     always among them) holds the transitions. State i of column d emits
     logb[t, i, d], gathered through a state-to-column index from the
-    per-channel tables of _log_density_table; padded states read a -inf
-    column. layout is the _unit_layout of keys.
+    _density_table, built from cache as there; padded states read a
+    -inf column. layout is the _unit_layout of keys.
     """
 
-    def __init__(self, lexicon, mobs, keys, layout):
+    def __init__(self, lexicon, mobs, keys, layout, cache=None):
         self.keys = list(keys)
         self.channels = list(lexicon.channels)
         self.index, self.log_pi, self.band, columns = layout
@@ -550,7 +549,7 @@ class _Unit:
         n = len(self.log_pi)
         self.final = n - 1
         self.log_exit = float(safe_log(lexicon.exit_prob))
-        self.logb = _density_table(lexicon, mobs)[0][:, columns]
+        self.logb = _density_table(lexicon, mobs, cache)[0][:, columns]
         t_len, _, width = self.logb.shape
         # delta[:, t0] is the recursion of every column entered at frame
         # t0, spare a scratch; final_iso[t0] prices the final state as
@@ -712,7 +711,8 @@ def decode_synced(lexicon, mobs, beam_width, cache=None):
     epenthesis token ranks first.
 
     cache is a dict reused across utterances of one lexicon, which
-    decode_exhaustive may share: cache["synced"] holds the _unit_layout.
+    decode_exhaustive may share: cache["synced"] holds the _unit_layout,
+    cache["tables"] what _density_table keeps.
 
     A lexicon without signs is a ValidationError. So is a sign's last
     phoneme, or the epenthesis filler under its policy, that can move
@@ -744,7 +744,7 @@ def decode_synced(lexicon, mobs, beam_width, cache=None):
     cache = {} if cache is None else cache
     if "synced" not in cache:
         cache["synced"] = _unit_layout(lexicon, unit_keys)
-    units = _Unit(lexicon, mobs, unit_keys, cache["synced"])
+    units = _Unit(lexicon, mobs, unit_keys, cache["synced"], cache)
     n_signs = len(sign_ids)
     positive = _positive_bound(units.logb, len(lexicon.channels))
 

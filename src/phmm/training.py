@@ -18,11 +18,12 @@ likelihood never decreases, and a one-block chain is plain Baum-Welch.
 
 The E-step is compiled once per run (_compile). Integer maps gather
 each batch of equal-size composed models from the tied parameters and
-send the statistics back in corpus order; emissions come from one table
-of state log densities per batch, as in the decoders. A batch runs the
-scaled forward-backward hmm.posteriors_lattice, whose Python loop steps
-over the frames of its longest sequence. The fixed accumulation order
-makes identical inputs and seed reproduce identical models.
+send the statistics back in corpus order; emissions come from one
+table of state log densities per E-step (emissions.density_table), in
+which each batch looks its frames up, as the decoders do. A batch runs
+the scaled forward-backward hmm.posteriors_lattice, whose Python loop
+steps over the frames of its longest sequence. The fixed accumulation
+order makes identical inputs and seed reproduce identical models.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from . import emissions as em_mod
 from .errors import DegenerateModelError, EmptyObservationError, IncompatibleDataError
 from .hmm import Hmm, Topology, loglik_lattice, posteriors_lattice, validate
 from .logmath import LOG_ZERO, safe_log
-from .parallel import _log_density_table, _state_columns, block_ids
+from .parallel import _state_columns, block_ids
 
 INIT_UNIFORM_PERTURBED = "uniform_perturbed"
 INIT_FROM_GLOBAL_STATS = "from_global_stats"
@@ -216,13 +217,14 @@ def _compile(models, chains, data, exit_prob, what):
         flat = safe_log(np.concatenate([a for p in parts for a in p] + [[1.0 - exit_value, 0.0]]))
         logliks = np.empty(len(data))
         gammas, values = [], []
+        table = em_mod.density_table([m.emissions for m in models.values()])
         for batch, lengths, obs, rows, cols, index in batches:
             n = cols.shape[1]
             log_params = flat[index]
             # Gathered batch-major, the layout the kernels step over, and
             # handed on in the (T, N, B) order they take. A frame past an
             # entry's length repeats its last frame; the kernels mask it.
-            logb = _log_density_table(models, obs)[rows, cols]
+            logb = table(obs)[rows, cols]
             args = (log_params[:n], log_params[n:].reshape(n, n, -1), logb.transpose(0, 2, 1))
             if not stats_needed:
                 logliks[batch] = loglik_lattice(*args, lengths)

@@ -413,6 +413,66 @@ def test_decode_rejects_float_symbols(tmp_path, trained_model, demo_corpus, caps
     assert "integer symbols" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("past", [False, True], ids=["symbol-minus-one", "symbol-alphabet-size"])
+@pytest.mark.parametrize("mode", ["exhaustive", "synced"])
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_symbol_outside_the_alphabet_is_input_error(
+    command, mode, past, tmp_path, trained_model, demo_corpus, capsys
+):
+    # The second record's symbol is looked up after the first has filled
+    # the decode cache's density tables: exit 3, not a table row.
+    lexicon, _ = load_model(trained_model)
+    alphabet = next(iter(lexicon.inventory("head").phonemes.values())).emissions.alphabet_size
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:2]]
+    recs[1]["channels"]["head"][1] = alphabet if past else -1
+    corpus = tmp_path / "symbols.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    args = [command, "--model", trained_model, "--corpus", corpus, "--mode", mode]
+    if command == "decode":
+        args += ["--out", tmp_path / "hyp.jsonl"]
+    assert run(args + ["--max-signs", 2]) == 3
+    err = capsys.readouterr().err
+    assert f"symbol out of range for alphabet size {alphabet}" in err
+    assert "Traceback" not in err
+
+
+def test_corpus_channels_the_model_does_not_list_are_ignored(
+    tmp_path, trained_model, demo_corpus, capsys
+):
+    # train, decode and evaluate read the model's channels alone: an
+    # extra "face" channel changes no output and no exit code.
+    lines = demo_corpus.read_text().splitlines()[:4]
+    recs = [json.loads(l) for l in lines]
+    for rec in recs:
+        rec["channels"]["face"] = [1, 2, 3]
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    plain = tmp_path / "plain.jsonl"
+    plain.write_text("".join(line + "\n" for line in lines))
+    outputs = {}
+    for name, corpus in (("plain", plain), ("extra", extra)):
+        out = tmp_path / name
+        out.mkdir()
+        for mode in ("exhaustive", "synced"):
+            assert run(
+                ["decode", "--model", trained_model, "--corpus", corpus, "--mode", mode,
+                 "--max-signs", 2, "--out", out / f"{mode}.jsonl"]
+            ) == 0
+        assert run(
+            ["evaluate", "--model", trained_model, "--corpus", corpus, "--max-signs", 2,
+             "--report", out / "report.json"]
+        ) == 0
+        assert run(
+            ["train", "--corpus", corpus, "--lexicon", "demo", "--seed", 3,
+             "--max-iters", 2, "--out", out / "model.json"]
+        ) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["timing"]
+        files = ("exhaustive.jsonl", "synced.jsonl", "model.json")
+        outputs[name] = [report] + [(out / f).read_bytes() for f in files]
+    assert outputs["extra"] == outputs["plain"]
+
+
 def test_decode_rejects_nan_model(tmp_path, trained_model, demo_corpus, capsys):
     blob = json.loads(trained_model.read_text())
     inventory = next(iter(blob["inventories"].values()))

@@ -12,6 +12,7 @@ from phmm.emissions import (
     STOCH_TOL,
     accumulate_seq,
     check_stochastic,
+    density_table,
     log_density_seq,
     maximize,
     validate_emission,
@@ -64,6 +65,37 @@ def test_log_density_seq_agrees_with_scalar_calls():
     for t in range(5):
         for s in range(2):
             assert gmat[t, s] == pytest.approx(log_density(gem, s, gobs[t]), abs=1e-12)
+
+
+def test_density_table_equals_each_part_scored_alone():
+    # Bit for bit the per-frame formulas: the log of each gathered
+    # probability, and the Gaussian quadratic form plus its constant;
+    # then one -inf column. Symbols outside the alphabet are refused,
+    # not read as another row.
+    rng = np.random.default_rng(4)
+    parts = [DiscreteEmission(random_stochastic(rng, (n, 5))) for n in (2, 1, 3)]
+    parts[1].probs[0, 2] = 0.0
+    parts[1].probs /= parts[1].probs.sum()
+    obs = rng.integers(0, 5, size=9)
+    with np.errstate(divide="ignore"):
+        want = [np.log(p.probs[:, obs]).T for p in parts]
+    got = density_table(parts)(obs)
+    assert got.tobytes() == np.hstack(want + [np.full((9, 1), LOG_ZERO)]).tobytes()
+    for bad in (-1, 5):
+        with pytest.raises(DimensionMismatchError):
+            density_table(parts)(np.array([0, bad]))
+    gparts = [
+        GaussianEmission(rng.normal(size=(n, 2)), rng.uniform(0.01, 2, (n, 2))) for n in (3, 2)
+    ]
+    gobs = rng.normal(size=(6, 2))
+    want = []
+    for p in gparts:
+        diff = gobs[:, None, :] - p.means[None, :, :]
+        quad = np.sum(diff * diff / p.variances[None, :, :], axis=2)
+        const = 2 * np.log(2.0 * np.pi) + np.sum(np.log(p.variances), axis=1)
+        want.append(-0.5 * (quad + const[None, :]))
+    got = density_table(gparts)(gobs)
+    assert got.tobytes() == np.hstack(want + [np.full((6, 1), LOG_ZERO)]).tobytes()
 
 
 def test_errors():

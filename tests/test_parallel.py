@@ -24,10 +24,11 @@ from oracles import (
     synced_unit,
 )
 
-from phmm import parallel
+from phmm import emissions, parallel
 from phmm.emissions import DiscreteEmission, GaussianEmission, log_density_seq
 from phmm.errors import (
     AllPathsZeroError,
+    DimensionMismatchError,
     EmptyObservationError,
     EmptySequenceError,
     NoFiniteHypothesisError,
@@ -372,20 +373,23 @@ def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
 
 
 def _cached_bytes(cache):
+    """Bytes of the candidate stacks in cache (its integer keys) as
+    _stack_bytes counts them: without a block's C channel counts and the
+    lexicon's density tables in cache["tables"]."""
     return sum(
         index.nbytes
         + sum(
             log_pi.nbytes + columns.nbytes + sum(w.nbytes for _, w in diagonals)
-            for log_pi, diagonals, columns in blocks
+            for log_pi, diagonals, columns, _ in blocks
         )
-        for blocks, index in cache.values()
+        for blocks, index in (cache[key] for key in cache if isinstance(key, int))
     )
 
 
 def _joined(blocks):
     """(log_pi, band, columns) of a _candidate_stack's blocks side by side."""
     offsets = [o for o, _ in blocks[0][1]]
-    assert all([o for o, _ in diagonals] == offsets for _, diagonals, _ in blocks)
+    assert all([o for o, _ in diagonals] == offsets for _, diagonals, *_ in blocks)
     diagonals = [(o, np.hstack([b[1][k][1] for b in blocks])) for k, o in enumerate(offsets)]
     return np.hstack([b[0] for b in blocks]), diagonals, np.hstack([b[2] for b in blocks])
 
@@ -431,9 +435,12 @@ def _check_cached_bands(case):
         width = max(1, parallel._BLOCK_ENTRIES // len(log_pi))
         assert [b[0].shape[1] for b in blocks[:-1]] == [width] * (len(blocks) - 1)
         assert len(blocks) == -(-log_pi.shape[1] // width)
-        for block_pi, block_band, block_columns in blocks:
+        for block_pi, block_band, block_columns, counts in blocks:
             arrays = [block_pi, block_columns] + [w for _, w in block_band]
             assert all(a.flags.c_contiguous for a in arrays)
+            # The final row of every stack column reads its channel's states.
+            owners = np.searchsorted(bases, block_columns[-1], side="right") - 1
+            assert np.repeat(np.arange(len(lex.channels)), counts).tolist() == owners.tolist()
         scores = _candidate_scores(lex, *_density_table(lex, mobs), max_signs, cache)
         for m, row in enumerate(scores):
             ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), mobs)
@@ -494,7 +501,7 @@ def test_band_offsets_skip_rewired_rows_and_follow_pi():
     cache = {}
     for max_signs in (1, 2):
         decode_exhaustive(lex, mobs, max_signs=max_signs, cache=cache)
-        [(_, diagonals, _)], _ = cache[max_signs]
+        [(_, diagonals, _, _)], _ = cache[max_signs]
         assert [o for o, _ in diagonals] == [0, 1, 3]
         assert parallel._stack_layout(lex, max_signs)[2] == [0, 1, 3]
     assert parallel._stack_bytes(lex, 1) + parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
@@ -928,7 +935,7 @@ def test_decode_exhaustive_cache_serves_every_max_signs():
         _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs))
         if seed == 0:
             stacks = cache[3]
-    assert sorted(cache) == [2, 3] and cache[3] is stacks
+    assert set(cache) == {2, 3, "tables"} and cache[3] is stacks
 
 
 def test_stack_bytes_runs_once_per_cache_and_max_signs(monkeypatch):
@@ -972,10 +979,74 @@ def test_decode_synced_cache_builds_one_unit_layout(monkeypatch):
     for mobs in corpus:
         cached.append(parallel.decode(lex, mobs, "synced", 2, 1000, cache))
         parallel.decode(lex, mobs, "exhaustive", 2, 1000, cache)
-    assert calls == [["s0", "s1", "s2", EPS_UNIT]] and set(cache) == {2, "synced"}
+    assert calls == [["s0", "s1", "s2", EPS_UNIT]] and set(cache) == {2, "synced", "tables"}
     for mobs, got in zip(corpus, cached):
         _assert_same_hypothesis(got, decode_synced(lex, mobs, beam_width=1000))
     assert len(calls) == 1 + len(corpus)
+
+
+def _table_lexicon(gaussian):
+    """A mixed_lexicon whose density tables hold -inf (discrete: no
+    phoneme's first state emits symbol 0) or log densities above 0
+    (Gaussian: variances cut a hundredfold)."""
+    lex = mixed_lexicon(np.random.default_rng(68), gaussian=gaussian, policy="between_signs")
+    for inv in lex.inventories.values():
+        for model in inv.phonemes.values():
+            em = model.emissions
+            if gaussian:
+                em.variances /= 100.0
+            else:
+                em.probs[0, 0] = 0.0
+                em.probs[0] /= em.probs[0].sum()
+    return lex
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_cached_density_tables_decode_as_uncached(gaussian, monkeypatch):
+    # One cache serves a corpus in both modes: each channel's density
+    # table is built once for it, and every hypothesis equals an
+    # uncached decode's repr for repr.
+    calls = []
+    density_table = emissions.density_table
+
+    def counted(parts):
+        calls.append(len(parts))
+        return density_table(parts)
+
+    monkeypatch.setattr(emissions, "density_table", counted)
+    lex = _table_lexicon(gaussian)
+    corpus = [
+        sample_mobs(lex, [["s0"], ["s2", "s1"], ["s1", "s0"]][seed % 3], 8, seed=seed)
+        for seed in range(6)
+    ]
+
+    def decoded(mobs, mode, cache):
+        return repr(parallel.decode(lex, mobs, mode, 2, 1000, cache))
+
+    cache = {}
+    cached = [decoded(mobs, mode, cache) for mobs in corpus for mode in ("exhaustive", "synced")]
+    assert len(calls) == len(lex.channels)
+    fresh = [decoded(mobs, mode, None) for mobs in corpus for mode in ("exhaustive", "synced")]
+    assert cached == fresh and len(calls) == len(lex.channels) * (1 + 2 * len(corpus))
+    table = _density_table(lex, corpus[0], cache)[0]
+    assert (table > 0).any() if gaussian else np.isneginf(table[:, :3]).any()
+
+
+@pytest.mark.parametrize("symbol", [-1, 4])
+@pytest.mark.parametrize("mode", ["exhaustive", "synced"])
+def test_warm_decode_rejects_symbols_outside_the_alphabet(mode, symbol):
+    # A density table reads a symbol's row: -1 would read the last
+    # symbol's and 4, the alphabet size, past the table. The check comes
+    # first, also when the cache already holds the tables.
+    lex = mixed_lexicon(np.random.default_rng(26), policy="between_signs")
+    assert lex.inventory("c1").phonemes["c1_p0"].emissions.alphabet_size == 4
+    decoder = decode_exhaustive if mode == "exhaustive" else decode_synced
+    cache = {}
+    decoder(lex, sample_mobs(lex, ["s0"], 6, seed=17), 2, cache)
+    mobs = sample_mobs(lex, ["s1"], 6, seed=18)
+    mobs.channels["c1"][3] = symbol
+    with pytest.raises(DimensionMismatchError, match="out of range for alphabet size 4"):
+        decoder(lex, mobs, 2, cache)
 
 
 def test_decode_exhaustive_empty_channel_names_it(monkeypatch):
