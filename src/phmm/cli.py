@@ -321,7 +321,12 @@ def _validate_usage(parser, args):
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("PHMM_LOG_LEVEL", "WARNING").upper())
+    value = os.environ.get("PHMM_LOG_LEVEL", "")
+    level = logging.getLevelName(value.upper() or "WARNING")  # an int for a level's name only
+    if not isinstance(level, int):
+        print(f"error: PHMM_LOG_LEVEL={value!r} is not a logging level name", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level)
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate_usage(parser, args)
@@ -330,10 +335,7 @@ def main(argv=None):
     except DegenerateModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except PhmmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PhmmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -53,8 +53,9 @@ class GenConfig:
             raise ValidationError("desync_jitter must be >= 0")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if not isinstance(self.channel_noise, numbers.Real) or not self.channel_noise >= 0:
-            raise ValidationError(f"channel_noise must be a float >= 0, got {self.channel_noise!r}")
+        noise = self.channel_noise
+        if not isinstance(noise, numbers.Real) or not 0 <= noise < np.inf:
+            raise ValidationError(f"channel_noise must be a finite float >= 0, got {noise!r}")
 
 
 @dataclass

@@ -310,8 +310,11 @@ class GaussianEmission(_Emission):
         )
 
     def add_noise(self, obs, noise, rng):
-        """Additive Gaussian noise of standard deviation noise."""
-        return np.asarray(obs, dtype=float) + noise * rng.standard_normal(np.shape(obs))
+        """Additive Gaussian noise of standard deviation noise, refusing overflows."""
+        with np.errstate(over="ignore"):
+            out = np.asarray(obs, dtype=float) + noise * rng.standard_normal(np.shape(obs))
+        check_finite("noisy observations", out)
+        return out
 
     def signature(self):
         return (self.kind, self.dim)

@@ -37,12 +37,12 @@ recursion for all units and entry frames a frame at a time. Every stack
 is written as a band, so no dense transition stack is built. Max and +
 are exact, and neither -inf padding nor a dropped, all -inf diagonal
 ever wins a max, so every score is bit-identical to scoring the
-candidates, units or entry frames one at a time. A winner's state paths
-come from one batched, banded viterbi_lattice call over its channels'
-stack columns: score_hypothesis composes them, decode_exhaustive slices
-them out of its cached stack and reads the density table it scored
-with, and _rebuild_hypothesis takes every (segment, channel) pair of
-the synced winner from the unit band.
+candidates, units or entry frames one at a time. Every winner's scores
+and state paths come from _align, one batched, banded viterbi_lattice
+call over stack columns and the density table the decoder scored with:
+score_hypothesis composes a column per channel, decode_exhaustive slices
+them out of its cached stack, and _rebuild_hypothesis picks one per
+(segment, channel) pair of the synced winner from the unit stack.
 
 Both decoders pick winners with one exact argmax, _best_entries: numpy
 sums the channel scores of every row, and only rows within a rounding
@@ -161,22 +161,36 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _align(lexicon, signs, table, lengths, log_pi, diagonals, columns):
+def _align(signs, channels, table, log_pi, band, columns, starts, lengths, log_exit):
     """The Hypothesis of signs from one viterbi_lattice call on the
-    _stack (log_pi, band, columns) of its channels' models, column c
-    for lexicon channel c, reading the _density_table (table, lengths):
-    each channel scored and backtracked at its own last frame. A
+    _stack (log_pi, band, columns) of B = S x C models, segment by
+    segment: column s * C + c holds segment s of channels[c] and reads
+    lengths[b] frames of the _density_table from frame starts[b] (frame
+    0 if S is 1). Every segment but the last must end in its final state
+    and pays log_exit to leave it; a channel scores the sum of its
+    segments' scores in order, and its path numbers each segment's
+    states after its earlier segments', sizes read off columns. A
     column's -inf padding rows read column -1 and lie above its model,
-    so they are taken off its state path; a channel that scores -inf is
-    left without one."""
-    scores, paths = viterbi_lattice(log_pi, diagonals, table[:, columns], lengths)
-    pads = np.sum(columns == -1, axis=0)
-    channel_scores = {}
-    state_paths = {}
-    for c, ch in enumerate(lexicon.channels):
-        channel_scores[ch] = float(scores[c])
-        finite = scores[c] > LOG_ZERO
-        state_paths[ch] = (paths[: lengths[c], c] - pads[c]).tolist() if finite else None
+    so they are taken off the path; a channel scoring -inf has none."""
+    n_channels = len(channels)
+    logb = table[:, columns]
+    if len(starts) > n_channels:  # one segment needs no frame gather (5x dearer) nor anchoring
+        frames = np.minimum(starts + np.arange(lengths.max())[:, None], len(table) - 1)
+        logb = np.take_along_axis(logb, frames[:, None], axis=0)
+        anchored = np.arange(len(starts) - n_channels)
+        logb[lengths[anchored] - 1, :-1, anchored] = LOG_ZERO
+    scores, paths = viterbi_lattice(log_pi, band, logb, lengths)
+    sizes = np.count_nonzero(columns >= 0, axis=0).tolist()
+    scores, rows, n_frames = scores.tolist(), paths.T.tolist(), lengths.tolist()
+    channel_scores, state_paths = {}, {}
+    for c, ch in enumerate(channels):
+        total, path, shift = 0.0, [], -len(log_pi)
+        for b in range(c, len(rows), n_channels):
+            shift += sizes[b]  # after the earlier segments' states, less the padding
+            total += scores[b] + log_exit if b + n_channels < len(rows) else scores[b]
+            path += [i + shift for i in rows[b][: n_frames[b]]]
+        channel_scores[ch] = total
+        state_paths[ch] = path if total > LOG_ZERO else None
     return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
@@ -185,12 +199,12 @@ def score_hypothesis(lexicon, signs, mobs):
 
     Every lexicon channel needs a nonempty observation sequence
     (ValidationError otherwise); the lengths may differ. Each channel is
-    aligned on its own composed model, all of them _stacked and
-    backtracked in one viterbi_lattice call, each at its own last frame;
-    the total is the sum of per-channel log scores. A channel with no
-    feasible path contributes -inf and is left without a state path.
-    decode_exhaustive aligns its winner through the same _align, on
-    stack columns sliced from its cache instead of composed models.
+    aligned on its own composed model, all of them _stacked and aligned
+    by _align, one segment per channel from frame 0; the total is the
+    sum of per-channel log scores. A channel with no feasible path
+    contributes -inf and is left without a state path. Both decoders
+    align their winners through the same _align, on stack columns from
+    their caches instead of composed models.
     """
     validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
@@ -200,7 +214,8 @@ def score_hypothesis(lexicon, signs, mobs):
         _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs), base)
         for ch, base in zip(lexicon.channels, _table_bases(lexicon))
     ]
-    return _align(lexicon, signs, table, lengths, *_stack(models, columns))
+    stack = _stack(models, columns)
+    return _align(signs, lexicon.channels, table, *stack, np.zeros_like(lengths), lengths, 0.0)
 
 
 def _stack_layout(lexicon, max_signs):
@@ -446,12 +461,12 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     viterbi_score_lattice call per column block of the stack; each total
     is the math.fsum of its channel scores, and ties go to the shorter,
     then lexicographically smaller sequence. The winner, read from its
-    row number, is aligned by _align on its channels' stack columns,
-    sliced out of the cached blocks they lie in, against the same
-    density table. So an utterance gathers one density table from the
-    cached channel tables and composes no model, the kept rows cover
-    the winner's channels alone, and the winner equals score_hypothesis
-    on its signs bit for bit.
+    row number, is aligned by _align as one segment per channel, on its
+    channels' stack columns sliced out of the cached blocks they lie in,
+    against the same density table. So an utterance gathers one density
+    table from the cached channel tables and composes no model, the kept
+    rows cover the winner's channels alone, and the winner equals
+    score_hypothesis on its signs bit for bit.
 
     cache is a dict reused across utterances of one lexicon;
     cache[max_signs] holds the _candidate_stack: the -inf-padded models
@@ -479,7 +494,8 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
         raise NoFiniteHypothesisError("all candidate hypotheses score -inf")
     blocks, index = cache[max_signs]
     signs = _sequence(sorted(lexicon.signs), rows[0])
-    return _align(lexicon, signs, table, lengths, *_stack_columns(blocks, index[rows[0]]))
+    stack = _stack_columns(blocks, index[rows[0]])
+    return _align(signs, lexicon.channels, table, *stack, np.zeros_like(lengths), lengths, 0.0)
 
 
 def model_count(lexicon):
@@ -536,7 +552,7 @@ class _Unit:
     front-padded with -inf to N states so that its final state is
     always row N - 1; the batch axis is innermost, and band (offset 0
     always among them) holds the transitions. State i of column d emits
-    logb[t, i, d], gathered through a state-to-column index from the
+    logb[t, i, d] = table[t, columns[i, d]], table the utterance's
     _density_table, built from cache as there; padded states read a
     -inf column. layout is the _unit_layout of keys.
     """
@@ -544,12 +560,12 @@ class _Unit:
     def __init__(self, lexicon, mobs, keys, layout, cache=None):
         self.keys = list(keys)
         self.channels = list(lexicon.channels)
-        self.index, self.log_pi, self.band, columns = layout
-        self.sizes = np.count_nonzero(columns >= 0, axis=0)
+        self.index, self.log_pi, self.band, self.columns = layout
         n = len(self.log_pi)
         self.final = n - 1
         self.log_exit = float(safe_log(lexicon.exit_prob))
-        self.logb = _density_table(lexicon, mobs, cache)[0][:, columns]
+        self.table = _density_table(lexicon, mobs, cache)[0]
+        self.logb = self.table[:, self.columns]
         t_len, _, width = self.logb.shape
         # delta[:, t0] is the recursion of every column entered at frame
         # t0, spare a scratch; final_iso[t0] prices the final state as
@@ -809,40 +825,17 @@ def _rebuild_hypothesis(units, token):
     """Recover per-channel scores and state paths for the winning token.
 
     units is the utterance's _Unit stack. Each segment (key, t0, t1) of
-    each channel is one Viterbi backtrack over frames t0..t1 of its
-    unit, every (segment, channel) pair in one batched viterbi_lattice
-    call. The last segment is unanchored and prices the final state as
-    absorbing; every other segment must end in the final state and pays
-    the boundary exit log probability.
+    the token picks its unit's column in every channel, and _align
+    backtracks every (segment, channel) pair over its frames t0..t1 in
+    one call: every segment but the last must end in the final state
+    and pays the boundary exit log probability, while the last is
+    unanchored and prices its final state as absorbing.
     """
-    index = {key: k for k, key in enumerate(units.keys)}
-    # cols[s, c]: the stack column of segment s's unit in channel c.
-    cols = units.index[[index[key] for key, _, _ in token.segments]]
-    starts = np.array([t0 for _, t0, _ in token.segments])
-    lengths = np.array([t1 + 1 - t0 for _, t0, t1 in token.segments])
-    final = units.final
-    diagonals = tuple((o, w[:, cols]) for o, w in units.band)
-    dict(diagonals)[0][final, -1] = 0.0
-    # frames[u, s] is frame u of segment s, clipped to the utterance.
-    frames = np.minimum(np.arange(lengths.max())[:, None] + starts, len(units.logb) - 1)
-    # Contiguous: the kernel's per-frame add on a strided lattice cost
-    # as much as the rest of its frame on these small batches.
-    logb = np.ascontiguousarray(units.logb[frames[:, :, None], :, cols].transpose(0, 3, 1, 2))
-    anchored = np.arange(len(cols) - 1)
-    logb[lengths[anchored] - 1, :final, anchored] = LOG_ZERO
-    scores, paths = viterbi_lattice(units.log_pi[:, cols], diagonals, logb, lengths[:, None])
-    sizes = units.sizes[cols]
-    channel_scores = {}
-    state_paths = {}
-    for c, ch in enumerate(units.channels):
-        total_c = 0.0
-        path = []
-        offset = 0
-        for s, length in enumerate(lengths.tolist()):
-            seg_score = float(scores[s, c])
-            total_c += seg_score if s == len(cols) - 1 else seg_score + units.log_exit
-            path.extend((paths[:length, s, c] + (offset + sizes[s, c] - final - 1)).tolist())
-            offset += int(sizes[s, c])
-        channel_scores[ch] = total_c
-        state_paths[ch] = path
-    return Hypothesis.combine(token.signs, channel_scores, state_paths)
+    n_channels = len(units.channels)
+    # picks[s * C + c]: the stack column of segment s's unit in channel c.
+    picks = units.index[[units.keys.index(key) for key, _, _ in token.segments]].ravel()
+    band = tuple((o, w[:, picks]) for o, w in units.band)
+    dict(band)[0][units.final, -n_channels:] = 0.0
+    stack = units.log_pi[:, picks], band, units.columns[:, picks]
+    t0, t1 = np.repeat([segment[1:] for segment in token.segments], n_channels, axis=0).T
+    return _align(token.signs, units.channels, units.table, *stack, t0, t1 + 1 - t0, units.log_exit)

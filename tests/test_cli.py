@@ -1,6 +1,10 @@
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from helpers import build_lexicon, mixed_lexicon
 from oracles import cut_segments_oracle
 
+import phmm
+from phmm import GaussianEmission
 from phmm.cli import _cut_segments, main
 from phmm.corpus import GenConfig, Utterance, generate, read_corpus, write_corpus
 from phmm.demo import demo_lexicon
@@ -20,6 +26,15 @@ from phmm.parallel import compose_utterance_model
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_process(args, cwd, **env):
+    """phmm's command line in a fresh Python process, importing this
+    phmm: its logging set-up, warnings and tracebacks as a user sees
+    them."""
+    environ = {**os.environ, "PYTHONPATH": str(Path(phmm.__file__).parents[1]), **env}
+    command = [sys.executable, "-m", "phmm.cli", *map(str, args)]
+    return subprocess.run(command, cwd=cwd, env=environ, capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +95,38 @@ def test_generate_noise_on_one_symbol_channel(tmp_path):
     corpus = read_corpus(out)
     assert len(corpus) == 5
     assert all(u.mobs.channels["c0"].tolist() == [0] * len(u.paths["c0"]) for u in corpus)
+
+
+def test_gaussian_noise_that_overflows_is_input_error(tmp_path):
+    # Noise of standard deviation 1e308 overflows some observations to
+    # infinity; generate refuses them before writing anything.
+    lexicon = demo_lexicon()
+    rng = np.random.default_rng(7007)
+    for inv in lexicon.inventories.values():
+        for model in inv.phonemes.values():
+            shape = (model.n_states, 2)
+            model.emissions = GaussianEmission(rng.normal(0, 2, shape), np.full(shape, 0.5))
+    save_model(tmp_path / "gaussian.json", lexicon)
+    args = ["generate", "--lexicon", "gaussian.json", "--n", 5, "--seed", 1, "--noise", "1e308"]
+    got = run_process(args + ["--out", "corpus.jsonl"], tmp_path)
+    assert got.returncode == 3
+    assert not (tmp_path / "corpus.jsonl").exists()
+    assert got.stderr.startswith("error: non-finite entry")
+    assert "Traceback" not in got.stderr and "RuntimeWarning" not in got.stderr
+
+
+@pytest.mark.parametrize("value, code", [("bogus", 2), ("15", 2), ("", 0)])
+def test_log_level_names_a_logging_level(value, code, tmp_path):
+    # An empty PHMM_LOG_LEVEL is the default, WARNING; a value that names
+    # no logging level is a usage error, one line on stderr.
+    got = run_process(["complexity", "--lexicon", "demo"], tmp_path, PHMM_LOG_LEVEL=value)
+    assert got.returncode == code
+    assert "Traceback" not in got.stderr
+    if code == 2:
+        message = f"error: PHMM_LOG_LEVEL={value!r} is not a logging level name"
+        assert got.stderr.splitlines() == [message] and got.stdout == ""
+    else:
+        assert "factored" in got.stdout and got.stderr == ""
 
 
 def test_missing_lexicon_file_is_input_error(tmp_path):
@@ -245,6 +292,7 @@ def test_train_segmented_end_to_end(tmp_path, capsys):
         ("train", "--seed", "-1", 2),
         ("generate", "--seed", "-1", 2),
         ("generate", "--noise", "nan", 2),
+        ("generate", "--noise", "inf", 2),
         ("generate", "--noise", "-0.5", 2),
         ("generate", "--noise", "1.5", 3),
     ],

@@ -1153,7 +1153,7 @@ def test_segment_scores_equal_per_entry_frame_oracle(t_len):
             for c, ch in enumerate(lex.channels):
                 unit = synced_unit(lex, ch, key, mobs.channels[ch])
                 d = stack.index[k, c]
-                lo = stack.final + 1 - stack.sizes[d]
+                lo = stack.final + 1 - np.count_nonzero(stack.columns[:, d] >= 0)
                 log_pi = stack.log_pi[lo:, d]
                 log_trans = dense[lo:, lo:, d]
                 logb = stack.logb[:, lo:, d]
@@ -1198,7 +1198,7 @@ def test_segment_scores_on_distinct_columns_equal_per_unit_stack(case):
         for key in keys
         for ch in lex.channels
     }
-    assert units.index.max() + 1 == len(units.sizes) == len(distinct)
+    assert units.index.max() + 1 == units.columns.shape[1] == len(distinct)
     if case == len(BATCH_CASES):
         assert len(distinct) <= len(keys) * 2 - 2
     for k, key in enumerate(keys):
