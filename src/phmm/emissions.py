@@ -62,7 +62,7 @@ class _Emission:
 
     @property
     def n_states(self):
-        return len(getattr(self, fields(self)[0].name))
+        return len(next(iter(vars(self).values())))
 
     def copy(self):
         return type(self)(*(arr.copy() for arr in vars(self).values()))
@@ -189,38 +189,37 @@ class DiscreteEmission(_Emission):
     @classmethod
     def gatherer(cls, emissions, blocks, shapes):
         """_Emission.gatherer as one ordered scatter: every weight of
-        every block, frame and state gathered from the buffers into one
-        vector in block order, then one np.bincount into every key's
-        counts. Each count cell receives the additions of block-by-block
-        accumulate in the same order, starting from 0, so the counts are
-        the same bits. The integer maps are built here, once."""
+        every block, frame and state taken from the concatenated buffers
+        by one index in block order, then one np.bincount into every
+        key's counts. Each count cell receives the additions of
+        block-by-block accumulate in the same order, starting from 0, so
+        the counts are the same bits. The integer maps are built here,
+        once, in numpy for all blocks together."""
         alphabet = next(iter(emissions.values())).alphabet_size
-        cells = {key: em.n_states * alphabet for key, em in emissions.items()}
+        states = {key: em.n_states for key, em in emissions.items()}
+        cells = {key: n * alphabet for key, n in states.items()}
         base = dict(zip(cells, np.cumsum([0, *cells.values()]).tolist()))
         n_cells = sum(cells.values())
-        spans = [len(obs) * emissions[key].n_states for key, _, _, _, obs in blocks]
-        n_weights = sum(spans)
-        itype = np.int32 if max(n_weights, n_cells, *map(np.prod, shapes)) < 2**31 else np.intp
-        # Weight i comes from src[batch_of[i]] of its buffer and goes to
-        # count dst[i]. The maps are filled in place, block by block.
-        dst = np.empty(n_weights, itype)
-        batch_of = np.empty(n_weights, np.min_scalar_type(len(shapes)))
-        per_batch = np.bincount([k for _, k, _, _, _ in blocks], spans).astype(int)
-        src = [np.empty(n, itype) for n in per_batch]
-        at, fill = 0, [0] * len(shapes)
-        for (key, k, b, off, obs), span in zip(blocks, spans):
-            _, width, n_all = shapes[k]
-            states = np.arange(emissions[key].n_states)
-            frames = np.arange(len(obs))[:, None]
-            dst[at : at + span] = (base[key] + states * alphabet + obs[:, None]).ravel()
-            batch_of[at : at + span] = k
-            src[k][fill[k] : fill[k] + span] = ((frames * width + b) * n_all + off + states).ravel()
-            at, fill[k] = at + span, fill[k] + span
+        keys, ks, bs, offs, obs = zip(*blocks)
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        lengths = np.array([len(seq) for seq in obs])
+        n = np.array([states[key] for key in keys])
+        itype = np.int32 if max(lengths @ n, n_cells, sum(sizes)) < 2**31 else np.intp
+        lengths, n, spans = lengths.astype(itype), n.astype(itype), (lengths * n).astype(itype)
+        # Weight i, frame t and state s of block j, comes from src[i] of
+        # the concatenated buffers and goes to count dst[i].
+        j = np.repeat(np.arange(len(blocks), dtype=itype), spans)
+        i = np.arange(len(j), dtype=itype) - np.repeat(np.cumsum(spans, dtype=itype) - spans, spans)
+        t, s = np.divmod(i, n[j])
+        frames = np.repeat(np.cumsum(lengths, dtype=itype) - lengths, spans) + t
+        symbols = np.concatenate(obs, dtype=itype, casting="same_kind")[frames]
+        dst = np.array([base[key] for key in keys], itype)[j] + s * alphabet + symbols
+        _, width, n_all = np.array(shapes, itype)[list(ks)].T
+        at = np.cumsum([0, *sizes[:-1]], dtype=itype)[list(ks)] + np.array(bs, itype) * n_all
+        src = at[j] + t * (width * n_all)[j] + np.array(offs, itype)[j] + s
 
         def gather(buffers):
-            weights = np.empty(n_weights)
-            for k, buf in enumerate(buffers):
-                weights[batch_of == k] = np.ravel(buf)[src[k]]
+            weights = np.concatenate([np.ravel(buf) for buf in buffers])[src]
             counts = np.bincount(dst, weights, minlength=n_cells)
             return {
                 key: DiscreteStats(counts[base[key] : base[key] + size].reshape(-1, alphabet))
@@ -232,9 +231,8 @@ class DiscreteEmission(_Emission):
     def initial(self, data, rng):
         """Every state's row at the symbol frequencies of data (checked
         sequences with at least one frame), times jitter(rng)."""
-        counts = np.zeros(self.alphabet_size)
-        for seq in data:
-            np.add.at(counts, seq, 1.0)
+        symbols = np.concatenate(data, dtype=np.intp, casting="same_kind")
+        counts = np.bincount(symbols, minlength=self.alphabet_size)
         probs = counts / counts.sum() * jitter(rng, self.probs.shape)
         return DiscreteEmission(probs / probs.sum(axis=1, keepdims=True))
 
@@ -283,8 +281,9 @@ class GaussianEmission(_Emission):
         const = self.dim * LOG_TWO_PI + np.sum(np.log(self.variances), axis=1)
 
         def lookup(obs):
-            diff = self.check(obs)[:, None, :] - self.means[None, :, :]
-            quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
+            with np.errstate(over="ignore"):  # a far observation's density is -inf
+                diff = self.check(obs)[:, None, :] - self.means[None, :, :]
+                quad = np.sum(diff * diff / self.variances[None, :, :], axis=2)
             return np.hstack([-0.5 * (quad + const[None, :]), np.full((len(quad), 1), LOG_ZERO)])
 
         return lookup

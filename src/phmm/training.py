@@ -16,14 +16,14 @@ Composition rewires the final row of every block except a chain's last
 no statistics, so every iteration is an exact EM step, the total log
 likelihood never decreases, and a one-block chain is plain Baum-Welch.
 
-The E-step is compiled once per run (_compile). Integer maps gather
-each batch of equal-size composed models from the tied parameters and
-send the statistics back in corpus order; emissions come from one
-table of state log densities per E-step (emissions.density_table), in
-which each batch looks its frames up, as the decoders do. A batch runs
-the scaled forward-backward hmm.posteriors_lattice, whose Python loop
-steps over the frames of its longest sequence. The fixed accumulation
-order makes identical inputs and seed reproduce identical models.
+The E-step is compiled once per run (_compile): integer maps, built in
+numpy for all chains at once, gather each batch of equal-size composed
+models from the tied parameters and send the statistics back in corpus
+order; emissions come from one table of state log densities per E-step
+(emissions.density_table), in which each batch looks its frames up, as
+the decoders do. A batch runs the scaled forward-backward
+hmm.posteriors_lattice, whose Python loop steps over the frames of its
+longest sequence. Fixed accumulation orders make reruns identical.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import emissions as em_mod
 from .errors import DegenerateModelError, EmptyObservationError, IncompatibleDataError
 from .hmm import Hmm, Topology, loglik_lattice, posteriors_lattice, validate
 from .logmath import LOG_ZERO, safe_log
-from .parallel import _state_columns, block_ids
+from .parallel import block_ids
 
 INIT_UNIFORM_PERTURBED = "uniform_perturbed"
 INIT_FROM_GLOBAL_STATS = "from_global_stats"
@@ -91,38 +91,39 @@ def initial_model(template, data, cfg, seed=None):
     the deterministic flat start (gaussian means spread on a +/- 0.5
     sigma ladder).
     """
-    if not data:
-        raise IncompatibleDataError("training data is empty")
-    data = [template.emissions.check(obs) for obs in data]
-    if not any(len(obs) for obs in data):
-        raise IncompatibleDataError("no observations in training data")
-    rng = None
-    if cfg.init_strategy == INIT_UNIFORM_PERTURBED:
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    n_states, topology = template.n_states, template.topology
-    pi = np.full(n_states, 1.0 / n_states) * em_mod.jitter(rng, n_states)
-    pi /= pi.sum()
-    if topology is Topology.ERGODIC:
-        trans = np.full((n_states, n_states), 1.0 / n_states)
-    else:
-        trans = 0.5 * (np.eye(n_states) + np.eye(n_states, k=1))
-        trans[-1, -1] = 1.0
-    trans = trans * np.where(trans > 0, em_mod.jitter(rng, (n_states, n_states)), 1.0)
-    trans /= trans.sum(axis=1, keepdims=True)
-    model = Hmm(pi, trans, template.emissions.initial(data, rng), topology)
-    validate(model)
-    return model
+    return _initial_models({0: template}, {0: data}, cfg, {0: seed})[0]
 
 
-def _initial_models(lexicon, channel, data, cfg, mode):
-    """initial_model of every phoneme key of data (phoneme id -> list of
-    sequences) on its lexicon-bound template, with the seed
-    derive_seed(cfg.seed, mode, channel, pid)."""
-    phonemes = lexicon.inventory(channel).phonemes
-    return {
-        pid: initial_model(phonemes[pid], seqs, cfg, derive_seed(cfg.seed, mode, channel, pid))
-        for pid, seqs in data.items()
-    }
+def _initial_models(templates, data, cfg, seeds):
+    """initial_model of every key of data (key -> list of sequences) on
+    templates[key] with seeds[key]. A list that several keys share, as
+    embedded training pools its corpus, is checked once per emission
+    signature, which is all that check reads."""
+    checked, models = {}, {}
+    for key, seqs in data.items():
+        template = templates[key]
+        which = (id(seqs), template.emissions.signature())
+        if which not in checked:
+            if not seqs:
+                raise IncompatibleDataError("training data is empty")
+            checked[which] = [template.emissions.check(obs) for obs in seqs]
+            if not any(len(obs) for obs in checked[which]):
+                raise IncompatibleDataError("no observations in training data")
+        seed = cfg.seed if seeds[key] is None else seeds[key]
+        rng = np.random.default_rng(seed) if cfg.init_strategy == INIT_UNIFORM_PERTURBED else None
+        n_states, topology = template.n_states, template.topology
+        pi = np.full(n_states, 1.0 / n_states) * em_mod.jitter(rng, n_states)
+        pi /= pi.sum()
+        if topology is Topology.ERGODIC:
+            trans = np.full((n_states, n_states), 1.0 / n_states)
+        else:
+            trans = 0.5 * (np.eye(n_states) + np.eye(n_states, k=1))
+            trans[-1, -1] = 1.0
+        trans = trans * np.where(trans > 0, em_mod.jitter(rng, (n_states, n_states)), 1.0)
+        trans /= trans.sum(axis=1, keepdims=True)
+        models[key] = Hmm(pi, trans, template.emissions.initial(checked[which], rng), topology)
+        validate(models[key])
+    return models
 
 
 def _m_step(model, stats, cfg):
@@ -149,12 +150,13 @@ def _compile(models, chains, data, exit_prob, what):
     the chain's start posterior for its first block and the boundary
     transitions into it for later ones. Each iteration fills one flat
     vector with every key's pi, trans and exit_prob * pi, then
-    1 - exit_prob and 0: the values composition copies. Integer maps
-    gather each state-count batch's log_pi/log_trans stack from its log
-    and send the statistics back (np.add.at, in corpus order). The
-    emission class's gatherer, asked once here for the run's layout of
-    (utterance, block, frame, state), collects the emission statistics
-    from the batches' posteriors in the same corpus order.
+    1 - exit_prob and 0: the values composition copies. Integer maps,
+    built for all chains at once, gather each state-count batch's
+    log_pi/log_trans stack from its log and send the statistics back
+    (one np.bincount, in corpus order). The emission class's gatherer,
+    asked once here for the run's layout of (utterance, block, frame,
+    state), collects the emission statistics from the batches'
+    posteriors in the same corpus order.
     """
     keys = list(dict.fromkeys(key for chain in chains for key in chain))
     sizes = {key: models[key].n_states for key in keys}
@@ -164,49 +166,49 @@ def _compile(models, chains, data, exit_prob, what):
     # the constants nowhere (-1).
     spans = [np.r_[a : a + n * (n + 1), a : a + n] for a, n in zip(base.values(), sizes.values())]
     home = np.concatenate(spans + [[-1, -1]])
-    distinct = dict.fromkeys(chains)
-    offsets = {chain: np.cumsum([0] + [sizes[key] for key in chain[:-1]]) for chain in distinct}
-    columns = {chain: _state_columns(models, chain) for chain in distinct}
-
-    def params(chain):
-        total = len(columns[chain])
-        pi, trans = np.full(total, zero), np.full((total, total), zero)
-        for k, (key, off) in enumerate(zip(chain, offsets[chain])):
-            n, at = sizes[key], base[key]
-            trans[off : off + n, off : off + n] = at + n + np.arange(n * n).reshape(n, n)
-            if k == 0:
-                pi[:n] = at + np.arange(n)
-            else:
-                trans[off - 1] = zero
-                trans[off - 1, off - 1] = stay
-                trans[off - 1, off : off + n] = at + n * (n + 1) + np.arange(n)
-        return np.concatenate([pi, trans.ravel()])
-
-    counts = [len(columns[chain]) for chain in chains]
-    batches, spot, maps, shapes = [], {}, {}, []
-    voff = 0
-    for k, count in enumerate(dict.fromkeys(counts)):
-        batch = [i for i, c in enumerate(counts) if c == count]
+    # Per block in corpus order, then per state; tail marks the final states exit wiring rewires.
+    columns = dict(zip(models, itertools.accumulate([0] + [m.n_states for m in models.values()])))
+    flat_keys = [key for chain in chains for key in chain]
+    size, at, col = (np.array([d[key] for key in flat_keys]) for d in (sizes, base, columns))
+    chain_of = np.repeat(np.arange(len(chains)), [len(chain) for chain in chains])
+    first = np.r_[True, chain_of[1:] != chain_of[:-1]]
+    block_start = np.cumsum(size) - size
+    block = np.repeat(np.arange(len(flat_keys)), size)
+    local = np.arange(len(block)) - block_start[block]
+    tail = (local == size[block] - 1) & ~np.r_[first[1:], True][block]
+    counts = np.bincount(chain_of, size).astype(int)
+    start, spot = np.cumsum(counts) - counts, np.empty((len(chains), 2), int)
+    batches, shapes, pairs, voff = [], [], [], 0
+    for k, count in enumerate(dict.fromkeys(counts.tolist())):
+        batch = np.flatnonzero(counts == count)
+        spot[batch] = np.c_[np.full(len(batch), k), np.arange(len(batch))]
         lengths = np.array([len(data[i]) for i in batch])
         frames = np.arange(lengths.max())[:, None]
         rows = np.cumsum(lengths) - lengths + np.minimum(frames, lengths - 1)
-        cols = np.array([columns[chains[i]] for i in batch])
-        index = np.stack([params(chains[i]) for i in batch], axis=-1)
+        # (N, B) state arrays and (N, N, B) trans entries, row u, column v.
+        states = start[batch] + np.arange(count)[:, None]
+        blk, loc, wired = block[states], local[states], tail[states][:, None]
+        n, a = size[blk], at[blk]
+        own = np.where(blk[:, None] == blk[None], (a + n + loc * n)[:, None] + loc[None], zero)
+        exits = np.where(blk[None] == blk[:, None] + 1, (a + n * (n + 1) + loc)[None], zero)
+        trans = np.where(wired, np.where(np.eye(count, dtype=bool)[..., None], stay, exits), own)
+        index = np.concatenate([np.where(first[blk], a + loc, zero), trans.reshape(-1, len(batch))])
         obs = np.concatenate([data[i] for i in batch])
-        batches.append((batch, lengths, obs, rows[:, :, None], cols, index))
+        batches.append((batch, lengths, obs, rows[:, :, None], (col[blk] + loc).T, index))
         shapes.append((len(frames), len(batch), count))
-        for b, i in enumerate(batch):
-            # Entry b's statistics are column b of [gamma[0]; xi_sum] in
-            # the batch's part of e_step's values, laid out like index.
-            spot[i], dst = (k, b), home[index[:, b]]
-            maps[i] = (voff + np.flatnonzero(dst >= 0) * len(batch) + b, dst[dst >= 0])
+        # Entry b's statistics are column b of [gamma[0]; xi_sum] in
+        # the batch's part of e_step's values, laid out like index.
+        dst = home[index].T
+        src = voff + np.arange(len(index)) * len(batch) + np.arange(len(batch))[:, None]
+        live = dst >= 0
+        pairs.append((np.broadcast_to(batch[:, None], live.shape)[live], src[live], dst[live]))
         voff += index.size
-    src, dst = (np.concatenate([maps[i][j] for i in range(len(data))]) for j in (0, 1))
-    blocks = [
-        (key, *spot[i], off, obs)
-        for i, (chain, obs) in enumerate(zip(chains, data))
-        for key, off in zip(chain, offsets[chain])
-    ]
+    # Each chain's statistics in order, chains in corpus order.
+    owner, src, dst = (np.concatenate(part) for part in zip(*pairs))
+    order = np.argsort(owner, kind="stable")
+    src, dst = src[order], dst[order]
+    offsets = (block_start - start[chain_of]).tolist()
+    blocks = list(zip(flat_keys, *spot[chain_of].T.tolist(), offsets, [data[i] for i in chain_of]))
     emissions = {key: models[key].emissions for key in keys}
     gather = type(emissions[keys[0]]).gatherer(emissions, blocks, shapes)
     # One-block chains (baum_welch) pass no exit_prob and read no exit entries.
@@ -239,8 +241,7 @@ def _compile(models, chains, data, exit_prob, what):
         total = math.fsum(logliks.tolist())
         if not stats_needed:
             return total, None
-        acc = np.zeros(len(flat))
-        np.add.at(acc, dst, np.concatenate(values)[src])
+        acc = np.bincount(dst, np.concatenate(values)[src], minlength=len(flat))
         em_stats = gather(gammas)
         accs = {}
         for key, n in sizes.items():
@@ -293,7 +294,6 @@ def baum_welch(init, data, cfg, on_iteration=None):
     train_embedded, with the one model.
     """
     data = list(data)
-
     hook = on_iteration and (lambda it, models, loglik: on_iteration(it, models[0], loglik))
     # One-block chains have no exit rows, so exit_prob is unused.
     models, report = _em({0: init}, [(0,)] * len(data), data, None, cfg, hook)
@@ -318,7 +318,8 @@ def train_segmented(lexicon, channel, segments, cfg, init_models=None):
     if not data:
         raise IncompatibleDataError(f"no training segments for channel {channel!r}")
     if init_models is None:
-        init_models = _initial_models(lexicon, channel, data, cfg, "segmented")
+        seeds = {pid: derive_seed(cfg.seed, "segmented", channel, pid) for pid in data}
+        init_models = _initial_models(inv.phonemes, data, cfg, seeds)
     trained = {pid: baum_welch(init_models[pid], seqs, cfg) for pid, seqs in data.items()}
     models = {pid: m.copy() for pid, m in inv.phonemes.items()}
     models.update({pid: model for pid, (model, _) in trained.items()})
@@ -347,8 +348,8 @@ def train_embedded(lexicon, channel, utterances, cfg, init_models=None, on_itera
     data = [obs for _, obs in utterances]
     phonemes = lexicon.inventory(channel).phonemes
     if init_models is None:
-        pooled = dict.fromkeys(phonemes, data)
-        init_models = _initial_models(lexicon, channel, pooled, cfg, "embedded")
+        seeds = {pid: derive_seed(cfg.seed, "embedded", channel, pid) for pid in phonemes}
+        init_models = _initial_models(phonemes, dict.fromkeys(phonemes, data), cfg, seeds)
     chains = [tuple(block_ids(lexicon, channel, signs)) for signs, _ in utterances]
     models = {pid: init_models[pid] for pid in phonemes}
     return _em(models, chains, data, lexicon.exit_prob, cfg, on_iteration, "utterances")

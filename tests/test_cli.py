@@ -97,22 +97,45 @@ def test_generate_noise_on_one_symbol_channel(tmp_path):
     assert all(u.mobs.channels["c0"].tolist() == [0] * len(u.paths["c0"]) for u in corpus)
 
 
-def test_gaussian_noise_that_overflows_is_input_error(tmp_path):
-    # Noise of standard deviation 1e308 overflows some observations to
-    # infinity; generate refuses them before writing anything.
+def gaussian_twin():
+    """The demo lexicon with its chains and 2-d Gaussian emissions, means
+    drawn per state at variance 0.5."""
     lexicon = demo_lexicon()
     rng = np.random.default_rng(7007)
     for inv in lexicon.inventories.values():
         for model in inv.phonemes.values():
             shape = (model.n_states, 2)
             model.emissions = GaussianEmission(rng.normal(0, 2, shape), np.full(shape, 0.5))
-    save_model(tmp_path / "gaussian.json", lexicon)
+    return lexicon
+
+
+def test_gaussian_noise_that_overflows_is_input_error(tmp_path):
+    # Noise of standard deviation 1e308 overflows some observations to
+    # infinity; generate refuses them before writing anything.
+    save_model(tmp_path / "gaussian.json", gaussian_twin())
     args = ["generate", "--lexicon", "gaussian.json", "--n", 5, "--seed", 1, "--noise", "1e308"]
     got = run_process(args + ["--out", "corpus.jsonl"], tmp_path)
     assert got.returncode == 3
     assert not (tmp_path / "corpus.jsonl").exists()
     assert got.stderr.startswith("error: non-finite entry")
     assert "Traceback" not in got.stderr and "RuntimeWarning" not in got.stderr
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "synced"])
+def test_decode_far_gaussian_mean_is_silent(mode, tmp_path):
+    # A state mean 1e200 from every observation overflows the squared
+    # offset: that state's density is -inf, and decode prints no warning.
+    lexicon = gaussian_twin()
+    save_model(tmp_path / "gaussian.json", lexicon)
+    args = ["generate", "--lexicon", tmp_path / "gaussian.json", "--n", 4, "--seed", 3]
+    assert run(args + ["--max-signs", 2, "--out", tmp_path / "corpus.jsonl"]) == 0
+    lexicon.inventory("head").phonemes["H0"].emissions.means[0, 0] = 1e200
+    save_model(tmp_path / "far.json", lexicon)
+    args = ["decode", "--model", "far.json", "--corpus", "corpus.jsonl", "--mode", mode]
+    got = run_process(args + ["--max-signs", 2, "--out", "hyps.jsonl"], tmp_path)
+    assert got.returncode == 0, got.stderr
+    assert "Traceback" not in got.stderr and "RuntimeWarning" not in got.stderr
+    assert len((tmp_path / "hyps.jsonl").read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("value, code", [("bogus", 2), ("15", 2), ("", 0)])

@@ -48,6 +48,19 @@ def test_gaussian_matches_independent_formula():
     assert got == pytest.approx(-4.629636535637401, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gaussian_table_far_observation_is_minus_inf_without_warning():
+    # An offset of about 1e154 or more from a mean overflows its square:
+    # that state's density is -inf, with no RuntimeWarning.
+    em = GaussianEmission(np.array([[0.0, 0.0], [1e200, 0.0]]), np.array([[1.0, 1.0], [0.5, 0.5]]))
+    obs = np.array([[1e200, 0.0], [0.0, 1e-3], [-1e300, 0.0]])
+    got = em.table()(obs)
+    assert got[0, 1] == pytest.approx(log_density(em, 1, obs[0]))
+    assert got[1, 0] == pytest.approx(log_density(em, 0, obs[1]))
+    assert got[[0, 1, 2, 2], [0, 1, 0, 1]].tolist() == [LOG_ZERO] * 4
+    assert got[:, 2].tolist() == [LOG_ZERO] * 3
+
+
 def test_log_density_seq_agrees_with_scalar_calls():
     rng = np.random.default_rng(3)
     probs = rng.uniform(0.1, 1.0, size=(3, 4))

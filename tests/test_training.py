@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -552,6 +554,30 @@ def test_embedded_rejects_float_symbols():
     utts[2] = (utts[2][0], utts[2][1].astype(float))
     with pytest.raises(VariantMismatchError, match="integer symbols"):
         train_embedded(lex, "c0", utts, TrainConfig(max_iters=2))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("extra", [0, 6])
+def test_embedded_checks_each_utterance_at_most_twice(gaussian, extra, monkeypatch):
+    # Starting every phoneme checks the pooled corpus once per channel,
+    # not once per phoneme, and the engine checks it once more, however
+    # many phonemes the inventory holds (extra ones are untouched).
+    rng = np.random.default_rng(77)
+    lex = mixed_lexicon(rng, gaussian=gaussian, policy="between_signs")
+    phonemes = lex.inventory("c0").phonemes
+    phonemes.update({f"c0_x{k}": random_phoneme(rng, 2, gaussian) for k in range(extra)})
+    utts = _mixed_utterances(lex, 5, 78)
+    cls = GaussianEmission if gaussian else DiscreteEmission
+    calls, check = collections.Counter(), cls.check
+
+    def counted(self, obs):
+        calls[id(obs)] += 1
+        return check(self, obs)
+
+    monkeypatch.setattr(cls, "check", counted)
+    train_embedded(lex, "c0", utts, TrainConfig(max_iters=2, seed=5))
+    assert len(phonemes) == 4 + extra
+    assert all(0 < calls[id(obs)] <= 2 for _, obs in utts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
