@@ -2,15 +2,16 @@
 
 Only this module knows the emission kind. Each emission class owns its
 invariants (validate), checking and scoring observations (check,
-table), fresh statistics (new_stats), gathering them from a
-training run's posteriors (gatherer), sampling a state path's
-observations and channel noise (sample, add_noise), stacking composed
-blocks (stack), the lexicon's per-channel signature, its JSON form
-(to_json; from_json reads any kind) and data-driven initial parameters
-(initial). Each statistics class owns its accumulate and M-step
-(maximize). Gaussian covariance is diagonal only; variances are floored
-at VAR_FLOOR by the M-step. Tables are read-only and safe to call
-concurrently; statistics accumulators are single-writer.
+table), fresh statistics (new_stats), summing weighted observations
+into them (scatter), sampling a state path's observations and channel
+noise (sample, add_noise), stacking composed blocks (stack), the
+lexicon's per-channel signature, its JSON form (to_json; from_json
+reads any kind) and data-driven initial parameters (initial). Each
+statistics class owns its accumulate, its M-step (maximize) and views
+of its rows (rows). Sums add one term at a time in the order given, as
+a scalar loop does. Gaussian covariance is diagonal only; variances
+are floored at VAR_FLOOR by the M-step. Tables are read-only and safe
+to call concurrently; statistics accumulators are single-writer.
 """
 
 from __future__ import annotations
@@ -74,29 +75,6 @@ class _Emission:
                 raise DimensionMismatchError(
                     f"emission {name} has shape {arr.shape}, expected a 2-d array"
                 )
-
-    @classmethod
-    def gatherer(cls, emissions, blocks, shapes):
-        """gather(buffers): fresh statistics of every key of emissions
-        (a dict of this class's models, of which only the shapes are
-        read), accumulated from blocks in order, once per E-step.
-
-        Each block (key, k, b, off, obs) is one occurrence of key's
-        model: states off .. off + n of entry b of buffers[k] hold its
-        posteriors over the frames of obs. buffers[k] is a (T, B, N)
-        array of shape shapes[k]. This gatherer accumulates block by
-        block (accumulate_seq); a class may gather faster if its sums
-        come out the same.
-        """
-
-        def gather(buffers):
-            stats = {key: em.new_stats() for key, em in emissions.items()}
-            for key, k, b, off, obs in blocks:
-                gamma = buffers[k][: len(obs), b, off : off + emissions[key].n_states]
-                accumulate_seq(stats[key], gamma, obs)
-            return stats
-
-        return gather
 
     @classmethod
     def stack(cls, parts):
@@ -186,47 +164,17 @@ class DiscreteEmission(_Emission):
     def signature(self):
         return (self.kind, self.alphabet_size)
 
-    @classmethod
-    def gatherer(cls, emissions, blocks, shapes):
-        """_Emission.gatherer as one ordered scatter: every weight of
-        every block, frame and state taken from the concatenated buffers
-        by one index in block order, then one np.bincount into every
-        key's counts. Each count cell receives the additions of
-        block-by-block accumulate in the same order, starting from 0, so
-        the counts are the same bits. The integer maps are built here,
-        once, in numpy for all blocks together."""
-        alphabet = next(iter(emissions.values())).alphabet_size
-        states = {key: em.n_states for key, em in emissions.items()}
-        cells = {key: n * alphabet for key, n in states.items()}
-        base = dict(zip(cells, np.cumsum([0, *cells.values()]).tolist()))
-        n_cells = sum(cells.values())
-        keys, ks, bs, offs, obs = zip(*blocks)
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        lengths = np.array([len(seq) for seq in obs])
-        n = np.array([states[key] for key in keys])
-        itype = np.int32 if max(lengths @ n, n_cells, sum(sizes)) < 2**31 else np.intp
-        lengths, n, spans = lengths.astype(itype), n.astype(itype), (lengths * n).astype(itype)
-        # Weight i, frame t and state s of block j, comes from src[i] of
-        # the concatenated buffers and goes to count dst[i].
-        j = np.repeat(np.arange(len(blocks), dtype=itype), spans)
-        i = np.arange(len(j), dtype=itype) - np.repeat(np.cumsum(spans, dtype=itype) - spans, spans)
-        t, s = np.divmod(i, n[j])
-        frames = np.repeat(np.cumsum(lengths, dtype=itype) - lengths, spans) + t
-        symbols = np.concatenate(obs, dtype=itype, casting="same_kind")[frames]
-        dst = np.array([base[key] for key in keys], itype)[j] + s * alphabet + symbols
-        _, width, n_all = np.array(shapes, itype)[list(ks)].T
-        at = np.cumsum([0, *sizes[:-1]], dtype=itype)[list(ks)] + np.array(bs, itype) * n_all
-        src = at[j] + t * (width * n_all)[j] + np.array(offs, itype)[j] + s
-
-        def gather(buffers):
-            weights = np.concatenate([np.ravel(buf) for buf in buffers])[src]
-            counts = np.bincount(dst, weights, minlength=n_cells)
-            return {
-                key: DiscreteStats(counts[base[key] : base[key] + size].reshape(-1, alphabet))
-                for key, size in cells.items()
-            }
-
-        return gather
+    def scatter(self, states, obs):
+        """collect(weights): the statistics of these states from
+        weights[i] of state states[i] observing symbol obs[i], one
+        np.bincount into the (state, symbol) cells, each receiving its
+        terms in index order. The cells are computed here, once, as the
+        intp indices np.bincount would otherwise convert them to."""
+        cells = np.asarray(states, dtype=np.intp) * self.alphabet_size
+        cells += np.asarray(obs, dtype=np.intp)
+        return lambda weights: DiscreteStats(
+            np.bincount(cells, weights, minlength=self.probs.size).reshape(self.probs.shape)
+        )
 
     def initial(self, data, rng):
         """Every state's row at the symbol frequencies of data (checked
@@ -317,6 +265,24 @@ class GaussianEmission(_Emission):
 
     def signature(self):
         return (self.kind, self.dim)
+
+    def scatter(self, states, obs):
+        """DiscreteEmission.scatter for observation rows obs[i]: one
+        np.bincount each for the weight, the weighted sum and the
+        weighted square (w * x) * x."""
+        n, dim = self.means.shape
+        states = np.asarray(states, dtype=np.intp)
+        cells = (states[:, None] * dim + np.arange(dim)).ravel()
+
+        def collect(weights):
+            wx = weights[:, None] * obs
+            return GaussianStats(
+                np.bincount(states, weights, minlength=n),
+                np.bincount(cells, wx.ravel(), minlength=n * dim).reshape(n, dim),
+                np.bincount(cells, (wx * obs).ravel(), minlength=n * dim).reshape(n, dim),
+            )
+
+        return collect
 
     def initial(self, data, rng):
         """Every state at the global variance of data (checked sequences
@@ -414,8 +380,17 @@ def density_table(parts):
     return type(parts[0]).stack(parts).table()
 
 
+class _Stats:
+    """What the statistics classes share: every field is an array with
+    one row per state."""
+
+    def rows(self, start, n):
+        """The statistics of the n states from start on, views of these."""
+        return type(self)(*(arr[start : start + n] for arr in vars(self).values()))
+
+
 @dataclass
-class DiscreteStats:
+class DiscreteStats(_Stats):
     """Expected symbol counts per state."""
 
     counts: np.ndarray
@@ -435,7 +410,7 @@ class DiscreteStats:
 
 
 @dataclass
-class GaussianStats:
+class GaussianStats(_Stats):
     """Weighted first and second moments per state."""
 
     weight: np.ndarray
@@ -443,10 +418,14 @@ class GaussianStats:
     wsq: np.ndarray
 
     def accumulate(self, gamma, obs):
-        seq = np.asarray(obs, dtype=float)
-        self.weight += gamma.sum(axis=0)
-        self.wsum += gamma.T @ seq
-        self.wsq += gamma.T @ (seq * seq)
+        """Frame by frame, state by state, as GaussianEmission.scatter adds."""
+        t, s = np.divmod(np.arange(gamma.size), gamma.shape[1])
+        x = np.asarray(obs, dtype=float)[t]
+        w = np.ravel(gamma)
+        wx = w[:, None] * x
+        np.add.at(self.weight, s, w)
+        np.add.at(self.wsum, s, wx)
+        np.add.at(self.wsq, s, wx * x)
 
     def maximize(self, smoothing, fallback):
         empty = _empty_rows(self.weight, smoothing, fallback)[:, None]

@@ -21,9 +21,11 @@ numpy for all chains at once, gather each batch of equal-size composed
 models from the tied parameters and send the statistics back in corpus
 order; emissions come from one table of state log densities per E-step
 (emissions.density_table), in which each batch looks its frames up, as
-the decoders do. A batch runs the scaled forward-backward
-hmm.posteriors_lattice, whose Python loop steps over the frames of its
-longest sequence. Fixed accumulation orders make reruns identical.
+the decoders do, and their statistics of either kind go back through
+one scatter of the stacked emissions. A batch runs the scaled
+forward-backward hmm.posteriors_lattice, whose Python loop steps over
+the frames of its longest sequence. Fixed accumulation orders make
+reruns identical.
 """
 
 from __future__ import annotations
@@ -153,10 +155,11 @@ def _compile(models, chains, data, exit_prob, what):
     1 - exit_prob and 0: the values composition copies. Integer maps,
     built for all chains at once, gather each state-count batch's
     log_pi/log_trans stack from its log and send the statistics back
-    (one np.bincount, in corpus order). The emission class's gatherer,
-    asked once here for the run's layout of (utterance, block, frame,
-    state), collects the emission statistics from the batches'
-    posteriors in the same corpus order.
+    (one np.bincount, in corpus order). Three more give every emission
+    weight, in the order (utterance, block, frame, state), its index in
+    the batches' concatenated posteriors, by which each E-step gathers
+    it, and its state's row in the stacked emissions and its frame in
+    the concatenated data, from which the stack's scatter is built.
     """
     keys = list(dict.fromkeys(key for chain in chains for key in chain))
     sizes = {key: models[key].n_states for key in keys}
@@ -177,14 +180,20 @@ def _compile(models, chains, data, exit_prob, what):
     local = np.arange(len(block)) - block_start[block]
     tail = (local == size[block] - 1) & ~np.r_[first[1:], True][block]
     counts = np.bincount(chain_of, size).astype(int)
-    start, spot = np.cumsum(counts) - counts, np.empty((len(chains), 2), int)
-    batches, shapes, pairs, voff = [], [], [], 0
-    for k, count in enumerate(dict.fromkeys(counts.tolist())):
+    start = np.cumsum(counts) - counts
+    n_frames = np.array([len(obs) for obs in data])
+    # Each chain's posteriors: where they start, state 0 of frame 0, and
+    # their frame stride in the (T, B, N) posteriors of its batch.
+    origin, stride = np.empty(len(chains), int), np.empty(len(chains), int)
+    batches, pairs, voff, poff = [], [], 0, 0
+    for count in dict.fromkeys(counts.tolist()):
         batch = np.flatnonzero(counts == count)
-        spot[batch] = np.c_[np.full(len(batch), k), np.arange(len(batch))]
-        lengths = np.array([len(data[i]) for i in batch])
+        lengths = n_frames[batch]
         frames = np.arange(lengths.max())[:, None]
         rows = np.cumsum(lengths) - lengths + np.minimum(frames, lengths - 1)
+        origin[batch] = poff + np.arange(len(batch)) * count
+        stride[batch] = len(batch) * count
+        poff += len(frames) * len(batch) * count
         # (N, B) state arrays and (N, N, B) trans entries, row u, column v.
         states = start[batch] + np.arange(count)[:, None]
         blk, loc, wired = block[states], local[states], tail[states][:, None]
@@ -195,7 +204,6 @@ def _compile(models, chains, data, exit_prob, what):
         index = np.concatenate([np.where(first[blk], a + loc, zero), trans.reshape(-1, len(batch))])
         obs = np.concatenate([data[i] for i in batch])
         batches.append((batch, lengths, obs, rows[:, :, None], (col[blk] + loc).T, index))
-        shapes.append((len(frames), len(batch), count))
         # Entry b's statistics are column b of [gamma[0]; xi_sum] in
         # the batch's part of e_step's values, laid out like index.
         dst = home[index].T
@@ -207,10 +215,21 @@ def _compile(models, chains, data, exit_prob, what):
     owner, src, dst = (np.concatenate(part) for part in zip(*pairs))
     order = np.argsort(owner, kind="stable")
     src, dst = src[order], dst[order]
-    offsets = (block_start - start[chain_of]).tolist()
-    blocks = list(zip(flat_keys, *spot[chain_of].T.tolist(), offsets, [data[i] for i in chain_of]))
-    emissions = {key: models[key].emissions for key in keys}
-    gather = type(emissions[keys[0]]).gatherer(emissions, blocks, shapes)
+    # The emission maps, int32 where every index fits.
+    span = n_frames[chain_of] * size
+    itype = np.int32 if max(span.sum(), poff, n_frames.sum()) < 2**31 else np.intp
+    j = np.repeat(np.arange(len(flat_keys), dtype=itype), span)
+    t, s = np.divmod(
+        np.arange(len(j), dtype=itype) - np.repeat((np.cumsum(span) - span).astype(itype), span),
+        size.astype(itype)[j],
+    )
+    weight_at = (origin[chain_of] + block_start - start[chain_of]).astype(itype)[j]
+    weight_at += t * stride[chain_of].astype(itype)[j] + s
+    frame_at = (np.cumsum(n_frames) - n_frames)[chain_of].astype(itype)[j] + t
+    emissions = [m.emissions for m in models.values()]
+    collect = type(emissions[0]).stack(emissions).scatter(
+        col.astype(itype)[j] + s, np.concatenate(data)[frame_at]
+    )
     # One-block chains (baum_welch) pass no exit_prob and read no exit entries.
     exit_value = 0.0 if exit_prob is None else exit_prob
 
@@ -232,7 +251,7 @@ def _compile(models, chains, data, exit_prob, what):
                 logliks[batch] = loglik_lattice(*args, lengths)
                 continue
             logliks[batch], gamma, xi_sum = posteriors_lattice(*args, lengths)
-            gammas.append(gamma.transpose(0, 2, 1))
+            gammas.append(gamma.transpose(0, 2, 1).ravel())  # the kernel's (T, B, N) lattice
             values += [gamma[0].ravel(), xi_sum.ravel()]
         n_impossible = int(np.count_nonzero(logliks == LOG_ZERO))
         if n_impossible:
@@ -242,11 +261,11 @@ def _compile(models, chains, data, exit_prob, what):
         if not stats_needed:
             return total, None
         acc = np.bincount(dst, np.concatenate(values)[src], minlength=len(flat))
-        em_stats = gather(gammas)
+        em_stats = collect(np.concatenate(gammas)[weight_at])
         accs = {}
         for key, n in sizes.items():
             pt = acc[base[key] : base[key] + n * (n + 1)]
-            accs[key] = (pt[:n], pt[n:].reshape(n, n), em_stats[key])
+            accs[key] = (pt[:n], pt[n:].reshape(n, n), em_stats.rows(columns[key], n))
         return total, accs
 
     return e_step

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from phmm.demo import demo_lexicon
 from phmm.emissions import DiscreteEmission, GaussianEmission
 from phmm.hmm import Hmm, Topology
 
@@ -228,3 +229,15 @@ def mixed_lexicon(rng, gaussian=False, ergodic=False, policy="none", channels=("
         epenthesis_policy=policy,
         exit_prob=float(rng.uniform(0.2, 0.8)),
     )
+
+
+def gaussian_twin():
+    """The demo lexicon with its chains and 2-d Gaussian emissions, means
+    drawn per state at variance 0.5."""
+    lexicon = demo_lexicon()
+    rng = np.random.default_rng(7007)
+    for inv in lexicon.inventories.values():
+        for model in inv.phonemes.values():
+            shape = (model.n_states, 2)
+            model.emissions = GaussianEmission(rng.normal(0, 2, shape), np.full(shape, 0.5))
+    return lexicon

@@ -817,14 +817,3 @@ def sample_oracle(hmm, t_len, seed):
         obs = em.means[path] + np.sqrt(em.variances[path]) * rng.standard_normal((t_len, em.dim))
     return obs, [int(s) for s in path]
 
-
-def per_block_emission_stats(emissions, blocks, buffers):
-    """The statistics an emission gatherer returns, one accumulate_seq
-    per block in order: each block (key, k, b, off, obs) reads states
-    off .. off + n of entry b of the (T, B, N) buffers[k] over the
-    frames of obs."""
-    stats = {key: em.new_stats() for key, em in emissions.items()}
-    for key, k, b, off, obs in blocks:
-        n = emissions[key].n_states
-        accumulate_seq(stats[key], buffers[k][: len(obs), b, off : off + n], obs)
-    return stats

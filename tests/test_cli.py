@@ -9,11 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_lexicon, mixed_lexicon
+from helpers import build_lexicon, gaussian_twin, mixed_lexicon
 from oracles import cut_segments_oracle
 
 import phmm
-from phmm import GaussianEmission
 from phmm.cli import _cut_segments, main
 from phmm.corpus import GenConfig, Utterance, generate, read_corpus, write_corpus
 from phmm.demo import demo_lexicon
@@ -95,18 +94,6 @@ def test_generate_noise_on_one_symbol_channel(tmp_path):
     corpus = read_corpus(out)
     assert len(corpus) == 5
     assert all(u.mobs.channels["c0"].tolist() == [0] * len(u.paths["c0"]) for u in corpus)
-
-
-def gaussian_twin():
-    """The demo lexicon with its chains and 2-d Gaussian emissions, means
-    drawn per state at variance 0.5."""
-    lexicon = demo_lexicon()
-    rng = np.random.default_rng(7007)
-    for inv in lexicon.inventories.values():
-        for model in inv.phonemes.values():
-            shape = (model.n_states, 2)
-            model.emissions = GaussianEmission(rng.normal(0, 2, shape), np.full(shape, 0.5))
-    return lexicon
 
 
 def test_gaussian_noise_that_overflows_is_input_error(tmp_path):

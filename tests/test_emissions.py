@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_stochastic
-from oracles import accumulate, log_density, maximize_oracle, per_block_emission_stats
+from oracles import accumulate, log_density, maximize_oracle
 from phmm.emissions import (
     DiscreteEmission,
     GaussianEmission,
@@ -166,17 +166,29 @@ def test_accumulation_order_independent():
 
 
 def test_accumulate_seq_matches_scalar_loop():
+    # The same additions in the same order, frame by frame and state by
+    # state, onto statistics that already hold a sequence's: the same
+    # bits, for both kinds.
     rng = np.random.default_rng(5)
-    em = DiscreteEmission(np.full((3, 4), 0.25))
-    obs = rng.integers(0, 4, size=9)
-    gamma = rng.uniform(0, 1, size=(9, 3))
-    fast = em.new_stats()
-    accumulate_seq(fast, gamma, obs)
-    slow = em.new_stats()
-    for t in range(9):
-        for s in range(3):
-            accumulate(slow, s, obs[t], gamma[t, s])
-    assert np.allclose(fast.counts, slow.counts, atol=1e-12)
+    for gaussian in [False, True] * 50:
+        n, width = (int(v) for v in rng.integers(1, [6, 5]))
+        if gaussian:
+            em = GaussianEmission(np.zeros((n, width)), np.ones((n, width)))
+        else:
+            em = DiscreteEmission(np.full((n, width), 1 / width))
+        fast, slow = em.new_stats(), em.new_stats()
+        for t_len in rng.integers(1, 30, size=2):
+            if gaussian:
+                obs = rng.normal(size=(t_len, width))
+            else:
+                obs = rng.integers(0, width, size=t_len)
+            gamma = rng.uniform(0, 1, size=(t_len, n))
+            accumulate_seq(fast, gamma, obs)
+            for t in range(t_len):
+                for s in range(n):
+                    accumulate(slow, s, obs[t], gamma[t, s])
+        for name, arr in vars(fast).items():
+            assert arr.tobytes() == getattr(slow, name).tobytes(), (type(em).__name__, name)
 
 
 def test_maximize_discrete():
@@ -291,66 +303,59 @@ def test_add_noise_one_symbol_alphabet_keeps_symbols():
     assert rng.random() == ref.random()
 
 
-def _gather_layout(rng, chains, sizes, gaussian):
-    """Emission models, blocks, shapes and random (T, B, N) buffers for
-    the given chains of model keys, batched by total state count in
-    corpus order as training._compile lays them out."""
-    alphabet, dim = 3, 2
+def _scatter_layout(rng, chains, sizes, gaussian):
+    """The stacked emissions of keys with the given state counts, their
+    first rows, and every key, weight, state row and observation of
+    the given chains of keys in the order training lays them out:
+    utterance, block, frame, state. The blocks of a chain share its
+    frames."""
+    alphabet, dim, n = 3, 2, sum(sizes.values())
     if gaussian:
-        emissions = {
-            key: GaussianEmission(np.zeros((n, dim)), np.ones((n, dim)))
-            for key, n in sizes.items()
-        }
+        stack = GaussianEmission(np.zeros((n, dim)), np.ones((n, dim)))
     else:
-        emissions = {
-            key: DiscreteEmission(np.full((n, alphabet), 1 / alphabet)) for key, n in sizes.items()
-        }
-    totals = [sum(sizes[key] for key in chain) for chain in chains]
-    order = list(dict.fromkeys(totals))
-    lengths = [int(rng.integers(1, 9)) for _ in chains]
-    blocks, members = [], [[] for _ in order]
-    for chain, total, t_len in zip(chains, totals, lengths):
-        k = order.index(total)
-        members[k].append(t_len)
-        obs = rng.normal(size=(t_len, dim)) if gaussian else rng.integers(0, alphabet, t_len)
-        off = 0
+        stack = DiscreteEmission(np.full((n, alphabet), 1 / alphabet))
+    firsts = dict(zip(sizes, np.cumsum([0, *sizes.values()]).tolist()))
+    keys, states, obs = [], [], []
+    for chain in chains:
+        t_len = int(rng.integers(1, 9))
+        seq = rng.normal(size=(t_len, dim)) if gaussian else rng.integers(0, alphabet, t_len)
         for key in chain:
-            blocks.append((key, k, len(members[k]) - 1, off, obs))
-            off += sizes[key]
-    shapes = [(max(ts), len(ts), total) for ts, total in zip(members, order)]
-    # Half the buffers are strided views, as training hands them on.
-    buffers = [
-        rng.random(shape) if k % 2 else rng.random(shape[::-1]).transpose(2, 1, 0)
-        for k, shape in enumerate(shapes)
-    ]
-    return emissions, blocks, shapes, buffers
+            for t in range(t_len):
+                keys += [key] * sizes[key]
+                states += range(firsts[key], firsts[key] + sizes[key])
+                obs += [seq[t]] * sizes[key]
+    weights = rng.random(len(states))
+    return stack, firsts, keys, weights, np.array(states, np.int32), np.array(obs)
 
 
-@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("gaussian", [False, True], ids=["discrete", "gaussian"])
 @pytest.mark.parametrize(
     "chains",
     [
         # Repeated keys within a chain, epenthesis-like fillers between
-        # blocks, and batches that share keys, interleaved in corpus order.
+        # blocks, and chains that share keys.
         [("a",), ("a", "e", "a"), ("b", "e", "b"), ("a", "a"), ("b",), ("a", "e", "b"),
          ("b", "e", "a"), ("a",), ("b", "b", "b")],
-        # One-block chains, as baum_welch runs them: one batch.
+        # One-block chains, as baum_welch runs them.
         [("a",)] * 7,
     ],
     ids=["composed", "one-block"],
 )
-def test_gatherer_equals_per_block_accumulate(chains, gaussian):
+def test_scatter_equals_scalar_accumulate(chains, gaussian):
+    # Each key's rows of one scatter of the stack hold the same bits as
+    # its statistics added one weighted observation at a time, in order.
     rng = np.random.default_rng(17 + gaussian)
     sizes = {"a": 2, "b": 1, "e": 3}
-    emissions, blocks, shapes, buffers = _gather_layout(rng, chains, sizes, gaussian)
-    cls = GaussianEmission if gaussian else DiscreteEmission
-    got = cls.gatherer(emissions, blocks, shapes)(buffers)
-    want = per_block_emission_stats(emissions, blocks, buffers)
-    assert list(got) == list(want)
-    for key, stats in got.items():
-        for name, arr in vars(stats).items():
+    stack, firsts, keys, weights, states, obs = _scatter_layout(rng, chains, sizes, gaussian)
+    got = stack.scatter(states, obs)(weights)
+    want = {key: stack.new_stats().rows(firsts[key], n) for key, n in sizes.items()}
+    for key, w, state, x in zip(keys, weights, states, obs):
+        accumulate(want[key], state - firsts[key], x, w)
+    for key, n in sizes.items():
+        rows = got.rows(firsts[key], n)
+        for name, arr in vars(rows).items():
             assert arr.shape == getattr(want[key], name).shape
-            assert arr.tobytes() == getattr(want[key], name).tobytes()
+            assert arr.tobytes() == getattr(want[key], name).tobytes(), (key, name)
 
 
 @pytest.mark.parametrize(
