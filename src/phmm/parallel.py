@@ -12,48 +12,27 @@ state j of its successor; the final sub-model's last state stays
 absorbing. These rewired rows are structural constants, not trained
 parameters.
 
-Both decoders score in batches, all channels at once. A candidate's
-channel model depends only on the channel spellings of its signs, so
-the exhaustive decoder stacks, for every channel, one composed model
-(-inf padded) per distinct spelling sequence of 1..max_signs signs into
-one stack, with a map from every candidate and channel to its column,
-and keeps only the stack's finite diagonals (hmm.band): a composed
-left-to-right chain has few of them, the self-loops and the steps
-forward on the demo lexicon. _stack_layout alone gives the stack's rows,
-columns and offsets, to the memory guard and to the builder; it reads
-the offsets off composed one-sign chains and sign junctions, so they
-follow compose_models. One max-product recursion per utterance
-runs over that stack (over each of its cache-sized column blocks when
-it is wide), each frame reading only those diagonals and gathering
-emissions from the utterance's phoneme-state log densities, looked up
-channel by channel (one row gather if discrete) in the
-emissions.density_tables that the cache keeps with the stacks, side by
-side; each channel is scored at its own last frame.
-The synchronized decoder stacks the units of an utterance (every sign,
-and the epenthesis filler, in every channel; front-padded with -inf so
-that each final state is the last row) on a band too, cached per
-lexicon like the exhaustive stack and the tables, and advances one
-recursion for all units and entry frames a frame at a time. Every stack
-is written as a band, so no dense transition stack is built. Max and +
-are exact, and neither -inf padding nor a dropped, all -inf diagonal
-ever wins a max, so every score is bit-identical to scoring the
-candidates, units or entry frames one at a time. Every winner's scores
-and state paths come from _align, one batched, banded viterbi_lattice
-call over stack columns and the density table the decoder scored with:
-score_hypothesis composes a column per channel, decode_exhaustive slices
-them out of its cached stack, and _rebuild_hypothesis picks one per
-(segment, channel) pair of the synced winner from the unit stack.
+Both decoders score all channels at once, by the banded max-product
+recursion (hmm.band) over -inf-padded stacks whose states read the
+utterance's density table, each channel's emissions.density_table
+looked up side by side. The exhaustive decoder's stack holds one
+composed model per channel and distinct spelling sequence of
+1..max_signs signs (_candidate_stack), scored in cache-sized column
+blocks; the synchronized decoder's holds every unit (sign or
+epenthesis filler) and channel, advanced for all entry frames a frame
+at a time (_Unit). Max and + are exact, and neither -inf padding nor a
+dropped, all -inf diagonal ever wins a max, so every score is
+bit-identical to scoring the candidates, units or entry frames one at
+a time. Winners come from one exact argmax, _best_entries.
 
-Both decoders pick winners with one exact argmax, _best_entries: numpy
-sums the channel scores of every row, and only rows within a rounding
-bound of the best, read off those sums and a bound on positive log
-densities, are rescored with math.fsum. It runs once over the
-exhaustive candidates and at each frame over the synced search's
-(unit, entry frame) pairs; of that frame's tokens, only the best sign
-token and the epenthesis token are built, the two read again.
-score_hypothesis scores any one sign sequence on its own composed
-models; on the exhaustive winner's signs it gives the winner's scores
-and paths bit for bit.
+Every Hypothesis comes from _align, on stack columns: score_hypothesis
+composes one per channel, decode_exhaustive slices its winner's out of
+the cached stack and keeps their scores from the scoring pass, and
+_rebuild_hypothesis picks one per (segment, channel) of the synced
+winner from the unit stack. State paths are aligned at their first read
+alone, by one banded viterbi_lattice call on those columns, so a decode
+whose paths nobody reads runs no second frame loop. On the exhaustive
+winner's signs score_hypothesis gives its scores and paths bit for bit.
 """
 
 from __future__ import annotations
@@ -91,12 +70,25 @@ EPS_UNIT = "<eps>"
 
 @dataclass
 class Hypothesis:
-    """A decoded sign sequence with its per-channel alignment scores."""
+    """A decoded sign sequence with its per-channel alignment scores and
+    state paths. state_paths may be given as a function of no arguments:
+    its first read replaces it with its result, which is what ==, repr,
+    copy and pickle see. Concurrent first reads each compute the same
+    dict, and one of them is kept."""
 
     signs: tuple
     channel_scores: dict
     total: float
     state_paths: dict
+
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if name == "state_paths" and callable(value):
+            value = self.state_paths = value()
+        return value
+
+    def __reduce__(self):
+        return type(self), (self.signs, self.channel_scores, self.total, self.state_paths)
 
     @staticmethod
     def combine(signs, channel_scores, state_paths):
@@ -161,36 +153,54 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _align(signs, channels, table, log_pi, band, columns, starts, lengths, log_exit):
-    """The Hypothesis of signs from one viterbi_lattice call on the
-    _stack (log_pi, band, columns) of B = S x C models, segment by
-    segment: column s * C + c holds segment s of channels[c] and reads
-    lengths[b] frames of the _density_table from frame starts[b] (frame
-    0 if S is 1). Every segment but the last must end in its final state
-    and pays log_exit to leave it; a channel scores the sum of its
-    segments' scores in order, and its path numbers each segment's
-    states after its earlier segments', sizes read off columns. A
-    column's -inf padding rows read column -1 and lie above its model,
-    so they are taken off the path; a channel scoring -inf has none."""
+def _align(
+    signs, channels, table, again, log_pi, band, columns, starts, lengths, log_exit, scores=None
+):
+    """The Hypothesis of signs on the _stack (log_pi, band, columns) of
+    B = S x C models: column s * C + c holds segment s of channels[c],
+    reading lengths[b] frames of table, a _table_builder table, from frame
+    starts[b] (frame 0 if S is 1). Every segment but the last must end
+    in its final state and pays log_exit to leave it. A channel scores
+    the sum of its segments' scores in order: scores (B,), or one
+    viterbi_score_lattice call. Its state path waits for the first read,
+    one viterbi_lattice call on the same arrays and the table again()
+    returns, and numbers each segment's states after the earlier ones',
+    less the -inf padding rows (column -1) above each model; a channel
+    scoring -inf has none. The arrays must be the caller's own: they and
+    again are all that an unread Hypothesis holds."""
     n_channels = len(channels)
-    logb = table[:, columns]
-    if len(starts) > n_channels:  # one segment needs no frame gather (5x dearer) nor anchoring
-        frames = np.minimum(starts + np.arange(lengths.max())[:, None], len(table) - 1)
-        logb = np.take_along_axis(logb, frames[:, None], axis=0)
-        anchored = np.arange(len(starts) - n_channels)
-        logb[lengths[anchored] - 1, :-1, anchored] = LOG_ZERO
-    scores, paths = viterbi_lattice(log_pi, band, logb, lengths)
-    sizes = np.count_nonzero(columns >= 0, axis=0).tolist()
-    scores, rows, n_frames = scores.tolist(), paths.T.tolist(), lengths.tolist()
-    channel_scores, state_paths = {}, {}
+
+    def lattice(table):
+        logb = table[:, columns]
+        if len(starts) > n_channels:  # one segment needs no frame gather (5x dearer) nor anchoring
+            frames = np.minimum(starts + np.arange(lengths.max())[:, None], len(table) - 1)
+            logb = np.take_along_axis(logb, frames[:, None], axis=0)
+            anchored = np.arange(len(starts) - n_channels)
+            logb[lengths[anchored] - 1, :-1, anchored] = LOG_ZERO
+        return logb
+
+    if scores is None:
+        scores = viterbi_score_lattice(log_pi, band, lattice(table), lengths=lengths).tolist()
+    channel_scores = {}
     for c, ch in enumerate(channels):
-        total, path, shift = 0.0, [], -len(log_pi)
-        for b in range(c, len(rows), n_channels):
-            shift += sizes[b]  # after the earlier segments' states, less the padding
-            total += scores[b] + log_exit if b + n_channels < len(rows) else scores[b]
-            path += [i + shift for i in rows[b][: n_frames[b]]]
+        total = 0.0
+        for b in range(c, len(scores), n_channels):
+            total += scores[b] + log_exit if b + n_channels < len(scores) else scores[b]
         channel_scores[ch] = total
-        state_paths[ch] = path if total > LOG_ZERO else None
+    live = [total > LOG_ZERO for total in channel_scores.values()]
+
+    def state_paths():
+        rows = viterbi_lattice(log_pi, band, lattice(again()[0]), lengths)[1].T.tolist()
+        sizes, n_frames = np.count_nonzero(columns >= 0, axis=0).tolist(), lengths.tolist()
+        paths = {}
+        for c, ch in enumerate(channels):
+            path, shift = [], -len(log_pi)
+            for b in range(c, len(rows), n_channels):
+                shift += sizes[b]  # after the earlier segments' states, less the padding
+                path += [i + shift for i in rows[b][: n_frames[b]]]
+            paths[ch] = path if live[c] else None
+        return paths
+
     return Hypothesis.combine(signs, channel_scores, state_paths)
 
 
@@ -199,23 +209,22 @@ def score_hypothesis(lexicon, signs, mobs):
 
     Every lexicon channel needs a nonempty observation sequence
     (ValidationError otherwise); the lengths may differ. Each channel is
-    aligned on its own composed model, all of them _stacked and aligned
-    by _align, one segment per channel from frame 0; the total is the
-    sum of per-channel log scores. A channel with no feasible path
-    contributes -inf and is left without a state path. Both decoders
-    align their winners through the same _align, on stack columns from
-    their caches instead of composed models.
+    aligned on its own composed model, all of them _stacked, by _align
+    with one segment per channel; the total is the sum of per-channel
+    log scores. A channel with no feasible path contributes -inf and is
+    left without a state path.
     """
     validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
-    table, lengths = _density_table(lexicon, mobs)
+    again = _table_builder(lexicon, mobs, {})
+    table, lengths = again()
     models = [compose_utterance_model(lexicon, ch, signs) for ch in lexicon.channels]
     columns = [
         _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs), base)
         for ch, base in zip(lexicon.channels, _table_bases(lexicon))
     ]
     stack = _stack(models, columns)
-    return _align(signs, lexicon.channels, table, *stack, np.zeros_like(lengths), lengths, 0.0)
+    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, 0.0)
 
 
 def _stack_layout(lexicon, max_signs):
@@ -272,8 +281,8 @@ def _stack_bytes(lexicon, max_signs):
 
 
 def _table_bases(lexicon):
-    """The first column of each lexicon channel's table in
-    _density_table, then the table's width."""
+    """The first column of each lexicon channel's table in a
+    _table_builder table, then the table's width."""
     widths = [
         sum(m.n_states for m in lexicon.inventory(ch).phonemes.values()) + 1
         for ch in lexicon.channels
@@ -281,24 +290,30 @@ def _table_bases(lexicon):
     return list(itertools.accumulate([0] + widths))
 
 
-def _density_table(lexicon, mobs, cache=None):
-    """(table (T, W), lengths (C,)): the emissions.density_table of each
-    lexicon channel's phoneme models, in order, looking up mobs, side by
-    side from the _table_bases columns, padded with -inf rows to the
-    longest channel's T frames; lengths[c] is channel c's frame count.
-    cache["tables"] keeps the density tables and bases, built once."""
-    cache = {} if cache is None else cache
+def _table_builder(lexicon, mobs, cache):
+    """A function of no arguments that builds mobs' density table, the
+    same (table (T, W), lengths (C,)) bit for bit on every call: the
+    emissions.density_table of each lexicon channel's phoneme models, in
+    order, looking up mobs, side by side from the _table_bases columns,
+    padded with -inf rows to the longest channel's T frames; lengths[c]
+    is channel c's frame count. cache["tables"] keeps the density tables
+    and bases, built once; the function holds them and copies of mobs'
+    arrays alone."""
     if "tables" not in cache:
         inventories = [lexicon.inventory(ch).phonemes.values() for ch in lexicon.channels]
         tables = [em_mod.density_table([m.emissions for m in inv]) for inv in inventories]
         cache["tables"] = tables, _table_bases(lexicon)
-    tables, bases = cache["tables"]
-    parts = [table(mobs.channels[ch]) for ch, table in zip(lexicon.channels, tables)]
-    lengths = np.array([len(part) for part in parts])
-    table = np.full((lengths.max(), bases[-1]), LOG_ZERO)
-    for base, part in zip(bases, parts):
-        table[: len(part), base : base + part.shape[1]] = part
-    return table, lengths
+    (lookups, bases), obs = cache["tables"], [np.array(mobs.channels[c]) for c in lexicon.channels]
+
+    def again():
+        parts = [lookup(o) for lookup, o in zip(lookups, obs)]
+        lengths = np.array([len(part) for part in parts])
+        table = np.full((lengths.max(), bases[-1]), LOG_ZERO)
+        for base, part in zip(bases, parts):
+            table[: len(part), base : base + part.shape[1]] = part
+        return table, lengths
+
+    return again
 
 
 def _state_columns(phonemes, pids, base=0):
@@ -387,8 +402,8 @@ def _spellings(lexicon, channel, max_signs):
 def _candidate_stack(lexicon, max_signs):
     """(blocks, index) of the candidates of 1..max_signs signs: one
     stack over all lexicon channels of each channel's models of its
-    _spellings, channel by channel, its columns reading the
-    _density_table, its N rows and band offsets those of the
+    _spellings, channel by channel, its columns reading a
+    _table_builder table, its N rows and band offsets those of the
     _stack_layout. The stack is cut into blocks of consecutive columns,
     each a contiguous (log_pi, band(log_trans), columns) _stack of the
     N rows and at most _BLOCK_ENTRIES entries per row array, followed
@@ -423,10 +438,10 @@ def _candidate_stack(lexicon, max_signs):
 def _candidate_scores(lexicon, table, lengths, max_signs, cache):
     """(M, C) best-path scores of the M sign sequences of 1..max_signs
     signs, row m for _sequence(sorted(lexicon.signs), m), one column per
-    lexicon channel, each channel scored at its own last frame of the
-    _density_table (table, lengths), in one viterbi_score_lattice call
-    per block of the _candidate_stack. Fills cache as decode_exhaustive
-    describes."""
+    lexicon channel, each scored at its own last frame of the
+    _table_builder table (table, lengths), in one viterbi_score_lattice
+    call per block of the _candidate_stack. Fills cache as
+    decode_exhaustive describes."""
     if max_signs not in cache:
         cache[max_signs] = _candidate_stack(lexicon, max_signs)
     blocks, index = cache[max_signs]
@@ -460,23 +475,21 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     candidate and channel is scored, keeping no past rows, in one
     viterbi_score_lattice call per column block of the stack; each total
     is the math.fsum of its channel scores, and ties go to the shorter,
-    then lexicographically smaller sequence. The winner, read from its
-    row number, is aligned by _align as one segment per channel, on its
-    channels' stack columns sliced out of the cached blocks they lie in,
-    against the same density table. So an utterance gathers one density
-    table from the cached channel tables and composes no model, the kept
-    rows cover the winner's channels alone, and the winner equals
-    score_hypothesis on its signs bit for bit.
+    then lexicographically smaller sequence. The winner keeps its row's
+    channel scores and is handed to _align, one segment per channel, on
+    its stack columns sliced out of the cached blocks, for the paths
+    alone. So an utterance composes no model and runs no frame loop but
+    the scoring pass, and the winner equals score_hypothesis on its
+    signs bit for bit. Channels may differ in length.
 
-    cache is a dict reused across utterances of one lexicon;
-    cache[max_signs] holds the _candidate_stack: the -inf-padded models
-    of every channel's distinct spelling sequences of 1..max_signs signs,
-    stacked together in column blocks, and the map from each candidate
-    and channel to its column; cache["tables"] as _density_table keeps
-    it. Channels may differ in length.
-    Before a max_signs is cached, and before anything is built,
-    _stack_bytes raises SearchSpaceTooLargeError when the candidates
-    exceed MAX_CANDIDATES or their stacks MAX_STACK_BYTES.
+    cache is a dict reused across utterances of one lexicon:
+    cache[max_signs] holds the _candidate_stack, the -inf-padded models
+    of every channel's distinct spelling sequences of 1..max_signs signs
+    in column blocks and the map from each candidate and channel to its
+    column; cache["tables"] what _table_builder keeps. Before a max_signs
+    is cached, and before anything is built, _stack_bytes raises
+    SearchSpaceTooLargeError when the candidates exceed MAX_CANDIDATES
+    or their stacks MAX_STACK_BYTES.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
@@ -486,7 +499,8 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     if max_signs not in cache:
         _stack_bytes(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
-    table, lengths = _density_table(lexicon, mobs, cache)
+    again = _table_builder(lexicon, mobs, cache)
+    table, lengths = again()
     scores = _candidate_scores(lexicon, table, lengths, max_signs, cache)
     positive = _positive_bound(table, len(lexicon.channels))[-1]
     [(best, rows)] = _best_entries(np.zeros((len(scores), 1)), scores[:, None], positive)
@@ -495,7 +509,8 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     blocks, index = cache[max_signs]
     signs = _sequence(sorted(lexicon.signs), rows[0])
     stack = _stack_columns(blocks, index[rows[0]])
-    return _align(signs, lexicon.channels, table, *stack, np.zeros_like(lengths), lengths, 0.0)
+    winner = scores[rows[0]].tolist()
+    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, 0.0, winner)
 
 
 def model_count(lexicon):
@@ -553,8 +568,8 @@ class _Unit:
     always row N - 1; the batch axis is innermost, and band (offset 0
     always among them) holds the transitions. State i of column d emits
     logb[t, i, d] = table[t, columns[i, d]], table the utterance's
-    _density_table, built from cache as there; padded states read a
-    -inf column. layout is the _unit_layout of keys.
+    density table, which again, its _table_builder on cache, builds;
+    padded states read a -inf column. layout is the _unit_layout of keys.
     """
 
     def __init__(self, lexicon, mobs, keys, layout, cache=None):
@@ -564,7 +579,8 @@ class _Unit:
         n = len(self.log_pi)
         self.final = n - 1
         self.log_exit = float(safe_log(lexicon.exit_prob))
-        self.table = _density_table(lexicon, mobs, cache)[0]
+        self.again = _table_builder(lexicon, mobs, {} if cache is None else cache)
+        self.table = self.again()[0]
         self.logb = self.table[:, self.columns]
         t_len, _, width = self.logb.shape
         # delta[:, t0] is the recursion of every column entered at frame
@@ -728,7 +744,7 @@ def decode_synced(lexicon, mobs, beam_width, cache=None):
 
     cache is a dict reused across utterances of one lexicon, which
     decode_exhaustive may share: cache["synced"] holds the _unit_layout,
-    cache["tables"] what _density_table keeps.
+    cache["tables"] what _table_builder keeps.
 
     A lexicon without signs is a ValidationError. So is a sign's last
     phoneme, or the epenthesis filler under its policy, that can move
@@ -822,20 +838,19 @@ def decode(lexicon, mobs, mode, max_signs, beam_width, cache):
 
 
 def _rebuild_hypothesis(units, token):
-    """Recover per-channel scores and state paths for the winning token.
+    """Per-channel scores and deferred state paths of the winning token.
 
     units is the utterance's _Unit stack. Each segment (key, t0, t1) of
-    the token picks its unit's column in every channel, and _align
-    backtracks every (segment, channel) pair over its frames t0..t1 in
-    one call: every segment but the last must end in the final state
-    and pays the boundary exit log probability, while the last is
-    unanchored and prices its final state as absorbing.
+    the token picks its unit's column in every channel, all handed to
+    _align in one call over their frames t0..t1: every segment but the
+    last must end in the final state and pays the boundary exit log
+    probability, while the last prices its final state as absorbing.
     """
     n_channels = len(units.channels)
     # picks[s * C + c]: the stack column of segment s's unit in channel c.
     picks = units.index[[units.keys.index(key) for key, _, _ in token.segments]].ravel()
     band = tuple((o, w[:, picks]) for o, w in units.band)
     dict(band)[0][units.final, -n_channels:] = 0.0
-    stack = units.log_pi[:, picks], band, units.columns[:, picks]
+    arrays = units.table, units.again, units.log_pi[:, picks], band, units.columns[:, picks]
     t0, t1 = np.repeat([segment[1:] for segment in token.segments], n_channels, axis=0).T
-    return _align(token.signs, units.channels, units.table, *stack, t0, t1 + 1 - t0, units.log_exit)
+    return _align(token.signs, units.channels, *arrays, t0, t1 + 1 - t0, units.log_exit)

@@ -231,6 +231,19 @@ def mixed_lexicon(rng, gaussian=False, ergodic=False, policy="none", channels=("
     )
 
 
+def absorbing_finals(lex):
+    """lex with every phoneme's final state made absorbing, as
+    decode_synced requires of the units' last phonemes. A non-final
+    block's last row is rewired by composition, so nothing else
+    changes."""
+    for inv in lex.inventories.values():
+        for model in inv.phonemes.values():
+            trans = model.trans.copy()
+            trans[-1] = np.eye(model.n_states)[-1]
+            model.trans = trans
+    return lex
+
+
 def gaussian_twin():
     """The demo lexicon with its chains and 2-d Gaussian emissions, means
     drawn per state at variance 0.5."""

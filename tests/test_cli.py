@@ -759,6 +759,36 @@ def test_evaluate_deterministic_except_timing(tmp_path, trained_model, demo_corp
     assert reports[0] == reports[1]
 
 
+def _decode_and_evaluate(base, model, corpus):
+    """The bytes of decode's hypotheses and of evaluate's report, less
+    its timing, in both modes."""
+    outputs = []
+    for mode in ("exhaustive", "synced"):
+        hyps, report = base / f"{mode}.jsonl", base / f"{mode}.json"
+        assert run(["decode", "--model", model, "--corpus", corpus, "--mode", mode,
+                    "--out", hyps]) == 0
+        assert run(["evaluate", "--model", model, "--corpus", corpus, "--mode", mode,
+                    "--report", report]) == 0
+        blob = json.loads(report.read_text())
+        del blob["timing"]
+        outputs += [hyps.read_bytes(), json.dumps(blob)]
+    return outputs
+
+
+def test_decode_and_evaluate_align_no_state_paths(
+    tmp_path, trained_model, demo_corpus, monkeypatch
+):
+    # Nothing the command line writes reads a state path, so neither
+    # command backtracks, and the outputs are those of a run that may.
+    want = _decode_and_evaluate(tmp_path, trained_model, demo_corpus)
+
+    def no_backtrack(*args):
+        raise AssertionError("a command backtracked a state path it never writes")
+
+    monkeypatch.setattr(phmm.hmm, "_backtrack", no_backtrack)
+    assert _decode_and_evaluate(tmp_path, trained_model, demo_corpus) == want
+
+
 def test_complexity_demo(capsys):
     assert run(["complexity", "--lexicon", "demo"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     BATCH_CASES,
+    absorbing_finals,
     bits,
     build_lexicon,
     mixed_lexicon,
@@ -48,9 +49,9 @@ from phmm.parallel import (
     _Token,
     _best_entries,
     _candidate_scores,
-    _density_table,
     _sequence,
     _signs_above,
+    _table_builder,
     _Unit,
     _unit_layout,
     _unit_token,
@@ -340,10 +341,10 @@ def test_decode_exhaustive_backtracks_across_blocks(case, monkeypatch):
 
 
 def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
-    # A warm utterance builds one density table, scores every block
-    # keeping no past rows and aligns its winner in one viterbi_lattice
-    # call on its sliced stack columns; no model is composed and
-    # score_hypothesis is not called.
+    # A warm utterance builds one density table and scores every block
+    # keeping no past rows; its winner is aligned in one viterbi_lattice
+    # call on its sliced stack columns only when its state paths are
+    # first read. No model is composed and score_hypothesis is not called.
     lex = mixed_lexicon(np.random.default_rng(150), policy="between_signs")
     cache = {}
     monkeypatch.setattr(parallel, "_BLOCK_ENTRIES", 40)
@@ -358,7 +359,7 @@ def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
 
         monkeypatch.setattr(parallel, name, wrapper)
 
-    counted("_density_table", parallel._density_table)
+    counted("_table_builder", parallel._table_builder)
     counted("viterbi_score_lattice", parallel.viterbi_score_lattice)
     counted("viterbi_lattice", parallel.viterbi_lattice)
     for name in ("compose_models", "score_hypothesis"):
@@ -366,8 +367,9 @@ def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
     got = decode_exhaustive(lex, mobs, 3, cache)
     n_blocks = len(cache[3][0])
     assert n_blocks > 1
-    want = ["_density_table"] + ["viterbi_score_lattice"] * n_blocks + ["viterbi_lattice"]
-    assert calls == want
+    assert calls == ["_table_builder"] + ["viterbi_score_lattice"] * n_blocks
+    got.state_paths
+    assert calls[1 + n_blocks :] == ["viterbi_lattice"]
     monkeypatch.undo()
     _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, 3))
 
@@ -441,7 +443,7 @@ def _check_cached_bands(case):
             # The final row of every stack column reads its channel's states.
             owners = np.searchsorted(bases, block_columns[-1], side="right") - 1
             assert np.repeat(np.arange(len(lex.channels)), counts).tolist() == owners.tolist()
-        scores = _candidate_scores(lex, *_density_table(lex, mobs), max_signs, cache)
+        scores = _candidate_scores(lex, *_table_builder(lex, mobs, {})(), max_signs, cache)
         for m, row in enumerate(scores):
             ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), mobs)
             assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
@@ -528,7 +530,7 @@ def test_stack_band_follows_compose_models(monkeypatch):
     signs = {"x": Sign("x", {"c": ["a"]}), "y": Sign("y", {"c": ["b", "a"]})}
     lex = Lexicon(["c"], inventories, signs, "none")
     mobs = MultiObservation({"c": np.array([0, 1, 0, 1, 1, 0, 1, 1])})
-    scores = _candidate_scores(lex, *_density_table(lex, mobs), 2, {})
+    scores = _candidate_scores(lex, *_table_builder(lex, mobs, {})(), 2, {})
     assert np.isfinite(scores).all()
     for m, row in enumerate(scores):
         ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), mobs)
@@ -630,7 +632,7 @@ def test_decode_synced_never_beats_its_signs_aligned_channel_by_channel(policy):
     for trial in range(20):
         rng = np.random.default_rng(900 + trial)
         lex = mixed_lexicon(rng, gaussian=bool(trial % 2), ergodic=True, policy=policy)
-        _absorbing_finals(lex)
+        absorbing_finals(lex)
         mobs = sample_mobs(lex, ["s0", "s2"], 8, seed=trial)
         sy = decode_synced(lex, mobs, beam_width=1000)
         assert sy.total <= score_hypothesis(lex, sy.signs, mobs).total + 1e-9
@@ -756,7 +758,7 @@ def test_batched_exhaustive_scores_equal_score_hypothesis(case):
     lex = mixed_lexicon(np.random.default_rng(30 + case), **BATCH_CASES[case])
     lengths = {"c0": 7, "c1": 1 + case % 4}
     mobs = sample_mobs(lex, ["s1", "s0"], lengths, seed=case)
-    scores = _candidate_scores(lex, *_density_table(lex, mobs), 2, cache={})
+    scores = _candidate_scores(lex, *_table_builder(lex, mobs, {})(), 2, cache={})
     assert scores.shape == (12, 2)
     for m, row in enumerate(scores):
         signs = _sequence(["s0", "s1", "s2"], m)
@@ -771,7 +773,7 @@ def test_batched_exhaustive_scores_keep_impossible_candidates(policy):
         np.random.default_rng(19), vocab=3, separated=True, n_states=3, policy=policy
     )
     mobs = sample_mobs(lex, ["s2", "s0"], 8, seed=11)
-    scores = _candidate_scores(lex, *_density_table(lex, mobs), 2, cache={})
+    scores = _candidate_scores(lex, *_table_builder(lex, mobs, {})(), 2, cache={})
     n_dead = 0
     for m, row in enumerate(scores):
         ref = score_hypothesis(lex, _sequence(["s0", "s1", "s2"], m), mobs)
@@ -811,7 +813,7 @@ def test_batched_scores_of_the_noisy_demo_lexicon_equal_score_hypothesis():
             model.emissions = DiscreteEmission(0.98 * probs + 0.02 / probs.shape[1])
     cfg = GenConfig(n_utterances=1, seed=3, signs_per_utterance=(2, 3), channel_noise=0.02)
     [utt] = generate(demo_lexicon(), cfg)
-    scores = _candidate_scores(lex, *_density_table(lex, utt.mobs), 3, cache={})
+    scores = _candidate_scores(lex, *_table_builder(lex, utt.mobs, {})(), 3, cache={})
     assert scores.shape == (584, 3)
     for m, row in enumerate(scores):
         ref = score_hypothesis(lex, _sequence(sorted(lex.signs), m), utt.mobs)
@@ -908,7 +910,7 @@ def test_decode_exhaustive_equal_concatenations_keep_their_columns():
         mobs = sample_mobs(lex, signs, {"c0": 9, "c1": 6}, seed=70 + seed)
         got = decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
         _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, max_signs=3))
-        scores = _candidate_scores(lex, *_density_table(lex, mobs), 3, cache)
+        scores = _candidate_scores(lex, *_table_builder(lex, mobs, {})(), 3, cache)
         ab, cd = 4 + 0 * 4 + 1, 4 + 2 * 4 + 3  # after the 4 one-sign rows
         assert _sequence("abcd", ab) == ("a", "b") and _sequence("abcd", cd) == ("c", "d")
         assert bits(scores[ab]) == bits(scores[cd])
@@ -1028,7 +1030,7 @@ def test_cached_density_tables_decode_as_uncached(gaussian, monkeypatch):
     assert len(calls) == len(lex.channels)
     fresh = [decoded(mobs, mode, None) for mobs in corpus for mode in ("exhaustive", "synced")]
     assert cached == fresh and len(calls) == len(lex.channels) * (1 + 2 * len(corpus))
-    table = _density_table(lex, corpus[0], cache)[0]
+    table = _table_builder(lex, corpus[0], cache)()[0]
     assert (table > 0).any() if gaussian else np.isneginf(table[:, :3]).any()
 
 
@@ -1284,7 +1286,7 @@ def test_decode_synced_beam_one_drops_the_best_sign_behind_epenthesis():
     # utterance, keeping the best sign token there too changes the winner.
     rng = np.random.default_rng(10_091)
     lex = mixed_lexicon(rng, gaussian=True, ergodic=True, policy="between_signs")
-    _absorbing_finals(lex)
+    absorbing_finals(lex)
     mobs = sample_mobs(lex, ["s0", "s1", "s1"], 13, seed=91)
     for beam_width in range(1, 6):
         got = _synced_result(lex, mobs, beam_width, decode_synced)
@@ -1405,17 +1407,6 @@ SYNCED_CASES = [
 ] + ["three channels", "tied"]
 
 
-def _absorbing_finals(lex):
-    """Make every phoneme's final state absorbing, as decode_synced
-    requires of the units' last phonemes. A non-final block's last row
-    is rewired by composition, so nothing else changes."""
-    for inv in lex.inventories.values():
-        for model in inv.phonemes.values():
-            trans = model.trans.copy()
-            trans[-1] = np.eye(model.n_states)[-1]
-            model.trans = trans
-
-
 def _all_tied_lexicon():
     """_uniform_lexicon with 1-state phonemes and an exit probability of
     0.5: every emission and every transition but the last segment's
@@ -1448,7 +1439,7 @@ def test_decode_synced_equals_per_unit_oracle(case):
         lex = build_lexicon(rng, vocab=4, policy="between_signs", phonemes_per_sign=2)
     else:
         lex = mixed_lexicon(rng, **spec)
-        _absorbing_finals(lex)
+        absorbing_finals(lex)
     # Every beam width from 1 to one past the unit count, and unbounded.
     n_units = len(lex.signs) + (lex.epenthesis_policy == "between_signs")
     found = 0
