@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 from .parallel import DECODE_FAILURES, decode, model_count
 
-_SUB, _INS, _DEL, _MATCH = "sub", "ins", "del", "match"
-
 
 def alignment(ref, hyp):
     """Minimal unit-cost alignment as (ref_sym | None, hyp_sym | None) pairs.
@@ -20,50 +18,33 @@ def alignment(ref, hyp):
     ref = list(ref)
     hyp = list(hyp)
     n, m = len(ref), len(hyp)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    op = [[None] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-        op[i][0] = _DEL
-    for j in range(1, m + 1):
-        dist[0][j] = j
-        op[0][j] = _INS
+    dist = [list(range(m + 1))] + [[i] + [0] * m for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            diag = dist[i - 1][j - 1] + (0 if same else 1)
-            ins = dist[i][j - 1] + 1
-            dele = dist[i - 1][j] + 1
-            best = min(diag, ins, dele)
-            dist[i][j] = best
-            if diag == best:
-                op[i][j] = _MATCH if same else _SUB
-            elif ins == best:
-                op[i][j] = _INS
-            else:
-                op[i][j] = _DEL
+            diag = dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
+            dist[i][j] = min(diag, dist[i][j - 1] + 1, dist[i - 1][j] + 1)
+    # Walk back from the corner, re-deriving each step from dist in the
+    # tie order above.
     pairs = []
     i, j = n, m
     while i > 0 or j > 0:
-        o = op[i][j]
-        if o in (_MATCH, _SUB):
-            pairs.append((ref[i - 1], hyp[j - 1]))
-            i -= 1
+        if i and j and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            i, j = i - 1, j - 1
+            pairs.append((ref[i], hyp[j]))
+        elif j and dist[i][j] == dist[i][j - 1] + 1:
             j -= 1
-        elif o is _INS:
-            pairs.append((None, hyp[j - 1]))
-            j -= 1
+            pairs.append((None, hyp[j]))
         else:
-            pairs.append((ref[i - 1], None))
             i -= 1
+            pairs.append((ref[i], None))
     pairs.reverse()
     return pairs
 
 
-def edit_distance(ref, hyp):
-    """(substitutions, insertions, deletions) of the minimal alignment."""
+def _error_counts(pairs):
+    """(substitutions, insertions, deletions) of alignment pairs."""
     s = i = d = 0
-    for r, h in alignment(ref, hyp):
+    for r, h in pairs:
         if r is None:
             i += 1
         elif h is None:
@@ -71,6 +52,11 @@ def edit_distance(ref, hyp):
         elif r != h:
             s += 1
     return s, i, d
+
+
+def edit_distance(ref, hyp):
+    """(substitutions, insertions, deletions) of the minimal alignment."""
+    return _error_counts(alignment(ref, hyp))
 
 
 @dataclass
@@ -111,8 +97,9 @@ def evaluate(lexicon, corpus, mode="exhaustive", max_signs=3, beam_width=1000):
             hyp_signs = []
             failures += 1
         decode_time += time.perf_counter() - t0
-        s, i, d = edit_distance(utt.signs, hyp_signs)
-        for pair in alignment(utt.signs, hyp_signs):
+        pairs = alignment(utt.signs, hyp_signs)
+        s, i, d = _error_counts(pairs)
+        for pair in pairs:
             confusions[pair] = confusions.get(pair, 0) + 1
         total_s += s
         total_i += i

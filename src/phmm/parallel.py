@@ -459,7 +459,7 @@ def _stack_columns(blocks, picks):
     (n, width), offsets = blocks[0][0].shape, [o for o, _ in blocks[0][1]]
     rows = np.empty((1 + len(offsets), n, len(picks)))  # log_pi, then the weights
     columns = np.empty((n, len(picks)), dtype=np.intp)
-    for c, (b, j) in enumerate(zip(*np.divmod(picks, width))):
+    for c, (b, j) in enumerate(divmod(p, width) for p in picks.tolist()):
         log_pi, band, block_columns, _ = blocks[b]
         columns[:, c] = block_columns[:, j]
         for row, block_row in zip(rows, [log_pi] + [w for _, w in band]):

@@ -152,7 +152,8 @@ def _compile(models, chains, data, exit_prob, what):
     the chain's start posterior for its first block and the boundary
     transitions into it for later ones. Each iteration fills one flat
     vector with every key's pi, trans and exit_prob * pi, then
-    1 - exit_prob and 0: the values composition copies. Integer maps,
+    1 - exit_prob and 0: the values composition copies (a one-block
+    chain reads none of the exit entries). Integer maps, all intp and
     built for all chains at once, gather each state-count batch's
     log_pi/log_trans stack from its log and send the statistics back
     (one np.bincount, in corpus order). Three more give every emission
@@ -215,27 +216,19 @@ def _compile(models, chains, data, exit_prob, what):
     owner, src, dst = (np.concatenate(part) for part in zip(*pairs))
     order = np.argsort(owner, kind="stable")
     src, dst = src[order], dst[order]
-    # The emission maps, int32 where every index fits.
+    # The emission maps, one entry per weight.
     span = n_frames[chain_of] * size
-    itype = np.int32 if max(span.sum(), poff, n_frames.sum()) < 2**31 else np.intp
-    j = np.repeat(np.arange(len(flat_keys), dtype=itype), span)
-    t, s = np.divmod(
-        np.arange(len(j), dtype=itype) - np.repeat((np.cumsum(span) - span).astype(itype), span),
-        size.astype(itype)[j],
-    )
-    weight_at = (origin[chain_of] + block_start - start[chain_of]).astype(itype)[j]
-    weight_at += t * stride[chain_of].astype(itype)[j] + s
-    frame_at = (np.cumsum(n_frames) - n_frames)[chain_of].astype(itype)[j] + t
+    j = np.repeat(np.arange(len(flat_keys)), span)
+    t, s = np.divmod(np.arange(len(j)) - np.repeat(np.cumsum(span) - span, span), size[j])
+    weight_at = (origin[chain_of] + block_start - start[chain_of])[j] + t * stride[chain_of][j] + s
+    frame_at = (np.cumsum(n_frames) - n_frames)[chain_of][j] + t
     emissions = [m.emissions for m in models.values()]
-    collect = type(emissions[0]).stack(emissions).scatter(
-        col.astype(itype)[j] + s, np.concatenate(data)[frame_at]
-    )
-    # One-block chains (baum_welch) pass no exit_prob and read no exit entries.
-    exit_value = 0.0 if exit_prob is None else exit_prob
+    stacked = type(emissions[0]).stack(emissions)
+    collect = stacked.scatter(col[j] + s, np.concatenate(data)[frame_at])
 
     def e_step(models, stats_needed=True):
-        parts = [(m.pi, m.trans.ravel(), exit_value * m.pi) for m in map(models.get, keys)]
-        flat = safe_log(np.concatenate([a for p in parts for a in p] + [[1.0 - exit_value, 0.0]]))
+        parts = [(m.pi, m.trans.ravel(), exit_prob * m.pi) for m in map(models.get, keys)]
+        flat = safe_log(np.concatenate([a for p in parts for a in p] + [[1.0 - exit_prob, 0.0]]))
         logliks = np.empty(len(data))
         gammas, values = [], []
         table = em_mod.density_table([m.emissions for m in models.values()])
@@ -314,8 +307,8 @@ def baum_welch(init, data, cfg, on_iteration=None):
     """
     data = list(data)
     hook = on_iteration and (lambda it, models, loglik: on_iteration(it, models[0], loglik))
-    # One-block chains have no exit rows, so exit_prob is unused.
-    models, report = _em({0: init}, [(0,)] * len(data), data, None, cfg, hook)
+    # One-block chains read no exit entries, so any exit_prob will do.
+    models, report = _em({0: init}, [(0,)] * len(data), data, 0.0, cfg, hook)
     return models[0], report
 
 

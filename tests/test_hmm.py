@@ -503,6 +503,12 @@ def test_emission_shift_moves_scores_by_constant():
     assert list(vpath2) == list(vpath)
 
 
+def test_sample_refuses_no_frames():
+    model = random_discrete_hmm(np.random.default_rng(8))
+    with pytest.raises(EmptyObservationError, match="t_len must be >= 1"):
+        sample(model, 0, 8)
+
+
 def test_sample_deterministic_model():
     h = Hmm(
         pi=[1.0, 0.0],

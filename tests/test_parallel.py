@@ -71,6 +71,61 @@ def test_lexicon_validation():
     validate_lexicon(lex_eps)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda lex: setattr(lex, "channels", []), "lexicon has no channels"),
+        (lambda lex: lex.channels.append("c0"), "channel names must be unique"),
+        (
+            lambda lex: setattr(lex, "epenthesis_policy", "always"),
+            "unknown epenthesis policy 'always'",
+        ),
+        (
+            lambda lex: setattr(lex.inventories["c1"], "phonemes", {}),
+            "channel 'c1' has no phoneme inventory",
+        ),
+        (
+            lambda lex: lex.inventories["c0"].phonemes.update(
+                c0_p1=random_phoneme(np.random.default_rng(1), 2, alphabet=5)
+            ),
+            "channel 'c0': phoneme 'c0_p1' emission signature",
+        ),
+        (
+            lambda lex: setattr(lex, "epenthesis_policy", "between_signs"),
+            "policy between_signs requires an epenthesis phoneme in channel 'c0'",
+        ),
+        (
+            lambda lex: setattr(lex.signs["s0"], "sign_id", "x"),
+            "sign key 's0' does not match id 'x'",
+        ),
+        (
+            lambda lex: lex.signs["s1"].channels.pop("c2"),
+            "sign 's1' does not cover channel 'c2'",
+        ),
+        (
+            lambda lex: lex.signs["s2"].channels.update(c1=["nope"]),
+            "sign 's2' references unknown phoneme 'nope' in channel 'c1'",
+        ),
+    ],
+    ids=[
+        "no-channels",
+        "duplicate-channel",
+        "unknown-policy",
+        "empty-inventory",
+        "emission-signature",
+        "missing-epenthesis",
+        "sign-key",
+        "sign-misses-channel",
+        "unknown-phoneme",
+    ],
+)
+def test_validate_lexicon_refusals(mutate, message):
+    lex = build_lexicon(np.random.default_rng(0))
+    mutate(lex)
+    with pytest.raises(ValidationError, match=message):
+        validate_lexicon(lex)
+
+
 def test_compose_single_block_is_identity():
     rng = np.random.default_rng(1)
     lex = build_lexicon(rng, channels=("c0",), vocab=2)
@@ -101,6 +156,11 @@ def test_compose_state_counting():
     model_eps = compose_utterance_model(with_eps, "c0", ["s0", "s1"])
     assert model_eps.n_states == 9
     validate(model_eps)
+
+
+def test_compose_models_refuses_no_blocks():
+    with pytest.raises(EmptySequenceError, match="no blocks to compose"):
+        compose_models([])
 
 
 def test_compose_exit_wiring():
@@ -259,6 +319,16 @@ def test_decode_exhaustive_matches_enumeration_oracle():
         got = decode_exhaustive(lex, mobs, max_signs=2)
         want = decode_exhaustive_oracle(lex, mobs, max_signs=2)
         assert (got.signs, got.total) == (want.signs, want.total)
+
+
+def test_decode_exhaustive_refuses_no_signs_to_try():
+    lex = build_lexicon(np.random.default_rng(5), channels=("c0",))
+    mobs = sample_mobs(lex, ["s0"], 6, seed=5)
+    with pytest.raises(ValidationError, match="max_signs must be >= 1"):
+        decode_exhaustive(lex, mobs, max_signs=0)
+    lex.signs = {}
+    with pytest.raises(ValidationError, match="lexicon has no signs"):
+        decode_exhaustive(lex, mobs, max_signs=1)
 
 
 def test_decode_exhaustive_search_space_guard():
@@ -562,6 +632,20 @@ def test_model_count_arithmetic():
     f2, p2 = model_count(eps_lex)
     assert f2 == factored + 3
     assert p2 == product
+
+
+def test_decode_synced_refuses_an_empty_beam():
+    lex = build_lexicon(np.random.default_rng(6), channels=("c0",))
+    mobs = sample_mobs(lex, ["s0"], 6, seed=6)
+    with pytest.raises(ValidationError, match="beam_width must be >= 1"):
+        decode_synced(lex, mobs, beam_width=0)
+
+
+def test_decode_refuses_an_unknown_mode():
+    lex = build_lexicon(np.random.default_rng(7), channels=("c0",))
+    mobs = sample_mobs(lex, ["s0"], 6, seed=7)
+    with pytest.raises(ValueError, match="unknown decode mode 'greedy'"):
+        parallel.decode(lex, mobs, "greedy", 3, 1000, {})
 
 
 def test_decode_synced_single_sign_equals_exhaustive():

@@ -397,6 +397,30 @@ def test_e_step_equals_composed_emission_oracle(case):
                 assert bits(arr) == bits(getattr(want[key][2], name))
 
 
+@pytest.mark.parametrize("gaussian", [False, True], ids=["discrete", "gaussian"])
+def test_one_block_chains_read_no_exit_entries(gaussian):
+    # baum_welch passes exit_prob 0.0: with every chain one block long,
+    # any other exit_prob must give the same models and trajectory bit
+    # for bit, ergodic final rows included.
+    rng = np.random.default_rng(71)
+    models = {
+        "a": random_phoneme(rng, 3, gaussian, ergodic=True),
+        "b": random_phoneme(rng, 2, gaussian),
+    }
+    chains = [("a",), ("b",), ("a",), ("b",), ("a",)]
+    data = [sample(models[key], 6 + i, 80 + i)[0] for i, (key,) in enumerate(chains)]
+    cfg = TrainConfig(max_iters=6, rel_tol=1e-12)
+    runs = [training._em(models, chains, data, p, cfg, None) for p in (0.0, 0.37)]
+    (got, got_report), (want, want_report) = runs
+    assert bits(got_report.loglik_trajectory) == bits(want_report.loglik_trajectory)
+    assert got_report.iterations_run == want_report.iterations_run == 6
+    for key in models:
+        assert bits(got[key].pi) == bits(want[key].pi)
+        assert bits(got[key].trans) == bits(want[key].trans)
+        for name, arr in vars(got[key].emissions).items():
+            assert bits(arr) == bits(getattr(want[key].emissions, name))
+
+
 def test_e_step_padding_cannot_overflow():
     # A one-frame sequence batched with an 80-frame one under a sharp
     # Gaussian (log density about +12 per frame): the short one's padded
@@ -404,7 +428,7 @@ def test_e_step_padding_cannot_overflow():
     # pytest turns into an error, nor add to its statistics.
     model = Hmm([1.0], [[1.0]], GaussianEmission(np.zeros((1, 2)), np.full((1, 2), 1e-6)))
     data = [np.zeros((1, 2)), np.zeros((80, 2))]
-    total, accs = _compile({0: model}, [(0,), (0,)], data, None, "sequences")({0: model})
+    total, accs = _compile({0: model}, [(0,), (0,)], data, 0.0, "sequences")({0: model})
     assert total == composed_e_step_oracle({0: model}, [(0,), (0,)], data, None)[0]
     assert accs[0][2].weight[0] == pytest.approx(81.0)
 
