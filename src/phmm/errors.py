@@ -67,12 +67,8 @@ class EmptyStateError(PhmmError):
 class AllPathsZeroError(PhmmError):
     """Every state path has probability zero under the model."""
 
-    def __init__(self, channel=None):
-        self.channel = channel
-        msg = "all state paths have zero probability"
-        if channel is not None:
-            msg += f" (channel {channel!r})"
-        super().__init__(msg)
+    def __init__(self):
+        super().__init__("all state paths have zero probability")
 
 
 class IncompatibleDataError(PhmmError):

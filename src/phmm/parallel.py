@@ -13,17 +13,17 @@ absorbing. These rewired rows are structural constants, not trained
 parameters.
 
 Both decoders score all channels at once, by the banded max-product
-recursion (hmm.band) over -inf-padded stacks whose states read the
-utterance's density table, each channel's emissions.density_table
-looked up side by side. The exhaustive decoder's stack holds one
-composed model per channel and distinct spelling sequence of
-1..max_signs signs (_candidate_stack), scored in cache-sized column
-blocks; the synchronized decoder's holds every unit (sign or
-epenthesis filler) and channel, advanced for all entry frames a frame
-at a time (_Unit). Max and + are exact, and neither -inf padding nor a
-dropped, all -inf diagonal ever wins a max, so every score is
-bit-identical to scoring the candidates, units or entry frames one at
-a time. Winners come from one exact argmax, _best_entries.
+recursion (hmm.band) over -inf-padded stacks of chains, all composed
+by _chain_stack, whose states read the utterance's density table, each
+channel's emissions.density_table looked up side by side. The
+exhaustive decoder's stack holds one chain per channel and distinct
+spelling sequence of 1..max_signs signs (_candidate_stack), scored in
+cache-sized column blocks; the synchronized decoder's holds every unit
+(sign or epenthesis filler) and channel, advanced for all entry frames
+a frame at a time (_Unit). Max and + are exact, and neither -inf
+padding nor a dropped, all -inf diagonal ever wins a max, so every
+score is bit-identical to scoring the candidates, units or entry
+frames one at a time. Winners come from one exact argmax, _best_entries.
 
 Every Hypothesis comes from _align, on stack columns: score_hypothesis
 composes one per channel, decode_exhaustive slices its winner's out of
@@ -209,21 +209,16 @@ def score_hypothesis(lexicon, signs, mobs):
 
     Every lexicon channel needs a nonempty observation sequence
     (ValidationError otherwise); the lengths may differ. Each channel is
-    aligned on its own composed model, all of them _stacked, by _align
-    with one segment per channel; the total is the sum of per-channel
-    log scores. A channel with no feasible path contributes -inf and is
-    left without a state path.
+    aligned on its own composed model, all of them in one _chain_stack,
+    by _align with one segment per channel; the total is the sum of
+    per-channel log scores. A channel with no feasible path contributes
+    -inf and is left without a state path.
     """
     validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
     again = _table_builder(lexicon, mobs, {})
     table, lengths = again()
-    models = [compose_utterance_model(lexicon, ch, signs) for ch in lexicon.channels]
-    columns = [
-        _state_columns(lexicon.inventory(ch).phonemes, block_ids(lexicon, ch, signs), base)
-        for ch, base in zip(lexicon.channels, _table_bases(lexicon))
-    ]
-    stack = _stack(models, columns)
+    stack = _chain_stack(lexicon, [(ch, block_ids(lexicon, ch, signs)) for ch in lexicon.channels])
     return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, 0.0)
 
 
@@ -255,29 +250,6 @@ def _stack_layout(lexicon, max_signs):
         chains.extend([(pid, inv.phonemes[pid]) for pid in seq] for seq in seqs)
     models = (compose_models(blocks, lexicon.exit_prob)[0] for blocks in chains)
     return n, width, _offsets(models)
-
-
-def _stack_bytes(lexicon, max_signs):
-    """Bytes (8 per entry) that decode_exhaustive's cache holds for
-    max_signs: the joint _candidate_stack, whose log_pi, columns and band
-    weights (one per offset) are n by width arrays of its _stack_layout,
-    and whose map has a column index per candidate and channel.
-    SearchSpaceTooLargeError if the candidates pass MAX_CANDIDATES, or
-    the bytes MAX_STACK_BYTES together with the four rows of
-    viterbi_score_lattice's frames on the widest block (delta, the next
-    row, the sum buffer and the gathered emissions)."""
-    n_cand = 0
-    for k in range(1, max_signs + 1):
-        n_cand += len(lexicon.signs) ** k
-        if n_cand > MAX_CANDIDATES:
-            raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
-    n, width, offsets = _stack_layout(lexicon, max_signs)
-    total = (len(offsets) + 2) * n * width * 8 + len(lexicon.channels) * n_cand * 8
-    rows = 4 * n * min(width, max(1, _BLOCK_ENTRIES // n)) * 8
-    if total + rows > MAX_STACK_BYTES:
-        what = "hold {} bytes of candidate stacks and their transients"
-        raise SearchSpaceTooLargeError(total + rows, MAX_STACK_BYTES, what)
-    return total
 
 
 def _table_bases(lexicon):
@@ -316,7 +288,7 @@ def _table_builder(lexicon, mobs, cache):
     return again
 
 
-def _state_columns(phonemes, pids, base=0):
+def _state_columns(phonemes, pids, base):
     """base plus the column in the phoneme models' density table of each
     state of the model composed from phonemes pids."""
     sizes = [m.n_states for m in phonemes.values()]
@@ -359,6 +331,22 @@ def _stack(models, columns, offsets=None, n=None):
     return pi, tuple(zip(offsets, trans)), stacked
 
 
+def _chain_stack(lexicon, chains, offsets=None, n=None):
+    """The _stack, on offsets and n rows, of chains, (channel, phoneme
+    ids) pairs: each chain composed by compose_models at the lexicon's
+    exit_prob, its states reading their _table_builder columns. Given
+    offsets, the models are composed one at a time: holding all of them
+    at once raised peak RSS."""
+    bases = dict(zip(lexicon.channels, _table_bases(lexicon)))
+    phonemes = [lexicon.inventory(ch).phonemes for ch, _ in chains]
+    columns = [_state_columns(inv, pids, bases[ch]) for inv, (ch, pids) in zip(phonemes, chains)]
+    models = (
+        compose_models([(pid, inv[pid]) for pid in pids], lexicon.exit_prob)[0]
+        for inv, (_, pids) in zip(phonemes, chains)
+    )
+    return _stack(list(models) if offsets is None else models, columns, offsets, n)
+
+
 def _sequence(items, number):
     """The number-th (from 0) sequence of items, counting shorter ones
     first, then lexicographically in the order of the list items."""
@@ -389,48 +377,52 @@ def _spellings(lexicon, channel, max_signs):
     # base d, number its column among the d^k after the shorter ones.
     d = len(numbers)
     firsts = [sign_ids[digits.index(j)] for j in range(d)]
-    index = []
+    distinct, index = [], []
     codes = np.zeros(1, dtype=np.intp)
-    n_columns = 0
     for k in range(1, max_signs + 1):
         codes = (codes[:, None] * d + digits).ravel()
-        index.append(n_columns + codes)
-        n_columns += d**k
-    return [_sequence(firsts, j) for j in range(n_columns)], np.concatenate(index)
+        index.append(len(distinct) + codes)
+        distinct.extend(itertools.product(firsts, repeat=k))
+    return distinct, np.concatenate(index)
 
 
 def _candidate_stack(lexicon, max_signs):
-    """(blocks, index) of the candidates of 1..max_signs signs: one
-    stack over all lexicon channels of each channel's models of its
-    _spellings, channel by channel, its columns reading a
-    _table_builder table, its N rows and band offsets those of the
-    _stack_layout. The stack is cut into blocks of consecutive columns,
-    each a contiguous (log_pi, band(log_trans), columns) _stack of the
-    N rows and at most _BLOCK_ENTRIES entries per row array, followed
-    by the number of its columns in each lexicon channel. index[m, c]
-    is the stack column of the m-th candidate's channel c model."""
-    jobs = []
-    columns = []
-    index = []
-    for ch, base in zip(lexicon.channels, _table_bases(lexicon)):
+    """(blocks, index) of the candidates of 1..max_signs signs, or
+    SearchSpaceTooLargeError before anything of the stack is built: if
+    they pass MAX_CANDIDATES, or if the stack's bytes (8 per entry: its
+    log_pi, columns and one band weight per offset, n by width arrays of
+    the _stack_layout; its map's column per candidate and channel) and
+    the four rows of viterbi_score_lattice's frames on the widest block
+    (delta, the next row, the sum buffer and the gathered emissions) pass
+    MAX_STACK_BYTES. The _chain_stack over all lexicon channels of each
+    channel's chains of its _spellings, channel by channel, its N rows
+    and band offsets those of the _stack_layout, is cut into blocks of
+    consecutive columns: each a contiguous (log_pi, band(log_trans),
+    columns) _stack of the N rows and at most _BLOCK_ENTRIES entries per
+    row array, followed by the number of its columns in each lexicon
+    channel. index[m, c] is the stack column of the m-th candidate's
+    channel c model."""
+    for n_cand in itertools.accumulate(len(lexicon.signs) ** k for k in range(1, max_signs + 1)):
+        if n_cand > MAX_CANDIDATES:
+            raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
+    n, width, offsets = _stack_layout(lexicon, max_signs)
+    step = min(width, max(1, _BLOCK_ENTRIES // n))
+    need = ((len(offsets) + 2) * width + 4 * step) * n * 8 + len(lexicon.channels) * n_cand * 8
+    if need > MAX_STACK_BYTES:
+        what = "hold {} bytes of candidate stacks and their transients"
+        raise SearchSpaceTooLargeError(need, MAX_STACK_BYTES, what)
+    chains, index = [], []
+    for ch in lexicon.channels:
         distinct, numbers = _spellings(lexicon, ch, max_signs)
-        index.append(len(jobs) + numbers)
-        phonemes = lexicon.inventory(ch).phonemes
-        jobs.extend((ch, signs) for signs in distinct)
-        columns.extend(
-            _state_columns(phonemes, block_ids(lexicon, ch, signs), base) for signs in distinct
-        )
-    n, _, offsets = _stack_layout(lexicon, max_signs)
-    owners = [lexicon.channels.index(ch) for ch, _ in jobs]  # each stack column's channel
-    # Composed one at a time: holding all of them at once raised peak RSS.
-    models = (compose_utterance_model(lexicon, ch, signs) for ch, signs in jobs)
-    step = max(1, _BLOCK_ENTRIES // n)
+        index.append(len(chains) + numbers)
+        chains.extend((ch, block_ids(lexicon, ch, signs)) for signs in distinct)
+    owners = [lexicon.channels.index(ch) for ch, _ in chains]  # each stack column's channel
     blocks = [
         (
-            *_stack(itertools.islice(models, step), columns[b : b + step], offsets, n),
+            *_chain_stack(lexicon, chains[b : b + step], offsets, n),
             np.bincount(owners[b : b + step], minlength=len(lexicon.channels)),
         )
-        for b in range(0, len(columns), step)
+        for b in range(0, width, step)
     ]
     return blocks, np.stack(index, axis=1)
 
@@ -486,10 +478,9 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     cache[max_signs] holds the _candidate_stack, the -inf-padded models
     of every channel's distinct spelling sequences of 1..max_signs signs
     in column blocks and the map from each candidate and channel to its
-    column; cache["tables"] what _table_builder keeps. Before a max_signs
-    is cached, and before anything is built, _stack_bytes raises
-    SearchSpaceTooLargeError when the candidates exceed MAX_CANDIDATES
-    or their stacks MAX_STACK_BYTES.
+    column; cache["tables"] what _table_builder keeps. A max_signs is
+    cached before mobs is validated, by _candidate_stack, which refuses
+    too many candidates or stack bytes before it builds anything.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
@@ -497,7 +488,7 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
         raise ValidationError("lexicon has no signs")
     cache = {} if cache is None else cache
     if max_signs not in cache:
-        _stack_bytes(lexicon, max_signs)
+        cache[max_signs] = _candidate_stack(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
     again = _table_builder(lexicon, mobs, cache)
     table, lengths = again()
@@ -536,21 +527,17 @@ def model_count(lexicon):
 
 
 def _unit_layout(lexicon, keys):
-    """(index, log_pi, band, columns) of the _Unit stack of keys: the
-    lexicon's part, built once per decode_synced cache; band has the
-    final self-loop repriced to 1 - exit_prob."""
-    bases = _table_bases(lexicon)
-    models, columns, index, seen = [], [], [], {}
+    """(index (K, C), log_pi, band, columns) of the _Unit stack of keys,
+    the lexicon's part, built once per decode_synced cache: the
+    _chain_stack of the units' distinct chains, first seen first; band
+    has the final self-loop repriced to 1 - exit_prob."""
+    chains, index = {}, []  # each distinct chain -> its stack column
     for key in keys:
-        for ch, base in zip(lexicon.channels, bases):
+        for ch in lexicon.channels:
             inv = lexicon.inventory(ch)
-            pids = [inv.epenthesis] if key == EPS_UNIT else lexicon.signs[key].channels[ch]
-            index.append(seen.setdefault((ch, tuple(pids)), len(seen)))
-            if index[-1] == len(models):  # a new phoneme sequence
-                blocks = [(pid, inv.phonemes[pid]) for pid in pids]
-                models.append(compose_models(blocks, lexicon.exit_prob)[0])
-                columns.append(_state_columns(inv.phonemes, pids, base))
-    log_pi, band, columns = _stack(models, columns)
+            pids = (inv.epenthesis,) if key == EPS_UNIT else tuple(lexicon.signs[key].channels[ch])
+            index.append(chains.setdefault((ch, pids), len(chains)))
+    log_pi, band, columns = _chain_stack(lexicon, list(chains))
     # Mid-utterance pricing: a unit's final state dwells with 1 - exit
     # probability; the complement leaves through the boundary.
     dict(band)[0][-1] = safe_log(1.0 - lexicon.exit_prob)

@@ -363,20 +363,20 @@ def test_decode_exhaustive_stack_memory_guard(
 ):
     from phmm import parallel
 
-    def no_candidate_stack(*args):
+    def no_stack(*args):
         raise AssertionError("a candidate stack was built past the memory guard")
 
     # The trained model keeps the demo lexicon's spellings and state
     # counts, and its trained pi enters every state, so its band has
     # offsets 0 to 3: at 6 signs its stack needs 33,136,128 bytes plus
     # 1,047,552 of transients, and a limit one byte under that refuses it
-    # before any stack is built.
+    # before any stack is built (the junction chains of its layout are
+    # composed before the guard, the stack after it).
     lexicon, _ = load_model(trained_model)
     assert parallel._stack_layout(lexicon, 6)[2] == [0, 1, 2, 3]
-    assert parallel._stack_bytes(lexicon, 6) == 33_136_128
     need = 33_136_128 + 1_047_552
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
-    monkeypatch.setattr(parallel, "_candidate_stack", no_candidate_stack)
+    monkeypatch.setattr(parallel, "_stack", no_stack)
     assert run(
         ["decode", "--model", trained_model, "--corpus", demo_corpus,
          "--mode", "exhaustive", "--max-signs", 6, "--out", tmp_path / "hyp.jsonl"]
@@ -388,13 +388,13 @@ def test_decode_exhaustive_candidate_guard(
     tmp_path, trained_model, demo_corpus, capsys, monkeypatch
 ):
     # The demo lexicon's 8 signs make 2,396,744 candidates of up to 7
-    # signs, over MAX_CANDIDATES: exit 3 before any stack is built.
+    # signs, over MAX_CANDIDATES: exit 3 before any model is composed.
     from phmm import parallel
 
-    def no_candidate_stack(*args):
-        raise AssertionError("a candidate stack was built past the candidate guard")
+    def no_compose(*args):
+        raise AssertionError("a model was composed past the candidate guard")
 
-    monkeypatch.setattr(parallel, "_candidate_stack", no_candidate_stack)
+    monkeypatch.setattr(parallel, "compose_models", no_compose)
     assert run(
         ["decode", "--model", trained_model, "--corpus", demo_corpus,
          "--mode", "exhaustive", "--max-signs", 7, "--out", tmp_path / "hyp.jsonl"]
@@ -864,3 +864,19 @@ def test_cut_segments_rejects_path_that_does_not_fit():
     utt.paths["head"][0] = -1
     with pytest.raises(ValidationError, match="'head' path"):
         _cut_segments(lexicon, "head", [utt])
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # A slice of the hash-seed determinism check's steps, with phmm's
+    # command line run as run_process runs it: one generate, embedded
+    # training with its INFO log, one exhaustive decode, and a synced
+    # decode through evaluate, whose report is compared untimed.
+    import determinism
+
+    steps = [determinism.STEPS[i] for i in (0, 2, 5, -2, -1)]
+    files = ["corpus.jsonl", "model.json", "train.log", "hyps.jsonl", "report_synced.json"]
+    assert set(files) <= set(determinism.FILES)
+    environ = {**os.environ, "PYTHONPATH": str(Path(phmm.__file__).parents[1])}
+    command = [sys.executable, "-m", "phmm.cli"]
+    assert determinism.differing(steps, files, tmp_path, command, environ) == []
+    assert "iteration" in (tmp_path / "hash1" / "train.log").read_text()

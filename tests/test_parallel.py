@@ -338,32 +338,45 @@ def test_decode_exhaustive_search_space_guard():
         decode_exhaustive(lex, mobs, max_signs=20)
 
 
-def _no_candidate_stack(*args):
-    raise AssertionError("a candidate stack was built past the memory guard")
+class _StackBuilt(AssertionError):
+    """Raised in place of building a candidate stack."""
+
+
+def _no_stack(*args):
+    raise _StackBuilt("a candidate stack was built past the memory guard")
+
+
+def _no_compose(*args):
+    raise AssertionError("a model was composed past the candidate guard")
 
 
 def test_decode_exhaustive_stack_memory_guard(monkeypatch):
     # 7 signs of the demo lexicon fail the candidate guard (2,396,744
-    # candidates). 6 signs pass it (299,592) and, with one stack column
-    # per distinct spelling sequence, the memory guard: 24,487,488 bytes
-    # of cached stack (N = 33 rows by 3 x 5,460 columns) plus 1,047,552
-    # of transients: the kernel's four rows of N by 992 columns, its
-    # widest block. One byte less refuses them. Neither refusal builds a
-    # stack.
+    # candidates) before any model is composed. 6 signs pass it (299,592)
+    # and, with one stack column per distinct spelling sequence, the
+    # memory guard: 24,487,488 bytes of cached stack (N = 33 rows by
+    # 3 x 5,460 columns) plus 1,047,552 of transients: the kernel's four
+    # rows of N by 992 columns, its widest block. One byte less refuses
+    # them before the stack is built; at the limit the build begins, and
+    # is stopped there, so no 24 MB stack is built.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
-    monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
+    monkeypatch.setattr(parallel, "compose_models", _no_compose)
     with pytest.raises(SearchSpaceTooLargeError, match="enumerate 2396744 candidates"):
         decode_exhaustive(lex, mobs, max_signs=7)
+    monkeypatch.undo()
+    assert parallel._stack_layout(lex, 6)[:2] == (33, 3 * 5_460)
     need = 24_487_488 + 1_047_552
     assert need <= parallel.MAX_STACK_BYTES
+    monkeypatch.setattr(parallel, "_stack", _no_stack)
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes of candidate stacks"):
         decode_exhaustive(lex, mobs, max_signs=6)
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need)
-    assert parallel._stack_bytes(lex, 6) == 24_487_488
+    with pytest.raises(_StackBuilt):
+        decode_exhaustive(lex, mobs, max_signs=6)
 
 
 def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
@@ -380,12 +393,15 @@ def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
     lex = demo_lexicon()
     need = 797_760 + 685_440
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
-    monkeypatch.setattr(parallel, "_candidate_stack", _no_candidate_stack)
+    monkeypatch.setattr(parallel, "_stack", _no_stack)
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
     with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes"):
         decode_exhaustive(lex, mobs, max_signs=4)
-    monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need)
-    assert parallel._stack_bytes(lex, 4) == 797_760
+    monkeypatch.undo()
+    cache = {}
+    decode_exhaustive(lex, mobs, max_signs=4, cache=cache)
+    assert _cached_bytes(cache) == 797_760
+    assert _assert_guard_counts(lex, mobs, 4, cache[4]) == need
 
 
 def _not_called(*args, **kwargs):
@@ -445,8 +461,8 @@ def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
 
 
 def _cached_bytes(cache):
-    """Bytes of the candidate stacks in cache (its integer keys) as
-    _stack_bytes counts them: without a block's C channel counts and the
+    """Bytes of the candidate stacks in cache (its integer keys) as the
+    memory guard counts them: without a block's C channel counts and the
     lexicon's density tables in cache["tables"]."""
     return sum(
         index.nbytes
@@ -456,6 +472,22 @@ def _cached_bytes(cache):
         )
         for blocks, index in (cache[key] for key in cache if isinstance(key, int))
     )
+
+
+def _assert_guard_counts(lex, mobs, max_signs, stack):
+    """Returns the bytes that the memory guard counts for stack, the
+    cached (blocks, index) of max_signs: those of _cached_bytes and 32
+    per entry of its widest block (the kernel's four rows). A limit one
+    byte under them refuses a decode with that count, and a decode at
+    the limit passes."""
+    need = _cached_bytes({max_signs: stack}) + 32 * max(b[0].size for b in stack[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parallel, "MAX_STACK_BYTES", need - 1)
+        with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes"):
+            decode_exhaustive(lex, mobs, max_signs)
+        mp.setattr(parallel, "MAX_STACK_BYTES", need)
+        decode_exhaustive(lex, mobs, max_signs)
+    return need
 
 
 def _joined(blocks):
@@ -472,7 +504,7 @@ def test_stack_bytes_equal_the_cached_stacks(policy):
     mobs = sample_mobs(lex, ["s1", "s0"], 9, seed=45)
     cache = {}
     decode_exhaustive(lex, mobs, max_signs=3, cache=cache)
-    assert parallel._stack_bytes(lex, 3) == _cached_bytes(cache)
+    _assert_guard_counts(lex, mobs, 3, cache[3])
 
 
 def _check_cached_bands(case):
@@ -532,7 +564,7 @@ def _check_cached_bands(case):
             (o, bits(w)) for o, w in band(want_trans)
         ]
         assert bits(log_pi) == bits(want_pi) and np.array_equal(columns, want_columns)
-        assert parallel._stack_bytes(lex, max_signs) == _cached_bytes(cache)
+        _assert_guard_counts(lex, mobs, max_signs, cache[max_signs])
 
 
 def test_stack_band_equals_band_of_the_dense_stack():
@@ -576,7 +608,7 @@ def test_band_offsets_skip_rewired_rows_and_follow_pi():
         [(_, diagonals, _, _)], _ = cache[max_signs]
         assert [o for o, _ in diagonals] == [0, 1, 3]
         assert parallel._stack_layout(lex, max_signs)[2] == [0, 1, 3]
-    assert parallel._stack_bytes(lex, 1) + parallel._stack_bytes(lex, 2) == _cached_bytes(cache)
+        _assert_guard_counts(lex, mobs, max_signs, cache[max_signs])
 
 
 def test_stack_band_follows_compose_models(monkeypatch):
@@ -1025,22 +1057,30 @@ def test_decode_exhaustive_cache_serves_every_max_signs():
 
 
 def test_stack_bytes_runs_once_per_cache_and_max_signs(monkeypatch):
+    # The guards, the layout and the fill of a stack are one pass, run
+    # once per cache and max_signs.
     calls = []
-    stack_bytes = parallel._stack_bytes
 
-    def counted(lexicon, max_signs):
-        calls.append(max_signs)
-        return stack_bytes(lexicon, max_signs)
+    def counted(name):
+        fn = getattr(parallel, name)
 
-    monkeypatch.setattr(parallel, "_stack_bytes", counted)
+        def wrapper(lexicon, max_signs):
+            calls.append((name, max_signs))
+            return fn(lexicon, max_signs)
+
+        monkeypatch.setattr(parallel, name, wrapper)
+
+    counted("_candidate_stack")
+    counted("_stack_layout")
     lex = mixed_lexicon(np.random.default_rng(65))
     cache = {}
     for seed in range(12):
         mobs = sample_mobs(lex, ["s0", "s2"][: 1 + seed % 2], 6, seed=seed)
         decode_exhaustive(lex, mobs, max_signs=2 + seed % 2, cache=cache)
-    assert calls == [2, 3]
+    once = [[("_candidate_stack", k), ("_stack_layout", k)] for k in (2, 3)]
+    assert calls == once[0] + once[1]
     decode_exhaustive(lex, mobs, max_signs=3)
-    assert calls == [2, 3, 3]
+    assert calls == once[0] + once[1] + once[1]
 
 
 def test_decode_synced_cache_builds_one_unit_layout(monkeypatch):
