@@ -26,13 +26,15 @@ score is bit-identical to scoring the candidates, units or entry
 frames one at a time. Winners come from one exact argmax, _best_entries.
 
 Every Hypothesis comes from _align, on stack columns: score_hypothesis
-composes one per channel, decode_exhaustive slices its winner's out of
-the cached stack and keeps their scores from the scoring pass, and
-_rebuild_hypothesis picks one per (segment, channel) of the synced
-winner from the unit stack. State paths are aligned at their first read
-alone, by one banded viterbi_lattice call on those columns, so a decode
-whose paths nobody reads runs no second frame loop. On the exhaustive
-winner's signs score_hypothesis gives its scores and paths bit for bit.
+composes one per channel and scores them, decode_exhaustive slices its
+winner's out of the cached stack and keeps their scores from the
+scoring pass, and _rebuild_hypothesis picks one per (segment, channel)
+of the synced winner from the unit stack and keeps the channel scores
+its tokens carried through the search. State paths are aligned at their
+first read alone, by one banded viterbi_lattice call on those columns,
+so either decoder runs one frame loop for a winner whose paths nobody
+reads. On the exhaustive winner's signs score_hypothesis gives its
+scores and paths bit for bit.
 """
 
 from __future__ import annotations
@@ -153,21 +155,20 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _align(
-    signs, channels, table, again, log_pi, band, columns, starts, lengths, log_exit, scores=None
-):
+def _align(signs, channels, table, again, log_pi, band, columns, starts, lengths, scores=None):
     """The Hypothesis of signs on the _stack (log_pi, band, columns) of
     B = S x C models: column s * C + c holds segment s of channels[c],
     reading lengths[b] frames of table, a _table_builder table, from frame
     starts[b] (frame 0 if S is 1). Every segment but the last must end
-    in its final state and pays log_exit to leave it. A channel scores
-    the sum of its segments' scores in order: scores (B,), or one
-    viterbi_score_lattice call. Its state path waits for the first read,
-    one viterbi_lattice call on the same arrays and the table again()
-    returns, and numbers each segment's states after the earlier ones',
-    less the -inf padding rows (column -1) above each model; a channel
-    scoring -inf has none. The arrays must be the caller's own: they and
-    again are all that an unread Hypothesis holds."""
+    in its final state. scores (C,) holds each channel's score, the sum
+    of its segments' scores in order, exits included; if it is None, S
+    must be 1 and one viterbi_score_lattice call scores the channels.
+    A state path waits for the first read, one viterbi_lattice call on
+    the same arrays and the table again() returns, and numbers each
+    segment's states after the earlier ones', less the -inf padding
+    rows (column -1) above each model; a channel scoring -inf has none.
+    The arrays must be the caller's own: they and again are all that an
+    unread Hypothesis holds."""
     n_channels = len(channels)
 
     def lattice(table):
@@ -181,13 +182,6 @@ def _align(
 
     if scores is None:
         scores = viterbi_score_lattice(log_pi, band, lattice(table), lengths=lengths).tolist()
-    channel_scores = {}
-    for c, ch in enumerate(channels):
-        total = 0.0
-        for b in range(c, len(scores), n_channels):
-            total += scores[b] + log_exit if b + n_channels < len(scores) else scores[b]
-        channel_scores[ch] = total
-    live = [total > LOG_ZERO for total in channel_scores.values()]
 
     def state_paths():
         rows = viterbi_lattice(log_pi, band, lattice(again()[0]), lengths)[1].T.tolist()
@@ -198,10 +192,10 @@ def _align(
             for b in range(c, len(rows), n_channels):
                 shift += sizes[b]  # after the earlier segments' states, less the padding
                 path += [i + shift for i in rows[b][: n_frames[b]]]
-            paths[ch] = path if live[c] else None
+            paths[ch] = path if scores[c] > LOG_ZERO else None
         return paths
 
-    return Hypothesis.combine(signs, channel_scores, state_paths)
+    return Hypothesis.combine(signs, dict(zip(channels, scores)), state_paths)
 
 
 def score_hypothesis(lexicon, signs, mobs):
@@ -219,7 +213,7 @@ def score_hypothesis(lexicon, signs, mobs):
     again = _table_builder(lexicon, mobs, {})
     table, lengths = again()
     stack = _chain_stack(lexicon, [(ch, block_ids(lexicon, ch, signs)) for ch in lexicon.channels])
-    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, 0.0)
+    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths)
 
 
 def _stack_layout(lexicon, max_signs):
@@ -288,12 +282,15 @@ def _table_builder(lexicon, mobs, cache):
     return again
 
 
-def _state_columns(phonemes, pids, base):
-    """base plus the column in the phoneme models' density table of each
-    state of the model composed from phonemes pids."""
-    sizes = [m.n_states for m in phonemes.values()]
-    offsets = dict(zip(phonemes, itertools.accumulate([0] + sizes)))
-    return [base + offsets[p] + i for p in pids for i in range(phonemes[p].n_states)]
+def _state_columns(lexicon):
+    """Each lexicon channel's {phoneme: its states' columns} in a
+    _table_builder table: the channel's phonemes in order, from its base."""
+    columns = {}
+    for ch, base in zip(lexicon.channels, _table_bases(lexicon)):
+        phonemes = lexicon.inventory(ch).phonemes
+        firsts = itertools.accumulate([base] + [m.n_states for m in phonemes.values()])
+        columns[ch] = {p: range(i, i + m.n_states) for (p, m), i in zip(phonemes.items(), firsts)}
+    return columns
 
 
 def _offsets(models):
@@ -334,16 +331,14 @@ def _stack(models, columns, offsets=None, n=None):
 def _chain_stack(lexicon, chains, offsets=None, n=None):
     """The _stack, on offsets and n rows, of chains, (channel, phoneme
     ids) pairs: each chain composed by compose_models at the lexicon's
-    exit_prob, its states reading their _table_builder columns. Given
-    offsets, the models are composed one at a time: holding all of them
-    at once raised peak RSS."""
-    bases = dict(zip(lexicon.channels, _table_bases(lexicon)))
-    phonemes = [lexicon.inventory(ch).phonemes for ch, _ in chains]
-    columns = [_state_columns(inv, pids, bases[ch]) for inv, (ch, pids) in zip(phonemes, chains)]
-    models = (
-        compose_models([(pid, inv[pid]) for pid in pids], lexicon.exit_prob)[0]
-        for inv, (_, pids) in zip(phonemes, chains)
-    )
+    exit_prob (a one-phoneme chain is its phoneme's own model), its
+    states reading their _state_columns. Given offsets, the models are
+    composed one at a time: holding all of them at once raised peak RSS."""
+    states = _state_columns(lexicon)
+    columns = [[col for pid in pids for col in states[ch][pid]] for ch, pids in chains]
+    phonemes = {ch: lexicon.inventory(ch).phonemes for ch in lexicon.channels}
+    blocks = ([(p, phonemes[ch][p]) for p in pids] for ch, pids in chains)
+    models = (b[0][1] if len(b) == 1 else compose_models(b, lexicon.exit_prob)[0] for b in blocks)
     return _stack(list(models) if offsets is None else models, columns, offsets, n)
 
 
@@ -478,18 +473,17 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     cache[max_signs] holds the _candidate_stack, the -inf-padded models
     of every channel's distinct spelling sequences of 1..max_signs signs
     in column blocks and the map from each candidate and channel to its
-    column; cache["tables"] what _table_builder keeps. A max_signs is
-    cached before mobs is validated, by _candidate_stack, which refuses
-    too many candidates or stack bytes before it builds anything.
+    column; cache["tables"] what _table_builder keeps. mobs is validated
+    first, so its fault is reported before a max_signs is cached, by
+    _candidate_stack, which refuses too many candidates or stack bytes
+    before it builds anything.
     """
     if max_signs < 1:
         raise ValidationError("max_signs must be >= 1")
     if not lexicon.signs:
         raise ValidationError("lexicon has no signs")
-    cache = {} if cache is None else cache
-    if max_signs not in cache:
-        cache[max_signs] = _candidate_stack(lexicon, max_signs)
     validate_multi_observation(lexicon, mobs)
+    cache = {} if cache is None else cache
     again = _table_builder(lexicon, mobs, cache)
     table, lengths = again()
     scores = _candidate_scores(lexicon, table, lengths, max_signs, cache)
@@ -501,7 +495,7 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     signs = _sequence(sorted(lexicon.signs), rows[0])
     stack = _stack_columns(blocks, index[rows[0]])
     winner = scores[rows[0]].tolist()
-    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, 0.0, winner)
+    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, winner)
 
 
 def model_count(lexicon):
@@ -515,10 +509,7 @@ def model_count(lexicon):
     factored = sum(sizes)
     if lexicon.epenthesis_policy == EPENTHESIS_BETWEEN_SIGNS:
         factored += len(lexicon.channels)
-    product = 1
-    for s in sizes:
-        product *= s
-    return factored, product
+    return factored, math.prod(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +622,7 @@ def _best_entries(entry_scores, parts, positive):
     positive values among its entry and parts (a _positive_bound).
     Returns one (best, rows) pair per column: the best score and the
     rows reaching it in ascending order, or (None, []) if every row
-    scores -inf.
+    scores -inf. Both decoders rank with it.
 
     numpy's sums a, left to right from the entry, rank the rows; only
     rows that can reach the exact maximum are rescored with math.fsum.
@@ -647,18 +638,20 @@ def _best_entries(entry_scores, parts, positive):
     no higher than 0. The factor 2 also covers rounding positive, the
     sums and B, each by a relative error far below 1 / 4.
     """
+    n_parts = parts.shape[-1]
     approx = entry_scores + parts[..., 0]
-    for c in range(1, parts.shape[-1]):
+    for c in range(1, n_parts):
         approx += parts[..., c]
     finite = approx > LOG_ZERO
-    bound = 2 * (2 * positive - np.min(approx, where=finite, initial=0.0))
-    tol = (parts.shape[-1] + 4) * _EPS * bound
-    keep = finite & (approx >= approx.max(axis=0) - 2 * tol)
-    cols, rows = np.nonzero(keep.T)
+    low = np.minimum.reduce(approx, axis=None, where=finite, initial=0.0)
+    tol = (n_parts + 4) * _EPS * (2 * (2 * float(positive) - float(low)))
+    keep = approx >= np.maximum.reduce(approx, axis=0) - 2 * tol
+    keep &= finite
+    rows, cols = keep.nonzero()  # each column's rows come in ascending order
     entries = entry_scores[rows, cols].tolist()
     sums = map(math.fsum, parts[rows, cols].tolist())
-    results = [(None, []) for _ in range(entry_scores.shape[1])]
-    for k, i, entry, total in zip(cols.tolist(), rows.tolist(), entries, sums):
+    results = [(None, [])] * entry_scores.shape[1]  # never appended to
+    for i, k, entry, total in zip(rows.tolist(), cols.tolist(), entries, sums):
         score = entry + total
         best, winners = results[k]
         if best is None or score > best:
@@ -670,46 +663,48 @@ def _best_entries(entry_scores, parts, positive):
 
 @dataclass
 class _Token:
+    """A search token; key() ranks tokens, the best first."""
+
     score: float
     signs: tuple
     segments: tuple  # (unit_key, entry_frame, exit_frame) triples
+    totals: tuple  # per channel, from 0.0, each segment's exit score added in order
 
     def key(self):
         return (-self.score, len(self.signs), self.signs)
 
 
-def _unit_token(key, winner, entries, t):
+def _unit_token(key, winner, entries, t, exits):
     """The smallest key() token leaving unit key at frame t, winner its
-    (score, entry frames t0) and entries[t0] its entry tokens; the
-    earliest t0 on a tie."""
+    (score, entry frames t0), entries[t0] its entry tokens and exits[t0]
+    its (C,) channel exit scores: tied tokens differ in their entry
+    token's signs alone, so only the earliest of the best is built."""
     score, t0s = winner
-    sign = () if key == EPS_UNIT else (key,)
-    tokens = [
-        _Token(score, entries[t0].signs + sign, entries[t0].segments + ((key, t0, t),))
-        for t0 in t0s
-    ]
-    return min(tokens, key=_Token.key)
+    t0 = min(t0s, key=lambda i: (len(entries[i].signs), entries[i].signs)) if t0s[1:] else t0s[0]
+    entry, sign = entries[t0], () if key == EPS_UNIT else (key,)
+    totals = tuple([a + b for a, b in zip(entry.totals, exits[t0].tolist())])
+    return _Token(score, entry.signs + sign, entry.segments + ((key, t0, t),), totals)
 
 
-def _best_sign(sign_ids, winners, entries, t):
-    """The best sign token leaving at frame t, or None; key() ranks by
-    score first, so only units reaching the top score are tokenized."""
+def _best_sign(sign_ids, winners, entries, t, exits):
+    """The best sign token leaving at frame t, or None, exits (t + 1, K,
+    C) the frame's exit scores; key() ranks by score first, so only
+    units reaching the top score are tokenized."""
     scores = [score for score, _ in winners[: len(sign_ids)] if score is not None]
-    if not scores:
-        return None
-    top = max(scores)
-    tied = [_unit_token(key, w, entries, t) for key, w in zip(sign_ids, winners) if w[0] == top]
-    return min(tied, key=_Token.key)
+    top = max(scores, default=LOG_ZERO)  # no winner scores -inf
+    units = enumerate(zip(sign_ids, winners))
+    tokens = [_unit_token(key, w, entries, t, exits[:, k]) for k, (key, w) in units if w[0] == top]
+    return min(tokens, key=_Token.key, default=None)
 
 
-def _signs_above(eps, sign_ids, winners, entries, t):
+def _signs_above(eps, sign_ids, winners, entries, t, exits):
     """How many sign tokens leaving at frame t rank above the epenthesis
-    token eps by (key(), unit key); only signs tying its score exactly
-    are tokenized."""
+    token eps by (key(), unit key), exits as _best_sign's; only signs
+    tying its score exactly are tokenized."""
     rank = (eps.key(), EPS_UNIT)
     return sum(
-        w[0] > eps.score or (_unit_token(key, w, entries, t).key(), key) < rank
-        for key, w in zip(sign_ids, winners)
+        w[0] > eps.score or (_unit_token(key, w, entries, t, exits[:, k]).key(), key) < rank
+        for k, (key, w) in enumerate(zip(sign_ids, winners))
         if w[0] is not None and w[0] >= eps.score
     )
 
@@ -727,7 +722,9 @@ def decode_synced(lexicon, mobs, beam_width, cache=None):
     unit's token only where it ties their score, and prunes by rank:
     the epenthesis token survives if fewer than beam_width sign tokens
     rank above it, the best sign token unless beam_width is 1 and the
-    epenthesis token ranks first.
+    epenthesis token ranks first. Each token carries its channel scores,
+    summed from its segments' _Unit exit rows, so the winner needs no
+    second frame loop.
 
     cache is a dict reused across utterances of one lexicon, which
     decode_exhaustive may share: cache["synced"] holds the _unit_layout,
@@ -770,19 +767,20 @@ def decode_synced(lexicon, mobs, beam_width, cache=None):
     # sign_entries[t0] / eps_entries[t0]: the best token that may enter a
     # sign / the epenthesis at frame t0, fixed once frame t0 - 1 is pruned;
     # entry_scores[t0, k] is the score of unit k's entry token, -inf if none.
-    sign_entries = [_Token(0.0, (), ())]
+    sign_entries = [_Token(0.0, (), (), (0.0,) * len(lexicon.channels))]
     eps_entries = [None]
     entry_scores = np.full((t_len, len(unit_keys)), LOG_ZERO)
     entry_scores[0, :n_signs] = 0.0
     for t in range(t_len):
-        winners = _best_entries(entry_scores[: t + 1], units.segment_scores(t), positive[t])
-        best_sign = _best_sign(sign_ids, winners, sign_entries, t)
+        exits = units.segment_scores(t)
+        winners = _best_entries(entry_scores[: t + 1], exits, positive[t])
+        best_sign = _best_sign(sign_ids, winners, sign_entries, t, exits)
         eps = None
         if use_eps and winners[-1][0] is not None:
-            eps = _unit_token(EPS_UNIT, winners[-1], eps_entries, t)
+            eps = _unit_token(EPS_UNIT, winners[-1], eps_entries, t, exits[:, -1])
             above = 0
             if beam_width <= n_signs:  # else the beam cannot bind
-                above = _signs_above(eps, sign_ids, winners, sign_entries, t)
+                above = _signs_above(eps, sign_ids, winners, sign_entries, t, exits)
             if above >= beam_width:
                 eps = None
             elif beam_width == 1:
@@ -798,8 +796,9 @@ def decode_synced(lexicon, mobs, beam_width, cache=None):
             if eps_entry is not None:
                 entry_scores[t + 1, n_signs:] = eps_entry.score
 
-    tails = _best_entries(entry_scores[:, :n_signs], units.last()[:, :n_signs], positive[-1])
-    best = _best_sign(sign_ids, tails, sign_entries, t_len - 1)
+    lasts = units.last()[:, :n_signs]
+    tails = _best_entries(entry_scores[:, :n_signs], lasts, positive[-1])
+    best = _best_sign(sign_ids, tails, sign_entries, t_len - 1, lasts)
     if best is None:
         raise NoFiniteHypothesisError("no synchronized hypothesis has finite score")
     return _rebuild_hypothesis(units, best)
@@ -825,13 +824,14 @@ def decode(lexicon, mobs, mode, max_signs, beam_width, cache):
 
 
 def _rebuild_hypothesis(units, token):
-    """Per-channel scores and deferred state paths of the winning token.
+    """The Hypothesis of the winning token, its channel scores the
+    token's totals, its state paths deferred.
 
     units is the utterance's _Unit stack. Each segment (key, t0, t1) of
     the token picks its unit's column in every channel, all handed to
     _align in one call over their frames t0..t1: every segment but the
-    last must end in the final state and pays the boundary exit log
-    probability, while the last prices its final state as absorbing.
+    last must end in the final state, while the last prices its final
+    state as absorbing.
     """
     n_channels = len(units.channels)
     # picks[s * C + c]: the stack column of segment s's unit in channel c.
@@ -840,4 +840,4 @@ def _rebuild_hypothesis(units, token):
     dict(band)[0][units.final, -n_channels:] = 0.0
     arrays = units.table, units.again, units.log_pi[:, picks], band, units.columns[:, picks]
     t0, t1 = np.repeat([segment[1:] for segment in token.segments], n_channels, axis=0).T
-    return _align(token.signs, units.channels, *arrays, t0, t1 + 1 - t0, units.log_exit)
+    return _align(token.signs, units.channels, *arrays, t0, t1 + 1 - t0, token.totals)

@@ -1,15 +1,17 @@
 """Hash-seed determinism check: phmm writes the same files under any
 PYTHONHASHSEED.
 
-    python tests/determinism.py OUTDIR [--phmm CMD]
+    python tests/determinism.py OUTDIR [--phmm CMD] [--against OTHER]
 
 saves the tests' Gaussian twin of the demo lexicon (helpers.gaussian_twin)
 as OUTDIR/gaussian.json, runs STEPS in OUTDIR/hash1 and OUTDIR/hash2
 under PYTHONHASHSEED 1 and 2, and compares FILES between the two byte
 for byte. CMD starts phmm (default: this Python's -m phmm.cli, on the
 phmm that this script imports; pass "phmm" to check an installed
-console script). Exits 1, naming the files,
-if any differ; a failing command stops the run.
+console script). With --against, FILES in OUTDIR/hash1 are also
+compared byte for byte with those in OTHER/hash1, the OUTDIR of an
+earlier run, say of another commit. Exits 1, naming the files, if any
+differ; a failing command stops the run.
 
 The steps write corpora (one with noise hits and length jitter), models
 (embedded and segmented training), training logs at INFO (each
@@ -142,13 +144,27 @@ def differing(steps, files, outdir, phmm, env):
     for seed, cwd in enumerate(dirs, 1):
         cwd.mkdir()
         run_steps(steps, cwd, phmm, {**env, "PYTHONHASHSEED": str(seed)})
-    return [f for f in files if (dirs[0] / f).read_bytes() != (dirs[1] / f).read_bytes()]
+    return unequal(files, *dirs)
+
+
+def unequal(files, one, other):
+    """Those of files whose bytes differ between directories one and
+    other, or that either lacks."""
+    return [
+        f
+        for f in files
+        if not ((one / f).is_file() and (other / f).is_file())
+        or (one / f).read_bytes() != (other / f).read_bytes()
+    ]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--phmm", help="the command that starts phmm")
+    parser.add_argument(
+        "--against", type=Path, metavar="OTHER", help="an earlier OUTDIR to compare hash1 with"
+    )
     args = parser.parse_args(argv)
     import phmm
     from helpers import gaussian_twin
@@ -166,6 +182,12 @@ def main(argv=None):
     for f in bad:
         print(f"{f} differs between PYTHONHASHSEED 1 and 2", file=sys.stderr)
     print(f"{len(FILES) - len(bad)} of {len(FILES)} files equal across hash seeds")
+    if args.against is not None:
+        changed = unequal(FILES, args.outdir / "hash1", args.against / "hash1")
+        for f in changed:
+            print(f"{f} differs from {args.against / 'hash1' / f}", file=sys.stderr)
+        print(f"{len(FILES) - len(changed)} of {len(FILES)} files equal to {args.against}")
+        bad += changed
     return 1 if bad else 0
 
 

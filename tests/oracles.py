@@ -571,6 +571,26 @@ def per_unit_segment_scores(units):
     return exits, np.maximum(best_nf, final_iso_all)
 
 
+def best_entries_oracle(entry_scores, parts):
+    """parallel._best_entries by brute force, without its rounding-error
+    cut: per column k, every row i scored as entry_scores[i, k] +
+    math.fsum(parts[i, k]). Returns one (best, rows) pair per column,
+    the rows reaching the best in ascending order, or (None, []) if
+    every row scores -inf."""
+    results = []
+    for k in range(entry_scores.shape[1]):
+        scores = [
+            float(entry) + math.fsum(row)
+            for entry, row in zip(entry_scores[:, k].tolist(), parts[:, k].tolist())
+        ]
+        best = max(scores)
+        if best == LOG_ZERO:
+            results.append((None, []))
+        else:
+            results.append((best, [i for i, score in enumerate(scores) if score == best]))
+    return results
+
+
 def segment_viterbi_oracle(unit, t0, t1, is_last):
     """Best within-unit (score, path) over frames [t0, t1] of a synced
     segment, by a backtracking recursion of its own.

@@ -384,6 +384,33 @@ def test_decode_exhaustive_stack_memory_guard(
     assert f"hold {need} bytes of candidate stacks" in capsys.readouterr().err
 
 
+def test_decode_exhaustive_refuses_a_bad_first_record_before_any_stack(
+    tmp_path, trained_model, demo_corpus, capsys, monkeypatch
+):
+    # The first record's empty channel is refused (exit 3) before the
+    # 6-sign stack of an empty cache is built, and a memory guard that
+    # would refuse that stack too does not hide the record's fault.
+    from phmm import parallel
+
+    def no_stack(*args):
+        raise AssertionError("a candidate stack was built before the record was validated")
+
+    recs = [json.loads(l) for l in demo_corpus.read_text().splitlines()[:3]]
+    recs[0]["channels"]["head"] = []
+    corpus = tmp_path / "bad_first.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    monkeypatch.setattr(parallel, "_stack", no_stack)
+    for limit in (parallel.MAX_STACK_BYTES, 1):
+        monkeypatch.setattr(parallel, "MAX_STACK_BYTES", limit)
+        assert run(
+            ["decode", "--model", trained_model, "--corpus", corpus,
+             "--mode", "exhaustive", "--max-signs", 6, "--out", tmp_path / "hyp.jsonl"]
+        ) == 3
+        err = capsys.readouterr().err
+        assert "empty observation sequence for channel 'head'" in err
+        assert "bytes of candidate stacks" not in err
+
+
 def test_decode_exhaustive_candidate_guard(
     tmp_path, trained_model, demo_corpus, capsys, monkeypatch
 ):
@@ -880,3 +907,25 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     command = [sys.executable, "-m", "phmm.cli"]
     assert determinism.differing(steps, files, tmp_path, command, environ) == []
     assert "iteration" in (tmp_path / "hash1" / "train.log").read_text()
+
+
+def test_determinism_against_names_the_files_that_differ(tmp_path, monkeypatch, capsys):
+    # --against compares a run's hash1 files with another run's byte for
+    # byte, here on hand-made directories, with the phmm steps stubbed.
+    import determinism
+
+    files = ["a.jsonl", "b.json", "c.log"]
+    new, old = tmp_path / "new", tmp_path / "old"
+    for outdir, contents in ((new, [b"1\n", b"{}", b"x"]), (old, [b"1\n", b"{ }", b"x"])):
+        (outdir / "hash1").mkdir(parents=True)
+        for name, content in zip(files, contents):
+            (outdir / "hash1" / name).write_bytes(content)
+    assert determinism.unequal(files, new / "hash1", old / "hash1") == ["b.json"]
+    assert determinism.unequal(files, new / "hash1", new / "hash1") == []
+    monkeypatch.setattr(determinism, "FILES", files)
+    monkeypatch.setattr(determinism, "differing", lambda *args: [])
+    assert determinism.main([str(new), "--against", str(new)]) == 0
+    (old / "hash1" / "c.log").unlink()
+    assert determinism.main([str(new), "--against", str(old)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{name} differs from {old / 'hash1' / name}" for name in ("b.json", "c.log")]

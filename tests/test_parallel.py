@@ -15,6 +15,7 @@ from helpers import (
     sample_mobs,
 )
 from oracles import (
+    best_entries_oracle,
     decode_exhaustive_oracle,
     dense_stack,
     decode_synced_oracle,
@@ -460,6 +461,43 @@ def test_warm_decode_exhaustive_composes_nothing(monkeypatch):
     _assert_same_hypothesis(got, decode_exhaustive_oracle(lex, mobs, 3))
 
 
+
+@pytest.mark.parametrize("beam_width", [1, 2, 1000])
+def test_warm_decode_synced_runs_one_frame_loop(beam_width, monkeypatch):
+    # A warm utterance builds one density table and runs the token search,
+    # its one frame loop: the winner keeps the channel scores its tokens
+    # carried, so no model is composed and nothing is scored again. Its
+    # segments are aligned in one viterbi_lattice call only when its
+    # state paths are first read.
+    rng = np.random.default_rng(168)
+    lex = absorbing_finals(mixed_lexicon(rng, gaussian=True, policy="between_signs"))
+    cache = {}
+    decode_synced(lex, sample_mobs(lex, ["s0"], 6, seed=1), beam_width, cache)
+    mobs = sample_mobs(lex, ["s2", "s1", "s0"], 14, seed=2)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, name, wrapper)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a warm synced decode composed a model or scored its winner again")
+
+    counted("_table_builder", parallel._table_builder)
+    counted("viterbi_lattice", parallel.viterbi_lattice)
+    for name in ("compose_models", "viterbi_score_lattice"):
+        monkeypatch.setattr(parallel, name, not_called)
+    got = decode_synced(lex, mobs, beam_width, cache)
+    assert calls == ["_table_builder"]
+    assert len(got.signs) == 3  # five segments, with the epenthesis between signs
+    got.state_paths
+    assert calls == ["_table_builder", "viterbi_lattice"]
+    monkeypatch.undo()
+    assert repr(got) == repr(decode_synced_oracle(lex, mobs, beam_width))
+
 def _cached_bytes(cache):
     """Bytes of the candidate stacks in cache (its integer keys) as the
     memory guard counts them: without a block's C channel counts and the
@@ -551,13 +589,13 @@ def _check_cached_bands(case):
             assert bits(row) == bits([ref.channel_scores[ch] for ch in lex.channels])
         models, dense_columns, union = [], [], set()
         for c, ch in enumerate(lex.channels):
-            phonemes = lex.inventory(ch).phonemes
+            states = parallel._state_columns(lex)[ch]
             own = np.unique(index[:, c])
             union |= {o for o, w in diagonals if np.isfinite(w[:, own]).any()}
             for signs in parallel._spellings(lex, ch, max_signs)[0]:
                 models.append(compose_utterance_model(lex, ch, signs))
                 ids = parallel.block_ids(lex, ch, signs)
-                dense_columns.append(parallel._state_columns(phonemes, ids, bases[c]))
+                dense_columns.append([col for pid in ids for col in states[pid]])
         want_pi, want_trans, want_columns = dense_stack(models, dense_columns)
         assert [o for o, _ in diagonals] == layout[2] == sorted(union)
         assert [(o, bits(w)) for o, w in diagonals] == [
@@ -1378,6 +1416,64 @@ def test_best_entries_exact_ties_and_dead_rows():
     assert _best_entries(np.full((3, 3), inf), parts, 0.0) == [(None, [])] * 3
 
 
+
+def _near_tie_rows(rng, n_rows, n_parts, scale):
+    """(n_rows, n_parts) parts whose exact sums are small numbers a few
+    ulps of 1.0 apart while each row holds terms of magnitude scale: a
+    numpy sum left to right loses the small part, math.fsum keeps it.
+    Some rows permute an earlier row's terms, so that their exact sums
+    tie while their numpy sums need not."""
+    rows = []
+    for i in range(n_rows):
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.permutation(rows[int(rng.integers(0, len(rows)))])))
+            continue
+        big = list(rng.normal(size=n_parts - 1) * scale)
+        small = 0.5 + float(rng.integers(0, 4)) * 2.0**-52
+        rows.append(big + [small - math.fsum(big)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 3, 4])
+def test_best_entries_equals_brute_force(n_parts):
+    # Seeded random columns against best_entries_oracle: near-ties at
+    # 1e16 magnitudes, exact ties of permuted terms, positive parts and
+    # entries, -inf rows and parts, all -inf columns and one-row columns.
+    rng = np.random.default_rng(180 + n_parts)
+    inf = float("-inf")
+    kinds = {"near": 0, "tied": 0, "dead": 0}
+    for trial in range(300):
+        n_rows, n_cols = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        scale = float(rng.choice([1.0, 1e3, 1e16]))
+        if n_parts > 1 and rng.random() < 0.5:
+            parts = np.stack(
+                [_near_tie_rows(rng, n_rows, n_parts, scale) for _ in range(n_cols)], axis=1
+            )
+            entries = np.zeros((n_rows, n_cols))
+        else:
+            parts = rng.normal(size=(n_rows, n_cols, n_parts)) * scale
+            entries = rng.normal(size=(n_rows, n_cols)) * scale
+            if n_rows > 1 and rng.random() < 0.3:
+                parts[1:2] = parts[:1]  # an exact tie on every column
+                entries[1:2] = entries[:1]
+        parts[rng.random(parts.shape) < 0.1] = inf
+        entries[rng.random(entries.shape) < 0.15] = inf
+        if rng.random() < 0.2:
+            entries[:, int(rng.integers(0, n_cols))] = inf
+        # The tightest bound the positive values allow, or a looser one.
+        positive = np.maximum(np.concatenate([entries[..., None], parts], axis=-1), 0.0)
+        positive = positive.sum(axis=-1).max() * float(rng.choice([1.0, 1.0, 3.0]))
+        got = _best_entries(entries, parts, positive)
+        want = best_entries_oracle(entries, parts)
+        assert got == want
+        for (score, rows), k in zip(want, range(n_cols)):
+            kinds["dead"] += score is None
+            kinds["tied"] += len(rows) > 1
+            approx = entries[rows[:1], k] + parts[rows[:1], k].sum(axis=-1)
+            kinds["near"] += bool(rows) and approx[0] != score
+    assert kinds["dead"] > 20 and kinds["tied"] > 5
+    assert n_parts < 3 or kinds["near"] > 20
+
 def test_signs_above_equals_ranking_every_token():
     # The beam's rank test, which tokenizes only the signs tying the
     # epenthesis token's score, against ranking every sign token of the
@@ -1385,19 +1481,24 @@ def test_signs_above_equals_ranking_every_token():
     # ties, entry tokens of different lengths and sign ids on both sides
     # of EPS_UNIT ("0" < "1" < "<eps>" < "z").
     sign_ids = ["0", "1", "z"]
-    entries = [_Token(0.0, (), ()), _Token(-1.0, ("1",), ()), _Token(-1.0, ("0",), ())]
+    entries = [
+        _Token(0.0, (), (), ()),
+        _Token(-1.0, ("1",), (), ()),
+        _Token(-1.0, ("0",), (), ()),
+    ]
     choices = [(None, [])] + [(s, t0s) for s in (-2.0, -1.5, -1.0) for t0s in ([0], [1, 2], [2])]
-    eps_tokens = [_Token(-1.5, signs, ()) for signs in (("0",), ("1",), ("0", "z"))]
+    eps_tokens = [_Token(-1.5, signs, (), ()) for signs in (("0",), ("1",), ("0", "z"))]
+    exits = np.zeros((4, len(sign_ids), 0))  # tokens of no channels
     tied_above = tied_below = 0
     for winners in itertools.product(choices, repeat=3):
         tokens = [
-            (_unit_token(key, w, entries, 3).key(), key)
-            for key, w in zip(sign_ids, winners)
+            (_unit_token(key, w, entries, 3, exits[:, k]).key(), key)
+            for k, (key, w) in enumerate(zip(sign_ids, winners))
             if w[0] is not None
         ]
         for eps in eps_tokens:
             above = sum(token < (eps.key(), EPS_UNIT) for token in tokens)
-            assert _signs_above(eps, sign_ids, winners, entries, 3) == above
+            assert _signs_above(eps, sign_ids, winners, entries, 3, exits) == above
             ties = [token < (eps.key(), EPS_UNIT) for token in tokens if token[0][0] == 1.5]
             tied_above += sum(ties)
             tied_below += len(ties) - sum(ties)
@@ -1502,7 +1603,6 @@ def test_rebuild_hypothesis_equals_segment_viterbi_oracle(case):
         cuts = sorted(rng.choice(np.arange(1, t_len), size=n_cuts, replace=False))
         bounds = list(zip([0, *cuts], [c - 1 for c in cuts] + [t_len - 1]))
         segments = tuple((keys[int(rng.integers(0, len(keys)))], t0, t1) for t0, t1 in bounds)
-        token = _Token(0.0, tuple(k for k, _, _ in segments if k != EPS_UNIT), segments)
         expected = {}
         for ch in lex.channels:
             total, path, offset = 0.0, [], 0
@@ -1515,6 +1615,9 @@ def test_rebuild_hypothesis_equals_segment_viterbi_oracle(case):
             expected[ch] = (total, path)
         if any(total == float("-inf") for total, _ in expected.values()):
             continue  # the decoder never rebuilds a token that scores -inf
+        # The search hands the token its segments' totals, the oracle's here.
+        signs = tuple(k for k, _, _ in segments if k != EPS_UNIT)
+        token = _Token(0.0, signs, segments, tuple(total for total, _ in expected.values()))
         hyp = _rebuild_hypothesis(_Unit(lex, mobs, keys, _unit_layout(lex, keys)), token)
         for ch in lex.channels:
             assert repr(hyp.channel_scores[ch]) == repr(expected[ch][0])

@@ -46,11 +46,13 @@ from phmm.parallel import (
 
 
 def _eager_align(
-    signs, channels, table, again, log_pi, band, columns, starts, lengths, log_exit, scores=None
+    signs, channels, table, again, log_pi, band, columns, starts, lengths, scores=None, log_exit=None
 ):
     """(channel_scores, state_paths) of _align's arguments from one
     viterbi_lattice call on table, scores and paths together, as _align
-    made them before its paths were deferred."""
+    made them before its paths were deferred and before the synced
+    search kept its winner's scores: every segment but the last pays
+    log_exit, its units' boundary exit log probability."""
     n_channels = len(channels)
     logb = table[:, columns]
     if len(starts) > n_channels:
@@ -76,24 +78,32 @@ def _eager_align(
 
 @pytest.fixture
 def aligned(monkeypatch):
-    """Every _align call of the test, as (arguments, Hypothesis returned)."""
-    calls = []
-    align = parallel._align
+    """Every _align call of the test, as (arguments, the boundary exit
+    log probability of the synced units if _rebuild_hypothesis made the
+    call, Hypothesis returned)."""
+    calls, log_exit = [], [None]
+    align, rebuild = parallel._align, parallel._rebuild_hypothesis
+
+    def rebuilding(units, token):
+        log_exit[0] = units.log_exit
+        return rebuild(units, token)
 
     def recording(*args):
         hyp = align(*args)
-        calls.append((args, hyp))
+        calls.append((args, log_exit[0], hyp))
+        log_exit[0] = None
         return hyp
 
     monkeypatch.setattr(parallel, "_align", recording)
+    monkeypatch.setattr(parallel, "_rebuild_hypothesis", rebuilding)
     return calls
 
 
 def _check_aligned(calls):
     """Each recorded Hypothesis has the eager channel scores bit for bit,
     its total their fsum, and, once read, the eager state paths."""
-    for args, hyp in calls:
-        want_scores, want_paths = _eager_align(*args)
+    for args, log_exit, hyp in calls:
+        want_scores, want_paths = _eager_align(*args, log_exit=log_exit)
         assert list(hyp.channel_scores) == list(want_scores)
         assert bits(list(hyp.channel_scores.values())) == bits(list(want_scores.values()))
         assert hyp.total == math.fsum(want_scores.values())
@@ -194,7 +204,7 @@ def test_deferred_paths_of_wide_and_long_winners(aligned):
             decode_synced(lex, utt.mobs, 1000, cache)
         assert spanning > 0
     n_channels = len(demo_lexicon().channels)
-    assert max(len(args[7]) for args, _ in aligned) >= 7 * n_channels
+    assert max(len(args[7]) for args, _, _ in aligned) >= 7 * n_channels
     _check_aligned(aligned)
 
 
