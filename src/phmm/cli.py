@@ -31,11 +31,9 @@ log = logging.getLogger("phmm")
 
 
 def _load_lexicon(spec):
-    if spec == "demo":
-        lex = demo_lexicon()
-    else:
-        lex, _ = load_model(spec)
-    validate_lexicon(lex)
+    lex = demo_lexicon() if spec == "demo" else load_model(spec)[0]
+    if spec == "demo":  # load_model validates a model file
+        validate_lexicon(lex)
     log.info("loaded lexicon: %d channels, %d signs", len(lex.channels), len(lex.signs))
     return lex
 

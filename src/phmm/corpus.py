@@ -224,14 +224,18 @@ def write_corpus(path, corpus):
 def read_corpus(path):
     corpus = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                corpus.append(utterance_from_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
-            except FileFormatError as exc:
-                raise FileFormatError(f"line {line_no}: {exc}") from exc
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"corpus file {path} is not UTF-8: {exc}") from exc
+    for line_no, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            corpus.append(utterance_from_record(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"line {line_no}: invalid JSON: {exc}") from exc
+        except FileFormatError as exc:
+            raise FileFormatError(f"line {line_no}: {exc}") from exc
     return corpus

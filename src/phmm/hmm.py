@@ -18,9 +18,11 @@ loglik_lattice for training. viterbi is viterbi_lattice without batch
 axes. Both max-product kernels run one frame loop on the band of the
 transitions, their finite diagonals, so each frame of a left-to-right
 chain reads only a few N-row slices instead of an N x N block per
-model. viterbi_lattice's loop also keeps its delta rows, from which
-its backtrack re-adds the sums that pick Rabiner's back-pointers psi
-(Proc. IEEE 1989, section III.B); viterbi_score_lattice keeps none.
+model, updating one delta buffer in place by the _band_steps, as
+parallel._Unit does. viterbi_lattice's loop also keeps its delta rows,
+from which its backtrack re-adds the sums that pick Rabiner's
+back-pointers psi (Proc. IEEE 1989, section III.B);
+viterbi_score_lattice keeps none.
 """
 
 from __future__ import annotations
@@ -165,13 +167,31 @@ def _last_frames(t_len, lengths):
     return {n - 1: lengths == n for n in set(lengths.ravel().tolist())}
 
 
+def _band_steps(diagonals, shape):
+    """One (src, dst, w) per offset o of diagonals, a band() of (N, N) +
+    shape[1:] transitions, offset 0 first, then the others ascending:
+    rows src of a frame's delta feed rows dst of the next, row j - o row
+    j, with the weights w, the band's dst rows. A band without offset 0,
+    empty or a caller's own, gets an all -inf one."""
+    n, weights = shape[0], dict(diagonals)
+    if 0 not in weights:
+        weights[0] = np.full(shape, LOG_ZERO)
+    steps = []
+    for o in sorted(weights, key=lambda o: o != 0):
+        dst = slice(max(o, 0), n + min(o, 0))
+        steps.append((slice(max(-o, 0), n - max(o, 0)), dst, weights[o][dst]))
+    return steps
+
+
 def _max_product(log_pi, log_trans, logb, columns, lengths, keep):
     """The banded max-product frame loop of viterbi_score_lattice and
     viterbi_lattice, arguments as in viterbi_score_lattice. Returns the
     scores over the batch axes and, with keep, also the (T', N, ...)
-    rows of every frame's delta and the scan for _backtrack: the band
-    from its highest offset down, so the lowest predecessor row comes
-    first. Each frame maxes delta[j - o] + w[j] over the scan's offsets.
+    rows of every frame's delta and the _band_steps, for _backtrack.
+
+    One delta buffer is updated in place: a frame writes each nonzero
+    offset's sums delta[j - o] + w[j] into a buffer of its own, adds
+    offset 0 into every row, maxes the sums in and adds the emissions.
     """
     diagonals = log_trans if isinstance(log_trans, tuple) else band(np.asarray(log_trans))
 
@@ -181,71 +201,54 @@ def _max_product(log_pi, log_trans, logb, columns, lengths, keep):
     last = _last_frames(logb.shape[0], lengths)
     t_len = max(last) + 1
     delta = log_pi + frame(0)
-    n = len(delta)
     best = np.full(delta.shape[1:], LOG_ZERO)
-    # Without a finite transition every row after the first frame is -inf.
-    scan = (diagonals or ((0, np.full(delta.shape, LOG_ZERO)),))[::-1]
-    row = np.empty_like(delta)
-    cand = np.empty_like(delta)
+    steps = _band_steps(diagonals, delta.shape)
+    (_, _, stay), *moves = steps
+    # The views are made once: on small batches, per frame they cost as much as the arithmetic.
+    moves = [(delta[src], w, np.empty_like(delta[dst]), delta[dst]) for src, dst, w in moves]
     if keep:
         rows = np.empty((t_len,) + delta.shape)
-
-    def operands(prev, nxt):
-        # Row j - o of prev feeds row j of nxt. The first offset writes
-        # its target rows and the rows it misses start at -inf; each
-        # other offset maxes into them. The views are made once for
-        # either buffer as prev: on small batches making them each frame
-        # cost as much as the arithmetic.
-        src = [slice(max(-o, 0), n - max(o, 0)) for o, _ in scan]
-        dst = [slice(max(o, 0), n + min(o, 0)) for o, _ in scan]
-        head = (prev[src[0]], scan[0][1][dst[0]], nxt[dst[0]])
-        gaps = [nxt[: dst[0].start], nxt[dst[0].stop :]]
-        tail = [(prev[s], w[d], cand[d], nxt[d]) for s, d, (_, w) in zip(src, dst, scan)][1:]
-        return head, [gap for gap in gaps if gap.size], tail, nxt
-
-    plans = (operands(delta, row), operands(row, delta))
     for t in range(t_len):
         if t:
-            (prev, w, out), gaps, tail, delta = plans[(t - 1) % 2]
-            np.add(prev, w, out=out)
-            for gap in gaps:
-                gap.fill(LOG_ZERO)
-            for prev, w, out, into in tail:
-                np.add(prev, w, out=out)
-                np.maximum(into, out, out=into)
+            for prev, w, sums, _ in moves:
+                np.add(prev, w, out=sums)
+            np.add(delta, stay, out=delta)
+            for _, _, sums, into in moves:
+                np.maximum(into, sums, out=into)
             np.add(delta, frame(t), out=delta)
         if keep:
             rows[t] = delta
         if t in last:
             np.copyto(best, np.max(delta, axis=0), where=last[t])
     score = float(best) if best.ndim == 0 else best
-    return (score, rows, scan) if keep else score
+    return (score, rows, steps) if keep else score
 
 
-def _backtrack(rows, scan, lengths):
+def _backtrack(rows, steps, lengths):
     """(T', E) state paths of the E entries of a max-product pass, its
-    batch axes flattened, from the rows and scan of _max_product;
+    batch axes flattened, from the rows and _band_steps of _max_product;
     lengths (E,) holds each entry's frame count. Column e holds entry
     e's path over its first lengths[e] frames and 0 after them.
 
     An entry ends at the first maximizer of its last row, as np.argmax.
-    A step back from row j re-adds prev[j - o] + w[j] in scan order and
-    moves to the first strict gain over -inf: Python's + is numpy's IEEE
-    add, so the sums and ties are the loop's, and ties go to the lowest
-    row, as in the dense argmax. A row without a finite predecessor
-    stays; a backtrack meets one only in row 0 (a finite sum leads to a
-    row with one, and an entry scoring -inf ends in row 0), where the
-    dense argmax goes too. A step in Python costs far less than a numpy
-    call on the few entries a decoder backtracks.
+    A step back from row j re-adds prev[j - o] + w[j], the highest o
+    first, and moves to the first strict gain over -inf: Python's + is
+    numpy's IEEE add, so the sums and ties are the loop's, and ties go
+    to the lowest row, as in the dense argmax. A row without a finite
+    predecessor stays; a backtrack meets one only in row 0 (a finite sum
+    leads to a row with one, and an entry scoring -inf ends in row 0),
+    where the dense argmax goes too. A step in Python costs far less
+    than a numpy call on the few entries a decoder backtracks.
     """
     t_len, n = rows.shape[:2]
     flat = rows.reshape(t_len, n, -1)
+    scan = sorted(steps, key=lambda step: step[0].start - step[1].start)  # by -o, src - dst
     # weights[e][k][j]: entry e's w[j] at the scan's k-th offset.
-    weights = np.empty((len(scan),) + rows.shape[1:])
-    for k, (_, w) in enumerate(scan):
-        weights[k] = w
+    weights = np.full((len(scan),) + rows.shape[1:], LOG_ZERO)
+    for k, (_, dst, w) in enumerate(scan):
+        weights[k][dst] = w
     weights = weights.reshape(len(scan), n, -1).transpose(2, 0, 1).tolist()
-    offsets = [o for o, _ in scan]
+    offsets = [dst.start - src.start for src, dst, _ in scan]
     paths = []
     for e, (length, w) in enumerate(zip(lengths.tolist(), weights)):
         *deltas, last = flat[:length, :, e].tolist()

@@ -122,6 +122,6 @@ def load_model(path):
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"invalid model file: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"invalid model file {path}: {exc}") from exc
     return lexicon_from_json(data)

@@ -15,7 +15,8 @@ parameters.
 Both decoders score all channels at once, by the banded max-product
 recursion (hmm.band) over -inf-padded stacks of chains, all composed
 by _chain_stack, whose states read the utterance's density table, each
-channel's emissions.density_table looked up side by side. The
+channel's emissions.density_table looked up side by side. Both step a
+frame by the same hmm._band_steps, offset 0 first. The
 exhaustive decoder's stack holds one chain per channel and distinct
 spelling sequence of 1..max_signs signs (_candidate_stack), scored in
 cache-sized column blocks; the synchronized decoder's holds every unit
@@ -25,14 +26,15 @@ padding nor a dropped, all -inf diagonal ever wins a max, so every
 score is bit-identical to scoring the candidates, units or entry
 frames one at a time. Winners come from one exact argmax, _best_entries.
 
-Every Hypothesis comes from _align, on stack columns: score_hypothesis
-composes one per channel and scores them, decode_exhaustive slices its
-winner's out of the cached stack and keeps their scores from the
-scoring pass, and _rebuild_hypothesis picks one per (segment, channel)
-of the synced winner from the unit stack and keeps the channel scores
-its tokens carried through the search. State paths are aligned at their
-first read alone, by one banded viterbi_lattice call on those columns,
-so either decoder runs one frame loop for a winner whose paths nobody
+Every Hypothesis comes from _align, which only aligns stack columns
+its caller has scored: score_hypothesis composes one per channel and
+scores them, decode_exhaustive slices its winner's out of the cached
+stack and keeps their scores from the scoring pass, and
+_rebuild_hypothesis picks one per (segment, channel) of the synced
+winner from the unit stack and keeps the channel scores its tokens
+carried through the search. State paths are aligned at their first
+read alone, by one banded viterbi_lattice call on those columns, so
+either decoder runs one frame loop for a winner whose paths nobody
 reads. On the exhaustive winner's signs score_hypothesis gives its
 scores and paths bit for bit.
 """
@@ -54,7 +56,7 @@ from .errors import (
     UnknownSignError,
     ValidationError,
 )
-from .hmm import Hmm, Topology, viterbi_lattice, viterbi_score_lattice
+from .hmm import Hmm, Topology, _band_steps, viterbi_lattice, viterbi_score_lattice
 from .lexicon import EPENTHESIS_BETWEEN_SIGNS, validate_multi_observation
 from .logmath import LOG_ZERO, safe_log
 
@@ -155,36 +157,29 @@ def compose_utterance_model(lexicon, channel, signs):
     return model
 
 
-def _align(signs, channels, table, again, log_pi, band, columns, starts, lengths, scores=None):
-    """The Hypothesis of signs on the _stack (log_pi, band, columns) of
-    B = S x C models: column s * C + c holds segment s of channels[c],
-    reading lengths[b] frames of table, a _table_builder table, from frame
-    starts[b] (frame 0 if S is 1). Every segment but the last must end
-    in its final state. scores (C,) holds each channel's score, the sum
-    of its segments' scores in order, exits included; if it is None, S
-    must be 1 and one viterbi_score_lattice call scores the channels.
+def _align(signs, channels, again, log_pi, band, columns, starts, lengths, scores):
+    """The Hypothesis of signs, scoring scores (C,) (each channel's
+    segment scores summed in order, exits included), on the _stack
+    (log_pi, band, columns) of B = S x C models: column s * C + c holds
+    segment s of channels[c], reading lengths[b] frames of the
+    _table_builder table again() returns from frame starts[b] (frame 0
+    if S is 1). Every segment but the last must end in its final state.
     A state path waits for the first read, one viterbi_lattice call on
-    the same arrays and the table again() returns, and numbers each
-    segment's states after the earlier ones', less the -inf padding
-    rows (column -1) above each model; a channel scoring -inf has none.
-    The arrays must be the caller's own: they and again are all that an
-    unread Hypothesis holds."""
+    these arrays and that table, and numbers each segment's states after
+    the earlier ones', less the -inf padding rows (column -1) above each
+    model; a channel scoring -inf has none. The arrays must be the
+    caller's own: they and again are all an unread Hypothesis holds."""
     n_channels = len(channels)
 
-    def lattice(table):
+    def state_paths():
+        table = again()[0]
         logb = table[:, columns]
         if len(starts) > n_channels:  # one segment needs no frame gather (5x dearer) nor anchoring
             frames = np.minimum(starts + np.arange(lengths.max())[:, None], len(table) - 1)
             logb = np.take_along_axis(logb, frames[:, None], axis=0)
             anchored = np.arange(len(starts) - n_channels)
             logb[lengths[anchored] - 1, :-1, anchored] = LOG_ZERO
-        return logb
-
-    if scores is None:
-        scores = viterbi_score_lattice(log_pi, band, lattice(table), lengths=lengths).tolist()
-
-    def state_paths():
-        rows = viterbi_lattice(log_pi, band, lattice(again()[0]), lengths)[1].T.tolist()
+        rows = viterbi_lattice(log_pi, band, logb, lengths)[1].T.tolist()
         sizes, n_frames = np.count_nonzero(columns >= 0, axis=0).tolist(), lengths.tolist()
         paths = {}
         for c, ch in enumerate(channels):
@@ -202,18 +197,20 @@ def score_hypothesis(lexicon, signs, mobs):
     """Score one sign sequence: independent per-channel Viterbi alignments.
 
     Every lexicon channel needs a nonempty observation sequence
-    (ValidationError otherwise); the lengths may differ. Each channel is
-    aligned on its own composed model, all of them in one _chain_stack,
-    by _align with one segment per channel; the total is the sum of
-    per-channel log scores. A channel with no feasible path contributes
-    -inf and is left without a state path.
+    (ValidationError otherwise); the lengths may differ. Each channel's
+    composed model, all in one _chain_stack, is scored by one
+    viterbi_score_lattice call on the density table's columns, as an
+    exhaustive block is, then aligned by _align as one segment; the total
+    is the sum of per-channel log scores. A channel with no feasible
+    path contributes -inf and is left without a state path.
     """
     validate_multi_observation(lexicon, mobs)
     signs = tuple(signs)
     again = _table_builder(lexicon, mobs, {})
     table, lengths = again()
     stack = _chain_stack(lexicon, [(ch, block_ids(lexicon, ch, signs)) for ch in lexicon.channels])
-    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths)
+    scores = viterbi_score_lattice(*stack[:2], table, stack[2], lengths).tolist()
+    return _align(signs, lexicon.channels, again, *stack, 0 * lengths, lengths, scores)
 
 
 def _stack_layout(lexicon, max_signs):
@@ -387,16 +384,16 @@ def _candidate_stack(lexicon, max_signs):
     they pass MAX_CANDIDATES, or if the stack's bytes (8 per entry: its
     log_pi, columns and one band weight per offset, n by width arrays of
     the _stack_layout; its map's column per candidate and channel) and
-    the four rows of viterbi_score_lattice's frames on the widest block
-    (delta, the next row, the sum buffer and the gathered emissions) pass
-    MAX_STACK_BYTES. The _chain_stack over all lexicon channels of each
-    channel's chains of its _spellings, channel by channel, its N rows
-    and band offsets those of the _stack_layout, is cut into blocks of
-    consecutive columns: each a contiguous (log_pi, band(log_trans),
-    columns) _stack of the N rows and at most _BLOCK_ENTRIES entries per
-    row array, followed by the number of its columns in each lexicon
-    channel. index[m, c] is the stack column of the m-th candidate's
-    channel c model."""
+    four rows of the widest block for viterbi_score_lattice's frames
+    (delta, a sum buffer per nonzero offset and the gathered emissions,
+    four rows up to three offsets) pass MAX_STACK_BYTES. The _chain_stack
+    over all lexicon channels of each channel's chains of its _spellings,
+    channel by channel, its N rows and band offsets those of the
+    _stack_layout, is cut into blocks of consecutive columns: each a
+    contiguous (log_pi, band(log_trans), columns) _stack of the N rows
+    and at most _BLOCK_ENTRIES entries per row array, followed by the
+    number of its columns in each lexicon channel. index[m, c] is the
+    stack column of the m-th candidate's channel c model."""
     for n_cand in itertools.accumulate(len(lexicon.signs) ** k for k in range(1, max_signs + 1)):
         if n_cand > MAX_CANDIDATES:
             raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
@@ -495,7 +492,7 @@ def decode_exhaustive(lexicon, mobs, max_signs, cache=None):
     signs = _sequence(sorted(lexicon.signs), rows[0])
     stack = _stack_columns(blocks, index[rows[0]])
     winner = scores[rows[0]].tolist()
-    return _align(signs, lexicon.channels, table, again, *stack, 0 * lengths, lengths, winner)
+    return _align(signs, lexicon.channels, again, *stack, 0 * lengths, lengths, winner)
 
 
 def model_count(lexicon):
@@ -558,18 +555,15 @@ class _Unit:
         self.final = n - 1
         self.log_exit = float(safe_log(lexicon.exit_prob))
         self.again = _table_builder(lexicon, mobs, {} if cache is None else cache)
-        self.table = self.again()[0]
-        self.logb = self.table[:, self.columns]
+        self.logb = self.again()[0][:, self.columns]
         t_len, _, width = self.logb.shape
         # delta[:, t0] is the recursion of every column entered at frame
         # t0, spare a scratch; final_iso[t0] prices the final state as
         # absorbing.
         self.delta, self.spare = np.empty((2, n, t_len, width))
         self.final_iso = np.empty((t_len, width))
-        self.steps = [
-            (slice(max(-o, 0), n - max(o, 0)), slice(max(o, 0), n + min(o, 0)), w[:, None])
-            for o, w in sorted(self.band, key=lambda ow: ow[0] != 0)
-        ]
+        steps = _band_steps(self.band, self.log_pi.shape)
+        self.steps = [(src, dst, w[:, None]) for src, dst, w in steps]
 
     def segment_scores(self, t):
         """Advance every unit and entry frame by frame t; called for
@@ -585,7 +579,7 @@ class _Unit:
         (_, _, w), *rest = self.steps
         np.add(prev, w, out=delta)  # offset 0 writes every row
         for src, dst, w in rest:
-            cand, rows = prev[src] + w[dst], delta[dst]
+            cand, rows = prev[src] + w, delta[dst]
             np.maximum(rows, cand, out=rows)
             if dst.stop > final:  # o > 0: final_iso's arrivals
                 np.maximum(final_iso, cand[-1], out=final_iso)
@@ -838,6 +832,6 @@ def _rebuild_hypothesis(units, token):
     picks = units.index[[units.keys.index(key) for key, _, _ in token.segments]].ravel()
     band = tuple((o, w[:, picks]) for o, w in units.band)
     dict(band)[0][units.final, -n_channels:] = 0.0
-    arrays = units.table, units.again, units.log_pi[:, picks], band, units.columns[:, picks]
+    arrays = units.again, units.log_pi[:, picks], band, units.columns[:, picks]
     t0, t1 = np.repeat([segment[1:] for segment in token.segments], n_channels, axis=0).T
     return _align(token.signs, units.channels, *arrays, t0, t1 + 1 - t0, token.totals)

@@ -7,11 +7,12 @@ saves the tests' Gaussian twin of the demo lexicon (helpers.gaussian_twin)
 as OUTDIR/gaussian.json, runs STEPS in OUTDIR/hash1 and OUTDIR/hash2
 under PYTHONHASHSEED 1 and 2, and compares FILES between the two byte
 for byte. CMD starts phmm (default: this Python's -m phmm.cli, on the
-phmm that this script imports; pass "phmm" to check an installed
-console script). With --against, FILES in OUTDIR/hash1 are also
-compared byte for byte with those in OTHER/hash1, the OUTDIR of an
-earlier run, say of another commit. Exits 1, naming the files, if any
-differ; a failing command stops the run.
+phmm that this script imports, or this checkout's src if none is
+installed; pass "phmm" to check an installed console script). With
+--against, FILES in OUTDIR/hash1 are also compared byte for byte with
+those in OTHER/hash1, the OUTDIR of an earlier run, say of another
+commit. Exits 1, naming the files, if any differ; a failing command
+stops the run.
 
 The steps write corpora (one with noise hits and length jitter), models
 (embedded and segmented training), training logs at INFO (each
@@ -166,7 +167,11 @@ def main(argv=None):
         "--against", type=Path, metavar="OTHER", help="an earlier OUTDIR to compare hash1 with"
     )
     args = parser.parse_args(argv)
-    import phmm
+    try:
+        import phmm
+    except ModuleNotFoundError:  # not installed: the phmm of this checkout
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+        import phmm
     from helpers import gaussian_twin
     from phmm.model_io import save_model
 

@@ -665,6 +665,41 @@ def test_decode_malformed_model_is_input_error(
     assert "Traceback" not in err
 
 
+# A UTF-16 byte-order mark and text: not UTF-8, so neither reader can decode it.
+_NOT_UTF8 = b"\xff\xfe" + '{"format_version": 1}\n'.encode("utf-16-le")
+
+
+@pytest.mark.parametrize("command", ["decode", "evaluate", "train", "generate"])
+def test_model_file_that_is_not_utf8_is_input_error(command, tmp_path, demo_corpus, capsys):
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_bytes(_NOT_UTF8)
+    args = {
+        "decode": ["--model", bad, "--corpus", demo_corpus, "--out", out],
+        "evaluate": ["--model", bad, "--corpus", demo_corpus],
+        "train": ["--lexicon", bad, "--corpus", demo_corpus, "--seed", 1, "--out", out],
+        "generate": ["--lexicon", bad, "--n", 1, "--seed", 1, "--out", out],
+    }[command]
+    assert run([command, *args]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid model file {bad}: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["decode", "evaluate", "train"])
+def test_corpus_file_that_is_not_utf8_is_input_error(command, tmp_path, trained_model, capsys):
+    bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+    bad.write_bytes(_NOT_UTF8)
+    args = {
+        "decode": ["--model", trained_model, "--out", out],
+        "evaluate": ["--model", trained_model],
+        "train": ["--lexicon", "demo", "--seed", 1, "--out", out],
+    }[command]
+    assert run([command, "--corpus", bad, *args]) == 3
+    err = capsys.readouterr().err
+    assert f"corpus file {bad} is not UTF-8: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+
+
 def _r0(blob):
     return blob["inventories"]["right_hand"]["phonemes"]["R0"]
 
@@ -833,6 +868,25 @@ def test_complexity_single_channel(tmp_path, capsys):
     assert run(["complexity", "--lexicon", path]) == 0
     out = capsys.readouterr().out
     assert "factored=5" in out and "product=5" in out
+
+
+def test_complexity_validates_a_model_file_once(tmp_path, monkeypatch):
+    # load_model validates the lexicon it reads, and the command does
+    # not validate it again.
+    from phmm import cli, model_io
+
+    path = tmp_path / "demo.json"
+    save_model(path, demo_lexicon())
+    calls = []
+
+    def counting(lex):
+        calls.append(lex)
+        validate_lexicon(lex)
+
+    for module in (cli, model_io):
+        monkeypatch.setattr(module, "validate_lexicon", counting)
+    assert run(["complexity", "--lexicon", path]) == 0
+    assert len(calls) == 1
 
 
 def test_threads_flag_rejects_multithreading(demo_corpus, tmp_path):

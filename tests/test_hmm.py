@@ -410,6 +410,39 @@ def test_viterbi_lattice_wide_ergodic_band_equals_the_oracle(n):
     _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
 
 
+@pytest.mark.parametrize("empty", [False, True], ids=["offsets-minus-and-plus-one", "empty"])
+def test_bands_without_offset_zero_equal_the_dense_oracles(empty):
+    # No state dwells: each steps one state up or down, or, in the empty
+    # band, nowhere. Padded columns, -inf cells and mixed lengths, scored
+    # with columns and lengths and aligned with paths, bit for bit.
+    rng = np.random.default_rng(300 + empty)
+    n, batch, t_len = 4, 9, 7
+    log_trans = np.full((n, n, batch), -np.inf)
+    for i in range(n - 1) if not empty else ():
+        log_trans[i, i + 1] = rng.normal(-1.0, 0.5, size=batch)
+        log_trans[i + 1, i] = rng.normal(-1.0, 0.5, size=batch)
+    log_pi = rng.normal(-1.0, 0.5, size=(n, batch))
+    log_pi[rng.random(log_pi.shape) < 0.2] = -np.inf
+    table = rng.normal(-2.0, 1.5, size=(t_len, 6))
+    table[rng.random(table.shape) < 0.1] = -np.inf
+    table[:, -1] = -np.inf
+    columns = rng.integers(-1, 5, size=(n, batch))
+    lengths = rng.integers(1, t_len + 1, size=batch)
+    lengths[0] = t_len
+    diagonals = band(log_trans)
+    assert [o for o, _ in diagonals] == ([] if empty else [-1, 1])
+    want = [
+        viterbi_score_lattice_oracle(log_pi[:, b], log_trans[:, :, b], table[:k], columns[:, b])
+        for b, k in enumerate(lengths.tolist())
+    ]
+    assert any(s > -np.inf for s, k in zip(want, lengths) if k > 1) != empty
+    logb = table[:, columns]
+    for trans in (log_trans, diagonals):
+        assert bits(viterbi_score_lattice(log_pi, trans, table, columns, lengths)) == bits(want)
+        score, path = viterbi_lattice(log_pi, trans, logb, lengths)
+        _assert_equal_to_the_oracle(log_pi, log_trans, logb, lengths, score, path)
+
+
 @pytest.mark.parametrize(
     "means, variances",
     [

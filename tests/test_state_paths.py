@@ -46,14 +46,15 @@ from phmm.parallel import (
 
 
 def _eager_align(
-    signs, channels, table, again, log_pi, band, columns, starts, lengths, scores=None, log_exit=None
+    signs, channels, again, log_pi, band, columns, starts, lengths, scores, log_exit=None
 ):
     """(channel_scores, state_paths) of _align's arguments from one
-    viterbi_lattice call on table, scores and paths together, as _align
-    made them before its paths were deferred and before the synced
-    search kept its winner's scores: every segment but the last pays
-    log_exit, its units' boundary exit log probability."""
+    viterbi_lattice call on the table again() returns, scores and paths
+    together, as _align made them before its paths were deferred and
+    before the synced search kept its winner's scores: every segment but
+    the last pays log_exit, its units' boundary exit log probability."""
     n_channels = len(channels)
+    table = again()[0]
     logb = table[:, columns]
     if len(starts) > n_channels:
         frames = np.minimum(starts + np.arange(lengths.max())[:, None], len(table) - 1)
@@ -274,7 +275,7 @@ def test_unread_hypothesis_holds_no_cache_stack_or_table(mode, monkeypatch):
 
     def watched_unit(*args):
         units = unit(*args)
-        transient.extend([weakref.ref(units), weakref.ref(units.table), weakref.ref(units.delta)])
+        transient.extend([weakref.ref(units), weakref.ref(units.delta)])
         return units
 
     def watched_builder(*args):
