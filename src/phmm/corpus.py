@@ -2,9 +2,10 @@
 
 Utterances are sampled from a ground-truth lexicon: a sign sequence is
 drawn uniformly, per-channel utterance models are composed (epenthesis
-per policy) and sampled, then channel noise and length jitter are
-applied. Every utterance derives its own sub-seed from (seed, index),
-so generation is deterministic and order-independent.
+per policy, each distinct one once per call) and sampled, then channel
+noise and length jitter are applied. Every utterance derives its own
+sub-seed from (seed, index), so generation is deterministic and
+order-independent.
 
 Corpus files are UTF-8 JSON Lines: one utterance per line with fields
 corpus_version, id, signs, channels and optionally paths. Numbers are
@@ -66,51 +67,38 @@ class Utterance:
     paths: dict | None = None
 
 
-def _draw_length(lexicon, channel, id_seq, cfg, rng):
-    """Total frame budget for one channel: one dwell draw per state."""
-    inv = lexicon.inventory(channel)
-    total = 0
-    for pid in id_seq:
-        n = inv.phonemes[pid].n_states
-        lo, hi = (
-            cfg.epenthesis_dwell if pid == inv.epenthesis else cfg.state_dwell
-        )
-        total += int(rng.integers(lo, hi + 1, size=n).sum())
-    return total
-
-
 def generate(lexicon, cfg):
     """Sample a corpus of utterances from the lexicon.
 
     Deterministic for a fixed seed. With zero noise and jitter, channel
     lengths are equal within each utterance and the observations
-    reproduce the composed models' emissions exactly.
+    reproduce the composed models' emissions exactly. An utterance draws
+    all its channels' state dwells in one rng.integers call.
     """
     utterances = []
     sign_ids = sorted(lexicon.signs)
     if not sign_ids:
         raise ValidationError("lexicon has no signs")
+    chains = {}
     for idx in range(cfg.n_utterances):
         rng = np.random.default_rng((cfg.seed, idx))
         lo, hi = cfg.signs_per_utterance
         n_signs = int(rng.integers(lo, hi + 1))
         signs = [sign_ids[int(rng.integers(0, len(sign_ids)))] for _ in range(n_signs)]
 
-        id_seqs = {ch: block_ids(lexicon, ch, signs) for ch in lexicon.channels}
-        base_len = max(
-            _draw_length(lexicon, ch, id_seqs[ch], cfg, rng)
-            for ch in lexicon.channels
-        )
+        entries = [_chain(chains, lexicon, ch, signs, cfg) for ch in lexicon.channels]
+        dwells = rng.integers(*np.hstack([ranges for *_, ranges in entries]))
+        starts = np.cumsum([0] + [ranges.shape[1] for *_, ranges in entries[:-1]])
+        base_len = int(np.add.reduceat(dwells, starts).max())
         channels = {}
         paths = {}
-        for ch in lexicon.channels:
-            model = compose_utterance_model(lexicon, ch, signs)
+        for ch, (emissions, draw, _) in zip(lexicon.channels, entries):
             t_len = base_len + (
                 int(rng.integers(0, cfg.desync_jitter + 1)) if cfg.desync_jitter else 0
             )
-            obs, path = hmm_mod.sample(model, t_len, rng)
+            obs, path = draw(t_len, rng)
             if cfg.channel_noise > 0:
-                obs = model.emissions.add_noise(obs, float(cfg.channel_noise), rng)
+                obs = emissions.add_noise(obs, float(cfg.channel_noise), rng)
             channels[ch] = obs
             paths[ch] = path
         utterances.append(
@@ -122,6 +110,21 @@ def generate(lexicon, cfg):
             )
         )
     return utterances
+
+
+def _chain(chains, lexicon, channel, signs, cfg):
+    """chains[channel, block ids], built on first use: the emissions, the
+    hmm.sampler and the (2, states) dwell ranges [low, high) of the
+    channel's utterance model for signs."""
+    ids = tuple(block_ids(lexicon, channel, signs))
+    if (channel, ids) not in chains:
+        model = compose_utterance_model(lexicon, channel, signs)
+        inv = lexicon.inventory(channel)
+        dwell = [cfg.epenthesis_dwell if pid == inv.epenthesis else cfg.state_dwell for pid in ids]
+        sizes = [inv.phonemes[pid].n_states for pid in ids]
+        ranges = np.repeat(np.array(dwell) + [0, 1], sizes, axis=0).T
+        chains[channel, ids] = model.emissions, hmm_mod.sampler(model), ranges
+    return chains[channel, ids]
 
 
 def split(corpus, train_fraction, seed):
@@ -145,8 +148,8 @@ def split(corpus, train_fraction, seed):
 def _obs_to_json(obs):
     arr = np.asarray(obs)
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        return [int(x) for x in arr]
-    return [[float(v) for v in row] for row in arr]
+        return arr.tolist()
+    return np.asarray(arr, dtype=float).tolist()
 
 
 def _obs_from_json(values):
@@ -175,7 +178,7 @@ def utterance_to_record(utt):
         "channels": {ch: _obs_to_json(o) for ch, o in utt.mobs.channels.items()},
     }
     if utt.paths is not None:
-        rec["paths"] = {ch: [int(s) for s in p] for ch, p in utt.paths.items()}
+        rec["paths"] = {ch: list(map(int, p)) for ch, p in utt.paths.items()}
     return rec
 
 
@@ -202,9 +205,7 @@ def utterance_from_record(rec):
             " JSON objects"
         )
     for ch, path in (rec.get("paths") or {}).items():
-        if not isinstance(path, list) or any(
-            isinstance(s, bool) or not isinstance(s, int) for s in path
-        ):
+        if not isinstance(path, list) or not {int}.issuperset(map(type, path)):
             raise FileFormatError(f"the {ch!r} path must be an array of integers")
     channels = {ch: _obs_from_json(v) for ch, v in rec["channels"].items()}
     return Utterance(

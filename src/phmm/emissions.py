@@ -3,15 +3,16 @@
 Only this module knows the emission kind. Each emission class owns its
 invariants (validate), checking and scoring observations (check,
 table), fresh statistics (new_stats), summing weighted observations
-into them (scatter), sampling a state path's observations and channel
-noise (sample, add_noise), stacking composed blocks (stack), the
-lexicon's per-channel signature, its JSON form (to_json; from_json
-reads any kind) and data-driven initial parameters (initial). Each
-statistics class owns its accumulate, its M-step (maximize) and views
-of its rows (rows). Sums add one term at a time in the order given, as
-a scalar loop does. Gaussian covariance is diagonal only; variances
-are floored at VAR_FLOOR by the M-step. Tables are read-only and safe
-to call concurrently; statistics accumulators are single-writer.
+into them (scatter), a checked sampler of a state path's observations
+and channel noise (sampler, add_noise), stacking composed blocks
+(stack), the lexicon's per-channel signature, its JSON form (to_json;
+from_json reads any kind) and data-driven initial parameters
+(initial). Each statistics class owns its accumulate, its M-step
+(maximize) and views of its rows (rows). Sums add one term at a time
+in the order given, as a scalar loop does. Gaussian covariance is
+diagonal only; variances are floored at VAR_FLOOR by the M-step.
+Tables are read-only and safe to call concurrently; statistics
+accumulators are single-writer.
 """
 
 from __future__ import annotations
@@ -134,14 +135,14 @@ class DiscreteEmission(_Emission):
     def new_stats(self):
         return DiscreteStats(np.zeros_like(self.probs))
 
-    def sample(self, path, rng):
-        """The symbols of a state path: one rng.random() draw per frame,
-        each the first symbol whose entry of its state's row_cdf exceeds
-        it, which is what Generator.choice(alphabet, p=row) draws and
-        returns. probs is validated first."""
+    def sampler(self):
+        """draw(path, rng): the symbols of a state path, one rng.random()
+        draw per frame, each the first symbol whose entry of its state's
+        row_cdf exceeds it, as Generator.choice(alphabet, p=row) draws
+        them. probs is validated here, once."""
         self.validate()
-        u = rng.random(len(path))
-        return np.sum(row_cdf(self.probs)[path] <= u[:, None], axis=1, dtype=np.intp)
+        cdf = row_cdf(self.probs)
+        return lambda path, rng: np.sum(cdf[path] <= rng.random(len(path))[:, None], -1, np.intp)
 
     def add_noise(self, obs, noise, rng):
         """Each symbol replaced, with probability noise, by a uniformly
@@ -241,19 +242,21 @@ class GaussianEmission(_Emission):
             np.zeros(self.n_states), np.zeros_like(self.means), np.zeros_like(self.means)
         )
 
-    def sample(self, path, rng):
-        """The observations of a state path. Means must be finite and
-        variances finite and positive, or a ValidationError subclass is
-        raised before anything is drawn; unlike validate, this allows
-        variances below VAR_FLOOR."""
+    def sampler(self):
+        """draw(path, rng): the observations of a state path, its states'
+        means plus standard deviations times standard normal draws. Means
+        must be finite and variances finite and positive, or a
+        ValidationError subclass is raised here; unlike validate, this
+        allows variances below VAR_FLOOR."""
         check_finite("emission means", self.means)
         check_finite("emission variances", self.variances)
         if np.any(self.variances <= 0):
             raise ValidationError(
                 f"emission variance {float(self.variances.min())!r} is not positive"
             )
-        return self.means[path] + np.sqrt(self.variances[path]) * rng.standard_normal(
-            (len(path), self.dim)
+        means, scales = self.means.copy(), np.sqrt(self.variances)
+        return lambda path, rng: means[path] + scales[path] * rng.standard_normal(
+            (len(path), means.shape[1])
         )
 
     def add_noise(self, obs, noise, rng):

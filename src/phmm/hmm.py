@@ -352,30 +352,41 @@ def viterbi(hmm, obs):
     return path.tolist(), score
 
 
-def sample(hmm, t_len, seed):
-    """Draw (observations, state path) of length t_len.
+def sampler(hmm):
+    """draw(t_len, rng) -> (observations, state path as a list of ints)
+    of hmm, checked here once: pi and trans as _check_chain checks them,
+    then the emissions by their sampler. A frame's state is the first
+    entry of its row's emissions.row_cdf above one rng.random() draw, as
+    Generator.choice(n, p=row) picks it, so the output and the
+    generator's state afterwards are those of one choice call per frame.
+    Only the nonzero entries of pi (row N) and of trans are kept, flat
+    and row-major with each row's bounds: the cdf rises only at them, so
+    the first entry above a draw is always one of them."""
+    _check_chain(hmm)
+    emit = hmm.emissions.sampler()
+    rows = np.vstack([hmm.trans, hmm.pi])
+    at, states = np.nonzero(rows)
+    cdf, states = em.row_cdf(rows)[at, states].tolist(), states.tolist()
+    bounds = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
 
-    seed may be an int or a numpy Generator; a fixed int seed gives
-    identical output on every call. One rng.random() draw per frame
-    picks the path's state, by the first entry of the row's cumulative
-    distribution (emissions.row_cdf) that exceeds it; the emissions then
-    draw theirs. That is the rule and the draw of Generator.choice(n,
-    p=row), so the output and the generator's state afterwards are
-    those of one choice call per frame. pi and trans are checked first,
-    so a NaN, a negative entry or a row that does not sum to 1 raises a
-    ValidationError subclass; the emissions check theirs before they
-    draw.
-    """
+    def draw(t_len, rng):
+        path, s = [], len(rows) - 1
+        for u in rng.random(t_len).tolist():
+            s = states[bisect_right(cdf, u, bounds[s], bounds[s + 1])]
+            path.append(s)
+        return emit(np.array(path, dtype=np.intp), rng), path
+
+    return draw
+
+
+def sample(hmm, t_len, seed):
+    """Draw (observations, state path) of length t_len by sampler(hmm),
+    which raises a ValidationError subclass for a NaN, a negative entry
+    or a row that does not sum to 1. seed may be an int or a numpy
+    Generator; a fixed int seed gives identical output on every call."""
     if t_len < 1:
         raise EmptyObservationError("t_len must be >= 1")
-    _check_chain(hmm)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(t_len).tolist()
-    trans_cdf = em.row_cdf(hmm.trans).tolist()
-    path = [bisect_right(em.row_cdf(hmm.pi).tolist(), draws[0])]
-    for u in draws[1:]:
-        path.append(bisect_right(trans_cdf[path[-1]], u))
-    return hmm.emissions.sample(np.array(path, dtype=np.intp), rng), path
+    return sampler(hmm)(t_len, np.random.default_rng(seed))
 
 
 def _scaled_forward(log_pi, log_trans, logb, lengths):

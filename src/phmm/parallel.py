@@ -384,9 +384,9 @@ def _candidate_stack(lexicon, max_signs):
     they pass MAX_CANDIDATES, or if the stack's bytes (8 per entry: its
     log_pi, columns and one band weight per offset, n by width arrays of
     the _stack_layout; its map's column per candidate and channel) and
-    four rows of the widest block for viterbi_score_lattice's frames
-    (delta, a sum buffer per nonzero offset and the gathered emissions,
-    four rows up to three offsets) pass MAX_STACK_BYTES. The _chain_stack
+    the rows of the widest block that viterbi_score_lattice's frames
+    hold (delta, a sum buffer of n - |o| rows per nonzero offset o and
+    the gathered emissions) pass MAX_STACK_BYTES. The _chain_stack
     over all lexicon channels of each channel's chains of its _spellings,
     channel by channel, its N rows and band offsets those of the
     _stack_layout, is cut into blocks of consecutive columns: each a
@@ -399,7 +399,8 @@ def _candidate_stack(lexicon, max_signs):
             raise SearchSpaceTooLargeError(n_cand, MAX_CANDIDATES)
     n, width, offsets = _stack_layout(lexicon, max_signs)
     step = min(width, max(1, _BLOCK_ENTRIES // n))
-    need = ((len(offsets) + 2) * width + 4 * step) * n * 8 + len(lexicon.channels) * n_cand * 8
+    rows = (len(offsets) + 1) * n - sum(map(abs, offsets))  # delta, emissions, sums
+    need = ((len(offsets) + 2) * width * n + rows * step + len(lexicon.channels) * n_cand) * 8
     if need > MAX_STACK_BYTES:
         what = "hold {} bytes of candidate stacks and their transients"
         raise SearchSpaceTooLargeError(need, MAX_STACK_BYTES, what)

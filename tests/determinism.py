@@ -14,11 +14,12 @@ those in OTHER/hash1, the OUTDIR of an earlier run, say of another
 commit. Exits 1, naming the files, if any differ; a failing command
 stops the run.
 
-The steps write corpora (one with noise hits and length jitter), models
-(embedded and segmented training), training logs at INFO (each
-channel's log-likelihood per iteration) and hypotheses: exhaustive
-decoding at 1 sign, whose stack's band is read off one-sign chains
-alone, at 3 and 4 signs, at 3 on the jittered corpus, whose channels
+The steps write corpora (one with noise hits and length jitter, one
+with unequal dwell ranges: one frame per sign state, 3 to 9 per
+epenthesis state), models (embedded and segmented training), training
+logs at INFO (each channel's log-likelihood per iteration) and
+hypotheses: exhaustive decoding at 1 sign, whose stack's band is read
+off one-sign chains alone, at 3 and 4 signs, at 3 on the jittered corpus, whose channels
 differ in length, and at 5 on five utterances, whose stack is cut into
 blocks that a winner's channels span; synced decoding at the default
 beam, at binding beams of 2 and of 1, where the epenthesis and best
@@ -92,6 +93,8 @@ STEPS = [
     "generate --lexicon demo --n 10 --seed 13 --noise 0.02 --min-signs 4 --max-signs 5"
     " --out long.jsonl",
     "decode --model model.json --corpus long.jsonl --mode synced --out long_synced.jsonl",
+    "generate --lexicon demo --n 20 --seed 11 --state-dwell 1 1 --eps-dwell 3 9 --jitter 1"
+    " --out dwell.jsonl",
     "generate --lexicon ../gaussian.json --n 10 --seed 21 --noise 0.3 --jitter 2"
     " --out gauss.jsonl",
     "decode --model ../gaussian.json --corpus gauss.jsonl --max-signs 3 --out gauss_hyps.jsonl",
@@ -119,7 +122,7 @@ FILES = [
     "corpus.jsonl", "noisy.jsonl", "model.json", "segmented.json", "train.log",
     "segmented.log", "hyps1.jsonl", "hyps.jsonl", "hyps4.jsonl", "noisy3.jsonl",
     "hyps5.jsonl", "synced.jsonl", "synced2.jsonl", "synced1.jsonl", "long.jsonl",
-    "long_synced.jsonl", "report_exhaustive.json", "report_synced.json",
+    "long_synced.jsonl", "dwell.jsonl", "report_exhaustive.json", "report_synced.json",
     "gauss.jsonl", "gauss_hyps.jsonl", "gauss_even.jsonl", "gauss_synced.jsonl",
     "gauss_model.json", "gauss_train.log", "gauss_segmented.json", "gauss_segmented.log",
 ]

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
 
+from phmm.corpus import Utterance
 from phmm.emissions import (
     VAR_FLOOR,
     DiscreteEmission,
@@ -21,6 +23,7 @@ from phmm.emissions import (
     GaussianEmission,
     accumulate_seq,
     log_density_seq,
+    row_cdf,
 )
 from phmm.errors import (
     DegenerateModelError,
@@ -29,9 +32,16 @@ from phmm.errors import (
     ValidationError,
 )
 from phmm.hmm import TINY, Hmm, loglik_lattice, posteriors_lattice
-from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS
+from phmm.lexicon import EPENTHESIS_BETWEEN_SIGNS, MultiObservation
 from phmm.logmath import LOG_ZERO, logsumexp, safe_log
-from phmm.parallel import EPS_UNIT, Hypothesis, block_ids, compose_models, score_hypothesis
+from phmm.parallel import (
+    EPS_UNIT,
+    Hypothesis,
+    block_ids,
+    compose_models,
+    compose_utterance_model,
+    score_hypothesis,
+)
 
 
 def path_score(log_pi, log_trans, logb, path):
@@ -837,3 +847,52 @@ def sample_oracle(hmm, t_len, seed):
         obs = em.means[path] + np.sqrt(em.variances[path]) * rng.standard_normal((t_len, em.dim))
     return obs, [int(s) for s in path]
 
+
+def _sample_by_rows(hmm, t_len, rng):
+    """One hmm.sample-style draw: each frame's state by a bisect of its
+    whole row's cumulative distribution, zeros included, then the
+    emissions' draws."""
+    draws = rng.random(t_len).tolist()
+    trans_cdf = row_cdf(hmm.trans).tolist()
+    path = [bisect_right(row_cdf(hmm.pi).tolist(), draws[0])]
+    for u in draws[1:]:
+        path.append(bisect_right(trans_cdf[path[-1]], u))
+    em = hmm.emissions
+    if isinstance(em, DiscreteEmission):
+        u = rng.random(t_len)
+        return np.sum(row_cdf(em.probs)[path] <= u[:, None], axis=1, dtype=np.intp), path
+    return em.means[path] + np.sqrt(em.variances[path]) * rng.standard_normal((t_len, em.dim)), path
+
+
+def generate_oracle(lexicon, cfg):
+    """corpus.generate, each utterance on its own: every channel's model
+    composed anew, one rng.integers call per phoneme for its states'
+    dwells, channel by channel, then per channel the jitter, one
+    _sample_by_rows draw and the noise."""
+    utterances = []
+    sign_ids = sorted(lexicon.signs)
+    for idx in range(cfg.n_utterances):
+        rng = np.random.default_rng((cfg.seed, idx))
+        lo, hi = cfg.signs_per_utterance
+        n_signs = int(rng.integers(lo, hi + 1))
+        signs = [sign_ids[int(rng.integers(0, len(sign_ids)))] for _ in range(n_signs)]
+        totals = []
+        for ch in lexicon.channels:
+            inv = lexicon.inventory(ch)
+            total = 0
+            for pid in block_ids(lexicon, ch, signs):
+                lo, hi = cfg.epenthesis_dwell if pid == inv.epenthesis else cfg.state_dwell
+                total += int(rng.integers(lo, hi + 1, size=inv.phonemes[pid].n_states).sum())
+            totals.append(total)
+        channels, paths = {}, {}
+        for ch in lexicon.channels:
+            model = compose_utterance_model(lexicon, ch, signs)
+            jitter = int(rng.integers(0, cfg.desync_jitter + 1)) if cfg.desync_jitter else 0
+            obs, paths[ch] = _sample_by_rows(model, max(totals) + jitter, rng)
+            if cfg.channel_noise > 0:
+                obs = model.emissions.add_noise(obs, float(cfg.channel_noise), rng)
+            channels[ch] = obs
+        mobs = MultiObservation(channels=channels)
+        paths = paths if cfg.emit_paths else None
+        utterances.append(Utterance(f"utt-{idx:05d}", signs, mobs, paths))
+    return utterances

@@ -328,6 +328,48 @@ def test_invalid_option_value_exit_code(
     assert option.strip("-").replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--min-signs", 0], "signs_per_utterance range is empty"),
+        (["--min-signs", 3, "--max-signs", 2], "signs_per_utterance range is empty"),
+        (["--jitter", -1], "desync_jitter must be >= 0"),
+    ],
+    ids=["min-signs-0", "min-signs-over-max", "negative-jitter"],
+)
+def test_generate_refuses_an_empty_signs_range_and_negative_jitter(
+    options, message, tmp_path, capsys
+):
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "--lexicon", "demo", "--n", 3, "--seed", 1, "--out", out, *options])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{not json", "line 2: invalid JSON: "),
+        (
+            json.dumps({"corpus_version": 1, "id": "u", "signs": [], "channels": {"head": 5}}),
+            "line 2: an observation sequence must be a JSON array",
+        ),
+    ],
+    ids=["not-json", "observation-not-an-array"],
+)
+def test_corpus_line_refused_by_the_reader_is_input_error(
+    line, message, tmp_path, demo_corpus, capsys
+):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(demo_corpus.read_text().splitlines()[0] + "\n" + line + "\n")
+    out = tmp_path / "model.json"
+    assert run(["train", "--corpus", corpus, "--lexicon", "demo", "--seed", 1, "--out", out]) == 3
+    assert not out.exists()
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_decode_records(tmp_path, trained_model, demo_corpus):
     hyp = tmp_path / "hyp.jsonl"
     assert run(
@@ -369,12 +411,14 @@ def test_decode_exhaustive_stack_memory_guard(
     # The trained model keeps the demo lexicon's spellings and state
     # counts, and its trained pi enters every state, so its band has
     # offsets 0 to 3: at 6 signs its stack needs 33,136,128 bytes plus
-    # 1,047,552 of transients, and a limit one byte under that refuses it
+    # 1,261,824 of transients, 159 rows of its widest block's 992
+    # columns (delta's 33, the emissions' 33, and 32 + 31 + 30 rows of
+    # sums at offsets 1 to 3), and a limit one byte under that refuses it
     # before any stack is built (the junction chains of its layout are
     # composed before the guard, the stack after it).
     lexicon, _ = load_model(trained_model)
     assert parallel._stack_layout(lexicon, 6)[2] == [0, 1, 2, 3]
-    need = 33_136_128 + 1_047_552
+    need = 33_136_128 + 1_261_824
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_stack", no_stack)
     assert run(

@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from helpers import build_lexicon
+from helpers import build_lexicon, gaussian_twin, mixed_lexicon
+from oracles import generate_oracle
 
 from phmm.corpus import (
     GenConfig,
@@ -16,7 +21,7 @@ from phmm.demo import demo_lexicon
 from phmm.emissions import DiscreteEmission
 from phmm.errors import DegenerateSplitError, FileFormatError, ValidationError
 from phmm.hmm import Hmm, Topology
-from phmm.lexicon import Lexicon, PhonemeInventory, Sign
+from phmm.lexicon import EPENTHESIS_NONE, Lexicon, PhonemeInventory, Sign
 from phmm.parallel import compose_utterance_model
 
 
@@ -254,3 +259,131 @@ def test_genconfig_validation():
     for noise in (float("nan"), -0.1, {"ch": float("nan")}, {"right_hnd": 0.5}):
         with pytest.raises(ValidationError, match="channel_noise"):
             GenConfig(n_utterances=1, seed=1, channel_noise=noise)
+
+
+# generate's corpora against generate_oracle's, which composes and draws
+# each utterance on its own: the criterion-7 corpora, unequal dwell
+# ranges of which one holds one value, length jitter, heavy noise, long
+# utterances, no epenthesis, Gaussian emissions, and channels whose
+# chains differ in state counts under ergodic phonemes.
+ORACLE_CONFIGS = {
+    "criterion-7-train": (demo_lexicon, dict(n_utterances=200, seed=7007, channel_noise=0.02)),
+    "criterion-7-test": (demo_lexicon, dict(n_utterances=50, seed=7008, channel_noise=0.02)),
+    "dwell-1-1-3-9": (
+        demo_lexicon, dict(n_utterances=40, seed=3, state_dwell=(1, 1), epenthesis_dwell=(3, 9))
+    ),
+    "jitter": (demo_lexicon, dict(n_utterances=40, seed=4, desync_jitter=3, channel_noise=0.05)),
+    "noise-0.5": (demo_lexicon, dict(n_utterances=40, seed=5, channel_noise=0.5)),
+    "four-five-signs": (
+        demo_lexicon, dict(n_utterances=30, seed=6, signs_per_utterance=(4, 5), channel_noise=0.02)
+    ),
+    "policy-none": (
+        lambda: dataclasses.replace(demo_lexicon(), epenthesis_policy=EPENTHESIS_NONE),
+        dict(n_utterances=40, seed=7, channel_noise=0.02, emit_paths=False),
+    ),
+    "gaussian-twin": (
+        gaussian_twin, dict(n_utterances=30, seed=8, desync_jitter=2, channel_noise=0.3)
+    ),
+    "mixed-ergodic": (
+        lambda: mixed_lexicon(
+            np.random.default_rng(31), ergodic=True, policy="between_signs",
+            channels=("c0", "c1", "c2"),
+        ),
+        dict(
+            n_utterances=40, seed=9, signs_per_utterance=(1, 4), state_dwell=(1, 1),
+            epenthesis_dwell=(3, 9), desync_jitter=1, channel_noise=0.1,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_generate_writes_the_oracles_bytes(name, tmp_path):
+    make_lexicon, fields = ORACLE_CONFIGS[name]
+    lexicon, cfg = make_lexicon(), GenConfig(**fields)
+    write_corpus(tmp_path / "got.jsonl", generate(lexicon, cfg))
+    write_corpus(tmp_path / "want.jsonl", generate_oracle(lexicon, cfg))
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def test_criterion_7_training_corpus_sha256(tmp_path):
+    cfg = GenConfig(n_utterances=200, seed=7007, channel_noise=0.02)
+    write_corpus(tmp_path / "train.jsonl", generate(demo_lexicon(), cfg))
+    digest = hashlib.sha256((tmp_path / "train.jsonl").read_bytes()).hexdigest()
+    assert digest == "2387dc892877ab9eb94db1c89810ba536d9407f76c6dee43260ca74f0d4e6066"
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        [(2, 5, 3), (1, 2, 4), (3, 10, 2)],
+        [(1, 2, 3), (1, 2, 2)],
+        [(0, 2**32, 3), (1, 2, 1), (0, 2**32 + 1, 2), (5, 9, 3)],
+        [(2**33, 2**34, 2), (2, 5, 1), (0, 2**62, 3)],
+    ],
+    ids=["small", "width-0", "2^32", "past-2^32"],
+)
+def test_one_dwell_draw_is_the_per_phoneme_draws(ranges):
+    # generate draws every state's dwell of an utterance in one
+    # rng.integers(lows, highs) call; it must give the values and leave
+    # the generator state of one rng.integers(low, high, size=n) call per
+    # phoneme, after an odd number of 32-bit draws too.
+    lows = np.repeat([lo for lo, _, _ in ranges], [n for *_, n in ranges])
+    highs = np.repeat([hi for _, hi, _ in ranges], [n for *_, n in ranges])
+    for seed in range(20):
+        for warm in (0, 1):
+            one, per = np.random.default_rng(seed), np.random.default_rng(seed)
+            one.integers(0, 5, size=warm)
+            per.integers(0, 5, size=warm)
+            want = [per.integers(lo, hi, size=n) for lo, hi, n in ranges]
+            assert one.integers(lows, highs).tolist() == np.concatenate(want).tolist()
+            assert one.integers(0, 7) == per.integers(0, 7)
+            assert one.random() == per.random()
+
+
+def test_read_corpus_refuses_a_line_that_is_not_json(tmp_path):
+    lines = [json.dumps(utterance_to_record(u)) for u in generate(demo_lexicon(), GenConfig(1, 1))]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(lines[0] + "\n{not json\n")
+    with pytest.raises(FileFormatError, match=r"^line 2: invalid JSON: ") as exc:
+        read_corpus(path)
+    assert exc.type is FileFormatError
+
+
+def test_read_corpus_refuses_an_observation_that_is_not_an_array(tmp_path):
+    rec = {"corpus_version": 1, "id": "u", "signs": ["s"], "channels": {"ch": 5}}
+    with pytest.raises(FileFormatError, match="^an observation sequence must be a JSON array$"):
+        utterance_from_record(rec)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(
+        FileFormatError, match="^line 1: an observation sequence must be a JSON array$"
+    ) as exc:
+        read_corpus(path)
+    assert exc.type is FileFormatError
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(signs_per_utterance=(0, 2)), "signs_per_utterance range is empty"),
+        (dict(signs_per_utterance=(3, 2)), "signs_per_utterance range is empty"),
+        (dict(desync_jitter=-1), "desync_jitter must be >= 0"),
+    ],
+    ids=["signs-from-0", "signs-3-to-2", "jitter--1"],
+)
+def test_genconfig_refuses_an_empty_signs_range_and_negative_jitter(fields, message):
+    with pytest.raises(ValidationError, match=f"^{message}$") as exc:
+        GenConfig(n_utterances=1, seed=1, **fields)
+    assert exc.type is ValidationError
+
+
+def test_split_refuses_an_empty_corpus_and_a_fraction_outside_0_1():
+    with pytest.raises(ValidationError, match=r"^corpus is empty$") as exc:
+        split([], 0.5, seed=0)
+    assert exc.type is ValidationError
+    corpus = generate(_deterministic_lexicon(), GenConfig(n_utterances=4, seed=1))
+    for fraction in (0.0, 1.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValidationError, match=r"^train_fraction must be in \(0, 1\)$") as exc:
+            split(corpus, fraction, seed=0)
+        assert exc.type is ValidationError

@@ -37,6 +37,7 @@ from phmm.hmm import (
     posteriors,
     posteriors_lattice,
     sample,
+    sampler,
     validate,
     viterbi,
     viterbi_lattice,
@@ -591,7 +592,7 @@ def _with_zeros(rng, rows):
 def test_sample_matches_choice_oracle(gaussian, ergodic):
     # The inverse-CDF sampler against one Generator.choice per frame:
     # the same path, the same observations and dtype, and the same
-    # generator state afterwards.
+    # generator state afterwards, also from a sampler's second draw.
     rng = np.random.default_rng(61 + 2 * gaussian + ergodic)
     for trial in range(150):
         alphabet = int(rng.integers(1, 6))
@@ -603,7 +604,13 @@ def test_sample_matches_choice_oracle(gaussian, ergodic):
         t_len = 1 if trial % 10 == 0 else int(rng.integers(2, 40))
         if trial % 2:
             got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            obs, path = sample(model, t_len, got_rng)
+            if trial % 4 == 3:
+                draw = sampler(model)
+                draw(t_len + 1, got_rng)
+                sample_oracle(model, t_len + 1, want_rng)
+                obs, path = draw(t_len, got_rng)
+            else:
+                obs, path = sample(model, t_len, got_rng)
             want_obs, want_path = sample_oracle(model, t_len, want_rng)
             assert got_rng.random() == want_rng.random()
         else:

@@ -356,8 +356,9 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
     # candidates) before any model is composed. 6 signs pass it (299,592)
     # and, with one stack column per distinct spelling sequence, the
     # memory guard: 24,487,488 bytes of cached stack (N = 33 rows by
-    # 3 x 5,460 columns) plus 1,047,552 of transients: the kernel's four
-    # rows of N by 992 columns, its widest block. One byte less refuses
+    # 3 x 5,460 columns) plus 777,728 of transients: the kernel's 98 rows
+    # of 992 columns, its widest block (delta's N, the emissions' N and
+    # N - 1 rows of sums at offset 1). One byte less refuses
     # them before the stack is built; at the limit the build begins, and
     # is stopped there, so no 24 MB stack is built.
     from phmm.demo import demo_lexicon
@@ -369,7 +370,7 @@ def test_decode_exhaustive_stack_memory_guard(monkeypatch):
         decode_exhaustive(lex, mobs, max_signs=7)
     monkeypatch.undo()
     assert parallel._stack_layout(lex, 6)[:2] == (33, 3 * 5_460)
-    need = 24_487_488 + 1_047_552
+    need = 24_487_488 + 777_728
     assert need <= parallel.MAX_STACK_BYTES
     monkeypatch.setattr(parallel, "_stack", _no_stack)
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
@@ -385,14 +386,15 @@ def test_stack_memory_guard_counts_the_per_frame_temporary(monkeypatch):
     # stack holds 3 x (4 + 16 + 64 + 256) = 1,020 columns of N = 21 rows.
     # The cache takes 797,760 bytes: log_pi, columns and two band
     # diagonals of N x 1,020 entries, and a map of 4,680 candidates by 3
-    # channels. The kernel adds 685,440 bytes of transients: its four
-    # N x 1,020 rows (one block: 1,020 columns of 21 rows are within
+    # channels. The kernel adds 505,920 bytes of transients: 62 rows of
+    # 1,020 columns, delta's N, the emissions' N and N - 1 rows of sums
+    # at offset 1 (one block: 1,020 columns of 21 rows are within
     # _BLOCK_ENTRIES). The band is written without a dense N x N x B
     # log_trans, so nothing else is counted.
     from phmm.demo import demo_lexicon
 
     lex = demo_lexicon()
-    need = 797_760 + 685_440
+    need = 797_760 + 505_920
     monkeypatch.setattr(parallel, "MAX_STACK_BYTES", need - 1)
     monkeypatch.setattr(parallel, "_stack", _no_stack)
     mobs = sample_mobs(lex, ["sign0"], 12, seed=1)
@@ -514,11 +516,14 @@ def _cached_bytes(cache):
 
 def _assert_guard_counts(lex, mobs, max_signs, stack):
     """Returns the bytes that the memory guard counts for stack, the
-    cached (blocks, index) of max_signs: those of _cached_bytes and 32
-    per entry of its widest block (the kernel's four rows). A limit one
-    byte under them refuses a decode with that count, and a decode at
-    the limit passes."""
-    need = _cached_bytes({max_signs: stack}) + 32 * max(b[0].size for b in stack[0])
+    cached (blocks, index) of max_signs: those of _cached_bytes and 8
+    per entry of the kernel's rows of its widest block (delta's N, the
+    emissions' N and N - |o| rows of sums per nonzero offset o). A limit
+    one byte under them refuses a decode with that count, and a decode
+    at the limit passes."""
+    log_pi, diagonals = stack[0][0][:2]
+    rows = len(log_pi) + sum(len(log_pi) - abs(o) for o, _ in diagonals)
+    need = _cached_bytes({max_signs: stack}) + 8 * rows * max(b[0].shape[1] for b in stack[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parallel, "MAX_STACK_BYTES", need - 1)
         with pytest.raises(SearchSpaceTooLargeError, match=f"hold {need} bytes"):
