@@ -1,9 +1,11 @@
 """Synthetic multi-channel corpus generation, splitting and file I/O.
 
 Utterances are sampled from a ground-truth lexicon: a sign sequence is
-drawn uniformly, per-channel utterance models are composed (epenthesis
-per policy, each distinct one once per call) and sampled, then channel
-noise and length jitter are applied. Every utterance derives its own
+drawn uniformly, each channel's utterance model (epenthesis per policy)
+is sampled, then channel noise and length jitter are applied. No model
+is composed: each distinct chain's rows are concatenated, once per call,
+from per-phoneme pieces checked once per call, so a chain costs time
+and memory linear in its states. Every utterance derives its own
 sub-seed from (seed, index), so generation is deterministic and
 order-independent.
 
@@ -14,6 +16,7 @@ written with full round-trip precision.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hmm as hmm_mod
-from .emissions import json_numbers
-from .errors import DegenerateSplitError, FileFormatError, ValidationError
+from .emissions import check_stochastic, json_numbers
+from .errors import DegenerateSplitError, EmptySequenceError, FileFormatError, ValidationError
 from .lexicon import MultiObservation
-from .parallel import block_ids, compose_utterance_model
+from .parallel import block_ids
 
 CORPUS_VERSION = 1
 
@@ -72,21 +75,29 @@ def generate(lexicon, cfg):
 
     Deterministic for a fixed seed. With zero noise and jitter, channel
     lengths are equal within each utterance and the observations
-    reproduce the composed models' emissions exactly. An utterance draws
-    all its channels' state dwells in one rng.integers call.
+    reproduce the composed models' emissions exactly. Every utterance's
+    signs are drawn first, so that each channel's chains are built, and
+    checked, before the first frame is sampled; each utterance's
+    generator then draws all its channels' state dwells in one
+    rng.integers call.
     """
-    utterances = []
     sign_ids = sorted(lexicon.signs)
     if not sign_ids:
         raise ValidationError("lexicon has no signs")
-    chains = {}
+    drawn = []
     for idx in range(cfg.n_utterances):
         rng = np.random.default_rng((cfg.seed, idx))
         lo, hi = cfg.signs_per_utterance
         n_signs = int(rng.integers(lo, hi + 1))
-        signs = [sign_ids[int(rng.integers(0, len(sign_ids)))] for _ in range(n_signs)]
+        drawn.append((rng, [sign_ids[int(rng.integers(0, len(sign_ids)))] for _ in range(n_signs)]))
+    spelled = {
+        ch: [tuple(block_ids(lexicon, ch, signs)) for _, signs in drawn] for ch in lexicon.channels
+    }
+    chains = {ch: _chains(lexicon, ch, spelled[ch], cfg) for ch in lexicon.channels}
 
-        entries = [_chain(chains, lexicon, ch, signs, cfg) for ch in lexicon.channels]
+    utterances = []
+    for idx, (rng, signs) in enumerate(drawn):
+        entries = [chains[ch][spelled[ch][idx]] for ch in lexicon.channels]
         dwells = rng.integers(*np.hstack([ranges for *_, ranges in entries]))
         starts = np.cumsum([0] + [ranges.shape[1] for *_, ranges in entries[:-1]])
         base_len = int(np.add.reduceat(dwells, starts).max())
@@ -112,19 +123,66 @@ def generate(lexicon, cfg):
     return utterances
 
 
-def _chain(chains, lexicon, channel, signs, cfg):
-    """chains[channel, block ids], built on first use: the emissions, the
-    hmm.sampler and the (2, states) dwell ranges [low, high) of the
-    channel's utterance model for signs."""
-    ids = tuple(block_ids(lexicon, channel, signs))
-    if (channel, ids) not in chains:
-        model = compose_utterance_model(lexicon, channel, signs)
-        inv = lexicon.inventory(channel)
+def _chains(lexicon, channel, spellings, cfg):
+    """{ids: (emissions, draw, ranges)} for each distinct phoneme id
+    sequence ids in spellings: the stacked emissions of the phonemes the
+    spellings use, the hmm.walker of the channel's utterance model for
+    ids and the (2, states) dwell ranges [low, high) of its states.
+
+    No model is composed. Each used phoneme's pi and trans are checked
+    as hmm.sampler checks them and cut once into row_pieces: its rows
+    but the last, its last row (the last block's own) and pi (the first
+    block's, the chain's initial row). A phoneme that follows another
+    also gets its junction row [1 - exit_prob, exit_prob * pi], checked
+    as a trans row: the row that leaves the block before it, whose last
+    state is column -1. A chain's rows are these pieces in block order,
+    each one's states moved by its block's offset, with the cdf values
+    of the composed model's rows bit for bit. One emission sampler,
+    checked once, draws every chain's frames from the stacked rows."""
+    if () in spellings:  # a sign of an unvalidated lexicon that spells nothing here
+        raise EmptySequenceError("no blocks to compose")
+    inv, exit_prob = lexicon.inventory(channel), lexicon.exit_prob
+    used = list(dict.fromkeys(pid for ids in spellings for pid in ids))
+    entered = {pid for ids in spellings for pid in ids[1:]}
+    pieces, junction, n_states = {}, {}, {}
+    for pid in used:
+        model = inv.phonemes[pid]
+        hmm_mod._check_chain(model)
+        n = n_states[pid] = model.n_states
+        states, cdf, counts = hmm_mod.row_pieces(np.vstack([model.trans, model.pi]))
+        at = [0, *itertools.accumulate(counts.tolist())]
+        pieces[pid] = [
+            (states[at[i] : at[j]], cdf[at[i] : at[j]], counts[i:j])
+            for i, j in ((0, n - 1), (n - 1, n), (n, n + 1))
+        ]
+        if pid in entered:
+            row = np.concatenate([[1.0 - exit_prob], exit_prob * model.pi])[None]
+            check_stochastic("trans", row, "trans row")
+            states, cdf, counts = hmm_mod.row_pieces(row)
+            junction[pid] = states - 1, cdf, counts
+    emissions = type(inv.phonemes[used[0]].emissions).stack(
+        [inv.phonemes[pid].emissions for pid in used]
+    )
+    emit = emissions.sampler()
+    first_row = dict(zip(used, itertools.accumulate([0] + [n_states[pid] for pid in used[:-1]])))
+
+    chains = {}
+    for ids in dict.fromkeys(spellings):
+        sizes = [n_states[pid] for pid in ids]
+        offsets = [0, *itertools.accumulate(sizes)]
+        parts = []
+        for pid, nxt, off, nxt_off in zip(ids, ids[1:] + (None,), offsets, offsets[1:]):
+            body, last, _ = pieces[pid]
+            parts += [(body, off), (last, off) if nxt is None else (junction[nxt], nxt_off)]
+        parts.append((pieces[ids[0]][2], 0))
+        states, cdf, counts = (np.concatenate([piece[i] for piece, _ in parts]) for i in range(3))
+        states += np.repeat([off for _, off in parts], [len(piece[0]) for piece, _ in parts])
+        emit_rows = np.repeat([first_row[pid] - off for pid, off in zip(ids, offsets)], sizes)
+        emit_rows += np.arange(offsets[-1])
         dwell = [cfg.epenthesis_dwell if pid == inv.epenthesis else cfg.state_dwell for pid in ids]
-        sizes = [inv.phonemes[pid].n_states for pid in ids]
         ranges = np.repeat(np.array(dwell) + [0, 1], sizes, axis=0).T
-        chains[channel, ids] = model.emissions, hmm_mod.sampler(model), ranges
-    return chains[channel, ids]
+        chains[ids] = emissions, hmm_mod.walker(states, cdf, counts, emit, emit_rows), ranges
+    return chains
 
 
 def split(corpus, train_fraction, seed):

@@ -136,8 +136,9 @@ class DiscreteEmission(_Emission):
         return DiscreteStats(np.zeros_like(self.probs))
 
     def sampler(self):
-        """draw(path, rng): the symbols of a state path, one rng.random()
-        draw per frame, each the first symbol whose entry of its state's
+        """draw(path, rng): the symbols of a path of rows (a chain's
+        states read through hmm.walker's emit_rows), one rng.random()
+        draw per frame, each the first symbol whose entry of its row's
         row_cdf exceeds it, as Generator.choice(alphabet, p=row) draws
         them. probs is validated here, once."""
         self.validate()
@@ -243,8 +244,9 @@ class GaussianEmission(_Emission):
         )
 
     def sampler(self):
-        """draw(path, rng): the observations of a state path, its states'
-        means plus standard deviations times standard normal draws. Means
+        """draw(path, rng): the observations of a path of rows, as
+        DiscreteEmission.sampler's: its rows' means plus standard
+        deviations times standard normal draws. Means
         must be finite and variances finite and positive, or a
         ValidationError subclass is raised here; unlike validate, this
         allows variances below VAR_FLOOR."""

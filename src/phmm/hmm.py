@@ -27,6 +27,7 @@ viterbi_score_lattice keeps none.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -352,31 +353,47 @@ def viterbi(hmm, obs):
     return path.tolist(), score
 
 
-def sampler(hmm):
+def row_pieces(rows):
+    """(states, cdf, counts) of a stack of distribution rows: the column
+    of each nonzero entry, flat and row-major, its emissions.row_cdf
+    value, and each row's count of them. A row's cdf rises only at its
+    nonzero entries, so the first entry above a draw is always one of
+    them. A row padded with leading or trailing zeros keeps its cdf
+    values bit for bit, since a zero adds 0.0 exactly."""
+    at, states = np.nonzero(rows)
+    return states, em.row_cdf(rows)[at, states], np.bincount(at, minlength=len(rows))
+
+
+def walker(states, cdf, counts, emit, emit_rows):
     """draw(t_len, rng) -> (observations, state path as a list of ints)
-    of hmm, checked here once: pi and trans as _check_chain checks them,
-    then the emissions by their sampler. A frame's state is the first
-    entry of its row's emissions.row_cdf above one rng.random() draw, as
+    of the chain whose N state rows and then initial distribution have
+    the row_pieces (states, cdf, counts). A frame's state is the first
+    entry of its row's cdf above one rng.random() draw, as
     Generator.choice(n, p=row) picks it, so the output and the
     generator's state afterwards are those of one choice call per frame.
-    Only the nonzero entries of pi (row N) and of trans are kept, flat
-    and row-major with each row's bounds: the cdf rises only at them, so
-    the first entry above a draw is always one of them."""
-    _check_chain(hmm)
-    emit = hmm.emissions.sampler()
-    rows = np.vstack([hmm.trans, hmm.pi])
-    at, states = np.nonzero(rows)
-    cdf, states = em.row_cdf(rows)[at, states].tolist(), states.tolist()
-    bounds = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
+    The observations are emit(emit_rows[path], rng): emit_rows (N,)
+    holds the row of each state in the table the emission sampler emit
+    draws from."""
+    bounds = [0, *itertools.accumulate(counts.tolist())]
+    states, cdf, start = states.tolist(), cdf.tolist(), len(counts) - 1
 
     def draw(t_len, rng):
-        path, s = [], len(rows) - 1
+        path, s = [], start
         for u in rng.random(t_len).tolist():
             s = states[bisect_right(cdf, u, bounds[s], bounds[s + 1])]
             path.append(s)
-        return emit(np.array(path, dtype=np.intp), rng), path
+        return emit(emit_rows[path], rng), path
 
     return draw
+
+
+def sampler(hmm):
+    """The walker of hmm's row_pieces of trans and pi, checked here once:
+    pi and trans as _check_chain checks them, then the emissions by
+    their sampler, whose row i is state i's."""
+    _check_chain(hmm)
+    emit = hmm.emissions.sampler()
+    return walker(*row_pieces(np.vstack([hmm.trans, hmm.pi])), emit, np.arange(hmm.n_states))
 
 
 def sample(hmm, t_len, seed):

@@ -113,8 +113,8 @@ def lexicon_from_json(data):
 
 def save_model(path, lexicon, provenance=None):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(lexicon_to_json(lexicon, provenance), fh)
-        fh.write("\n")
+        # json.dumps takes the C encoder in one call; json.dump never does.
+        fh.write(json.dumps(lexicon_to_json(lexicon, provenance)) + "\n")
 
 
 def load_model(path):

@@ -16,7 +16,8 @@ stops the run.
 
 The steps write corpora (one with noise hits and length jitter, one
 with unequal dwell ranges: one frame per sign state, 3 to 9 per
-epenthesis state), models (embedded and segmented training), training
+epenthesis state, one of 40-sign utterances with noise and jitter),
+models (embedded and segmented training), training
 logs at INFO (each channel's log-likelihood per iteration) and
 hypotheses: exhaustive decoding at 1 sign, whose stack's band is read
 off one-sign chains alone, at 3 and 4 signs, at 3 on the jittered corpus, whose channels
@@ -49,6 +50,7 @@ def head(src, dst, n):
         lines = (cwd / src).read_bytes().splitlines(keepends=True)
         (cwd / dst).write_bytes(b"".join(lines[:n]))
 
+    step.writes = dst
     return step
 
 
@@ -61,7 +63,17 @@ def untimed(src, dst):
         del report["timing"]
         (cwd / dst).write_text(json.dumps(report))
 
+    step.writes = dst
     return step
+
+
+def writes(step):
+    """The file a step writes: a function step's, or the value of a
+    command's --out or --report option."""
+    if callable(step):
+        return step.writes
+    args = (step if isinstance(step, str) else step[0]).split()
+    return args[args.index("--out" if "--out" in args else "--report") + 1]
 
 
 # Run in order in one directory. A step is phmm's arguments, the same
@@ -95,6 +107,8 @@ STEPS = [
     "decode --model model.json --corpus long.jsonl --mode synced --out long_synced.jsonl",
     "generate --lexicon demo --n 20 --seed 11 --state-dwell 1 1 --eps-dwell 3 9 --jitter 1"
     " --out dwell.jsonl",
+    "generate --lexicon demo --n 3 --seed 17 --min-signs 40 --max-signs 40 --jitter 2"
+    " --noise 0.05 --out long40.jsonl",
     "generate --lexicon ../gaussian.json --n 10 --seed 21 --noise 0.3 --jitter 2"
     " --out gauss.jsonl",
     "decode --model ../gaussian.json --corpus gauss.jsonl --max-signs 3 --out gauss_hyps.jsonl",
@@ -122,7 +136,8 @@ FILES = [
     "corpus.jsonl", "noisy.jsonl", "model.json", "segmented.json", "train.log",
     "segmented.log", "hyps1.jsonl", "hyps.jsonl", "hyps4.jsonl", "noisy3.jsonl",
     "hyps5.jsonl", "synced.jsonl", "synced2.jsonl", "synced1.jsonl", "long.jsonl",
-    "long_synced.jsonl", "dwell.jsonl", "report_exhaustive.json", "report_synced.json",
+    "long_synced.jsonl", "dwell.jsonl", "long40.jsonl", "report_exhaustive.json",
+    "report_synced.json",
     "gauss.jsonl", "gauss_hyps.jsonl", "gauss_even.jsonl", "gauss_synced.jsonl",
     "gauss_model.json", "gauss_train.log", "gauss_segmented.json", "gauss_segmented.log",
 ]

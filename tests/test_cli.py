@@ -824,6 +824,92 @@ def test_decode_misshapen_trans_is_dimension_error(tmp_path, demo_corpus, capsys
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option", ["--max-signs", "--beam-width"])
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_decode_and_evaluate_refuse_a_search_bound_below_1(
+    command, option, tmp_path, trained_model, demo_corpus, capsys
+):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(
+            [command, "--model", trained_model, "--corpus", demo_corpus, option, 0,
+             "--report" if command == "evaluate" else "--out", out]
+        )
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"error: {option} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [(0, "training corpus is empty"), (2, "corpus lacks channel 'head'")],
+    ids=["empty-corpus", "channel-missing"],
+)
+def test_train_refuses_an_empty_corpus_and_a_missing_channel(
+    keep, message, tmp_path, demo_corpus, capsys
+):
+    recs = [json.loads(line) for line in demo_corpus.read_text().splitlines()[:keep]]
+    if recs:
+        del recs[1]["channels"]["head"]
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "model.json"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert run(["train", "--corpus", corpus, "--lexicon", "demo", "--seed", 1, "--out", out]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+
+
+def _emission(blob, name, value):
+    blob["inventories"]["head"]["phonemes"]["H0"]["emission"][name] = value
+    return blob
+
+
+@pytest.mark.parametrize(
+    "lexicon, corrupt, message",
+    [
+        (demo_lexicon, lambda blob: [blob], "a model file must hold a JSON object"),
+        (demo_lexicon, lambda blob: _emission(blob, "kind", "poisson"),
+         "unknown emission kind 'poisson'"),
+        (gaussian_twin, lambda blob: _emission(blob, "variances", [[0.5], [0.5], [0.5]]),
+         "means and variances shapes differ"),
+        (gaussian_twin, lambda blob: _emission(blob, "variances", [[0.5, 0.5]] * 2 + [[0.5, 1e-7]]),
+         "negative entry 1e-07 in emission variance below floor"),
+    ],
+    ids=["json-array", "unknown-emission-kind", "gaussian-shapes-differ", "variance-below-floor"],
+)
+def test_model_file_refusals_are_input_errors(lexicon, corrupt, message, tmp_path, capsys):
+    model, out = tmp_path / "model.json", tmp_path / "out.jsonl"
+    save_model(model, lexicon())
+    model.write_text(json.dumps(corrupt(json.loads(model.read_text()))))
+    assert run(["generate", "--lexicon", model, "--n", 1, "--seed", 1, "--out", out]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["decode", "evaluate"])
+def test_synced_decode_without_a_finite_hypothesis_is_an_error_record(
+    command, tmp_path, capsys
+):
+    # The one sign spells phoneme 0, which emits symbols 0 and 1 only.
+    lexicon = build_lexicon(np.random.default_rng(13), separated=True, vocab=1)
+    model, corpus, out = tmp_path / "model.json", tmp_path / "dead.jsonl", tmp_path / "out"
+    save_model(model, lexicon)
+    dead = MultiObservation({ch: np.full(4, 2) for ch in lexicon.channels})
+    write_corpus(corpus, [Utterance("dead", ["s0"], dead)])
+    args = [command, "--model", model, "--corpus", corpus, "--mode", "synced"]
+    assert run([*args, "--report" if command == "evaluate" else "--out", out]) == 0
+    if command == "decode":
+        assert json.loads(out.read_text()) == {
+            "hyp_version": 1, "id": "dead", "signs": [], "error": "NoFiniteHypothesis"
+        }
+        assert "decoded 1 utterances to" in capsys.readouterr().out
+    else:
+        assert json.loads(out.read_text())["n_decode_failures"] == 1
+
+
 def test_decode_synced_unequal_lengths_recorded(tmp_path, trained_model):
     jittered = tmp_path / "jit.jsonl"
     assert run(
@@ -992,13 +1078,17 @@ def test_cut_segments_rejects_path_that_does_not_fit():
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    # A slice of the hash-seed determinism check's steps, with phmm's
-    # command line run as run_process runs it: one generate, embedded
-    # training with its INFO log, one exhaustive decode, and a synced
-    # decode through evaluate, whose report is compared untimed.
+    # A slice of the hash-seed determinism check's steps, looked up by
+    # the file each writes, with phmm's command line run as run_process
+    # runs it: one generate, embedded training with its INFO log, one
+    # exhaustive decode, and a synced decode through evaluate, whose
+    # report is compared untimed.
     import determinism
 
-    steps = [determinism.STEPS[i] for i in (0, 2, 5, -2, -1)]
+    by_file = {determinism.writes(step): step for step in determinism.STEPS}
+    assert len(by_file) == len(determinism.STEPS)
+    writes = ["corpus.jsonl", "model.json", "hyps.jsonl", "timed_synced.json", "report_synced.json"]
+    steps = [by_file[name] for name in writes]
     files = ["corpus.jsonl", "model.json", "train.log", "hyps.jsonl", "report_synced.json"]
     assert set(files) <= set(determinism.FILES)
     environ = {**os.environ, "PYTHONPATH": str(Path(phmm.__file__).parents[1])}

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from helpers import build_lexicon, gaussian_twin, mixed_lexicon
 from oracles import generate_oracle
 
+from phmm import corpus as corpus_mod
+from phmm import hmm as hmm_mod
+from phmm import parallel
 from phmm.corpus import (
     GenConfig,
     generate,
@@ -19,7 +23,7 @@ from phmm.corpus import (
 )
 from phmm.demo import demo_lexicon
 from phmm.emissions import DiscreteEmission
-from phmm.errors import DegenerateSplitError, FileFormatError, ValidationError
+from phmm.errors import DegenerateSplitError, EmptySequenceError, FileFormatError, ValidationError
 from phmm.hmm import Hmm, Topology
 from phmm.lexicon import EPENTHESIS_NONE, Lexicon, PhonemeInventory, Sign
 from phmm.parallel import compose_utterance_model
@@ -264,8 +268,9 @@ def test_genconfig_validation():
 # generate's corpora against generate_oracle's, which composes and draws
 # each utterance on its own: the criterion-7 corpora, unequal dwell
 # ranges of which one holds one value, length jitter, heavy noise, long
-# utterances, no epenthesis, Gaussian emissions, and channels whose
-# chains differ in state counts under ergodic phonemes.
+# utterances, 40-60 signs with jitter and noise, no epenthesis, Gaussian
+# emissions, and channels whose chains differ in state counts under
+# ergodic phonemes.
 ORACLE_CONFIGS = {
     "criterion-7-train": (demo_lexicon, dict(n_utterances=200, seed=7007, channel_noise=0.02)),
     "criterion-7-test": (demo_lexicon, dict(n_utterances=50, seed=7008, channel_noise=0.02)),
@@ -283,6 +288,11 @@ ORACLE_CONFIGS = {
     ),
     "gaussian-twin": (
         gaussian_twin, dict(n_utterances=30, seed=8, desync_jitter=2, channel_noise=0.3)
+    ),
+    "long-jitter-noise": (
+        demo_lexicon,
+        dict(n_utterances=4, seed=10, signs_per_utterance=(40, 60), desync_jitter=2,
+             channel_noise=0.05),
     ),
     "mixed-ergodic": (
         lambda: mixed_lexicon(
@@ -387,3 +397,72 @@ def test_split_refuses_an_empty_corpus_and_a_fraction_outside_0_1():
         with pytest.raises(ValidationError, match=r"^train_fraction must be in \(0, 1\)$") as exc:
             split(corpus, fraction, seed=0)
         assert exc.type is ValidationError
+
+
+def _peak_bytes(lexicon, cfg):
+    tracemalloc.start()
+    try:
+        generate(lexicon, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_composes_no_model_and_grows_linearly(monkeypatch):
+    # Chains are concatenated from per-phoneme pieces: no N x N model,
+    # which for these utterances would peak at 7.8 MB and 114 MB.
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate composed a model")
+
+    for module in (parallel, corpus_mod):
+        for name in ("compose_models", "compose_utterance_model"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    lex = demo_lexicon()
+    generate(lex, GenConfig(n_utterances=1, seed=5))
+    peaks = [
+        _peak_bytes(lex, GenConfig(4, 5, signs_per_utterance=(k, k), channel_noise=0.02))
+        for k in (40, 160)
+    ]
+    assert peaks[0] < 2_000_000
+    assert peaks[1] < 6 * peaks[0]
+
+
+BAD_ROWS = {
+    "trans-row-sum": lambda m: m.trans.__setitem__(0, [0.5, 0.4, 0.0]),
+    "trans-negative": lambda m: m.trans.__setitem__(0, [-0.5, 1.5, 0.0]),
+    "trans-nan": lambda m: m.trans.__setitem__(0, [np.nan, 1.0, 0.0]),
+    "pi-sum": lambda m: setattr(m, "pi", np.array([0.5, 0.4, 0.0])),
+    "emission-row-sum": lambda m: m.emissions.probs.__setitem__(1, [0.0, 0.0, 0.0, 0.0, 0.9, 0.0]),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_ROWS)
+def test_generate_refuses_a_bad_row_of_a_used_phoneme_only(fault, tmp_path):
+    # Phoneme b spells sign sb alone. A corpus that never draws sb is
+    # written as from the sound lexicon; one that draws it is refused
+    # with the class that sampling the composed model raises.
+    lex, sound = _deterministic_lexicon(), _deterministic_lexicon()
+    BAD_ROWS[fault](lex.inventory("ch").phonemes["b"])
+    with pytest.raises(ValidationError) as want:
+        hmm_mod.sampler(compose_utterance_model(lex, "ch", ["sa", "sb"]))
+    configs = [GenConfig(n_utterances=1, seed=seed) for seed in range(6)]
+    uses_b = {cfg.seed: any("sb" in u.signs for u in generate(sound, cfg)) for cfg in configs}
+    assert set(uses_b.values()) == {False, True}
+    for cfg in configs:
+        if uses_b[cfg.seed]:
+            with pytest.raises(ValidationError) as got:
+                generate(lex, cfg)
+            assert got.type is want.type
+        else:
+            write_corpus(tmp_path / "got.jsonl", generate(lex, cfg))
+            write_corpus(tmp_path / "want.jsonl", generate(sound, cfg))
+            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def test_generate_refuses_a_sign_that_spells_no_phoneme():
+    # validate_lexicon refuses such a sign; generate refuses it too, with
+    # compose_models' error, before any frame is drawn.
+    lex = _deterministic_lexicon()
+    lex.signs["sa"].channels["ch"] = []
+    with pytest.raises(EmptySequenceError, match="^no blocks to compose$"):
+        generate(lex, GenConfig(n_utterances=3, seed=1))
